@@ -13,10 +13,14 @@ from .terms import Iri, PrefixTable, Term, Triple, default_prefixes
 
 
 class Graph:
-    """Indexed set of triples plus the prefix table used to render it."""
+    """Indexed set of triples plus the prefix table used to render it.
+
+    The three indexes are the only per-triple storage; membership, size and
+    iteration all come from the subject-first one.
+    """
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Optional[PrefixTable] = None):
-        self._triples: set[Triple] = set()
+        self._size = 0
         # Access orders: subject->predicate->objects, predicate->object->subjects,
         # object->subject->predicates.
         self._spo: dict = {}
@@ -27,24 +31,28 @@ class Graph:
             self.insert(t)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        for subj, po in self._spo.items():
+            for pred, objs in po.items():
+                for obj in objs:
+                    yield Triple(subj, pred, obj)
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True if it was not already present."""
         if not isinstance(t, Triple):
             raise TypeError(f"expected Triple, got {type(t).__name__}")
-        if t in self._triples:
+        objects = self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set())
+        if t.object in objects:
             return False
-        self._triples.add(t)
-        self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
+        objects.add(t.object)
         self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
         self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
+        self._size += 1
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -69,7 +77,7 @@ class Graph:
 
         Uses the index whose first key position is the leftmost bound one:
         subject-first when s is bound, else predicate-first, else
-        object-first, else a full scan.
+        object-first, else a walk of the subject-first index.
         """
         if s is not None:
             po = self._spo.get(s)
@@ -105,7 +113,7 @@ class Graph:
                 for pred in preds:
                     yield Triple(subj, pred, o)
         else:
-            yield from self._triples
+            yield from self
 
     def count_estimate(
         self,
@@ -133,7 +141,7 @@ class Graph:
             if not sp:
                 return 0
             return sum(len(v) for v in sp.values())
-        return len(self._triples)
+        return self._size
 
     # Convenience accessors used by reporting and materialization code.
 

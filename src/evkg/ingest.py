@@ -17,6 +17,14 @@ same inputs yields a byte-identical graph. Rows that violate record
 invariants are skipped and reported with their row number; they never abort
 a load. Source strings are preserved byte-exactly (including whitespace),
 because literal matching in queries is exact.
+
+Zip and transmission records keep the geometry they parse while validating
+(their derived `geometry` field); the triplifiers write it as canonical WKT
+and never parse the source text again. Spatial materialization reads that
+canonical `geo:asWKT` literal back rather than the record geometry: `to_wkt`
+rounds every coordinate to 9 decimals, so the literal is the geometry the
+snapshot states, and `evkg materialize` on a stored snapshot takes the same
+path.
 """
 
 from __future__ import annotations
@@ -182,6 +190,7 @@ class TransmissionAssetRecord:
     operating_capacity: Optional[str] = None
     status: Optional[str] = None
     owner: Optional[str] = None
+    geometry: geometry.Geometry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("line", "substation", "plant"):
@@ -192,6 +201,7 @@ class TransmissionAssetRecord:
                 raise IngestError(f"asset {self.asset_id}: lines need LineString geometry")
         elif not isinstance(geom, geometry.Point):
             raise IngestError(f"asset {self.asset_id}: {self.kind}s need Point geometry")
+        object.__setattr__(self, "geometry", geom)
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,7 @@ class ZipAreaRecord:
     state_label: str
     county_label: str
     kwg_sameas: Optional[str] = None
+    geometry: geometry.Geometry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _ZIP_RE.match(self.zip):
@@ -208,6 +219,7 @@ class ZipAreaRecord:
         geom = geometry.parse_wkt(self.polygon_wkt)
         if not isinstance(geom, (geometry.Polygon, geometry.MultiPolygon)):
             raise IngestError(f"zip {self.zip}: area geometry must be a polygon")
+        object.__setattr__(self, "geometry", geom)
 
 
 @dataclass(frozen=True)
@@ -446,14 +458,6 @@ def zip_area_iri(zip_code: str) -> Iri:
     return EVR[f"zipcodearea.{zip_code}"]
 
 
-def state_iri(label: str) -> Iri:
-    return EVR[f"state.{_sanitize(label)}"]
-
-
-def county_iri(label: str) -> Iri:
-    return EVR[f"county.{_sanitize(label)}"]
-
-
 def station_iri(station_id: str) -> Iri:
     return EVR[f"chargingstation.{_sanitize(station_id)}"]
 
@@ -482,10 +486,6 @@ def collection_iri(zip_code: str, year: int, key: ProductKey) -> Iri:
 
 def geometry_iri(feature: Iri) -> Iri:
     return Iri(feature.value + ".geometry")
-
-
-def _labeled_individual(kind: str, label: str) -> tuple[Iri, str]:
-    return EVR[f"{kind}.{_sanitize(label)}"], label
 
 
 class _Minter:
@@ -526,11 +526,30 @@ def aggregate_registrations(records: Iterable[RegistrationRecord]) -> list[Regis
 # ---------------------------------------------------------------------------
 
 
-def _geometry_triples(g: Graph, feature: Iri, geom_type: Iri, wkt: str) -> None:
+_GEOM_CLASSES = {
+    geometry.Point: SF.Point,
+    geometry.LineString: SF.LineString,
+    geometry.Polygon: SF.Polygon,
+    geometry.MultiPoint: SF.MultiPoint,
+    geometry.MultiLineString: SF.MultiLineString,
+    geometry.MultiPolygon: SF.MultiPolygon,
+}
+
+
+def _geometry_triples(g: Graph, feature: Iri, geom: geometry.Geometry) -> None:
     node = geometry_iri(feature)
     g.insert(Triple(feature, GEO.hasGeometry, node))
-    g.insert(Triple(node, RDF.type, geom_type))
-    g.insert(Triple(node, GEO.asWKT, Literal(wkt, WKT_LITERAL)))
+    g.insert(Triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
+    g.insert(Triple(node, GEO.asWKT, Literal(geometry.to_wkt(geom), WKT_LITERAL)))
+
+
+def _individual(g: Graph, subject: Iri, prop: Iri, kind: str, cls: Iri, label: str) -> Iri:
+    """Link subject via prop to the labeled individual of class cls minted from (kind, label)."""
+    ind = EVR[f"{kind}.{_sanitize(label)}"]
+    g.insert(Triple(subject, prop, ind))
+    g.insert(Triple(ind, RDF.type, cls))
+    g.insert(Triple(ind, RDFS.label, Literal(label)))
+    return ind
 
 
 def triplify_adoption(
@@ -556,10 +575,7 @@ def triplify_adoption(
         model_year = Literal(str(key.model_year), XSD_GYEAR)
         g.insert(Triple(prod, EV_ONT.hasModelYear, model_year))
 
-        make, make_label = _labeled_individual("maketype", key.make)
-        g.insert(Triple(prod, EV_ONT.hasMakeType, make))
-        g.insert(Triple(make, RDF.type, EV_ONT.MakeType))
-        g.insert(Triple(make, RDFS.label, Literal(make_label)))
+        _individual(g, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
 
         model = EVR[
             f"modeltype.{_sanitize(key.make)}.{_sanitize(key.model)}.{key.model_year}"
@@ -575,10 +591,7 @@ def triplify_adoption(
             ("vehicleusecase", EV_ONT.hasVehicleUseCase, EV_ONT.VehicleUseCase, key.use_case),
             ("weightlevel", EV_ONT.hasWeightLevel, EV_ONT.WeightLevel, key.weight_level),
         ):
-            ind, label = _labeled_individual(kind, raw)
-            g.insert(Triple(prod, prop, ind))
-            g.insert(Triple(ind, RDF.type, cls))
-            g.insert(Triple(ind, RDFS.label, Literal(label)))
+            _individual(g, prod, prop, kind, cls, raw)
 
         for token in sorted(key.charger_types):
             if token not in CHARGER_TOKENS:
@@ -613,16 +626,15 @@ def triplify_stations(records: Iterable[StationRecord]) -> Graph:
         g.insert(Triple(stn, RDF.type, access_cls))
         if rec.network:
             g.insert(Triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
-            net, net_label = _labeled_individual("chargingnetwork", rec.network)
-            g.insert(Triple(stn, EV_ONT.isUnderChargingNetwork, net))
-            g.insert(Triple(net, RDF.type, EV_ONT.ChargingNetwork))
-            g.insert(Triple(net, RDFS.label, Literal(net_label)))
+            _individual(
+                g, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork", EV_ONT.ChargingNetwork,
+                rec.network,
+            )
         else:
             g.insert(Triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
         g.insert(Triple(stn, RDFS.label, Literal(rec.name)))
 
-        point = geometry.Point(rec.lon, rec.lat)
-        _geometry_triples(g, stn, SF.Point, geometry.to_wkt(point))
+        _geometry_triples(g, stn, geometry.Point(rec.lon, rec.lat))
 
         g.insert(Triple(stn, EV_ONT.hasOperatingHours, Literal(rec.operating_hours)))
         g.insert(Triple(stn, EV_ONT.hasOpenYear, Literal(str(rec.open_year), XSD_GYEAR)))
@@ -653,19 +665,11 @@ def triplify_stations(records: Iterable[StationRecord]) -> Graph:
     return g
 
 
+# kind -> (IRI prefix, class, status property)
 _ASSET_KINDS = {
-    "line": ("transmissionline", EV_ONT.TransmissionLine),
-    "substation": ("substation", EV_ONT.Substation),
-    "plant": ("powerplant", EV_ONT.PowerPlant),
-}
-
-_GEOM_CLASSES = {
-    geometry.Point: SF.Point,
-    geometry.LineString: SF.LineString,
-    geometry.Polygon: SF.Polygon,
-    geometry.MultiPoint: SF.MultiPoint,
-    geometry.MultiLineString: SF.MultiLineString,
-    geometry.MultiPolygon: SF.MultiPolygon,
+    "line": ("transmissionline", EV_ONT.TransmissionLine, EV_ONT.hasLineStatus),
+    "substation": ("substation", EV_ONT.Substation, EV_ONT.hasStationStatus),
+    "plant": ("powerplant", EV_ONT.PowerPlant, EV_ONT.hasPlantStatus),
 }
 
 
@@ -673,38 +677,23 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> Graph:
     g = Graph()
     minter = _Minter()
     for rec in records:
-        prefix, cls = _ASSET_KINDS[rec.kind]
+        prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
         g.insert(Triple(asset, RDF.type, cls))
-        geom = geometry.parse_wkt(rec.geometry_wkt)
-        _geometry_triples(g, asset, _GEOM_CLASSES[type(geom)], geometry.to_wkt(geom))
+        _geometry_triples(g, asset, rec.geometry)
 
         if rec.kind == "line":
-            if rec.voltage_class:
-                vc, vc_label = _labeled_individual("voltageclass", rec.voltage_class)
-                g.insert(Triple(asset, EV_ONT.hasVoltageClass, vc))
-                g.insert(Triple(vc, RDF.type, EV_ONT.VoltageClass))
-                g.insert(Triple(vc, RDFS.label, Literal(vc_label)))
-            if rec.status:
-                st, st_label = _labeled_individual("servingstatus", rec.status)
-                g.insert(Triple(asset, EV_ONT.hasLineStatus, st))
-                g.insert(Triple(st, RDF.type, EV_ONT.ServingStatus))
-                g.insert(Triple(st, RDFS.label, Literal(st_label)))
-            if rec.owner:
-                ow, ow_label = _labeled_individual("translineowner", rec.owner)
-                g.insert(Triple(asset, EV_ONT.hasLineOwner, ow))
-                g.insert(Triple(ow, RDF.type, EV_ONT.TransmissionLineOwner))
-                g.insert(Triple(ow, RDFS.label, Literal(ow_label)))
+            for prop, kind, ind_cls, label in (
+                (EV_ONT.hasVoltageClass, "voltageclass", EV_ONT.VoltageClass, rec.voltage_class),
+                (EV_ONT.hasLineOwner, "translineowner", EV_ONT.TransmissionLineOwner, rec.owner),
+            ):
+                if label:
+                    _individual(g, asset, prop, kind, ind_cls, label)
         elif rec.kind == "substation":
             if rec.min_voltage:
                 g.insert(Triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
             if rec.max_voltage:
                 g.insert(Triple(asset, EV_ONT.hasMaxVoltage, Literal(rec.max_voltage, XSD_DOUBLE)))
-            if rec.status:
-                st, st_label = _labeled_individual("servingstatus", rec.status)
-                g.insert(Triple(asset, EV_ONT.hasStationStatus, st))
-                g.insert(Triple(st, RDF.type, EV_ONT.ServingStatus))
-                g.insert(Triple(st, RDFS.label, Literal(st_label)))
         else:  # plant
             for prop, value in (
                 (EV_ONT.hasSummerCapacity, rec.summer_capacity),
@@ -713,11 +702,8 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> Graph:
             ):
                 if value:
                     g.insert(Triple(asset, prop, Literal(value, XSD_DOUBLE)))
-            if rec.status:
-                st, st_label = _labeled_individual("servingstatus", rec.status)
-                g.insert(Triple(asset, EV_ONT.hasPlantStatus, st))
-                g.insert(Triple(st, RDF.type, EV_ONT.ServingStatus))
-                g.insert(Triple(st, RDFS.label, Literal(st_label)))
+        if rec.status:
+            _individual(g, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status)
     return g
 
 
@@ -731,20 +717,14 @@ def triplify_places(records: Iterable[ZipAreaRecord]) -> Graph:
         zip_area = zip_area_iri(rec.zip)
         g.insert(Triple(zip_area, RDF.type, KWG_ONT.ZipCodeArea))
         g.insert(Triple(zip_area, RDFS.label, Literal(f"zip code {rec.zip}")))
-        geom = geometry.parse_wkt(rec.polygon_wkt)
-        _geometry_triples(g, zip_area, _GEOM_CLASSES[type(geom)], geometry.to_wkt(geom))
+        _geometry_triples(g, zip_area, rec.geometry)
 
-        state = state_iri(rec.state_label)
-        g.insert(Triple(state, RDF.type, KWG_ONT.AdministrativeRegion_2))
-        g.insert(Triple(state, RDFS.label, Literal(rec.state_label)))
-        g.insert(Triple(state, KWG_ONT.sfContains, zip_area))
-        g.insert(Triple(zip_area, KWG_ONT.sfWithin, state))
-
-        county = county_iri(rec.county_label)
-        g.insert(Triple(county, RDF.type, KWG_ONT.AdministrativeRegion_3))
-        g.insert(Triple(county, RDFS.label, Literal(rec.county_label)))
-        g.insert(Triple(county, KWG_ONT.sfContains, zip_area))
-        g.insert(Triple(zip_area, KWG_ONT.sfWithin, county))
+        for kind, cls, label in (
+            ("state", KWG_ONT.AdministrativeRegion_2, rec.state_label),
+            ("county", KWG_ONT.AdministrativeRegion_3, rec.county_label),
+        ):
+            region = _individual(g, zip_area, KWG_ONT.sfWithin, kind, cls, label)
+            g.insert(Triple(region, KWG_ONT.sfContains, zip_area))
 
         if rec.kwg_sameas:
             try:

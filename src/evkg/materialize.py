@@ -58,6 +58,8 @@ class SpatialReport:
 
 
 def _feature_geometry(graph: Graph, feature: Iri) -> Optional[geometry.Geometry]:
+    # Parse the stored 9-decimal literal, not the source WKT: it is the geometry
+    # the snapshot states, and a reloaded snapshot has nothing else.
     for node in graph.objects(feature, GEO.hasGeometry):
         for wkt in graph.objects(node, GEO.asWKT):
             if isinstance(wkt, Literal):

@@ -32,6 +32,7 @@ class ParseError(ValueError):
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def escape_string(s: str) -> str:
@@ -89,10 +90,6 @@ class _LineScanner:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
     def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -137,18 +134,18 @@ class _LineScanner:
                     out.append("\r")
                 elif esc in ('"', "\\"):
                     out.append(esc)
-                elif esc == "u":
-                    hexs = self.text[self.pos + 1:self.pos + 5]
-                    if len(hexs) < 4:
-                        raise self.error("short \\u escape")
-                    out.append(chr(int(hexs, 16)))
-                    self.pos += 4
-                elif esc == "U":
-                    hexs = self.text[self.pos + 1:self.pos + 9]
-                    if len(hexs) < 8:
-                        raise self.error("short \\U escape")
-                    out.append(chr(int(hexs, 16)))
-                    self.pos += 8
+                elif esc in ("u", "U"):
+                    width = 4 if esc == "u" else 8
+                    hexs = self.text[self.pos + 1:self.pos + 1 + width]
+                    if len(hexs) < width:
+                        raise self.error(f"short \\{esc} escape")
+                    if not _HEX_DIGITS.issuperset(hexs):
+                        raise self.error(f"bad \\{esc} escape: {hexs!r}")
+                    code = int(hexs, 16)
+                    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                        raise self.error(f"\\{esc}{hexs} is not a Unicode scalar value")
+                    out.append(chr(code))
+                    self.pos += width
                 else:
                     raise self.error(f"unknown escape \\{esc}")
                 self.pos += 1
@@ -209,6 +206,21 @@ class _LineScanner:
             return self._expand(self.read_word())
         raise self.error(f"unexpected character {ch!r}")
 
+    def read_statement(self, allow_curie: bool = False) -> Triple:
+        """Read `subject predicate object .`, optionally followed by a comment."""
+        subject = self.read_term(allow_curie)
+        predicate = self.read_term(allow_curie)
+        obj = self.read_term(allow_curie)
+        self.expect(".")
+        if self.peek() not in ("", "#"):
+            raise self.error("trailing content after '.'")
+        if not isinstance(predicate, Iri):
+            raise ParseError("predicate must be an IRI", self.line_no, 1)
+        try:
+            return Triple(subject, predicate, obj)  # type: ignore[arg-type]
+        except TermError as exc:
+            raise ParseError(str(exc), self.line_no, 1) from None
+
     def _expand(self, curie: str) -> Iri:
         if self.prefixes is None:
             raise self.error("prefixed name without a prefix table")
@@ -224,19 +236,7 @@ def parse_ntriples(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        scanner = _LineScanner(raw, line_no)
-        subject = scanner.read_term()
-        predicate = scanner.read_term()
-        obj = scanner.read_term()
-        scanner.expect(".")
-        if not scanner.at_end():
-            raise scanner.error("trailing content after '.'")
-        if not isinstance(predicate, Iri):
-            raise ParseError("predicate must be an IRI", line_no, 1)
-        try:
-            graph.insert(Triple(subject, predicate, obj))  # type: ignore[arg-type]
-        except TermError as exc:
-            raise ParseError(str(exc), line_no, 1) from None
+        graph.insert(_LineScanner(raw, line_no).read_statement())
     return graph
 
 
@@ -285,16 +285,5 @@ def parse_turtle(text: str) -> Graph:
             scanner.expect(".")
             prefixes.register(name[:-1], ns.value)
             continue
-        subject = scanner.read_term(allow_curie=True)
-        predicate = scanner.read_term(allow_curie=True)
-        obj = scanner.read_term(allow_curie=True)
-        scanner.expect(".")
-        if not scanner.at_end():
-            raise scanner.error("trailing content after '.'")
-        if not isinstance(predicate, Iri):
-            raise ParseError("predicate must be an IRI", line_no, 1)
-        try:
-            graph.insert(Triple(subject, predicate, obj))  # type: ignore[arg-type]
-        except TermError as exc:
-            raise ParseError(str(exc), line_no, 1) from None
+        graph.insert(scanner.read_statement(allow_curie=True))
     return graph

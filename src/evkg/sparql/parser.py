@@ -50,8 +50,9 @@ from .algebra import (
     Values,
     VarExpr,
     Variable,
+    expression_has_aggregate,
 )
-from .errors import QuerySyntaxError, UnsupportedFeatureError
+from .errors import QuerySemanticsError, QuerySyntaxError, UnsupportedFeatureError
 
 _UNSUPPORTED = {
     "OPTIONAL",
@@ -540,6 +541,10 @@ class Parser:
             self.expect("(")
             inner = self.parse_expression()
             self.expect(")")
+            if expression_has_aggregate(inner):
+                raise QuerySemanticsError(
+                    f"line {tok.line}, col {tok.col}: aggregates cannot be nested"
+                )
             return SumAgg(inner)
         if tok.kind == "word":
             self.check_unsupported(tok)

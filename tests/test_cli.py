@@ -88,6 +88,14 @@ def test_query_syntax_error_exit_3(workspace, capsys):
     assert "OPTIONAL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", ["x\\uZZZZ", "\\uD800"])
+def test_bad_snapshot_escape_exit_2(tmp_path, capsys, body):
+    snapshot = tmp_path / "bad.nt"
+    snapshot.write_text(f'<http://x/s> <http://x/p> "{body}" .\n', encoding="utf-8")
+    assert main(["materialize", "-i", str(snapshot), "-o", str(tmp_path / "out.nt")]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_cq_all_questions_pass(workspace, capsys):
     snapshot = _ingest(workspace)
     capsys.readouterr()

@@ -45,14 +45,22 @@ def test_insert_singleton():
 
 @given(triples_strategy)
 def test_insert_distinct_then_reinsert_all(triples):
-    # Oracle: deduplicated list length.
+    # Oracle: the deduplicated list.
+    expected = set(triples)
     g = Graph()
     for t in triples:
         g.insert(t)
-    assert len(g) == len(set(triples))
+    assert len(g) == len(expected)
     for t in triples:
         assert g.insert(t) is False
-    assert len(g) == len(set(triples))
+    assert len(g) == len(expected)
+    assert set(g) == expected
+    subjects, predicates, objects = _triple_pool()
+    for s in subjects:
+        for p in predicates:
+            for o in objects:
+                t = Triple(s, p, o)
+                assert (t in g) == (t in expected)
 
 
 def test_match_all_on_empty_graph():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from evkg import geometry
 from evkg.ingest import (
     ChargerGroup,
     DanglingProductKey,
@@ -20,6 +21,8 @@ from evkg.ingest import (
     product_key,
     read_registrations,
     read_stations,
+    read_transmission,
+    read_zip_areas,
     triplify_adoption,
     triplify_places,
     triplify_stations,
@@ -343,6 +346,35 @@ def test_station_reader_round_trips_trailing_spaces(fixtures_dir):
 
 
 # --- whole-load determinism ----------------------------------------------------
+
+
+def _count_wkt_parses(monkeypatch) -> list[int]:
+    calls = [0]
+    parse = geometry.parse_wkt
+
+    def counting(text):
+        calls[0] += 1
+        return parse(text)
+
+    monkeypatch.setattr(geometry, "parse_wkt", counting)
+    return calls
+
+
+def test_build_graph_parses_each_source_wkt_once(monkeypatch):
+    # 53 zip and transmission records parse their WKT once while validating;
+    # spatial materialization parses the 93 stored literals it reads back.
+    calls = _count_wkt_parses(monkeypatch)
+    build_graph(fixture_config())
+    assert calls[0] == 146
+
+
+def test_triplifiers_reuse_record_geometry(fixtures_dir, monkeypatch):
+    zips, _ = read_zip_areas(fixtures_dir / "zip_areas.csv")
+    assets, _ = read_transmission(fixtures_dir / "transmission.csv")
+    calls = _count_wkt_parses(monkeypatch)
+    triplify_places(zips)
+    triplify_transmission(assets)
+    assert calls[0] == 0
 
 
 def test_double_ingest_byte_identical():

@@ -19,6 +19,7 @@ from evkg.terms import (
     XSD_GYEAR,
     XSD_INTEGER,
     BlankNode,
+    Iri,
     Literal,
     Triple,
 )
@@ -101,6 +102,34 @@ def test_syntax_error_reports_line_number():
 def test_literal_subject_rejected():
     with pytest.raises(ParseError):
         parse_ntriples('"lit" <http://x/p> <http://x/o> .\n')
+
+
+@pytest.mark.parametrize(
+    "body",
+    # malformed hex, then lone surrogates and values past U+10FFFF
+    ["x\\uZZZZ", "\\u12", "\\U0001F60G", "\\u+1ab", "\\uD800", "\\U0000DC00", "\\U00110000"],
+)
+def test_bad_unicode_escape_is_parse_error(body):
+    with pytest.raises(ParseError) as exc:
+        parse_ntriples(f'<http://x/s> <http://x/p> "{body}" .\n')
+    assert exc.value.line == 1
+
+
+def test_valid_unicode_escapes_decoded():
+    g = parse_ntriples('<http://x/s> <http://x/p> "\\u00e9\\U0001F600" .\n')
+    assert [t.object for t in g] == [Literal("\u00e9\U0001F600")]
+
+
+def test_comment_after_final_dot_accepted():
+    nt = '<http://x/s> <http://x/p> "x" . # c\n<http://x/s> <http://x/p> <http://x/o> .#c\n'
+    assert len(parse_ntriples(nt)) == 2
+    ttl = '@prefix ex: <http://x/> .\nex:s ex:p "x" . # c\n'
+    assert set(parse_turtle(ttl)) == {Triple(Iri("http://x/s"), Iri("http://x/p"), Literal("x"))}
+
+
+def test_content_after_final_dot_still_rejected():
+    with pytest.raises(ParseError):
+        parse_ntriples('<http://x/s> <http://x/p> "x" . <http://x/o>\n')
 
 
 def test_missing_dot_rejected():

@@ -7,6 +7,7 @@ from evkg.sparql import (
     Bgp,
     Filter,
     Group,
+    QuerySemanticsError,
     QuerySyntaxError,
     SubSelect,
     Union,
@@ -103,6 +104,13 @@ def test_order_by_rejected_by_name():
     with pytest.raises(UnsupportedFeatureError) as exc:
         parse_query("SELECT ?x WHERE { ?x a ev-ont:ChargingStation } ORDER BY ?x")
     assert "ORDER" in str(exc.value)
+
+
+@pytest.mark.parametrize("expr", ["SUM(SUM(?o))", "SUM(1 + SUM(?o))"])
+def test_nested_aggregate_rejected(expr):
+    with pytest.raises(QuerySemanticsError) as exc:
+        parse_query(f"SELECT ?s ({expr} AS ?x) WHERE {{ ?s ?p ?o }} GROUP BY ?s")
+    assert "nested" in str(exc.value)
 
 
 def test_syntax_error_carries_position():
