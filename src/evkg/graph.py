@@ -16,7 +16,8 @@ class Graph:
     """Indexed set of triples plus the prefix table used to render it.
 
     The three indexes are the only per-triple storage; membership, size and
-    iteration all come from the subject-first one.
+    iteration all come from the subject-first one. A per-predicate triple
+    count makes predicate-only estimates O(1).
     """
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Optional[PrefixTable] = None):
@@ -26,6 +27,7 @@ class Graph:
         self._spo: dict = {}
         self._pos: dict = {}
         self._osp: dict = {}
+        self._predicate_sizes: dict = {}
         self.prefixes = prefixes if prefixes is not None else default_prefixes()
         for t in triples:
             self.insert(t)
@@ -52,6 +54,7 @@ class Graph:
         objects.add(t.object)
         self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
         self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
+        self._predicate_sizes[t.predicate] = self._predicate_sizes.get(t.predicate, 0) + 1
         self._size += 1
         return True
 
@@ -121,7 +124,11 @@ class Graph:
         p: Optional[Iri] = None,
         o: Optional[Term] = None,
     ) -> int:
-        """Cheap upper bound on match cardinality, used for join ordering."""
+        """Cheap upper bound on match cardinality, used for join ordering.
+
+        O(1) when p is bound, since ``insert`` keeps a triple count per
+        predicate; a lone bound subject or object sums over its index entry.
+        """
         if s is not None:
             po = self._spo.get(s)
             if not po:
@@ -135,7 +142,7 @@ class Graph:
                 return 0
             if o is not None:
                 return len(os_.get(o, ()))
-            return sum(len(v) for v in os_.values())
+            return self._predicate_sizes[p]
         if o is not None:
             sp = self._osp.get(o)
             if not sp:

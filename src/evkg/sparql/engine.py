@@ -1,10 +1,13 @@
 """Index-backed query evaluator with standard multiset semantics.
 
-Joins run most-selective-pattern-first inside a BGP, backed by the graph's
-three indexes. Expression errors follow SPARQL conventions: a failing
-FILTER expression drops the row, a failing projection expression leaves
-that variable unbound but keeps the row, and a SUM over a group containing
-a non-numeric value is unbound for that group.
+Inside a BGP, patterns join connected first: each next pattern shares a
+variable with those already bound (or has none), so only a BGP that is
+itself disconnected joins unrelated row sets; among those patterns the one
+with the most bound positions, then the smallest index estimate, wins.
+Expression errors follow SPARQL conventions: a failing FILTER expression
+drops the row, a failing projection expression leaves that variable
+unbound but keeps the row, and a SUM over a group containing a
+non-numeric value is unbound for that group.
 """
 
 from __future__ import annotations
@@ -184,61 +187,77 @@ def effective_boolean(expr: Expression, row: Binding) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _resolve(pos, binding: Binding) -> Optional[Term]:
-    if isinstance(pos, Variable):
-        return binding.get(pos.name)
-    return pos
-
-
 def match_pattern(graph: Graph, tp: TriplePattern, binding: Binding) -> Iterator[Binding]:
-    s = _resolve(tp.s, binding)
-    p = _resolve(tp.p, binding)
-    o = _resolve(tp.o, binding)
+    # Bound positions are lookup keys, so only the free ones need binding;
+    # a variable repeated among them (?v p ?v) must take one value.
+    key: list[Optional[Term]] = []
+    free: list[tuple[int, str]] = []
+    for i, pos in enumerate(tp.positions()):
+        if isinstance(pos, Variable):
+            value = binding.get(pos.name)
+            if value is None:
+                free.append((i, pos.name))
+            key.append(value)
+        else:
+            key.append(pos)
+    s, p, o = key
     if isinstance(s, Literal) or (p is not None and not isinstance(p, Iri)):
         return
+    repeated = len({name for _, name in free}) < len(free)
     for t in graph.match(s, p, o):
+        spo = (t.subject, t.predicate, t.object)
         merged = dict(binding)
-        ok = True
-        for pos, value in zip(tp.positions(), t):
-            if isinstance(pos, Variable):
-                seen = merged.get(pos.name)
-                if seen is None:
-                    merged[pos.name] = value
-                elif seen != value:
-                    ok = False
-                    break
-        if ok:
-            yield merged
+        for i, name in free:
+            merged[name] = spo[i]
+        if repeated and any(merged[name] != spo[i] for i, name in free):
+            continue
+        yield merged
 
 
 def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
-    """Greedy: prefer patterns with the most bound positions, then the
-    smallest index estimate for their constant positions."""
+    """Greedy, connected first: the next pattern shares a variable with
+    those already bound, so no step joins two unrelated row sets. A pattern
+    with no variables counts as connected: it is an existence check, best
+    run early.
+
+    Ranked by bound positions alone, q8 would take ``?zipcode a
+    ZipCodeArea``, then ``?station a ChargingStation`` (both all constants
+    but one) before the pattern linking them: a zips x stations x
+    collections cross product. The first pattern and, in a BGP with
+    disconnected parts, the first pattern of the next part are chosen from
+    all remaining ones. Among the candidates: most bound positions first,
+    then the smallest index estimate for the constant positions.
+    """
     remaining = list(patterns)
     ordered: list[TriplePattern] = []
     bound: set[str] = set()
-    while remaining:
-        def key(tp: TriplePattern):
-            selectivity = 0
-            const = [None, None, None]
-            for idx, pos in enumerate(tp.positions()):
-                if isinstance(pos, Variable):
-                    if pos.name in bound:
-                        selectivity += 1
-                else:
-                    selectivity += 1
-                    const[idx] = pos
-            # count_estimate needs an IRI predicate and a non-literal subject
-            s, p, o = const
-            if p is not None and not isinstance(p, Iri):
-                estimate = 0
-            elif isinstance(s, Literal):
-                estimate = 0
-            else:
-                estimate = graph.count_estimate(s, p, o)
-            return (-selectivity, estimate)
 
-        best = min(remaining, key=key)
+    def key(tp: TriplePattern):
+        selectivity = 0
+        const = [None, None, None]
+        for idx, pos in enumerate(tp.positions()):
+            if isinstance(pos, Variable):
+                if pos.name in bound:
+                    selectivity += 1
+            else:
+                selectivity += 1
+                const[idx] = pos
+        # count_estimate needs an IRI predicate and a non-literal subject
+        s, p, o = const
+        if p is not None and not isinstance(p, Iri):
+            estimate = 0
+        elif isinstance(s, Literal):
+            estimate = 0
+        else:
+            estimate = graph.count_estimate(s, p, o)
+        return (-selectivity, estimate)
+
+    def connected(tp: TriplePattern) -> bool:
+        names = [v.name for v in pattern_vars(tp)]
+        return not names or any(name in bound for name in names)
+
+    while remaining:
+        best = min([tp for tp in remaining if connected(tp)] or remaining, key=key)
         remaining.remove(best)
         ordered.append(best)
         bound.update(v.name for v in pattern_vars(best))

@@ -7,6 +7,13 @@ with comparisons and arithmetic, both VALUES forms, sub-SELECTs, and GROUP
 BY. Keywords are case-insensitive (except `a`). Anything else that is
 recognizably SPARQL is rejected by name, never silently ignored.
 
+Braces and parentheses may nest at most MAX_DEPTH levels deep, and the
+parsed tree, in which every UNION, FILTER or arithmetic link of a chain
+adds one level, at most MAX_TREE_DEPTH; anything deeper is a
+QuerySyntaxError, so that neither the parser nor the evaluators (all
+recursive) can run out of stack. Chains are cheap (one evaluator frame per
+link) and so get the larger bound.
+
 A nested group consisting solely of FILTER constraints (e.g. `{FILTER(?r <
 0.1)}`) contributes its constraints to the enclosing group: filters apply
 to the group they appear in after all its other elements are joined.
@@ -82,6 +89,9 @@ _UNSUPPORTED = {
     "SAMPLE",
     "GROUP_CONCAT",
 }
+
+MAX_DEPTH = 100
+MAX_TREE_DEPTH = 500
 
 _IRI_RE = re.compile(r'<([^<>"{}|^`\\\x00-\x20]*)>')
 _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
@@ -232,6 +242,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.prefixes = prefixes
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -263,6 +274,12 @@ class Parser:
         if tok.kind != kind:
             raise self.error(f"expected {kind!r}, found {tok.value!r}", tok)
         return tok
+
+    def enter(self) -> None:
+        """Count one more open brace or parenthesis; see MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"query nested more than {MAX_DEPTH} levels deep")
 
     def check_unsupported(self, tok: Token) -> None:
         if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED:
@@ -340,9 +357,11 @@ class Parser:
 
     def parse_group(self) -> Pattern:
         self.expect("{")
+        self.enter()
         if self.at_word("SELECT"):
             sub = self.parse_select()
             self.expect("}")
+            self.depth -= 1
             return SubSelect(sub)
         elements: list[Pattern] = []
         filters: list[Expression] = []
@@ -392,6 +411,7 @@ class Parser:
             if self.peek().kind == ".":
                 self.next()
         flush_bgp()
+        self.depth -= 1
         result: Pattern = Group(tuple(elements))
         for expr in filters:
             result = Filter(expr, result)
@@ -497,13 +517,14 @@ class Parser:
     # -- expressions ------------------------------------------------------
 
     def parse_expression(self) -> Expression:
-        left = self.parse_additive()
+        self.enter()
+        expr = self.parse_additive()
         tok = self.peek()
         if tok.kind in ("<", ">", "<=", ">=", "=", "!="):
             self.next()
-            right = self.parse_additive()
-            return Compare(tok.kind, left, right)
-        return left
+            expr = Compare(tok.kind, expr, self.parse_additive())
+        self.depth -= 1
+        return expr
 
     def parse_additive(self) -> Expression:
         expr = self.parse_multiplicative()
@@ -566,10 +587,40 @@ def _pure_filter_constraints(pattern: Pattern) -> Optional[list[Expression]]:
     return None
 
 
+def _children(node) -> tuple:
+    if isinstance(node, SelectQuery):
+        return (*node.select, node.pattern)
+    if isinstance(node, Group):
+        return node.elements
+    if isinstance(node, (Union, Compare, Arith)):
+        return (node.left, node.right)
+    if isinstance(node, Filter):
+        return (node.expression, node.inner)
+    if isinstance(node, SubSelect):
+        return (node.query,)
+    if isinstance(node, (SumAgg, Aliased)):
+        return (node.expr,)
+    return ()  # Bgp, Values, Variable, VarExpr, ConstExpr
+
+
+def _tree_depth(query: SelectQuery) -> int:
+    """Depth of the parsed tree, found without recursion."""
+    deepest = 0
+    stack = [(query, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return deepest
+
+
 def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> SelectQuery:
     """Parse a query against the toolkit's default prefixes (plus any given)."""
     table = default_prefixes()
     if prefixes is not None:
         for prefix, ns in prefixes.entries.items():
             table.register(prefix, ns)
-    return Parser(tokenize(text), table).parse()
+    query = Parser(tokenize(text), table).parse()
+    if _tree_depth(query) > MAX_TREE_DEPTH:
+        raise QuerySyntaxError(f"query tree more than {MAX_TREE_DEPTH} levels deep")
+    return query

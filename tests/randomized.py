@@ -48,10 +48,13 @@ def random_graph(rng: random.Random, max_triples: int = 200) -> Graph:
     return graph
 
 
-def _random_bgp(rng: random.Random, n_patterns: int) -> Bgp:
-    """Chain-shaped BGPs: each pattern tends to hang off the last variable
-    introduced, so multi-pattern joins stay satisfiable without exploding."""
-    usable = [VARIABLES[0]]
+def _random_chain(
+    rng: random.Random, n_patterns: int, variables: list[Variable]
+) -> list[TriplePattern]:
+    """Chain-shaped patterns: each tends to hang off the last variable
+    introduced, so multi-pattern joins stay satisfiable without exploding.
+    Some repeat their subject variable as object (``?v p ?v``)."""
+    usable = [variables[0]]
     next_fresh = 1
     patterns = []
     for _ in range(n_patterns):
@@ -64,18 +67,30 @@ def _random_bgp(rng: random.Random, n_patterns: int) -> Bgp:
             s = rng.choice(SUBJECTS)
         p = rng.choice(PREDICATES) if rng.random() < 0.8 else rng.choice(usable)
         roll = rng.random()
-        if roll < 0.45 and next_fresh < len(VARIABLES):
-            o = VARIABLES[next_fresh]
+        if roll < 0.45 and next_fresh < len(variables):
+            o = variables[next_fresh]
             next_fresh += 1
             usable.append(o)
-        elif roll < 0.8:
+        elif roll < 0.75:
             o = rng.choice(OBJECT_IRIS + OBJECT_LITERALS)
-        else:
+        elif roll < 0.9:
             o = rng.choice(usable)
+        else:
+            o = s
         if not any(isinstance(x, Variable) for x in (s, p, o)):
             s = rng.choice(usable)
         patterns.append(TriplePattern(s, p, o))
-    return Bgp(tuple(patterns))
+    return patterns
+
+
+def _random_bgp(rng: random.Random, n_patterns: int) -> Bgp:
+    """One chain, or two chains over disjoint variables (a real cross product)."""
+    if n_patterns >= 2 and rng.random() < 0.3:
+        split = rng.randint(1, n_patterns - 1)
+        left = _random_chain(rng, split, VARIABLES[:3])
+        right = _random_chain(rng, n_patterns - split, VARIABLES[3:])
+        return Bgp(tuple(left + right))
+    return Bgp(tuple(_random_chain(rng, n_patterns, VARIABLES)))
 
 
 def random_query(rng: random.Random, max_patterns: int = 4) -> SelectQuery:

@@ -88,6 +88,14 @@ def test_query_syntax_error_exit_3(workspace, capsys):
     assert "OPTIONAL" in capsys.readouterr().err
 
 
+def test_query_nested_too_deep_exit_3(workspace, capsys):
+    snapshot = _ingest(workspace)
+    deep = workspace / "deep.rq"
+    deep.write_text("SELECT ?x WHERE " + "{" * 3000 + " ?x ?p ?o " + "}" * 3000, encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(deep)]) == 3
+    assert "levels deep" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body", ["x\\uZZZZ", "\\uD800"])
 def test_bad_snapshot_escape_exit_2(tmp_path, capsys, body):
     snapshot = tmp_path / "bad.nt"

@@ -139,7 +139,18 @@ def test_count_estimate_bounds_match():
         for _ in range(60)
     ]
     g = Graph(triples)
-    for s in (None, pool_s[0]):
-        for p in (None, pool_p[0]):
-            for o in (None, pool_o[0]):
-                assert len(list(g.match(s, p, o))) <= g.count_estimate(s, p, o)
+    g.update(triples[::2])  # duplicate inserts must not move any count
+    distinct = set(triples)
+    for s in [None, *pool_s]:
+        for p in [None, *pool_p]:
+            for o in [None, *pool_o]:
+                matched = list(g.match(s, p, o))
+                expected = {
+                    t
+                    for t in distinct
+                    if s in (None, t.subject) and p in (None, t.predicate) and o in (None, t.object)
+                }
+                assert len(matched) == len(expected) and set(matched) == expected
+                assert len(matched) <= g.count_estimate(s, p, o)
+    for p in pool_p:
+        assert g.count_estimate(None, p, None) == len(list(g.match(None, p, None)))

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from evkg.graph import Graph
 from evkg.sparql import parse_query
 from evkg.sparql.algebra import Bgp, Group, SelectQuery, Variable
+from evkg.queries import QUERY_TEXTS, run_suite_query
+from evkg.sparql import engine
 from evkg.sparql.engine import evaluate
 from evkg.sparql.errors import QuerySemanticsError
+from evkg.sparql.parser import MAX_TREE_DEPTH
 from evkg.sparql import naive
 from evkg.terms import (
     EVR,
+    RDF_TYPE,
     XSD_DECIMAL,
     XSD_GYEAR,
     XSD_INTEGER,
@@ -198,6 +202,66 @@ def test_select_star_projects_in_scope_variables():
     g = _graph((A, P, B))
     solution = evaluate(g, parse_query("SELECT * WHERE { ?x evr:p ?y }"))
     assert solution.variables == ["x", "y"]
+
+
+# --- planner: intermediate bindings, counted the way the bench tracer does ------
+
+
+@pytest.fixture()
+def binding_count(monkeypatch):
+    """Count the bindings engine.match_pattern yields, by wrapping it."""
+    count = [0]
+    inner = engine.match_pattern
+
+    def counted(*args):
+        for binding in inner(*args):
+            count[0] += 1
+            yield binding
+
+    monkeypatch.setattr(engine, "match_pattern", counted)
+    return count
+
+
+def test_planner_joins_connected_patterns_first(binding_count):
+    n = 200
+    g = Graph()
+    for i in range(n):
+        g.insert(Triple(EX[f"a{i}"], RDF_TYPE, EX["A"]))
+        g.insert(Triple(EX[f"b{i}"], RDF_TYPE, EX["B"]))
+        g.insert(Triple(EX[f"a{i}"], P, EX[f"b{i}"]))
+    rows = _rows(g, "SELECT * WHERE { ?a a evr:A . ?b a evr:B . ?a evr:p ?b . }")
+    assert len(rows) == n
+    assert binding_count[0] <= 3 * n  # a cross product of the type patterns is n * n
+
+
+def test_planner_bounds_suite_bindings_on_fixture(fixture_graph, binding_count):
+    per_query = {}
+    for qid in sorted(QUERY_TEXTS):
+        binding_count[0] = 0
+        run_suite_query(fixture_graph, qid)
+        per_query[qid] = binding_count[0]
+    assert per_query[8] <= 1_000
+    assert sum(per_query.values()) <= 3_000
+
+
+# --- long chains: UNION branches, FILTERs in one group, terms of one sum -------
+
+_CHAINS = {
+    "unions": lambda n: "SELECT * WHERE { " + " UNION ".join(["{ ?s ?p ?o }"] * n) + " }",
+    "filters": lambda n: "SELECT * WHERE { ?s ?p ?o " + "FILTER(?o > 1) " * n + "}",
+    "sum": lambda n: "SELECT * WHERE { ?s ?p ?o FILTER(" + " + ".join(["?o"] * n) + " > 1) }",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_CHAINS))
+@pytest.mark.parametrize("n", [150, MAX_TREE_DEPTH - 10])
+def test_long_flat_chains_evaluate(shape, n):
+    g = _graph((EX["a"], P, Literal("2", XSD_INTEGER)), (EX["b"], P, EX["c"]))
+    query = parse_query(_CHAINS[shape](n))
+    expected = {"unions": 2 * n, "filters": 1, "sum": 1}[shape]
+    solution = evaluate(g, query)
+    assert len(solution.rows) == expected
+    assert solution_multiset(solution) == solution_multiset(naive.evaluate(g, query))
 
 
 # --- properties ---------------------------------------------------------------

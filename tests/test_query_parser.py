@@ -17,6 +17,7 @@ from evkg.sparql import (
     parse_query,
 )
 from evkg.sparql.algebra import query_text as pretty
+from evkg.sparql.parser import MAX_DEPTH, MAX_TREE_DEPTH
 from evkg.terms import EV_ONT, RDF_TYPE, XSD_GYEAR, Literal
 
 
@@ -111,6 +112,42 @@ def test_nested_aggregate_rejected(expr):
     with pytest.raises(QuerySemanticsError) as exc:
         parse_query(f"SELECT ?s ({expr} AS ?x) WHERE {{ ?s ?p ?o }} GROUP BY ?s")
     assert "nested" in str(exc.value)
+
+
+_DEEP = {  # shape: (query, the limit it breaks)
+    "braces": ("SELECT ?x WHERE " + "{" * 3000 + " ?x ?p ?o " + "}" * 3000, MAX_DEPTH),
+    "parens": (
+        "SELECT ?x WHERE { ?x ?p ?o FILTER(" + "(" * 3000 + "?o" + ")" * 3000 + ") }",
+        MAX_DEPTH,
+    ),
+    "sums": (
+        "SELECT (" + "SUM(" * 3000 + "?o" + ")" * 3000 + " AS ?s) WHERE { ?x ?p ?o }",
+        MAX_DEPTH,
+    ),
+    "unions": (
+        "SELECT ?x WHERE { " + " UNION ".join(["{ ?x ?p ?o }"] * 3000) + " }",
+        MAX_TREE_DEPTH,
+    ),
+    "filters": ("SELECT ?x WHERE { ?x ?p ?o " + "FILTER(?o > 1) " * 3000 + "}", MAX_TREE_DEPTH),
+    "operators": (
+        "SELECT ?x WHERE { ?x ?p ?o FILTER(" + " + ".join(["?o"] * 3000) + " > 1) }",
+        MAX_TREE_DEPTH,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_nesting_deeper_than_limit_rejected(shape):
+    text, limit = _DEEP[shape]
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_query(text)
+    assert f"more than {limit} levels" in str(exc.value)
+
+
+def test_nesting_within_limit_accepted():
+    depth = MAX_DEPTH // 2
+    q = parse_query("SELECT ?x WHERE " + "{" * depth + " ?x ?p ?o " + "}" * depth)
+    assert parse_query(pretty(q)) == q
 
 
 def test_syntax_error_carries_position():
