@@ -211,18 +211,32 @@ def _term_text(t: TermOrVar) -> str:
     return term_to_ntriples(t)
 
 
-def expression_text(expr: Expression) -> str:
+_PRECEDENCE = {"+": 2, "-": 2, "*": 3, "/": 3}  # a comparison binds at 1
+
+
+def expression_text(expr: Expression, floor: int = 0) -> str:
+    """Render `expr`, parenthesized only if it binds more loosely than `floor`.
+
+    Operators are left-associative, so a right operand at its parent's
+    precedence is wrapped (``?a - (?b - ?c)``) and a left one is not; a
+    comparison does not chain, so both its operands are wrapped at its own
+    precedence. Long sums thus render without nesting.
+    """
     if isinstance(expr, VarExpr):
         return f"?{expr.var.name}"
     if isinstance(expr, ConstExpr):
         return term_to_ntriples(expr.term)
-    if isinstance(expr, Compare):
-        return f"({expression_text(expr.left)} {expr.op} {expression_text(expr.right)})"
-    if isinstance(expr, Arith):
-        return f"({expression_text(expr.left)} {expr.op} {expression_text(expr.right)})"
     if isinstance(expr, SumAgg):
         return f"SUM({expression_text(expr.expr)})"
-    raise TypeError(f"not an expression: {expr!r}")
+    if isinstance(expr, Compare):
+        precedence, left_floor = 1, 2
+    elif isinstance(expr, Arith):
+        precedence = left_floor = _PRECEDENCE[expr.op]
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
+    left = expression_text(expr.left, left_floor)
+    text = f"{left} {expr.op} {expression_text(expr.right, precedence + 1)}"
+    return f"({text})" if precedence < floor else text
 
 
 def _pattern_lines(p: Pattern, indent: str) -> list[str]:
@@ -246,7 +260,7 @@ def _pattern_lines(p: Pattern, indent: str) -> list[str]:
             node = node.inner
         lines = _pattern_lines(node, indent)
         for expr in reversed(filters):
-            lines.append(f"{inner}FILTER{expression_text(expr)}")
+            lines.append(f"{inner}FILTER({expression_text(expr)})")
         return lines
     if isinstance(p, (Union, Values, SubSelect)):
         return _element_lines(p, inner)

@@ -64,7 +64,12 @@ class EvalError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def eval_expression(expr: Expression, row: Binding) -> Term:
+def eval_expression(
+    expr: Expression, row: Binding, members: Optional[list[Binding]] = None
+) -> Term:
+    """Evaluate `expr` on `row`. In a grouped projection `row` holds the
+    group's keys and `members` its rows, which a SUM adds up; elsewhere a
+    SUM is an error."""
     if isinstance(expr, VarExpr):
         value = row.get(expr.var.name)
         if value is None:
@@ -73,15 +78,29 @@ def eval_expression(expr: Expression, row: Binding) -> Term:
     if isinstance(expr, ConstExpr):
         return expr.term
     if isinstance(expr, Compare):
-        left = eval_expression(expr.left, row)
-        right = eval_expression(expr.right, row)
+        left = eval_expression(expr.left, row, members)
+        right = eval_expression(expr.right, row, members)
         return TRUE if compare_terms(expr.op, left, right) else FALSE
     if isinstance(expr, Arith):
-        return apply_arith(
-            expr.op, eval_expression(expr.left, row), eval_expression(expr.right, row)
-        )
+        left = eval_expression(expr.left, row, members)
+        right = eval_expression(expr.right, row, members)
+        return apply_arith(expr.op, left, right)
     if isinstance(expr, SumAgg):
-        raise EvalError("aggregate outside a grouped projection")
+        if members is None:
+            raise EvalError("aggregate outside a grouped projection")
+        total = 0
+        kind = "integer"
+        for member in members:
+            try:
+                inner = eval_expression(expr.expr, member)
+            except EvalError:
+                raise EvalError("non-numeric value in SUM group") from None
+            parsed = numeric_value(inner) if isinstance(inner, Literal) else None
+            if parsed is None:
+                raise EvalError("non-numeric value in SUM group")
+            kind = _promote(kind, parsed[0])
+            total = total + parsed[1]
+        return numeric_literal(kind, total)
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -335,34 +354,6 @@ def eval_pattern(graph: Graph, pattern: Pattern) -> list[Binding]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_with_aggregates(expr: Expression, key_binding: Binding, members: list[Binding]) -> Term:
-    if isinstance(expr, SumAgg):
-        total = 0
-        kind = "integer"
-        for row in members:
-            try:
-                inner = eval_expression(expr.expr, row)
-            except EvalError:
-                raise EvalError("non-numeric value in SUM group") from None
-            parsed = numeric_value(inner) if isinstance(inner, Literal) else None
-            if parsed is None:
-                raise EvalError("non-numeric value in SUM group")
-            kind = _promote(kind, parsed[0])
-            total = total + parsed[1]
-        return numeric_literal(kind, total)
-    if isinstance(expr, (VarExpr, ConstExpr)):
-        return eval_expression(expr, key_binding)
-    if isinstance(expr, Compare):
-        left = _eval_with_aggregates(expr.left, key_binding, members)
-        right = _eval_with_aggregates(expr.right, key_binding, members)
-        return TRUE if compare_terms(expr.op, left, right) else FALSE
-    if isinstance(expr, Arith):
-        left = _eval_with_aggregates(expr.left, key_binding, members)
-        right = _eval_with_aggregates(expr.right, key_binding, members)
-        return apply_arith(expr.op, left, right)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def _distinct(rows: list[Binding]) -> list[Binding]:
     seen: set[frozenset] = set()
     out = []
@@ -410,9 +401,7 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
                         out[item.name] = key_binding[item.name]
                 else:
                     try:
-                        out[item.var.name] = _eval_with_aggregates(
-                            item.expr, key_binding, members
-                        )
+                        out[item.var.name] = eval_expression(item.expr, key_binding, members)
                     except EvalError:
                         pass  # unbound projected value, row kept
             out_rows.append(out)

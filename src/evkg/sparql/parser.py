@@ -5,7 +5,9 @@ Supported: PREFIX declarations, SELECT [DISTINCT] with variables / `*` /
 `a`, typed and plain string literals, CURIEs, nested groups, UNION, FILTER
 with comparisons and arithmetic, both VALUES forms, sub-SELECTs, and GROUP
 BY. Keywords are case-insensitive (except `a`). Anything else that is
-recognizably SPARQL is rejected by name, never silently ignored.
+recognizably SPARQL is rejected by name, never silently ignored. Names,
+keywords and numbers are ASCII; any other character outside a string or
+an IRI is a QuerySyntaxError.
 
 Braces and parentheses may nest at most MAX_DEPTH levels deep, and the
 parsed tree, in which every UNION, FILTER or arithmetic link of a chain
@@ -22,8 +24,7 @@ to the group they appear in after all its other elements are joined.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..terms import (
     RDF_TYPE,
@@ -59,7 +60,7 @@ from .algebra import (
     Variable,
     expression_has_aggregate,
 )
-from .errors import QuerySemanticsError, QuerySyntaxError, UnsupportedFeatureError
+from .errors import QueryError, QuerySemanticsError, QuerySyntaxError, UnsupportedFeatureError
 
 _UNSUPPORTED = {
     "OPTIONAL",
@@ -93,153 +94,80 @@ _UNSUPPORTED = {
 MAX_DEPTH = 100
 MAX_TREE_DEPTH = 500
 
-_IRI_RE = re.compile(r'<([^<>"{}|^`\\\x00-\x20]*)>')
-_VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
-_LOCAL_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
-_NUMBER_RE = re.compile(r"(\d+\.\d+|\.\d+|\d+)([eE][+-]?\d+)?")
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
+    | [?$](?P<var>[A-Za-z0-9_]+)
+    | <(?P<iri>[^<>"{}|^`\\\x00-\x20]*)>
+    | "(?P<string>(?:[^"\\]|\\.)*)"
+    | (?P<double>(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+)
+    | (?P<decimal>[0-9]+\.[0-9]+|\.[0-9]+)
+    | (?P<integer>[0-9]+)
+    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
+    | (?P<word>[A-Za-z][A-Za-z0-9_\-]*)
+    | (?P<punct>\^\^|[<>!]=|[{}().*/+\-=<>;,])
+    | (?P<bad>&&|\|\||.)""", re.VERBOSE | re.DOTALL)
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # var iri pname word string integer decimal double + punctuation
+class Token(NamedTuple):
+    kind: str  # var iri pname word string integer decimal double eof, or the punctuation
     value: str
-    line: int
-    col: int
+    offset: int  # into the query text; see position()
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, col) of a character offset; only '\\n' starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _unescape(text: str, start: int, body: str) -> str:
+    def decode(m: re.Match) -> str:
+        if m[1] not in _ESCAPES:
+            raise QuerySyntaxError(f"unknown escape \\{m[1]}", *position(text, start))
+        return _ESCAPES[m[1]]
+
+    return re.sub(r"\\(.)", decode, body, flags=re.DOTALL)
+
+
+def _bad_token(text: str, start: int, value: str) -> QueryError:
+    where = position(text, start)
+    if value in ("&&", "||"):
+        return UnsupportedFeatureError(f"logical operator {value}", *where)
+    message = f"unexpected character {value!r}"
+    if value == '"':  # no closing quote; an unknown, then a dangling escape is named first
+        rest = text[start + 1:]
+        _unescape(text, start, rest)
+        odd = (len(rest) - len(rest.rstrip("\\"))) % 2
+        message = "dangling escape in string" if odd else "unterminated string literal"
+    elif value in "?$":
+        message = "expected a variable name after '?'"
+    elif value == "`":
+        message = "unexpanded query reference (backquoted placeholder)"
+    return QuerySyntaxError(message, *where)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def err(message: str) -> QuerySyntaxError:
-        return QuerySyntaxError(message, line, col)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    """Split a query into tokens, the last of kind 'eof'."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m[m.lastgroup]
+        if kind == "skip":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch in "?$":
-            m = _VAR_RE.match(text, i)
-            if not m:
-                raise err("expected a variable name after '?'")
-            tokens.append(Token("var", m.group(1), start_line, start_col))
-            advance(m.end() - i)
-            continue
-        if ch == "<":
-            m = _IRI_RE.match(text, i)
-            if m:
-                tokens.append(Token("iri", m.group(1), start_line, start_col))
-                advance(m.end() - i)
-                continue
-            if text[i:i + 2] == "<=":
-                tokens.append(Token("<=", "<=", start_line, start_col))
-                advance(2)
-            else:
-                tokens.append(Token("<", "<", start_line, start_col))
-                advance(1)
-            continue
-        if ch == '"':
-            out = []
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise err("unterminated string literal")
-                c = text[j]
-                if c == '"':
-                    break
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise err("dangling escape in string")
-                    esc = text[j + 1]
-                    mapping = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
-                    if esc not in mapping:
-                        raise err(f"unknown escape \\{esc}")
-                    out.append(mapping[esc])
-                    j += 2
-                else:
-                    out.append(c)
-                    j += 1
-            tokens.append(Token("string", "".join(out), start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER_RE.match(text, i)
-            assert m
-            body, exponent = m.group(1), m.group(2)
-            if exponent:
-                kind = "double"
-            elif "." in body:
-                kind = "decimal"
-            else:
-                kind = "integer"
-            tokens.append(Token(kind, m.group(0), start_line, start_col))
-            advance(m.end() - i)
-            continue
-        if ch.isalpha():
-            m = _WORD_RE.match(text, i)
-            assert m
-            end = m.end()
-            if end < n and text[end] == ":":
-                local_match = _LOCAL_RE.match(text, end + 1)
-                local_end = local_match.end() if local_match else end + 1
-                tokens.append(Token("pname", text[i:local_end], start_line, start_col))
-                advance(local_end - i)
-            else:
-                tokens.append(Token("word", m.group(0), start_line, start_col))
-                advance(end - i)
-            continue
-        if ch == ":":
-            local_match = _LOCAL_RE.match(text, i + 1)
-            local_end = local_match.end() if local_match else i + 1
-            tokens.append(Token("pname", text[i:local_end], start_line, start_col))
-            advance(local_end - i)
-            continue
-        two = text[i:i + 2]
-        if two == "^^":
-            tokens.append(Token("^^", "^^", start_line, start_col))
-            advance(2)
-            continue
-        if two in (">=", "!="):
-            tokens.append(Token(two, two, start_line, start_col))
-            advance(2)
-            continue
-        if two in ("&&", "||"):
-            raise UnsupportedFeatureError(f"logical operator {two}", start_line, start_col)
-        if ch in "{}().*/+-=>;,":
-            tokens.append(Token(ch, ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch == "`":
-            raise QuerySyntaxError(
-                "unexpanded query reference (backquoted placeholder)", start_line, start_col
-            )
-        raise err(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _bad_token(text, m.start(), value)
+        if kind == "string":
+            value = _unescape(text, m.start(), value)
+        elif kind == "punct":
+            kind = value
+        tokens.append(Token(kind, value, m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], prefixes: PrefixTable):
-        self.tokens = tokens
+    def __init__(self, text: str, prefixes: PrefixTable):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.prefixes = prefixes
         self.depth = 0
@@ -255,9 +183,11 @@ class Parser:
             self.pos += 1
         return tok
 
+    def where(self, tok: Token) -> tuple[int, int]:
+        return position(self.text, tok.offset)
+
     def error(self, message: str, tok: Optional[Token] = None) -> QuerySyntaxError:
-        tok = tok or self.peek()
-        return QuerySyntaxError(message, tok.line, tok.col)
+        return QuerySyntaxError(message, *self.where(tok or self.peek()))
 
     def at_word(self, *names: str) -> bool:
         tok = self.peek()
@@ -283,7 +213,7 @@ class Parser:
 
     def check_unsupported(self, tok: Token) -> None:
         if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED:
-            raise UnsupportedFeatureError(tok.value.upper(), tok.line, tok.col)
+            raise UnsupportedFeatureError(tok.value.upper(), *self.where(tok))
 
     # -- grammar -----------------------------------------------------------
 
@@ -346,7 +276,7 @@ class Parser:
                 raise self.error("GROUP BY needs at least one variable")
         tok = self.peek()
         if tok.kind == "word" and tok.value.upper() in ("ORDER", "LIMIT", "OFFSET", "HAVING"):
-            raise UnsupportedFeatureError(tok.value.upper(), tok.line, tok.col)
+            raise UnsupportedFeatureError(tok.value.upper(), *self.where(tok))
         return SelectQuery(
             select=tuple(items),
             distinct=distinct,
@@ -404,7 +334,7 @@ class Parser:
                 continue
             if tok.kind in (";", ","):
                 raise UnsupportedFeatureError(
-                    "predicate-object lists (';' / ',')", tok.line, tok.col
+                    "predicate-object lists (';' / ',')", *self.where(tok)
                 )
             self.check_unsupported(tok)
             bgp.append(self.parse_triple_pattern())
@@ -509,9 +439,7 @@ class Parser:
     def expand(self, tok: Token) -> Iri:
         try:
             return self.prefixes.expand(tok.value)
-        except UnknownPrefixError as exc:
-            raise QuerySyntaxError(str(exc), tok.line, tok.col) from None
-        except TermError as exc:
+        except (UnknownPrefixError, TermError) as exc:
             raise self.error(str(exc), tok) from None
 
     # -- expressions ------------------------------------------------------
@@ -563,9 +491,8 @@ class Parser:
             inner = self.parse_expression()
             self.expect(")")
             if expression_has_aggregate(inner):
-                raise QuerySemanticsError(
-                    f"line {tok.line}, col {tok.col}: aggregates cannot be nested"
-                )
+                line, col = self.where(tok)
+                raise QuerySemanticsError(f"line {line}, col {col}: aggregates cannot be nested")
             return SumAgg(inner)
         if tok.kind == "word":
             self.check_unsupported(tok)
@@ -620,7 +547,7 @@ def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> SelectQuer
     if prefixes is not None:
         for prefix, ns in prefixes.entries.items():
             table.register(prefix, ns)
-    query = Parser(tokenize(text), table).parse()
+    query = Parser(text, table).parse()
     if _tree_depth(query) > MAX_TREE_DEPTH:
         raise QuerySyntaxError(f"query tree more than {MAX_TREE_DEPTH} levels deep")
     return query

@@ -96,6 +96,14 @@ def test_query_nested_too_deep_exit_3(workspace, capsys):
     assert "levels deep" in capsys.readouterr().err
 
 
+def test_query_non_ascii_character_exit_3(workspace, capsys):
+    snapshot = _ingest(workspace)
+    bad = workspace / "bad.rq"
+    bad.write_text("SELECT ?x WHERE { ?x ?p é }", encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(bad)]) == 3
+    assert "line 1, col 25: unexpected character 'é'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body", ["x\\uZZZZ", "\\uD800"])
 def test_bad_snapshot_escape_exit_2(tmp_path, capsys, body):
     snapshot = tmp_path / "bad.nt"

@@ -138,6 +138,32 @@ def test_sum_with_non_numeric_member_is_unbound():
     assert rows == [(("x", "<http://evkg.org/resource/a>"),)]  # ?total unbound
 
 
+def test_sum_inside_expressions_and_outside_grouping():
+    g = _graph(
+        (A, P, Literal("3", XSD_INTEGER)),
+        (A, P, Literal("4", XSD_INTEGER)),
+        (B, P, Literal("1.5", XSD_DECIMAL)),
+    )
+    grouped = (
+        "SELECT ?x (SUM(?n) * 2 AS ?d) (SUM(?n) > 5 AS ?big) WHERE { ?x evr:p ?n } GROUP BY ?x"
+    )
+    typed = "^^<http://www.w3.org/2001/XMLSchema#"
+    assert sorted(_rows(g, grouped)) == [
+        (("big", f'"false"{typed}boolean>'), ("d", f'"3.0"{typed}decimal>'),
+         ("x", "<http://evkg.org/resource/b>")),
+        (("big", f'"true"{typed}boolean>'), ("d", f'"14"{typed}integer>'),
+         ("x", "<http://evkg.org/resource/a>")),
+    ]
+    # The implicit group over no rows sums to 0; outside a grouped
+    # projection, an aggregate is an error that drops the row.
+    empty = "SELECT (SUM(?n) AS ?t) WHERE { ?x evr:q ?n }"
+    assert _rows(g, empty) == [(("t", f'"0"{typed}integer>'),)]
+    assert _rows(g, "SELECT ?x WHERE { ?x evr:p ?n FILTER(SUM(?n) > 0) }") == []
+    for text in (grouped, empty):
+        query = parse_query(text)
+        assert solution_multiset(evaluate(g, query)) == solution_multiset(naive.evaluate(g, query))
+
+
 def test_group_by_on_empty_solution_is_empty():
     g = _graph()
     rows = _rows(g, "SELECT ?x (SUM(?n) AS ?t) WHERE { ?x evr:p ?n } GROUP BY ?x")

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evkg.queries import QUERY_TEXTS, expand_query_references
 from evkg.sparql import (
     Bgp,
     Filter,
     Group,
+    QueryError,
     QuerySemanticsError,
     QuerySyntaxError,
     SubSelect,
@@ -17,7 +22,7 @@ from evkg.sparql import (
     parse_query,
 )
 from evkg.sparql.algebra import query_text as pretty
-from evkg.sparql.parser import MAX_DEPTH, MAX_TREE_DEPTH
+from evkg.sparql.parser import MAX_DEPTH, MAX_TREE_DEPTH, position, tokenize
 from evkg.terms import EV_ONT, RDF_TYPE, XSD_GYEAR, Literal
 
 
@@ -192,3 +197,175 @@ def test_prefix_declaration_supported():
     )
     [bgp] = q.pattern.elements
     assert bgp.patterns[0].o.value == "http://example.org/Thing"
+
+
+# --- tokenizer ------------------------------------------------------------------
+
+
+def _tokens(text):
+    return [(t.kind, t.value, *position(text, t.offset)) for t in tokenize(text)]
+
+
+def test_tokenize_pins_every_token_kind():
+    text = (
+        "PREFIX : <http://example.org/>\n"
+        "SELECT $s (SUM(?n) AS ?t)  # a comment\n"
+        "WHERE {\t$s\r evr:connectortype.CHAdeMO :local ;\n"
+        '  ?p "say \\"hi\\"\\t\\\\", "2021"^^xsd:gYear .\n'
+        "  FILTER(?n <= .5 + 1.5e3 * 7 - ?n / 2 = 1 != 0 >= 1 > 0 < 1)\n"
+        "}"
+    )
+    assert _tokens(text) == [
+        ("word", "PREFIX", 1, 1),
+        ("pname", ":", 1, 8),
+        ("iri", "http://example.org/", 1, 10),
+        ("word", "SELECT", 2, 1),
+        ("var", "s", 2, 8),
+        ("(", "(", 2, 11),
+        ("word", "SUM", 2, 12),
+        ("(", "(", 2, 15),
+        ("var", "n", 2, 16),
+        (")", ")", 2, 18),
+        ("word", "AS", 2, 20),
+        ("var", "t", 2, 23),
+        (")", ")", 2, 25),
+        ("word", "WHERE", 3, 1),
+        ("{", "{", 3, 7),
+        ("var", "s", 3, 9),
+        ("pname", "evr:connectortype.CHAdeMO", 3, 13),  # '\r' takes a column
+        ("pname", ":local", 3, 39),
+        (";", ";", 3, 46),
+        ("var", "p", 4, 3),
+        ("string", 'say "hi"\t\\', 4, 6),
+        (",", ",", 4, 22),
+        ("string", "2021", 4, 24),
+        ("^^", "^^", 4, 30),
+        ("pname", "xsd:gYear", 4, 32),
+        (".", ".", 4, 42),
+        ("word", "FILTER", 5, 3),
+        ("(", "(", 5, 9),
+        ("var", "n", 5, 10),
+        ("<=", "<=", 5, 13),
+        ("decimal", ".5", 5, 16),
+        ("+", "+", 5, 19),
+        ("double", "1.5e3", 5, 21),
+        ("*", "*", 5, 27),
+        ("integer", "7", 5, 29),
+        ("-", "-", 5, 31),
+        ("var", "n", 5, 33),
+        ("/", "/", 5, 36),
+        ("integer", "2", 5, 38),
+        ("=", "=", 5, 40),
+        ("integer", "1", 5, 42),
+        ("!=", "!=", 5, 44),
+        ("integer", "0", 5, 47),
+        (">=", ">=", 5, 49),
+        ("integer", "1", 5, 52),
+        (">", ">", 5, 54),
+        ("integer", "0", 5, 56),
+        ("<", "<", 5, 58),
+        ("integer", "1", 5, 60),
+        (")", ")", 5, 61),
+        ("}", "}", 6, 1),
+        ("eof", "", 6, 2),
+    ]
+
+
+_W = "SELECT ?x WHERE { ?x ?p "
+_TOKEN_ERRORS = [  # (text, exception type, message with its position)
+    (_W + '"open }', QuerySyntaxError, "line 1, col 25: unterminated string literal"),
+    (_W + '"a\\qb" }', QuerySyntaxError, "line 1, col 25: unknown escape \\q"),
+    (_W + '"ab\\', QuerySyntaxError, "line 1, col 25: dangling escape in string"),
+    (_W + '"a\\q \\', QuerySyntaxError, "line 1, col 25: unknown escape \\q"),
+    (_W + '"a\\"', QuerySyntaxError, "line 1, col 25: unterminated string literal"),
+    (_W + '"a\\\\', QuerySyntaxError, "line 1, col 25: unterminated string literal"),
+    ("SELECT ? WHERE { ?x ?p ?o }", QuerySyntaxError,
+     "line 1, col 8: expected a variable name after '?'"),
+    (_W + "?o FILTER(?o && ?x) }", UnsupportedFeatureError,
+     "unsupported construct: logical operator && at line 1, col 38"),
+    (_W + "?o FILTER(?o || ?x) }", UnsupportedFeatureError,
+     "unsupported construct: logical operator || at line 1, col 38"),
+    ("SELECT ?x WHERE { `Query from Listing 1` }", QuerySyntaxError,
+     "line 1, col 19: unexpanded query reference (backquoted placeholder)"),
+    ("SELECT ?x\nWHERE {\n  ?x ?p ~ }", QuerySyntaxError,
+     "line 3, col 9: unexpected character '~'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _TOKEN_ERRORS)
+def test_tokenizer_error_type_message_and_position(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_query(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("char", ["é", "²", "٣"])
+def test_non_ascii_outside_strings_and_iris_rejected(char):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_query(f"SELECT ?x WHERE {{\n  ?x ?p {char} }}")
+    assert str(exc.value) == f"line 2, col 9: unexpected character {char!r}"
+    assert (exc.value.line, exc.value.col) == (2, 9)
+
+
+def test_non_ascii_inside_strings_and_iris_accepted():
+    q = parse_query('SELECT ?x WHERE { ?x <http://example.org/café> "é²٣" }')
+    [bgp] = q.pattern.elements
+    assert bgp.patterns[0].p.value == "http://example.org/café"
+    assert bgp.patterns[0].o == Literal("é²٣")
+
+
+_FUZZ_PIECES = [
+    *"{}().*/+-=<>;,!^&|`:?$#\"\\ \t\r\n", "<=", ">=", "!=", "^^", "&&", "||", "\\n", "\\q",
+    "SELECT", "DISTINCT", "WHERE", "FILTER", "UNION", "VALUES", "GROUP", "BY", "SUM", "AS",
+    "PREFIX", "OPTIONAL", "a", "?x", "$y", "ev-ont:", "ev-ont:ChargingStation", ":x",
+    "<http://x/>", "\"s\"", "\"2021\"^^xsd:gYear", "1.5e3", ".5", "7",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FUZZ_PIECES), st.characters()), max_size=40))
+def test_parse_query_raises_only_query_errors(pieces):
+    try:
+        parse_query("".join(pieces))
+    except QueryError:
+        pass
+
+
+# --- canonical text of expressions -----------------------------------------------
+
+
+def _filter_query(expr: str) -> str:
+    return f"SELECT ?a WHERE {{ ?a ?b ?c FILTER({expr}) }}"
+
+
+@pytest.mark.parametrize(
+    "expr, rendered",
+    [
+        ("?a - (?b - ?c)", "?a - (?b - ?c)"),
+        ("(?a - ?b) - ?c", "?a - ?b - ?c"),
+        ("?a * (?b + ?c)", "?a * (?b + ?c)"),
+        ("?a + ?b * ?c", "?a + ?b * ?c"),
+        ("-?a * ?b", '("0"^^<http://www.w3.org/2001/XMLSchema#integer> - ?a) * ?b'),
+        ("?a - -?b", '?a - ("0"^^<http://www.w3.org/2001/XMLSchema#integer> - ?b)'),
+        ("(?a < ?b) = (?c > 1)",
+         '(?a < ?b) = (?c > "1"^^<http://www.w3.org/2001/XMLSchema#integer>)'),
+    ],
+)
+def test_expression_text_minimal_parentheses_round_trip(expr, rendered):
+    q = parse_query(_filter_query(expr))
+    text = pretty(q)
+    assert f"FILTER({rendered})" in text
+    assert parse_query(text) == q
+
+
+@pytest.mark.parametrize("n", [150, MAX_TREE_DEPTH - 10])
+def test_long_sum_round_trips(n):
+    q = parse_query(_filter_query(" + ".join(["?c"] * n) + " > 1"))
+    again = parse_query(pretty(q))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * n)  # dataclass == recurses per level
+    try:
+        assert again == q
+    finally:
+        sys.setrecursionlimit(limit)
