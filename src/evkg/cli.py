@@ -17,7 +17,11 @@ from pathlib import Path
 from . import queries as suite
 from .graph import Graph
 from .ingest import IngestConfig, IngestError, build_graph
-from .materialize import materialize_spatial_relations, materialize_subclass_closure
+from .materialize import (
+    StoredGeometryError,
+    materialize_spatial_relations,
+    materialize_subclass_closure,
+)
 from .ntriples import ParseError, parse_ntriples, serialize_ntriples, serialize_turtle
 from .results import csv_text, solution_to_json, solution_to_tsv
 from .sparql import QueryError, parse_query
@@ -86,7 +90,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     try:
         graph, report = build_graph(config)
-    except IngestError as exc:
+    except (IngestError, StoredGeometryError) as exc:
         raise CliError(f"ingest failed: {exc}", EXIT_IO) from None
 
     snapshot = Path(args.output) if args.output else base / raw.get("snapshot", "evkg.nt")
@@ -108,7 +112,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_materialize(args: argparse.Namespace) -> int:
     graph = _load_snapshot(Path(args.input))
     closure_added = materialize_subclass_closure(graph, registry())
-    report = materialize_spatial_relations(graph)
+    try:
+        report = materialize_spatial_relations(graph)
+    except StoredGeometryError as exc:
+        raise CliError(f"{args.input}: {exc}", EXIT_IO) from None
     _write_text(Path(args.output), serialize_ntriples(graph))
     print(f"subclass closure triples added: {closure_added}")
     for line in report.summary_lines():

@@ -454,7 +454,10 @@ def _segments(geom: Geometry) -> Iterator[tuple[Point, Point]]:
             yield from _segments(poly)
 
 
-def bbox(geom: Geometry) -> tuple[float, float, float, float]:
+Box = tuple[float, float, float, float]
+
+
+def bbox(geom: Geometry) -> Box:
     """Tight axis-aligned bounds (minx, miny, maxx, maxy)."""
     xs, ys = [], []
     for v in _vertices(geom):
@@ -463,15 +466,16 @@ def bbox(geom: Geometry) -> tuple[float, float, float, float]:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def bbox_disjoint(a: Geometry, b: Geometry, eps: float = EPS) -> bool:
-    ax0, ay0, ax1, ay1 = bbox(a)
-    bx0, by0, bx1, by1 = bbox(b)
+def bbox_disjoint(a: Box, b: Box, eps: float = EPS) -> bool:
+    """Are two `bbox` boxes more than eps apart on some axis?"""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
     return ax1 < bx0 - eps or bx1 < ax0 - eps or ay1 < by0 - eps or by1 < ay0 - eps
 
 
-def _bbox_covered(a: Geometry, b: Geometry, eps: float = EPS) -> bool:
-    ax0, ay0, ax1, ay1 = bbox(a)
-    bx0, by0, bx1, by1 = bbox(b)
+def _bbox_covered(a: Box, b: Box, eps: float = EPS) -> bool:
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
     return ax0 >= bx0 - eps and ay0 >= by0 - eps and ax1 <= bx1 + eps and ay1 <= by1 + eps
 
 
@@ -497,34 +501,22 @@ def representative_point(poly: Polygon) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Line vs area profile
+# Sample points of a point set or line against another geometry
 # ---------------------------------------------------------------------------
 
 
-def _line_profile(line: Geometry, area: Geometry) -> tuple[bool, bool, bool]:
-    """(has_interior, has_boundary, has_exterior) of a line w.r.t. an area.
+def _sample_points(geom: Geometry, other: Geometry) -> Iterator[Point]:
+    """Points of geom that take every location geom's points take in other.
 
-    Splits every line segment at its intersections with the area's edges and
-    classifies the midpoint of each piece, so a segment that enters and
-    leaves between its endpoints is still seen on both sides.
+    Yields every vertex, then splits every segment at its contacts with
+    other's edges and yields the midpoint of each piece, so a segment that
+    enters and leaves between its endpoints is still seen on both sides.
     """
-    has_int = has_bnd = has_ext = False
-    area_segments = list(_segments(area))
-
-    def note(loc: str):
-        nonlocal has_int, has_bnd, has_ext
-        if loc == INTERIOR:
-            has_int = True
-        elif loc == BOUNDARY:
-            has_bnd = True
-        else:
-            has_ext = True
-
-    for v in _vertices(line):
-        note(locate_point(v, area))
-    for a, b in _segments(line):
+    yield from _vertices(geom)
+    other_segments = list(_segments(other))
+    for a, b in _segments(geom):
         cuts = [0.0, 1.0]
-        for qa, qb in area_segments:
+        for qa, qb in other_segments:
             kind, pt = _segment_relation(a, b, qa, qb)
             if pt is not None:
                 cuts.append(_param_on_segment(a, b, pt))
@@ -535,9 +527,7 @@ def _line_profile(line: Geometry, area: Geometry) -> tuple[bool, bool, bool]:
         cuts = sorted(set(cuts))
         for t0, t1 in zip(cuts, cuts[1:]):
             tm = (t0 + t1) / 2.0
-            mid = Point(a.x + (b.x - a.x) * tm, a.y + (b.y - a.y) * tm)
-            note(locate_point(mid, area))
-    return has_int, has_bnd, has_ext
+            yield Point(a.x + (b.x - a.x) * tm, a.y + (b.y - a.y) * tm)
 
 
 def _param_on_segment(a: Point, b: Point, p: Point) -> float:
@@ -554,7 +544,7 @@ def _param_on_segment(a: Point, b: Point, p: Point) -> float:
 
 def sf_intersects(a: Geometry, b: Geometry) -> bool:
     """True iff the shapes share at least one point (boundary contact counts)."""
-    if bbox_disjoint(a, b):
+    if bbox_disjoint(bbox(a), bbox(b)):
         return False
     for v in _vertices(a):
         if locate_point(v, b) != EXTERIOR:
@@ -575,21 +565,14 @@ def sf_intersects(a: Geometry, b: Geometry) -> bool:
 
 def sf_within(a: Geometry, b: Geometry) -> bool:
     """Every point of a lies in the closure of b and interiors intersect."""
-    if bbox_disjoint(a, b) or not _bbox_covered(a, b):
+    box_a, box_b = bbox(a), bbox(b)
+    if bbox_disjoint(box_a, box_b) or not _bbox_covered(box_a, box_b):
         return False
     if _dimension(a) > _dimension(b):
         return False
-    if isinstance(a, Point):
-        return locate_point(a, b) == INTERIOR
-    if isinstance(a, MultiPoint):
-        locs = [locate_point(p, b) for p in a.points]
+    if _dimension(a) < 2:
+        locs = {locate_point(p, b) for p in _sample_points(a, b)}
         return EXTERIOR not in locs and INTERIOR in locs
-    if isinstance(a, (LineString, MultiLineString)):
-        if _dimension(b) == 1:
-            has_int, _, has_ext = _line_on_line_profile(a, b)
-            return not has_ext and has_int
-        has_int, _, has_ext = _line_profile(a, b)
-        return not has_ext and has_int
     if isinstance(a, Polygon):
         if isinstance(b, MultiPolygon):
             return any(sf_within(a, poly) for poly in b.polygons)
@@ -605,26 +588,7 @@ def sf_within(a: Geometry, b: Geometry) -> bool:
                 if kind == SEG_PROPER:
                     return False
         return locate_point(representative_point(a), b) == INTERIOR
-    if isinstance(a, MultiPolygon):
-        return all(sf_within(poly, b) for poly in a.polygons)
-    return False
-
-
-def _line_on_line_profile(a: Geometry, b: Geometry) -> tuple[bool, bool, bool]:
-    """Classify a's sample points against line b (interior = on b, not an end)."""
-    has_int = has_bnd = has_ext = False
-    samples = list(_vertices(a))
-    for pa, pb in _segments(a):
-        samples.append(Point((pa.x + pb.x) / 2.0, (pa.y + pb.y) / 2.0))
-    for s in samples:
-        loc = locate_point(s, b)
-        if loc == INTERIOR:
-            has_int = True
-        elif loc == BOUNDARY:
-            has_bnd = True
-        else:
-            has_ext = True
-    return has_int, has_bnd, has_ext
+    return all(sf_within(poly, b) for poly in a.polygons)
 
 
 def sf_contains(a: Geometry, b: Geometry) -> bool:
@@ -638,24 +602,22 @@ def sf_crosses(a: Geometry, b: Geometry) -> bool:
     Line vs line: interiors meet in isolated points only.
     """
     a_dim, b_dim = _dimension(a), _dimension(b)
-    if a_dim == 1 and b_dim == 2:
-        if bbox_disjoint(a, b):
-            return False
-        has_int, _, has_ext = _line_profile(a, b)
-        return has_int and has_ext
-    if a_dim == 1 and b_dim == 1:
-        if bbox_disjoint(a, b):
-            return False
-        crossing_point = False
-        for pa, pb in _segments(a):
-            for qa, qb in _segments(b):
-                kind, pt = _segment_relation(pa, pb, qa, qb)
-                if kind == SEG_OVERLAP:
-                    return False  # shared 1-D stretch: overlap, not a crossing
-                if kind == SEG_PROPER:
+    if a_dim != 1 or b_dim == 0:
+        raise UnsupportedGeometryPair("sf_crosses", a, b)
+    if bbox_disjoint(bbox(a), bbox(b)):
+        return False
+    if b_dim == 2:
+        locs = {locate_point(p, b) for p in _sample_points(a, b)}
+        return INTERIOR in locs and EXTERIOR in locs
+    crossing_point = False
+    for pa, pb in _segments(a):
+        for qa, qb in _segments(b):
+            kind, pt = _segment_relation(pa, pb, qa, qb)
+            if kind == SEG_OVERLAP:
+                return False  # shared 1-D stretch: overlap, not a crossing
+            if kind == SEG_PROPER:
+                crossing_point = True
+            elif kind == SEG_TOUCH and pt is not None:
+                if locate_point(pt, a) == INTERIOR and locate_point(pt, b) == INTERIOR:
                     crossing_point = True
-                elif kind == SEG_TOUCH and pt is not None:
-                    if locate_point(pt, a) == INTERIOR and locate_point(pt, b) == INTERIOR:
-                        crossing_point = True
-        return crossing_point
-    raise UnsupportedGeometryPair("sf_crosses", a, b)
+    return crossing_point

@@ -57,14 +57,32 @@ class SpatialReport:
         return lines
 
 
-def _feature_geometry(graph: Graph, feature: Iri) -> Optional[geometry.Geometry]:
-    # Parse the stored 9-decimal literal, not the source WKT: it is the geometry
-    # the snapshot states, and a reloaded snapshot has nothing else.
-    for node in graph.objects(feature, GEO.hasGeometry):
-        for wkt in graph.objects(node, GEO.asWKT):
-            if isinstance(wkt, Literal):
-                return geometry.parse_wkt(wkt.lexical)
-    return None
+class StoredGeometryError(ValueError):
+    """A feature's stored geo:asWKT literal does not parse, or a zip area's is
+    not a polygon; the message names the feature IRI."""
+
+
+def _geometries(
+    graph: Graph, classes: tuple[Iri, ...]
+) -> list[tuple[Iri, Optional[geometry.Geometry]]]:
+    """IRI-sorted (member, stored geometry or None) for the members of classes."""
+    members = {s for cls in classes for s in graph.subjects(RDF.type, cls) if isinstance(s, Iri)}
+    out = []
+    for member in sorted(members, key=lambda iri: iri.value):
+        # Parse the stored 9-decimal literal, not the source WKT: it is the
+        # geometry the snapshot states, and a reloaded snapshot has nothing else.
+        wkt = next(
+            (w for node in graph.objects(member, GEO.hasGeometry)
+             for w in graph.objects(node, GEO.asWKT) if isinstance(w, Literal)),
+            None,
+        )
+        try:
+            out.append((member, None if wkt is None else geometry.parse_wkt(wkt.lexical)))
+        except geometry.WktParseError as exc:
+            raise StoredGeometryError(
+                f"{member.value}: stored geometry does not parse: {exc}"
+            ) from None
+    return out
 
 
 def materialize_spatial_relations(graph: Graph) -> SpatialReport:
@@ -72,31 +90,30 @@ def materialize_spatial_relations(graph: Graph) -> SpatialReport:
 
     A point exactly on a zip boundary (within the geometry EPS) is assigned
     to no zip but reported, so sliver-boundary cases stay auditable.
+    Raises StoredGeometryError for a stored geometry that does not parse or
+    a zip area that is not a polygon.
     """
     report = SpatialReport()
+    zip_areas = []
+    for zip_iri, zip_geom in _geometries(graph, (KWG_ONT.ZipCodeArea,)):
+        if zip_geom is None:
+            continue
+        if not isinstance(zip_geom, (geometry.Polygon, geometry.MultiPolygon)):
+            raise StoredGeometryError(f"{zip_iri.value}: zip area geometry must be a polygon")
+        zip_areas.append((zip_iri, zip_geom, geometry.bbox(zip_geom)))
 
-    zip_areas: list[tuple[Iri, geometry.Geometry]] = []
-    for subject in sorted(
-        {s for s in graph.subjects(RDF.type, KWG_ONT.ZipCodeArea) if isinstance(s, Iri)},
-        key=lambda iri: iri.value,
-    ):
-        geom = _feature_geometry(graph, subject)
-        if geom is not None:
-            zip_areas.append((subject, geom))
-
-    features: set[Iri] = set()
-    for cls in FEATURE_CLASSES:
-        features.update(s for s in graph.subjects(RDF.type, cls) if isinstance(s, Iri))
-
-    for feature in sorted(features, key=lambda iri: iri.value):
-        geom = _feature_geometry(graph, feature)
+    for feature, geom in _geometries(graph, FEATURE_CLASSES):
         if geom is None:
             report.skipped_no_geometry.append(feature)
             continue
-        if isinstance(geom, geometry.Point):
-            for zip_iri, zip_geom in zip_areas:
-                if geometry.bbox_disjoint(geom, zip_geom):
-                    continue
+        is_point = isinstance(geom, geometry.Point)
+        if not is_point and not isinstance(geom, (geometry.LineString, geometry.MultiLineString)):
+            continue
+        box = geometry.bbox(geom)
+        for zip_iri, zip_geom, zip_box in zip_areas:
+            if geometry.bbox_disjoint(box, zip_box):
+                continue
+            if is_point:
                 loc = geometry.locate_point(geom, zip_geom)
                 if loc == geometry.INTERIOR:
                     if graph.insert(Triple(feature, KWG_ONT.sfWithin, zip_iri)):
@@ -105,13 +122,9 @@ def materialize_spatial_relations(graph: Graph) -> SpatialReport:
                         report.added_contains += 1
                 elif loc == geometry.BOUNDARY:
                     report.boundary_features.append((feature, zip_iri))
-        elif isinstance(geom, (geometry.LineString, geometry.MultiLineString)):
-            for zip_iri, zip_geom in zip_areas:
-                if geometry.bbox_disjoint(geom, zip_geom):
-                    continue
-                if geometry.sf_crosses(geom, zip_geom):
-                    if graph.insert(Triple(feature, KWG_ONT.sfCrosses, zip_iri)):
-                        report.added_crosses += 1
+            elif geometry.sf_crosses(geom, zip_geom):
+                if graph.insert(Triple(feature, KWG_ONT.sfCrosses, zip_iri)):
+                    report.added_crosses += 1
     return report
 
 

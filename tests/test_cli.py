@@ -112,6 +112,39 @@ def test_bad_snapshot_escape_exit_2(tmp_path, capsys, body):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_ingest_zip_self_intersecting_at_stored_precision_exit_2(workspace, capsys):
+    # Valid at source precision; rounded to 9 decimals the vertex at
+    # x = 1e-10 falls on the edge x = 0 and the stored ring self-intersects.
+    with (workspace / "zip_areas.csv").open("a", encoding="utf-8") as f:
+        f.write('99999,"POLYGON ((0 0, 1 0, 1 1, 0.0000000001 0.5, 0 1, 0 0))",Nowhere,Nowhere,\n')
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "zipcodearea.99999: stored geometry does not parse" in err
+
+
+ZIP_08904_WKT = '"POLYGON ((-74 41, -73.2 41, -73.2 41.8, -74 41.8, -74 41))"'
+
+
+@pytest.mark.parametrize("wkt, message", [
+    ('"POLYGON (((-74 41, -73.2 41, -73.2 41.8, -74 41.8, -74 41))"',
+     "stored geometry does not parse"),
+    # On line TL230A's path, so the line is tested against it.
+    ('"POINT (-74 41.4)"', "zip area geometry must be a polygon"),
+])
+def test_materialize_bad_stored_zip_geometry_exit_2(workspace, capsys, wkt, message):
+    snapshot = _ingest(workspace)
+    text = snapshot.read_text(encoding="utf-8")
+    assert text.count(ZIP_08904_WKT) == 1
+    snapshot.write_text(text.replace(ZIP_08904_WKT, wkt), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["materialize", "-i", str(snapshot), "-o", str(workspace / "out.nt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"zipcodearea.08904: {message}" in err
+
+
 def test_cq_all_questions_pass(workspace, capsys):
     snapshot = _ingest(workspace)
     capsys.readouterr()

@@ -157,6 +157,19 @@ def test_line_within_polygon():
     assert sf_within(LineString((Point(1, 1), Point(9, 9))), SQUARE) is False
 
 
+def test_line_within_line_samples_pieces_between_contacts():
+    line = parse_wkt("LINESTRING (0 0, 2 0)")
+    # Every vertex and segment midpoint of line is an end of a part here.
+    split = parse_wkt("MULTILINESTRING ((0 0, 1 0), (1 0, 2 0))")
+    assert sf_within(line, split) is True
+    assert sf_contains(split, line) is True
+    # Both ends and the midpoint (2 0) lie on the detour; (1 0) does not.
+    long_line = parse_wkt("LINESTRING (0 0, 4 0)")
+    detour = parse_wkt("LINESTRING (0 0, 1 1, 2 0, 4 0)")
+    assert sf_within(long_line, detour) is False
+    assert sf_within(parse_wkt("LINESTRING (2 0, 4 0)"), detour) is True
+
+
 # --- crosses ---------------------------------------------------------------
 
 
@@ -308,7 +321,7 @@ def test_bbox_tight():
 def test_bbox_disjoint_implies_not_intersects(ax, ay, aw, ah, bx, by, bw, bh):
     a = Polygon((Point(ax, ay), Point(ax + aw, ay), Point(ax + aw, ay + ah), Point(ax, ay + ah), Point(ax, ay)))
     b = Polygon((Point(bx, by), Point(bx + bw, by), Point(bx + bw, by + bh), Point(bx, by + bh), Point(bx, by)))
-    if bbox_disjoint(a, b):
+    if bbox_disjoint(bbox(a), bbox(b)):
         assert sf_intersects(a, b) is False
 
 

@@ -159,6 +159,29 @@ def test_fixture_matches_brute_force_pairwise_oracle(raw_fixture_graph):
     assert actual == expected
 
 
+def test_one_box_per_geometry(raw_fixture_graph, monkeypatch):
+    """bbox runs once per zip and per feature, plus twice per sf_crosses call."""
+    calls = {"bbox": 0, "sf_crosses": 0}
+
+    def counted(name):
+        fn = getattr(geometry, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    counted("bbox")
+    counted("sf_crosses")
+    g = Graph(set(raw_fixture_graph))
+    zips = {s for s in g.subjects(RDF.type, KWG_ONT.ZipCodeArea)}
+    features = {s for cls in FEATURE_CLASSES for s in g.subjects(RDF.type, cls)}
+    materialize_spatial_relations(g)
+    assert calls["sf_crosses"] > 0
+    assert calls["bbox"] <= len(zips) + len(features) + 2 * calls["sf_crosses"]
+
+
 # --- subclass closure -------------------------------------------------------
 
 
