@@ -11,10 +11,11 @@ boundary intersects the polygon but is not within it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 # Snap tolerance for on-boundary classification, in coordinate units.
 EPS = 1e-9
@@ -94,126 +95,91 @@ Geometry = Union[Point, LineString, Polygon, MultiPoint, MultiLineString, MultiP
 # WKT
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_WORD_RE = re.compile(r"[A-Za-z]+")
+# One token per match: an ASCII number that a blank, ',', ')' or the end of
+# the text follows, a keyword, or one punctuation character. Digits split
+# between integer and fraction in one way only, so a long glued run fails
+# the lookahead in linear time.
+_WKT_TOKEN = re.compile(r"""\s*(?:
+      (?P<number>[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?=[\s,)]|\Z)
+    | (?P<keyword>[A-Za-z]+)
+    | (?P<punct>[(),])
+    | (?P<end>\Z)
+    | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
-class _WktScanner:
+# keyword -> the builder applied as each nesting level of its text closes,
+# innermost first; POINT is one coordinate in parentheses (depth 0).
+_SHAPES = {
+    "POINT": (),
+    "LINESTRING": (LineString,),
+    "MULTIPOINT": (MultiPoint,),
+    "POLYGON": (tuple, lambda rings: Polygon(rings[0], rings[1:])),
+    "MULTILINESTRING": (tuple, lambda lines: MultiLineString(tuple(map(LineString, lines)))),
+}
+_SHAPES["MULTIPOLYGON"] = (*_SHAPES["POLYGON"], MultiPolygon)
+
+
+class _WktReader:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.tokens = _WKT_TOKEN.finditer(text)
+        self.advance()
 
-    def error(self, message: str) -> WktParseError:
-        return WktParseError(message, self.pos)
+    def advance(self) -> None:
+        m = next(self.tokens)
+        self.kind, self.value, self.at = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def keyword(self) -> str:
-        self.skip_ws()
-        m = _WORD_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a geometry keyword")
-        self.pos = m.end()
-        return m.group(0).upper()
+    def expect(self, ch: str) -> None:
+        if self.value != ch:
+            raise WktParseError(f"expected {ch!r}", self.at)
+        self.advance()
 
     def number(self) -> float:
-        self.skip_ws()
-        m = _NUM_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a number")
-        self.pos = m.end()
-        return float(m.group(0))
+        if self.kind != "number":
+            raise WktParseError("expected a number", self.at)
+        value = float(self.value)
+        if not math.isfinite(value):
+            raise WktParseError(f"number out of range: {self.value!r}", self.at)
+        self.advance()
+        return value
 
-    def coordinate(self) -> Point:
-        x = self.number()
-        y = self.number()
-        return Point(x, y)
-
-    def coordinate_list(self) -> tuple[Point, ...]:
+    def read(self, builders: tuple):
+        """One parenthesized level: a coordinate at depth 0, else a list of the level below."""
         self.expect("(")
-        pts = [self.coordinate()]
-        while self.accept(","):
-            pts.append(self.coordinate())
+        if not builders:
+            item = Point(self.number(), self.number())
+            self.expect(")")
+            return item
+        items = []
+        while True:
+            if len(builders) > 1:
+                items.append(self.read(builders[:-1]))
+            elif builders == (MultiPoint,) and self.value == "(":
+                items.append(self.read(()))  # a MULTIPOINT member may stand in parentheses
+            else:
+                items.append(Point(self.number(), self.number()))
+            if self.value != ",":
+                break
+            self.advance()
+        closed = self.at + 1
         self.expect(")")
-        return tuple(pts)
-
-    def ring_list(self) -> tuple[Ring, ...]:
-        self.expect("(")
-        rings = [self.coordinate_list()]
-        while self.accept(","):
-            rings.append(self.coordinate_list())
-        self.expect(")")
-        return tuple(rings)
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        try:
+            return builders[-1](tuple(items))
+        except GeometryValidationError as exc:
+            raise WktParseError(str(exc), closed) from None
 
 
 def parse_wkt(text: str) -> Geometry:
-    scanner = _WktScanner(text)
-    geom = _parse_geometry(scanner)
-    if not scanner.at_end():
-        raise scanner.error("trailing content after geometry")
+    reader = _WktReader(text)
+    if reader.kind != "keyword":
+        raise WktParseError("expected a geometry keyword", reader.at)
+    keyword = reader.value.upper()
+    if keyword not in _SHAPES:
+        raise WktParseError(f"unknown geometry keyword {keyword!r}", reader.at + len(keyword))
+    reader.advance()
+    geom = reader.read(_SHAPES[keyword])
+    if reader.kind != "end":
+        raise WktParseError("trailing content after geometry", reader.at)
     return geom
-
-
-def _parse_geometry(s: _WktScanner) -> Geometry:
-    kw = s.keyword()
-    try:
-        if kw == "POINT":
-            s.expect("(")
-            pt = s.coordinate()
-            s.expect(")")
-            return pt
-        if kw == "LINESTRING":
-            return LineString(s.coordinate_list())
-        if kw == "POLYGON":
-            rings = s.ring_list()
-            return Polygon(rings[0], rings[1:])
-        if kw == "MULTIPOINT":
-            s.expect("(")
-            pts = []
-            while True:
-                if s.accept("("):
-                    pts.append(s.coordinate())
-                    s.expect(")")
-                else:
-                    pts.append(s.coordinate())
-                if not s.accept(","):
-                    break
-            s.expect(")")
-            return MultiPoint(tuple(pts))
-        if kw == "MULTILINESTRING":
-            return MultiLineString(tuple(LineString(r) for r in s.ring_list()))
-        if kw == "MULTIPOLYGON":
-            s.expect("(")
-            polys = [Polygon(rs[0], rs[1:]) for rs in [s.ring_list()]]
-            while s.accept(","):
-                rs = s.ring_list()
-                polys.append(Polygon(rs[0], rs[1:]))
-            s.expect(")")
-            return MultiPolygon(tuple(polys))
-    except GeometryValidationError as exc:
-        raise WktParseError(str(exc), s.pos) from None
-    raise s.error(f"unknown geometry keyword {kw!r}")
 
 
 def _fmt(v: float) -> str:
@@ -222,30 +188,27 @@ def _fmt(v: float) -> str:
     return "0" if text in ("-0", "") else text
 
 
-def _coords(pts: Iterable[Point]) -> str:
-    return ", ".join(f"{_fmt(p.x)} {_fmt(p.y)}" for p in pts)
+# geometry type -> its points, nested in tuples as its WKT text nests them
+_NESTED = {
+    Point: lambda g: (g,),
+    LineString: lambda g: g.points,
+    MultiPoint: lambda g: g.points,
+    Polygon: lambda g: (g.outer, *g.holes),
+    MultiLineString: lambda g: tuple(line.points for line in g.lines),
+    MultiPolygon: lambda g: tuple((p.outer, *p.holes) for p in g.polygons),
+}
+
+
+def _text(item: Union[Point, tuple]) -> str:
+    if isinstance(item, Point):
+        return f"{_fmt(item.x)} {_fmt(item.y)}"
+    return "(" + ", ".join(map(_text, item)) + ")"
 
 
 def to_wkt(geom: Geometry) -> str:
-    if isinstance(geom, Point):
-        return f"POINT ({_fmt(geom.x)} {_fmt(geom.y)})"
-    if isinstance(geom, LineString):
-        return f"LINESTRING ({_coords(geom.points)})"
-    if isinstance(geom, Polygon):
-        rings = ", ".join(f"({_coords(r)})" for r in (geom.outer, *geom.holes))
-        return f"POLYGON ({rings})"
-    if isinstance(geom, MultiPoint):
-        return f"MULTIPOINT ({_coords(geom.points)})"
-    if isinstance(geom, MultiLineString):
-        parts = ", ".join(f"({_coords(l.points)})" for l in geom.lines)
-        return f"MULTILINESTRING ({parts})"
-    if isinstance(geom, MultiPolygon):
-        parts = ", ".join(
-            "(" + ", ".join(f"({_coords(r)})" for r in (p.outer, *p.holes)) + ")"
-            for p in geom.polygons
-        )
-        return f"MULTIPOLYGON ({parts})"
-    raise TypeError(f"not a geometry: {geom!r}")
+    if type(geom) not in _NESTED:
+        raise TypeError(f"not a geometry: {geom!r}")
+    return f"{type(geom).__name__.upper()} {_text(_NESTED[type(geom)](geom))}"
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +450,9 @@ def representative_point(poly: Polygon) -> Point:
     candidate = Point(cx, cy)
     if locate_point(candidate, poly) == INTERIOR:
         return candidate
-    # Concave or holed polygon: scan horizontal midlines between vertex ys.
-    ys = sorted({p.y for p in ring})
+    # Concave or holed polygon: scan horizontal midlines between the vertex
+    # ys of every ring, so that a hole's edges cannot cover every midline.
+    ys = sorted({p.y for r in (poly.outer, *poly.holes) for p in r})
     x0, _, x1, _ = bbox(poly)
     for ya, yb in zip(ys, ys[1:]):
         y = (ya + yb) / 2.0

@@ -1,13 +1,18 @@
 """N-Triples and Turtle-subset reading/writing.
 
-N-Triples is the snapshot format: one `.`-terminated triple per line, lines
-sorted lexicographically so equal graphs serialize to identical bytes.
+N-Triples is the snapshot format: one `.`-terminated triple per line,
+lines sorted lexicographically so equal graphs serialize to identical bytes.
 The Turtle subset (prefix header + full triples, no `;`/`,` lists) exists
 for the ontology export and round-trips only what this toolkit emits.
+
+Lines end only at "\\n", "\\r\\n" or "\\r", the N-Triples EOL; any other
+character, U+2028 included, may stand raw inside a literal. Each line is
+read with one compiled pattern, one match per term.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .graph import Graph
@@ -31,20 +36,18 @@ class ParseError(ValueError):
         self.col = col
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+def _error(message: str, line_no: int, offset: int) -> ParseError:
+    return ParseError(message, line_no, offset + 1)
+
+
+_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04X}" for c in range(0x20)}
+    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 
 
 def escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -74,170 +77,150 @@ def serialize_ntriples(graph: Graph) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-class _LineScanner:
-    """Cursor over one line of N-Triples/Turtle text."""
+# A word (blank node label, prefixed name, language tag) runs to a blank,
+# '<' or '"'; a '.' ends it only before a blank or the end of the line, so
+# locals such as connectortype.CHAdeMO keep their interior dots. A '#' after
+# the final '.' starts a comment, which this pattern reads as a word.
+_WORD = r'(?:[^ \t<".]|\.(?![ \t]|\Z))+'
+_TOKEN = re.compile(rf"""[ \t]*(?:
+      (?P<iri><(?P<iri_text>[^>]*)>)
+    | (?P<literal>"(?P<lexical>[^"\\]*(?:\\.[^"\\]*)*)"
+        (?:(?P<suffix>\^\^|@)[ \t]*(?P<tag><[^>]*>|{_WORD})?)?)
+    | (?P<word>{_WORD})
+    | (?P<dot>\.)
+    | (?P<eol>\Z)
+    | (?P<bad>.))""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
-    def __init__(self, text: str, line_no: int, prefixes: Optional[PrefixTable] = None):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-        self.prefixes = prefixes
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line_no, self.pos + 1)
+def _unescape(line: str, line_no: int, offset: int, body: str) -> str:
+    """Decode the escapes of `body`, found at `offset` in `line`."""
+    if "\\" not in body:
+        return body
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def decode(m: re.Match) -> str:
+        at = offset + m.start() + 1  # the letter after the backslash
+        esc, hexs = line[at], m[1] or m[2]
+        if hexs:
+            code = int(hexs, 16)
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise _error(f"\\{esc}{hexs} is not a Unicode scalar value", line_no, at)
+            return chr(code)
+        if esc in _UNESCAPES:
+            return _UNESCAPES[esc]
+        if esc in "uU":
+            width = 4 if esc == "u" else 8
+            hexs = line[at + 1:at + 1 + width]  # may run past the closing quote
+            message = f"short \\{esc} escape" if len(hexs) < width else f"bad \\{esc} escape: {hexs!r}"
+            raise _error(message, line_no, at)
+        raise _error(f"unknown escape \\{esc}", line_no, at)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    return _ESCAPE.sub(decode, body)
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}, found {self.text[self.pos:self.pos + 10]!r}")
-        self.pos += 1
 
-    def read_iri(self) -> Iri:
-        self.expect("<")
-        end = self.text.find(">", self.pos)
-        if end < 0:
-            raise self.error("unterminated IRI")
-        value = self.text[self.pos:end]
-        self.pos = end + 1
-        try:
-            return Iri(value)
-        except TermError as exc:
-            raise self.error(str(exc)) from None
-
-    def read_quoted(self) -> str:
-        self.expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= len(self.text):
-                    raise self.error("dangling escape")
-                esc = self.text[self.pos]
-                if esc == "t":
-                    out.append("\t")
-                elif esc == "n":
-                    out.append("\n")
-                elif esc == "r":
-                    out.append("\r")
-                elif esc in ('"', "\\"):
-                    out.append(esc)
-                elif esc in ("u", "U"):
-                    width = 4 if esc == "u" else 8
-                    hexs = self.text[self.pos + 1:self.pos + 1 + width]
-                    if len(hexs) < width:
-                        raise self.error(f"short \\{esc} escape")
-                    if not _HEX_DIGITS.issuperset(hexs):
-                        raise self.error(f"bad \\{esc} escape: {hexs!r}")
-                    code = int(hexs, 16)
-                    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                        raise self.error(f"\\{esc}{hexs} is not a Unicode scalar value")
-                    out.append(chr(code))
-                    self.pos += width
-                else:
-                    raise self.error(f"unknown escape \\{esc}")
-                self.pos += 1
-            else:
-                out.append(ch)
-                self.pos += 1
-
-    def read_word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ' \t<"':
-            ch = self.text[self.pos]
-            if ch == "." and self._dot_terminates():
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a token")
-        return self.text[start:self.pos]
-
-    def _dot_terminates(self) -> bool:
-        # A '.' ends the statement only when followed by whitespace/EOL;
-        # CURIE locals such as connectortype.CHAdeMO keep interior dots.
-        nxt = self.text[self.pos + 1:self.pos + 2]
-        return nxt in ("", " ", "\t")
-
-    def read_term(self, allow_curie: bool = False) -> Term:
-        ch = self.peek()
-        if ch == "<":
-            return self.read_iri()
-        if ch == "_":
-            word = self.read_word()
+def _term(m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable]) -> Term:
+    """The term one `_TOKEN` match reads; prefixed names need a prefix table."""
+    kind, end = m.lastgroup, m.end()
+    try:
+        if kind == "iri":
+            return Iri(m["iri_text"])
+        if kind == "literal":
+            lexical = _unescape(line, line_no, m.start("lexical"), m["lexical"])
+            suffix, tag = m["suffix"], m["tag"]
+            at = m.start("tag") if tag else end
+            if suffix is None:
+                return Literal(lexical)
+            if suffix == "^^" and tag and tag[0] == "<":
+                return Literal(lexical, Iri(tag[1:-1]))
+            if suffix == "^^" and line[at:at + 1] == "<":
+                raise _error("unterminated IRI", line_no, at + 1)
+            if suffix == "^^" and prefixes is None:
+                raise _error("expected <datatype IRI>", line_no, at)
+            if not tag or tag[0] == "<":
+                raise _error("expected a token", line_no, at)
+            if suffix == "@":
+                return Literal(lexical, RDF_LANGSTRING, tag)
+            return Literal(lexical, prefixes.expand(tag))
+        start = m.start(kind)
+        first = line[start:start + 1]
+        if first == "<":
+            raise _error("unterminated IRI", line_no, start + 1)
+        if first == '"':
+            rest = line[start + 1:]
+            _unescape(line, line_no, start + 1, rest)
+            odd = (len(rest) - len(rest.rstrip("\\"))) % 2
+            raise _error("dangling escape" if odd else "unterminated string literal", line_no, len(line))
+        if first == "_":
+            word = m["word"]
             if not word.startswith("_:") or len(word) < 3:
-                raise self.error(f"bad blank node: {word!r}")
+                raise _error(f"bad blank node: {word!r}", line_no, end)
             return BlankNode(word[2:])
-        if ch == '"':
-            lexical = self.read_quoted()
-            if self.text[self.pos:self.pos + 2] == "^^":
-                self.pos += 2
-                if self.peek() == "<":
-                    dt = self.read_iri()
-                else:
-                    if not allow_curie:
-                        raise self.error("expected <datatype IRI>")
-                    dt = self._expand(self.read_word())
-                try:
-                    return Literal(lexical, dt)
-                except TermError as exc:
-                    raise self.error(str(exc)) from None
-            if self.text[self.pos:self.pos + 1] == "@":
-                self.pos += 1
-                tag = self.read_word()
-                try:
-                    return Literal(lexical, RDF_LANGSTRING, tag)
-                except TermError as exc:
-                    raise self.error(str(exc)) from None
-            return Literal(lexical)
-        if allow_curie and ch:
-            return self._expand(self.read_word())
-        raise self.error(f"unexpected character {ch!r}")
+        if prefixes is None or kind == "eol":
+            raise _error(f"unexpected character {first!r}", line_no, start)
+        if kind == "dot":
+            raise _error("expected a token", line_no, start)
+        return prefixes.expand(m["word"])
+    except (TermError, KeyError) as exc:
+        raise _error(str(exc), line_no, end) from None
 
-    def read_statement(self, allow_curie: bool = False) -> Triple:
-        """Read `subject predicate object .`, optionally followed by a comment."""
-        subject = self.read_term(allow_curie)
-        predicate = self.read_term(allow_curie)
-        obj = self.read_term(allow_curie)
-        self.expect(".")
-        if self.peek() not in ("", "#"):
-            raise self.error("trailing content after '.'")
-        if not isinstance(predicate, Iri):
-            raise ParseError("predicate must be an IRI", self.line_no, 1)
-        try:
-            return Triple(subject, predicate, obj)  # type: ignore[arg-type]
-        except TermError as exc:
-            raise ParseError(str(exc), self.line_no, 1) from None
 
-    def _expand(self, curie: str) -> Iri:
-        if self.prefixes is None:
-            raise self.error("prefixed name without a prefix table")
-        try:
-            return self.prefixes.expand(curie)
-        except (TermError, KeyError) as exc:
-            raise self.error(str(exc)) from None
+def _expect(ch: str, m: re.Match, line: str, line_no: int) -> int:
+    """The offset of the token `m` reads, which must start with `ch`."""
+    start = m.start(m.lastgroup)
+    if line[start:start + 1] != ch:
+        raise _error(f"expected {ch!r}, found {line[start:start + 10]!r}", line_no, start)
+    return start
+
+
+def _prefix(line: str, line_no: int, prefixes: PrefixTable) -> None:
+    """Register the namespace of one `@prefix name: <iri> .` line."""
+    tokens = _TOKEN.finditer(line, line.index("@prefix") + len("@prefix"))
+    m = next(tokens)
+    if m.lastgroup != "word":
+        raise _error("expected a token", line_no, m.start(m.lastgroup))
+    if not m["word"].endswith(":"):
+        raise _error("prefix name must end with ':'", line_no, m.end())
+    name, m = m["word"][:-1], next(tokens)
+    _expect("<", m, line, line_no)
+    namespace = _term(m, line, line_no, prefixes)
+    _expect(".", next(tokens), line, line_no)
+    prefixes.register(name, namespace.value)
+
+
+def _triple(line: str, line_no: int, prefixes: Optional[PrefixTable]) -> Triple:
+    """Read `subject predicate object .`, optionally followed by a comment."""
+    tokens = _TOKEN.finditer(line)
+    subject, predicate, obj = [_term(next(tokens), line, line_no, prefixes) for _ in range(3)]
+    dot = _expect(".", next(tokens), line, line_no)
+    rest = line[dot + 1:].lstrip(" \t")
+    if rest[:1] not in ("", "#"):
+        raise _error("trailing content after '.'", line_no, len(line) - len(rest))
+    if not isinstance(predicate, Iri):
+        raise _error("predicate must be an IRI", line_no, 0)
+    try:
+        return Triple(subject, predicate, obj)  # type: ignore[arg-type]
+    except TermError as exc:
+        raise _error(str(exc), line_no, 0) from None
+
+
+def _parse(text: str, prefixes: Optional[PrefixTable]) -> Graph:
+    """The one line loop; a prefix table admits Turtle's @prefix and prefixed names."""
+    graph = Graph(prefixes=prefixes)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        if prefixes is not None and stripped.startswith("@prefix"):
+            _prefix(line, line_no, prefixes)
+        else:
+            graph.insert(_triple(line, line_no, prefixes))
+    return graph
 
 
 def parse_ntriples(text: str) -> Graph:
-    graph = Graph()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        graph.insert(_LineScanner(raw, line_no).read_statement())
-    return graph
+    return _parse(text, None)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +252,4 @@ def serialize_turtle(graph: Graph, prefixes: Optional[PrefixTable] = None) -> st
 
 
 def parse_turtle(text: str) -> Graph:
-    prefixes = PrefixTable()
-    graph = Graph(prefixes=prefixes)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        scanner = _LineScanner(raw, line_no, prefixes)
-        if line.startswith("@prefix"):
-            scanner.pos = raw.index("@prefix") + len("@prefix")
-            name = scanner.read_word()
-            if not name.endswith(":"):
-                raise scanner.error("prefix name must end with ':'")
-            ns = scanner.read_iri()
-            scanner.expect(".")
-            prefixes.register(name[:-1], ns.value)
-            continue
-        graph.insert(scanner.read_statement(allow_curie=True))
-    return graph
+    return _parse(text, PrefixTable())

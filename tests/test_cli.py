@@ -124,6 +124,29 @@ def test_ingest_zip_self_intersecting_at_stored_precision_exit_2(workspace, caps
     assert "zipcodearea.99999: stored geometry does not parse" in err
 
 
+def test_ingest_infinite_zip_coordinate_is_a_skipped_row(workspace, capsys):
+    with (workspace / "zip_areas.csv").open("a", encoding="utf-8") as f:
+        f.write('99998,"POLYGON ((0 0, 1e999 0, 1 1, 0 0))",Nowhere,Nowhere,\n')
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 0
+    captured = capsys.readouterr()
+    assert "skipped rows: 1" in captured.out
+    assert "at offset 15: number out of range: '1e999'" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_station_name_with_line_separator_survives_the_snapshot(workspace, capsys):
+    stations = workspace / "stations.csv"
+    text = stations.read_text(encoding="utf-8")
+    assert text.count("Downtown Garage Chargers") == 1
+    stations.write_text(text.replace("Downtown Garage Chargers", "Downtown\u2028Garage"), encoding="utf-8")
+    snapshot = _ingest(workspace)
+    assert "Downtown\u2028Garage" in snapshot.read_text(encoding="utf-8")
+    query_file = workspace / "q1.rq"
+    query_file.write_text(QUERY_TEXTS[1], encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 0
+
+
 ZIP_08904_WKT = '"POLYGON ((-74 41, -73.2 41, -73.2 41.8, -74 41.8, -74 41))"'
 
 

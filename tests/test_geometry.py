@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evkg.geometry import (
@@ -23,6 +24,7 @@ from evkg.geometry import (
     bbox_disjoint,
     locate_point,
     parse_wkt,
+    representative_point,
     sf_contains,
     sf_crosses,
     sf_intersects,
@@ -114,6 +116,77 @@ def test_wkt_round_trip_points(x, y):
     assert parse_wkt(to_wkt(p)) == p
 
 
+# One row per message the reader raises, with its offset: the start of the
+# offending token, except after an unknown keyword (its end) and for a
+# validation error (just past the ')' that closes the checked part).
+@pytest.mark.parametrize("text, message, position", [
+    ("1 2", "expected a geometry keyword", 0),
+    ("  (1 2)", "expected a geometry keyword", 2),
+    ("POINTZ (1 2 3)", "unknown geometry keyword 'POINTZ'", 6),
+    ("POINT EMPTY", "expected '('", 6),
+    ("POINT (1 2, 3 4)", "expected ')'", 10),
+    ("LINESTRING (0 0, 1 1 2)", "expected ')'", 21),
+    ("POINT (1)", "expected a number", 8),
+    ("LINESTRING ((0 0, 1 1))", "expected a number", 12),
+    ("MULTIPOINT ((1 2), x)", "expected a number", 19),
+    ("POINT (1 2) x", "trailing content after geometry", 12),
+    ("LINESTRING (0 0)", "LineString needs at least 2 points", 16),
+    ("MULTILINESTRING ((0 0, 1 1), (2 2), (3 3, 4 4))", "LineString needs at least 2 points", 47),
+    ("POLYGON ((0 0, 1 1))", "ring needs at least 4 points (closed)", 20),
+    ("POLYGON ((0 0, 4 0, 4 4, 0 4))", "ring is not closed (first point != last)", 30),
+    ("POLYGON ((0 0, 4 4, 4 0, 0 4, 0 0))", "outer ring is self-intersecting", 35),
+    ("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((0 0, 4 4, 4 0, 0 4, 0 0)), ((5 5, 6 5, 6 6, 5 5)))",
+     "outer ring is self-intersecting", 65),
+])
+def test_wkt_error_messages_and_positions_pinned(text, message, position):
+    with pytest.raises(WktParseError) as exc:
+        parse_wkt(text)
+    assert (str(exc.value), exc.value.position) == (f"at offset {position}: {message}", position)
+
+
+# A number is ASCII, ends at a blank, ',', ')' or the end, and is finite.
+@pytest.mark.parametrize("text, message, position", [
+    ("POINT (1.2.3)", "expected a number", 7),
+    ("POINT (\u0663 1)", "expected a number", 7),
+    ("POINT (1e999 1)", "number out of range: '1e999'", 7),
+    ("POINT (-1e999 1)", "number out of range: '-1e999'", 7),
+    ("POINT (1e5e5 1)", "expected a number", 7),
+    ("POINT (12a 1)", "expected a number", 7),
+    # Was an OverflowError from ring validation.
+    ("POLYGON ((0 0, 1e999 0, 1 1, 0 0))", "number out of range: '1e999'", 15),
+])
+def test_wkt_number_must_be_ascii_separated_and_finite(text, message, position):
+    with pytest.raises(WktParseError) as exc:
+        parse_wkt(text)
+    assert (str(exc.value), exc.value.position) == (f"at offset {position}: {message}", position)
+
+
+def test_long_glued_number_fails_in_linear_time():
+    # A pattern that could split the digits between integer and fraction in
+    # many ways would take about 25 s here; the one-way split takes a few ms.
+    start = time.perf_counter()
+    with pytest.raises(WktParseError) as exc:
+        parse_wkt("POINT (" + "1" * 20_000 + "a 1)")
+    assert exc.value.position == 7
+    assert time.perf_counter() - start < 1.0
+
+
+_WKT_FUZZ_PIECES = [
+    "POINT", "LINESTRING", "POLYGON", "MULTIPOINT", "MULTILINESTRING", "MULTIPOLYGON", "point", "EMPTY",
+    "(", ")", ",", " ", "\t", "\n", "\xa0", "0", "1", "-1.5", ".5", "5.", "1e3", "1e999", "1.2.3", "\u0663",
+    "+", "-", ".", "e", "x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_WKT_FUZZ_PIECES), st.characters()), max_size=40))
+def test_parse_wkt_raises_only_wkt_parse_errors(pieces):
+    try:
+        parse_wkt("".join(pieces))
+    except WktParseError:
+        pass
+
+
 # --- within / contains ------------------------------------------------------
 
 
@@ -150,6 +223,15 @@ def test_point_in_hole_is_not_within():
     assert sf_within(Point(5, 5), holed) is False
     assert sf_within(Point(2, 2), holed) is True
     assert locate_point(Point(4, 5), holed) == BOUNDARY
+
+
+def test_polygon_with_hole_on_outer_midline_is_within_itself():
+    # The only midline between the outer ring's vertex ys (y = 1) runs along
+    # the hole's top edge, so the interior point comes from the hole's ys.
+    g = parse_wkt("MULTIPOLYGON (((2.5 1.5, 3.5 0.5, 2.5 0.5, 2.5 1.5), "
+                  "(2.5 0.5, 3 0.5, 3 1, 2.5 1, 2.5 0.5)))")
+    assert sf_within(g, g) is True
+    assert locate_point(representative_point(g.polygons[0]), g) == INTERIOR
 
 
 def test_line_within_polygon():

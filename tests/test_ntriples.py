@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from evkg.graph import Graph
 from evkg.ntriples import (
@@ -34,6 +34,7 @@ triples_strategy = st.lists(
             [EVR[f"o{i}"] for i in range(6)]
             + [Literal(str(i), XSD_INTEGER) for i in range(3)]
             + [Literal("x y"), Literal("2019", XSD_GYEAR)]
+            + [Literal(f"a{sep}b") for sep in ("\x85", "\u2028", "\u2029")]
         ),
     ),
     max_size=120,
@@ -153,3 +154,102 @@ def test_turtle_preserves_dotted_locals():
     text = serialize_turtle(g)
     assert "evr:connectortype.CHAdeMO" in text
     assert set(parse_turtle(text)) == set(g)
+
+
+# U+0085, U+2028 and U+2029 stay raw in a literal: lines end only at the
+# N-Triples EOL ("\n", "\r\n" or "\r").
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"])
+def test_unicode_line_separators_round_trip(sep):
+    g = Graph()
+    g.insert(Triple(EVR["s"], EVR["label"], Literal(f"one{sep}two")))
+    text = serialize_ntriples(g)
+    assert sep in text
+    assert set(parse_ntriples(text)) == set(g)
+    assert set(parse_turtle(serialize_turtle(g))) == set(g)
+
+
+def test_crlf_and_cr_end_lines():
+    text = '<http://x/s> <http://x/p> "a" .\r\n<http://x/s> <http://x/p> "b" .\r<http://x/s> <http://x/p> ?\n'
+    with pytest.raises(ParseError) as exc:
+        parse_ntriples(text)
+    assert exc.value.line == 3
+    assert len(parse_ntriples(text.rsplit("\r", 1)[0])) == 2
+
+
+# One row per message the reader raises, with its line and column; the
+# erroneous line follows one good line (N-Triples) or the prefix header
+# (Turtle), so every row is on line 2.
+_SP, _P, _XSD = "<http://x/s> <http://x/p>", "<http://x/p>", "http://www.w3.org/2001/XMLSchema#"
+_NTRIPLES_ERRORS = [
+    (f"{_SP} <http://x/o> <http://x/z>", "expected '.', found '<http://x/'", 40),
+    (f"{_SP} <http://x/o", "unterminated IRI", 28),
+    (f"<> {_P} <http://x/o> .", "IRI must be non-empty", 3),
+    (f"<a b> {_P} <http://x/o> .", "IRI contains forbidden character: 'a b'", 6),
+    (f'{_SP} "abc', "unterminated string literal", 31),
+    (f'{_SP} "abc\\', "dangling escape", 32),
+    (f'{_SP} "\\u12', "short \\u escape", 29),
+    (f'{_SP} "\\U0001F', "short \\U escape", 29),
+    (f'{_SP} "\\U0001F6" .', "bad \\U escape: '0001F6\" '", 29),
+    (f'{_SP} "x\\uZZZZ" .', "bad \\u escape: 'ZZZZ'", 30),
+    (f'{_SP} "\\uD800" .', "\\uD800 is not a Unicode scalar value", 29),
+    (f'{_SP} "\\U00110000" .', "\\U00110000 is not a Unicode scalar value", 29),
+    (f'{_SP} "\\q" .', "unknown escape \\q", 29),
+    (f'{_SP} "x"@ .', "expected a token", 32),
+    (f"_x {_P} <http://x/o> .", "bad blank node: '_x'", 3),
+    (f'{_SP} "1"^^xsd:integer .', "expected <datatype IRI>", 32),
+    (f'{_SP} "x"^^<{_XSD}integer> .', "not a valid xsd:integer lexical form: 'x'", 74),
+    (f'{_SP} "x"^^<{_XSD}decimal> .', "not a valid xsd:decimal lexical form: 'x'", 74),
+    (f'{_SP} "x"^^<{_XSD}double> .', "not a valid xsd:double lexical form: 'x'", 73),
+    (f'{_SP} "19"^^<{_XSD}gYear> .', "xsd:gYear needs a 4-digit lexical form: '19'", 73),
+    (f'{_SP} "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
+     "rdf:langString literal requires a language tag", 87),
+    ("@prefix ex: <http://x/> .", "unexpected character '@'", 1),
+    (_SP, "unexpected character ''", 26),
+    (f"{_SP} <http://x/o> . <http://x/o>", "trailing content after '.'", 42),
+    ("<http://x/s> _:b <http://x/o> .", "predicate must be an IRI", 1),
+    (f'"lit" {_P} <http://x/o> .', "literal in subject position", 1),
+]
+_TURTLE_ERRORS = [
+    ("@prefix ex2: ex:b .", "expected '<', found 'ex:b .'", 14),
+    ("@prefix ex2 <http://y/> .", "prefix name must end with ':'", 12),
+    ("@prefix <http://y/> .", "expected a token", 9),
+    ("@prefix ex2: <http://y/> x", "expected '.', found 'x'", 26),
+    ("@prefix ex2: <http://y/", "unterminated IRI", 15),
+    ("foo ex:p ex:o .", "not a CURIE (missing colon): 'foo'", 4),
+    ("zz:s ex:p ex:o .", "unknown prefix: 'zz'", 5),
+    ('ex:s ex:p "x"^^ .', "expected a token", 17),
+    ("ex:s ex:p", "unexpected character ''", 10),
+    ("ex:s ex:p ex:a>b .", "IRI contains forbidden character: 'http://x/a>b'", 17),
+    ("ex:s ex:p .", "expected a token", 11),
+    ('ex:s ex:p "x"^^ex:t>y .', "IRI contains forbidden character: 'http://x/t>y'", 22),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, header, line, message, col",
+    [(parse_ntriples, f"{_SP} <http://x/o> .\n", *row) for row in _NTRIPLES_ERRORS]
+    + [(parse_turtle, "@prefix ex: <http://x/> .\n", *row) for row in _TURTLE_ERRORS],
+)
+def test_error_messages_and_positions_pinned(parse, header, line, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse(header + line + "\n")
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col {col}: {message}", 2, col)
+
+
+_NT_FUZZ_PIECES = [
+    "<http://x/s>", "<http://x/p>", "<a b>", "<>", "<http://x", '"x"', '"a b"', '"', "\\", "\\t", "\\u00e9",
+    "\\U0001F600", "\\uD800", "\\u12", "\\q", "^^", "@", "@en", "_:", "_:b", "_x", "ex:a", "ex:a.b",
+    "zz:a", ":", ".", "#", " ", "\t", "\n", "\r", "\x0c", "\x85", "\u2028", "é", "@prefix", "ex:",
+    f"<{_XSD}integer>", "\"1\"^^xsd:integer", "@prefix ex: <http://x/> .\n",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_NT_FUZZ_PIECES), st.characters()), max_size=40))
+def test_readers_raise_only_parse_errors(pieces):
+    text = "".join(pieces)
+    for parse in (parse_ntriples, parse_turtle):
+        try:
+            parse(text)
+        except ParseError:
+            pass
