@@ -1,9 +1,13 @@
 """WKT geometry and planar simple-features topological predicates.
 
-Coordinates are treated as Cartesian (lon/lat on a plane). Orientation and
-segment-crossing tests run on exact rationals derived from the float
-coordinates, so sign decisions never suffer rounding; the only approximate
-step is snapping a point to a boundary when it lies within EPS of an edge.
+Coordinates are treated as Cartesian (lon/lat on a plane). Every sign
+decision is exact: an orientation sign, and the segment-crossing,
+point-in-ring and ring-validity tests built on it, comes from float products
+whenever Shewchuk's proven error bound separates it from zero, and from exact
+rationals only when the bound cannot decide (nearly collinear points, or
+products that underflow or overflow). The point where two segments properly
+cross is solved in rationals. The only approximate step is snapping a point
+to a boundary when it lies within EPS of an edge.
 
 Boundary semantics follow DE-9IM interiors: a point exactly on a polygon
 boundary intersects the polygon but is not within it.
@@ -71,6 +75,21 @@ class Polygon:
                 raise GeometryValidationError("ring is not closed (first point != last)")
         if _ring_self_intersects(self.outer):
             raise GeometryValidationError("outer ring is self-intersecting")
+        # A hole may touch the outer ring along its boundary but not reach
+        # outside it: no edge properly crosses an outer edge, and neither its
+        # vertices nor the pieces of its edges between contacts with the
+        # outer ring lie outside (EPS snap, as in locate_point).
+        outer_edges = list(zip(self.outer, self.outer[1:]))
+        for hole in self.holes:
+            if _ring_self_intersects(hole):
+                raise GeometryValidationError("hole is self-intersecting")
+            for p, q in zip(hole, hole[1:]):
+                if any(_segment_relation(p, q, a, b)[0] == SEG_PROPER for a, b in outer_edges):
+                    raise GeometryValidationError("hole crosses the outer ring")
+            for v in _sample_points(LineString(hole), LineString(self.outer)):
+                on_outer = any(_on_segment(v, a, b) for a, b in outer_edges)
+                if not on_outer and not _point_in_ring(v, self.outer):
+                    raise GeometryValidationError("hole reaches outside the outer ring")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +235,40 @@ def to_wkt(geom: Geometry) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Shewchuk's orient2d error bound (DCG 1997) for eps = 2**-53: when
+# |left - right| exceeds it times |left| + |right|, the float determinant has
+# the sign of the exact one. The bound assumes no underflow, so a nonzero
+# product below _TINY, where the bound itself would be a subnormal float, is
+# decided exactly; a product that overflows makes the bound infinite or NaN,
+# which no difference exceeds, so it is decided exactly as well.
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_TINY = 2.0**-969
+
+
 def _orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the cross product (b-a) x (c-a), computed exactly."""
+    """Sign of the cross product (b-a) x (c-a), exact.
+
+    The sign comes from the float products when they decide it: opposite
+    signs, exact zeros (an exactly-zero factor, as on axis-aligned edges), or
+    a difference beyond the rounding bound. Only the rest take rationals.
+    """
+    bx, cy, by, cx = b.x - a.x, c.y - a.y, b.y - a.y, c.x - a.x
+    left, right = bx * cy, by * cx
+    if left > 0.0 > right:
+        return 1
+    if left < 0.0 < right:
+        return -1
+    if (bx == 0.0 or cy == 0.0 or abs(left) >= _TINY) and (
+        by == 0.0 or cx == 0.0 or abs(right) >= _TINY
+    ):
+        det = left - right
+        bound = _ORIENT_BOUND * (abs(left) + abs(right))
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+        if bound == 0.0:
+            return 0
     det = (Fraction(b.x) - Fraction(a.x)) * (Fraction(c.y) - Fraction(a.y)) - (
         Fraction(b.y) - Fraction(a.y)
     ) * (Fraction(c.x) - Fraction(a.x))
@@ -292,17 +343,26 @@ def _segment_relation(p1: Point, p2: Point, q1: Point, q2: Point) -> tuple[int, 
 
 
 def _ring_self_intersects(ring: Ring) -> bool:
+    """Do two edges meet, other than adjacent edges at their shared vertex?
+
+    Edges are swept in order of their smallest x; each is compared only with
+    the earlier edges whose x-extent reaches it and whose y-extent meets its
+    own, touching extents included.
+    """
     n = len(ring) - 1  # last point repeats the first
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            kind, _ = _segment_relation(ring[i], ring[i + 1], ring[j], ring[j + 1])
-            if adjacent:
-                if kind == SEG_OVERLAP:
+    edges = sorted(
+        (min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y), i)
+        for i, (a, b) in enumerate(zip(ring, ring[1:]))
+    )
+    active: list[tuple[float, float, float, int]] = []  # (max x, min y, max y, index)
+    for x0, x1, y0, y1, j in edges:
+        active = [edge for edge in active if edge[0] >= x0]
+        for _, other_y0, other_y1, i in active:
+            if other_y0 <= y1 and y0 <= other_y1:
+                kind, _ = _segment_relation(ring[i], ring[i + 1], ring[j], ring[j + 1])
+                if kind == SEG_OVERLAP or (kind != SEG_NONE and abs(i - j) not in (1, n - 1)):
                     return True
-                continue
-            if kind != SEG_NONE:
-                return True
+        active.append((x1, y0, y1, j))
     return False
 
 
@@ -314,19 +374,15 @@ def _ring_self_intersects(ring: Ring) -> bool:
 def _point_in_ring(p: Point, ring: Ring) -> bool:
     """Even-odd parity test; assumes p is not on the ring boundary.
 
-    Uses the half-open rule on y so edges through vertices count once, and
-    exact arithmetic for the x comparison at each crossing.
+    Uses the half-open rule on y so edges through vertices count once. An
+    upward edge crosses the ray right of p exactly when p lies to its left,
+    a downward one when p lies to its right, so each crossing is one exact
+    orientation sign.
     """
     inside = False
-    py = Fraction(p.y)
-    px = Fraction(p.x)
     for a, b in zip(ring, ring[1:]):
-        ay, by = Fraction(a.y), Fraction(b.y)
-        if (ay > py) != (by > py):
-            ax, bx = Fraction(a.x), Fraction(b.x)
-            x_int = ax + (py - ay) * (bx - ax) / (by - ay)
-            if x_int > px:
-                inside = not inside
+        if (a.y > p.y) != (b.y > p.y) and _orient(a, b, p) == (1 if b.y > a.y else -1):
+            inside = not inside
     return inside
 
 

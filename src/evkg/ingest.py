@@ -195,6 +195,10 @@ class TransmissionAssetRecord:
     def __post_init__(self):
         if self.kind not in ("line", "substation", "plant"):
             raise IngestError(f"kind must be line|substation|plant: {self.kind!r}")
+        for value in (self.min_voltage, self.max_voltage, self.summer_capacity,
+                      self.winter_capacity, self.operating_capacity):
+            if value is not None:
+                Literal(value, XSD_DOUBLE)  # TermError for a form the snapshot cannot hold
         geom = geometry.parse_wkt(self.geometry_wkt)
         if self.kind == "line":
             if not isinstance(geom, (geometry.LineString, geometry.MultiLineString)):

@@ -85,11 +85,13 @@ _WORD = r'(?:[^ \t<".]|\.(?![ \t]|\Z))+'
 _TOKEN = re.compile(rf"""[ \t]*(?:
       (?P<iri><(?P<iri_text>[^>]*)>)
     | (?P<literal>"(?P<lexical>[^"\\]*(?:\\.[^"\\]*)*)"
-        (?:(?P<suffix>\^\^|@)[ \t]*(?P<tag><[^>]*>|{_WORD})?)?)
+        (?:(?P<suffix>\^\^|@)(?P<tag><[^>]*>|{_WORD})?)?)
     | (?P<word>{_WORD})
     | (?P<dot>\.)
     | (?P<eol>\Z)
     | (?P<bad>.))""", re.VERBOSE)
+_BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
+_LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
@@ -137,10 +139,12 @@ def _term(m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable])
                 raise _error("unterminated IRI", line_no, at + 1)
             if suffix == "^^" and prefixes is None:
                 raise _error("expected <datatype IRI>", line_no, at)
+            if suffix == "@":
+                if not tag or not _LANGUAGE_TAG.fullmatch(tag):
+                    raise _error("expected a language tag", line_no, at)
+                return Literal(lexical, RDF_LANGSTRING, tag)
             if not tag or tag[0] == "<":
                 raise _error("expected a token", line_no, at)
-            if suffix == "@":
-                return Literal(lexical, RDF_LANGSTRING, tag)
             return Literal(lexical, prefixes.expand(tag))
         start = m.start(kind)
         first = line[start:start + 1]
@@ -153,7 +157,7 @@ def _term(m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable])
             raise _error("dangling escape" if odd else "unterminated string literal", line_no, len(line))
         if first == "_":
             word = m["word"]
-            if not word.startswith("_:") or len(word) < 3:
+            if not word.startswith("_:") or not _BLANK_LABEL.fullmatch(word, 2):
                 raise _error(f"bad blank node: {word!r}", line_no, end)
             return BlankNode(word[2:])
         if prefixes is None or kind == "eol":
@@ -173,6 +177,13 @@ def _expect(ch: str, m: re.Match, line: str, line_no: int) -> int:
     return start
 
 
+def _end(line: str, line_no: int, dot: int) -> None:
+    """Only blanks or a comment may follow the final '.' at offset `dot`."""
+    rest = line[dot + 1:].lstrip(" \t")
+    if rest[:1] not in ("", "#"):
+        raise _error("trailing content after '.'", line_no, len(line) - len(rest))
+
+
 def _prefix(line: str, line_no: int, prefixes: PrefixTable) -> None:
     """Register the namespace of one `@prefix name: <iri> .` line."""
     tokens = _TOKEN.finditer(line, line.index("@prefix") + len("@prefix"))
@@ -184,7 +195,7 @@ def _prefix(line: str, line_no: int, prefixes: PrefixTable) -> None:
     name, m = m["word"][:-1], next(tokens)
     _expect("<", m, line, line_no)
     namespace = _term(m, line, line_no, prefixes)
-    _expect(".", next(tokens), line, line_no)
+    _end(line, line_no, _expect(".", next(tokens), line, line_no))
     prefixes.register(name, namespace.value)
 
 
@@ -192,10 +203,7 @@ def _triple(line: str, line_no: int, prefixes: Optional[PrefixTable]) -> Triple:
     """Read `subject predicate object .`, optionally followed by a comment."""
     tokens = _TOKEN.finditer(line)
     subject, predicate, obj = [_term(next(tokens), line, line_no, prefixes) for _ in range(3)]
-    dot = _expect(".", next(tokens), line, line_no)
-    rest = line[dot + 1:].lstrip(" \t")
-    if rest[:1] not in ("", "#"):
-        raise _error("trailing content after '.'", line_no, len(line) - len(rest))
+    _end(line, line_no, _expect(".", next(tokens), line, line_no))
     if not isinstance(predicate, Iri):
         raise _error("predicate must be an IRI", line_no, 0)
     try:

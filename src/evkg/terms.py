@@ -8,6 +8,7 @@ layer, not here.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,9 +84,13 @@ RDF_LANGSTRING = RDF.langString
 RDF_TYPE = RDF.type
 WKT_LITERAL = GEO.wktLiteral
 
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
-_GYEAR_RE = re.compile(r"^\d{4}$")
+# Lexical forms, matched whole (`fullmatch`) and ASCII only: `\d` would take
+# any Unicode digit and `$` a trailing newline. xsd:double follows XSD 1.1.
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_RE = re.compile(_DECIMAL)
+_DOUBLE_RE = re.compile(rf"{_DECIMAL}(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN")
+_GYEAR_RE = re.compile(r"[0-9]{4}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,19 +110,14 @@ class Literal:
             raise TermError("language tag requires rdf:langString datatype")
         if self.datatype == RDF_LANGSTRING and not self.language:
             raise TermError("rdf:langString literal requires a language tag")
-        if self.datatype == XSD_GYEAR and not _GYEAR_RE.match(self.lexical):
+        if self.datatype == XSD_GYEAR and not _GYEAR_RE.fullmatch(self.lexical):
             raise TermError(f"xsd:gYear needs a 4-digit lexical form: {self.lexical!r}")
-        if self.datatype == XSD_INTEGER and not _INTEGER_RE.match(self.lexical):
+        if self.datatype == XSD_INTEGER and not _INTEGER_RE.fullmatch(self.lexical):
             raise TermError(f"not a valid xsd:integer lexical form: {self.lexical!r}")
-        if self.datatype == XSD_DECIMAL and not _DECIMAL_RE.match(self.lexical):
+        if self.datatype == XSD_DECIMAL and not _DECIMAL_RE.fullmatch(self.lexical):
             raise TermError(f"not a valid xsd:decimal lexical form: {self.lexical!r}")
-        if self.datatype == XSD_DOUBLE:
-            try:
-                float(self.lexical)
-            except ValueError:
-                raise TermError(
-                    f"not a valid xsd:double lexical form: {self.lexical!r}"
-                ) from None
+        if self.datatype == XSD_DOUBLE and not _DOUBLE_RE.fullmatch(self.lexical):
+            raise TermError(f"not a valid xsd:double lexical form: {self.lexical!r}")
 
     def __repr__(self) -> str:
         if self.language:
@@ -315,5 +315,8 @@ def numeric_literal(kind: str, value) -> Literal:
     if kind == "decimal":
         return Literal(format_decimal(Fraction(value)), XSD_DECIMAL)
     if kind == "double":
-        return Literal(repr(float(value)), XSD_DOUBLE)
+        value = float(value)
+        if math.isfinite(value):
+            return Literal(repr(value), XSD_DOUBLE)
+        return Literal("NaN" if math.isnan(value) else ("INF" if value > 0 else "-INF"), XSD_DOUBLE)
     raise ValueError(f"unknown numeric kind: {kind}")

@@ -124,6 +124,36 @@ def test_ingest_zip_self_intersecting_at_stored_precision_exit_2(workspace, caps
     assert "zipcodearea.99999: stored geometry does not parse" in err
 
 
+@pytest.mark.parametrize("line", [
+    '<http://x/s> <http://x/p> "1_0"^^<http://www.w3.org/2001/XMLSchema#double> .',
+    '<http://x/s> <http://x/p> "\u0663"^^<http://www.w3.org/2001/XMLSchema#integer> .',
+    '<http://x/s> <http://x/p> "x"@ en .',
+    '_:a>b <http://x/p> <http://x/o> .',
+])
+def test_malformed_snapshot_term_exit_2(tmp_path, capsys, line):
+    snapshot = tmp_path / "bad.nt"
+    snapshot.write_text(line + "\n", encoding="utf-8")
+    assert main(["materialize", "-i", str(snapshot), "-o", str(tmp_path / "out.nt")]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv_name, row, message", [
+    ("zip_areas.csv", '99997,"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 5 1, 5 2, 1 2, 1 1))",Nowhere,Nowhere,',
+     "at offset 62: hole crosses the outer ring"),
+    ("transmission.csv", "SUBX,substation,POINT (0 0),,1_0,,,,,IN SERVICE,",
+     "not a valid xsd:double lexical form: '1_0'"),
+])
+def test_ingest_invalid_row_is_skipped(workspace, capsys, csv_name, row, message):
+    with (workspace / csv_name).open("a", encoding="utf-8") as f:
+        f.write(row + "\n")
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 0
+    captured = capsys.readouterr()
+    assert "skipped rows: 1" in captured.out
+    assert message in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_ingest_infinite_zip_coordinate_is_a_skipped_row(workspace, capsys):
     with (workspace / "zip_areas.csv").open("a", encoding="utf-8") as f:
         f.write('99998,"POLYGON ((0 0, 1e999 0, 1 1, 0 0))",Nowhere,Nowhere,\n')
@@ -155,6 +185,8 @@ ZIP_08904_WKT = '"POLYGON ((-74 41, -73.2 41, -73.2 41.8, -74 41.8, -74 41))"'
      "stored geometry does not parse"),
     # On line TL230A's path, so the line is tested against it.
     ('"POINT (-74 41.4)"', "zip area geometry must be a polygon"),
+    ('"POLYGON ((-74 41, -73.2 41, -73.2 41.8, -74 41.8, -74 41), (-73.5 41.5, -72 41.5, -73.5 41.6, '
+     '-73.5 41.5))"', "stored geometry does not parse: at offset 106: hole crosses the outer ring"),
 ])
 def test_materialize_bad_stored_zip_geometry_exit_2(workspace, capsys, wkt, message):
     snapshot = _ingest(workspace)

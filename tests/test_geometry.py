@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from evkg.geometry import (
     EPS,
     EXTERIOR,
     INTERIOR,
+    SEG_NONE,
+    SEG_OVERLAP,
     GeometryValidationError,
     LineString,
     MultiPolygon,
@@ -20,6 +23,10 @@ from evkg.geometry import (
     Polygon,
     UnsupportedGeometryPair,
     WktParseError,
+    _orient,
+    _point_in_ring,
+    _ring_self_intersects,
+    _segment_relation,
     bbox,
     bbox_disjoint,
     locate_point,
@@ -137,11 +144,28 @@ def test_wkt_round_trip_points(x, y):
     ("POLYGON ((0 0, 4 4, 4 0, 0 4, 0 0))", "outer ring is self-intersecting", 35),
     ("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((0 0, 4 4, 4 0, 0 4, 0 0)), ((5 5, 6 5, 6 6, 5 5)))",
      "outer ring is self-intersecting", 65),
+    ("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 3, 3 1, 1 3, 1 1))", "hole is self-intersecting", 62),
+    ("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 5 1, 5 2, 1 2, 1 1))", "hole crosses the outer ring", 62),
+    ("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (5 5, 6 5, 6 6, 5 5))", "hole reaches outside the outer ring", 57),
+    # No hole edge crosses the outer ring and no vertex lies outside it, but
+    # the hole's edge x = 6 spans the mouth of the C, outside the polygon.
+    ("POLYGON ((0 0, 6 0, 6 2, 2 2, 2 4, 6 4, 6 6, 0 6, 0 0), (1 1, 6 2, 6 4, 1 5, 1 1))",
+     "hole reaches outside the outer ring", 82),
 ])
 def test_wkt_error_messages_and_positions_pinned(text, message, position):
     with pytest.raises(WktParseError) as exc:
         parse_wkt(text)
     assert (str(exc.value), exc.value.position) == (f"at offset {position}: {message}", position)
+
+
+@pytest.mark.parametrize("text", [
+    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))",
+    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (0 0, 2 0, 2 2, 0 2, 0 0))",  # shares a corner and two edges
+    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (2 0, 3 1, 1 1, 2 0))",  # a vertex on an outer edge
+    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1), (2 2, 3 2, 3 3, 2 2))",
+])
+def test_holes_inside_or_touching_the_outer_boundary_are_accepted(text):
+    assert parse_wkt(text).holes
 
 
 # A number is ASCII, ends at a blank, ',', ')' or the end, and is finite.
@@ -185,6 +209,119 @@ def test_parse_wkt_raises_only_wkt_parse_errors(pieces):
         parse_wkt("".join(pieces))
     except WktParseError:
         pass
+
+
+# --- exact predicates against Fraction references --------------------------
+
+
+def fraction_orient(a: Point, b: Point, c: Point) -> int:
+    ax, ay = Fraction(a.x), Fraction(a.y)
+    det = (Fraction(b.x) - ax) * (Fraction(c.y) - ay) - (Fraction(b.y) - ay) * (Fraction(c.x) - ax)
+    return (det > 0) - (det < 0)
+
+
+def all_pairs_self_intersects(ring) -> bool:
+    n = len(ring) - 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            kind, _ = _segment_relation(ring[i], ring[i + 1], ring[j], ring[j + 1])
+            if kind == SEG_OVERLAP or (kind != SEG_NONE and not adjacent):
+                return True
+    return False
+
+
+def fraction_point_in_ring(p: Point, ring) -> bool:
+    """Even-odd parity with the crossing's x computed in rationals."""
+    inside = False
+    px, py = Fraction(p.x), Fraction(p.y)
+    for a, b in zip(ring, ring[1:]):
+        ay, by = Fraction(a.y), Fraction(b.y)
+        if (ay > py) != (by > py):
+            ax, bx = Fraction(a.x), Fraction(b.x)
+            if ax + (py - ay) * (bx - ax) / (by - ay) > px:
+                inside = not inside
+    return inside
+
+
+def nudge(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def orient_case(rng: random.Random, scale: float) -> tuple[Point, Point, Point]:
+    """Three points at `scale`, mostly collinear or nearly so."""
+    kind = rng.randrange(5)
+    if kind == 0:  # on the line through a and b, rounded, then a few ulps off
+        a = Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+        b = Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+        t = rng.uniform(-2, 3)
+        c = Point(nudge(a.x + t * (b.x - a.x), rng.randint(-2, 2)),
+                  nudge(a.y + t * (b.y - a.y), rng.randint(-2, 2)))
+        return a, b, c
+    if kind == 1:  # snapped to 9 decimals, as stored literals are
+        def snap(v: float) -> float:
+            return round(v / scale, 9) * scale
+        a = Point(snap(rng.uniform(-1, 1) * scale), snap(rng.uniform(-1, 1) * scale))
+        b = Point(snap(rng.uniform(-1, 1) * scale), snap(rng.uniform(-1, 1) * scale))
+        t = rng.uniform(-1, 2)
+        return a, b, Point(snap(a.x + t * (b.x - a.x)), snap(a.y + t * (b.y - a.y)))
+    if kind == 2:  # shared and axis-aligned coordinates
+        values = [rng.choice((0.0, 1.0, -1.0, 0.5, 0.1, 0.3)) * scale for _ in range(3)]
+        return tuple(Point(rng.choice(values), rng.choice(values)) for _ in range(3))
+    if kind == 3:  # a collinear triple of inexact decimals, one point nudged
+        a, b = Point(0.1 * scale, 0.2 * scale), Point(0.3 * scale, 0.6 * scale)
+        c = Point(nudge(0.2 * scale, rng.randint(-3, 3)), nudge(0.4 * scale, rng.randint(-3, 3)))
+        return a, b, c
+    base = Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)  # ulps apart
+    return tuple(Point(nudge(base.x, rng.randint(-4, 4)), nudge(base.y, rng.randint(-4, 4)))
+                 for _ in range(3))
+
+
+def test_orient_agrees_with_fraction_determinant():
+    # 1e-170 and 1e160 put the float products below the normal range and
+    # past the largest float, where only the rational answer may decide.
+    rng = random.Random(1997)
+    scales = (1.0, 180.0, 1e-170, 1.0, 180.0, 1e160)
+    for i in range(100_000):
+        a, b, c = orient_case(rng, scales[i % len(scales)])
+        assert _orient(a, b, c) == fraction_orient(a, b, c), (a, b, c)
+
+
+def random_grid_ring(rng: random.Random) -> tuple[Point, ...]:
+    """3 to 8 vertices on a half-unit grid: many shared, collinear and touching edges."""
+    pts = [Point(rng.randrange(12) / 2, rng.randrange(12) / 2) for _ in range(rng.randrange(3, 9))]
+    return tuple(pts + [pts[0]])
+
+
+def test_ring_sweep_and_point_in_ring_agree_with_references():
+    rng = random.Random(1976)
+    simple = 0
+    for _ in range(5_000):
+        ring = random_grid_ring(rng)
+        expected = all_pairs_self_intersects(ring)
+        simple += not expected
+        assert _ring_self_intersects(ring) == expected, ring
+        for _ in range(4):
+            # Quarter-grid points: some off the ring, some on its boundary,
+            # where the two crossing formulas agree as well.
+            p = Point(rng.randrange(-1, 25) / 4, rng.randrange(-1, 25) / 4)
+            assert _point_in_ring(p, ring) == fraction_point_in_ring(p, ring), (p, ring)
+    assert 1_000 < simple < 4_000  # both answers are well represented
+
+
+def test_simple_2000_vertex_ring_parses_quickly():
+    # Comparing all pairs of its edges takes minutes; the sweep a fraction of a second.
+    n = 2_000
+    coords = ", ".join(
+        f"{10 * math.cos(2 * math.pi * i / n):.9f} {10 * math.sin(2 * math.pi * i / n):.9f}"
+        for i in range(n)
+    )
+    text = f"POLYGON (({coords}, 10 0))"
+    start = time.perf_counter()
+    assert len(parse_wkt(text).outer) == n + 1
+    assert time.perf_counter() - start < 2.0
 
 
 # --- within / contains ------------------------------------------------------

@@ -194,8 +194,18 @@ _NTRIPLES_ERRORS = [
     (f'{_SP} "\\uD800" .', "\\uD800 is not a Unicode scalar value", 29),
     (f'{_SP} "\\U00110000" .', "\\U00110000 is not a Unicode scalar value", 29),
     (f'{_SP} "\\q" .', "unknown escape \\q", 29),
-    (f'{_SP} "x"@ .', "expected a token", 32),
+    (f'{_SP} "x"@ .', "expected a language tag", 31),
+    (f'{_SP} "x"@ en .', "expected a language tag", 31),
+    (f'{_SP} "x"@en_US .', "expected a language tag", 31),
+    (f'{_SP} "x"^^ <{_XSD}string> .', "expected <datatype IRI>", 32),
     (f"_x {_P} <http://x/o> .", "bad blank node: '_x'", 3),
+    (f"_:a>b {_P} <http://x/o> .", "bad blank node: '_:a>b'", 6),
+    (f"_:é {_P} <http://x/o> .", "bad blank node: '_:é'", 4),
+    (f"_:-a {_P} <http://x/o> .", "bad blank node: '_:-a'", 5),
+    (f'{_SP} "1_0"^^<{_XSD}double> .', "not a valid xsd:double lexical form: '1_0'", 75),
+    (f'{_SP} "nan"^^<{_XSD}double> .', "not a valid xsd:double lexical form: 'nan'", 75),
+    (f'{_SP} "\u0661"^^<{_XSD}double> .', "not a valid xsd:double lexical form: '\u0661'", 73),
+    (f'{_SP} "12\\n"^^<{_XSD}integer> .', "not a valid xsd:integer lexical form: '12\\n'", 77),
     (f'{_SP} "1"^^xsd:integer .', "expected <datatype IRI>", 32),
     (f'{_SP} "x"^^<{_XSD}integer> .', "not a valid xsd:integer lexical form: 'x'", 74),
     (f'{_SP} "x"^^<{_XSD}decimal> .', "not a valid xsd:decimal lexical form: 'x'", 74),
@@ -217,7 +227,10 @@ _TURTLE_ERRORS = [
     ("@prefix ex2: <http://y/", "unterminated IRI", 15),
     ("foo ex:p ex:o .", "not a CURIE (missing colon): 'foo'", 4),
     ("zz:s ex:p ex:o .", "unknown prefix: 'zz'", 5),
-    ('ex:s ex:p "x"^^ .', "expected a token", 17),
+    ('ex:s ex:p "x"^^ .', "expected a token", 16),
+    ('ex:s ex:p "x"^^ ex:t .', "expected a token", 16),
+    ("@prefix ex2: <http://y/> . trailing junk", "trailing content after '.'", 28),
+    ("@prefix ex2: <http://y/> .junk", "trailing content after '.'", 27),
     ("ex:s ex:p", "unexpected character ''", 10),
     ("ex:s ex:p ex:a>b .", "IRI contains forbidden character: 'http://x/a>b'", 17),
     ("ex:s ex:p .", "expected a token", 11),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from evkg.terms import (
     EV_ONT,
     EVR,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
     XSD_GYEAR,
     XSD_INTEGER,
     XSD_STRING,
@@ -19,6 +22,7 @@ from evkg.terms import (
     UnknownPrefixError,
     default_prefixes,
     format_decimal,
+    numeric_literal,
     numeric_value,
 )
 from evkg.vocabulary import registry
@@ -46,6 +50,34 @@ def test_numeric_lexical_forms_validated():
     Literal("42", XSD_INTEGER)
     with pytest.raises(TermError):
         Literal("abc", XSD_INTEGER)
+
+
+# Forms that Python's int(), Fraction() or float() read but XSD does not:
+# underscores, blanks, other scripts' digits, a trailing newline, and the
+# lower-case or long spellings of the special doubles.
+_NOT_XSD = ["1_0", " 1", "1 ", "\u0661", "\u0663", "12\n", "+", ".", ""]
+
+
+@pytest.mark.parametrize("datatype, good, bad", [
+    (XSD_INTEGER, ["0", "-7", "+0042"], [*_NOT_XSD, "1.0"]),
+    (XSD_DECIMAL, ["1", "-1.", ".5", "+3.25"], [*_NOT_XSD, "1e3", "INF"]),
+    (XSD_DOUBLE, ["1", "-1.", ".5e-3", "2E+10", "INF", "+INF", "-INF", "NaN"],
+     [*_NOT_XSD, "nan", "inf", "-Infinity", "1e", "e3", "NAN", "+NaN"]),
+    (XSD_GYEAR, ["2020", "0999"], [*_NOT_XSD, "\u0662\u0660\u0662\u0660", "2020\n", "-2020"]),
+])
+def test_numeric_lexical_forms_follow_xsd(datatype, good, bad):
+    for lexical in good:
+        assert numeric_value(Literal(lexical, datatype)) is not None, lexical
+    for lexical in bad:
+        with pytest.raises(TermError):
+            Literal(lexical, datatype)
+
+
+def test_non_finite_doubles_render_in_xsd_form():
+    assert numeric_literal("double", math.inf) == Literal("INF", XSD_DOUBLE)
+    assert numeric_literal("double", -math.inf) == Literal("-INF", XSD_DOUBLE)
+    assert numeric_literal("double", math.nan) == Literal("NaN", XSD_DOUBLE)
+    assert numeric_literal("double", 1e300) == Literal("1e+300", XSD_DOUBLE)
 
 
 def test_triple_rejects_literal_subject_and_predicate():
