@@ -4,7 +4,11 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
 
 * registrations.csv: vin8,zip,model_year,registration_year,make,model,
   technology,manufacturer,use_case,weight_level,charger_types,connector_types
-  (the last two are |-separated token lists, e.g. "LEVEL2|DCFC")
+  (the last two are |-separated token lists, e.g. "LEVEL2|DCFC"). A row is
+  a `RegistrationRecord`: vin8, zip, registration year and its product, one
+  `ProductKey` built from the other nine columns. Registrations are counted
+  into one collection per (zip, year, product), and the products written
+  are the distinct ones among the collections.
 * stations.csv: station_id,name,lon,lat,zip,access,network,operating_hours,
   open_date,pricing,parking_restriction,charger_groups
   (charger_groups: |-separated charger:connector:count triplets)
@@ -15,8 +19,11 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
 IRIs are minted deterministically from natural keys, so re-ingesting the
 same inputs yields a byte-identical graph. Rows that violate record
 invariants are skipped and reported with their row number; they never abort
-a load. Source strings are preserved byte-exactly (including whitespace),
-because literal matching in queries is exact.
+a load. Among them are rows whose cell count differs from the header's and
+stations with a non-finite lon or lat. A file that is not UTF-8 is an
+`IngestError`, which fails the whole load. Source strings are preserved
+byte-exactly (including whitespace), because literal matching in queries is
+exact.
 
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
@@ -31,10 +38,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import geometry
 from .graph import Graph
@@ -67,13 +75,6 @@ class UnknownVocabularyToken(IngestError):
     def __init__(self, token: str, kind: str):
         super().__init__(f"unknown {kind} token: {token!r}")
         self.token = token
-
-
-class DanglingProductKey(IngestError):
-    def __init__(self, keys: Sequence["ProductKey"]):
-        labels = ", ".join(f"{k.make} {k.model} {k.model_year}" for k in keys)
-        super().__init__(f"registration collections reference unknown products: {labels}")
-        self.keys = tuple(keys)
 
 
 class DuplicateZip(IngestError):
@@ -116,14 +117,18 @@ def _key_hash(*parts: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_year(year: int) -> None:
+    if not 1000 <= year <= 9999:
+        raise IngestError(f"year must be 4 digits: {year}")
+
+
 @dataclass(frozen=True)
-class RegistrationRecord:
-    vin8: str
-    zip: str
-    model_year: int
-    registration_year: int
+class ProductKey:
+    """Full product identity; one product individual per distinct key."""
+
     make: str
     model: str
+    model_year: int
     technology: str  # BEV | PHEV
     manufacturer: str
     use_case: str
@@ -132,15 +137,24 @@ class RegistrationRecord:
     connector_types: frozenset[str]
 
     def __post_init__(self):
+        _check_year(self.model_year)
+        if self.technology not in ("BEV", "PHEV"):
+            raise IngestError(f"technology must be BEV or PHEV: {self.technology!r}")
+
+
+@dataclass(frozen=True)
+class RegistrationRecord:
+    vin8: str
+    zip: str
+    registration_year: int
+    product: ProductKey
+
+    def __post_init__(self):
         if len(self.vin8) != 8:
             raise IngestError(f"vin8 must be exactly 8 characters: {self.vin8!r}")
         if not _ZIP_RE.match(self.zip):
             raise IngestError(f"zip must be 5 digits: {self.zip!r}")
-        for year in (self.model_year, self.registration_year):
-            if not 1000 <= year <= 9999:
-                raise IngestError(f"year must be 4 digits: {year}")
-        if self.technology not in ("BEV", "PHEV"):
-            raise IngestError(f"technology must be BEV or PHEV: {self.technology!r}")
+        _check_year(self.registration_year)
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,9 @@ class StationRecord:
     charger_groups: tuple[ChargerGroup, ...]
 
     def __post_init__(self):
+        for name, value in (("lon", self.lon), ("lat", self.lat)):
+            if not math.isfinite(value):
+                raise IngestError(f"{name} must be finite: {value}")
         if self.access not in ("public", "private"):
             raise IngestError(f"access must be public or private: {self.access!r}")
         if not 1000 <= self.open_year <= 9999:
@@ -227,35 +244,6 @@ class ZipAreaRecord:
 
 
 @dataclass(frozen=True)
-class ProductKey:
-    """Full product identity; one product individual per distinct key."""
-
-    make: str
-    model: str
-    model_year: int
-    technology: str
-    manufacturer: str
-    use_case: str
-    weight_level: str
-    charger_types: frozenset[str]
-    connector_types: frozenset[str]
-
-
-def product_key(rec: RegistrationRecord) -> ProductKey:
-    return ProductKey(
-        rec.make,
-        rec.model,
-        rec.model_year,
-        rec.technology,
-        rec.manufacturer,
-        rec.use_case,
-        rec.weight_level,
-        rec.charger_types,
-        rec.connector_types,
-    )
-
-
-@dataclass(frozen=True)
 class RegistrationCollection:
     zip: str
     year: int
@@ -283,15 +271,30 @@ class LoadReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, required: Sequence[str]) -> Iterable[tuple[int, dict[str, str]]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise IngestError(f"{path}: missing columns {missing}")
-        for row_no, row in enumerate(reader, start=2):  # row 1 is the header
-            yield row_no, row
+def _read_rows(
+    path: Path, required: Sequence[str], issues: list[RowIssue]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield (row number, cell by column) for each data row; blank lines are
+    not rows. A row whose cell count differs from the header's goes to issues."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise IngestError(f"{path}: missing columns {missing}")
+            row_no = 1  # row 1 is the header
+            for cells in reader:
+                if not cells:
+                    continue
+                row_no += 1
+                if len(cells) == len(header):
+                    yield row_no, dict(zip(header, cells))
+                else:
+                    message = f"cell count {len(cells)} differs from the header's {len(header)}"
+                    issues.append(RowIssue(row_no, message))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _tokens(cell: str) -> frozenset[str]:
@@ -314,22 +317,25 @@ def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIs
         "connector_types",
     ]
     records, issues = [], []
-    for row_no, row in _read_rows(path, cols):
+    for row_no, row in _read_rows(path, cols, issues):
         try:
+            product = ProductKey(
+                make=row["make"],
+                model=row["model"],
+                model_year=int(row["model_year"]),
+                technology=row["technology"],
+                manufacturer=row["manufacturer"],
+                use_case=row["use_case"],
+                weight_level=row["weight_level"],
+                charger_types=_tokens(row["charger_types"]),
+                connector_types=_tokens(row["connector_types"]),
+            )
             records.append(
                 RegistrationRecord(
                     vin8=row["vin8"],
                     zip=row["zip"],
-                    model_year=int(row["model_year"]),
                     registration_year=int(row["registration_year"]),
-                    make=row["make"],
-                    model=row["model"],
-                    technology=row["technology"],
-                    manufacturer=row["manufacturer"],
-                    use_case=row["use_case"],
-                    weight_level=row["weight_level"],
-                    charger_types=_tokens(row["charger_types"]),
-                    connector_types=_tokens(row["connector_types"]),
+                    product=product,
                 )
             )
         except (IngestError, ValueError) as exc:
@@ -365,7 +371,7 @@ def read_stations(path: Path) -> tuple[list[StationRecord], list[RowIssue]]:
         "charger_groups",
     ]
     records, issues = [], []
-    for row_no, row in _read_rows(path, cols):
+    for row_no, row in _read_rows(path, cols, issues):
         try:
             open_date = row["open_date"].strip() or None
             if open_date is None:
@@ -407,7 +413,7 @@ def read_transmission(path: Path) -> tuple[list[TransmissionAssetRecord], list[R
         "owner",
     ]
     records, issues = [], []
-    for row_no, row in _read_rows(path, cols):
+    for row_no, row in _read_rows(path, cols, issues):
         try:
             records.append(
                 TransmissionAssetRecord(
@@ -433,7 +439,7 @@ def read_zip_areas(path: Path) -> tuple[list[ZipAreaRecord], list[RowIssue]]:
     cols = ["zip", "wkt", "state", "county", "kwg_sameas"]
     records, issues = [], []
     seen: set[str] = set()
-    for row_no, row in _read_rows(path, cols):
+    for row_no, row in _read_rows(path, cols, issues):
         try:
             if row["zip"] in seen:
                 raise DuplicateZip(row["zip"])
@@ -515,7 +521,7 @@ def aggregate_registrations(records: Iterable[RegistrationRecord]) -> list[Regis
     """Group records by (zip, registration year, full product identity)."""
     groups: dict[tuple[str, int, ProductKey], int] = {}
     for rec in records:
-        key = (rec.zip, rec.registration_year, product_key(rec))
+        key = (rec.zip, rec.registration_year, rec.product)
         groups[key] = groups.get(key, 0) + 1
     return [
         RegistrationCollection(zip_code, year, prod, amount)
@@ -556,24 +562,18 @@ def _individual(g: Graph, subject: Iri, prop: Iri, kind: str, cls: Iri, label: s
     return ind
 
 
-def triplify_adoption(
-    collections: Iterable[RegistrationCollection],
-    products: Iterable[ProductKey],
-) -> Graph:
+def triplify_adoption(collections: Iterable[RegistrationCollection]) -> Graph:
+    """Write the distinct products of the collections in product-IRI order, then
+    the collections. Equal IRIs keep collection order, so an IRI collision is
+    reported the same way on every run."""
     g = Graph()
     minter = _Minter()
-    product_list = list(products)
-    known = set(product_list)
     collections = list(collections)
-    dangling: list[ProductKey] = []
-    for coll in collections:
-        if coll.product not in known and coll.product not in dangling:
-            dangling.append(coll.product)
-    if dangling:
-        raise DanglingProductKey(dangling)
+    distinct = dict.fromkeys(coll.product for coll in collections)
+    products = {key: product_iri(key) for key in distinct}
 
-    for key in product_list:
-        prod = minter.claim(product_iri(key), repr(key))
+    for key, prod in sorted(products.items(), key=lambda kv: kv[1].value):
+        minter.claim(prod, repr(key))
         g.insert(Triple(prod, RDF.type, EV_ONT.ElectricVehicleProduct))
         g.insert(Triple(prod, RDFS.label, Literal(f"{key.make} {key.model}")))
         model_year = Literal(str(key.model_year), XSD_GYEAR)
@@ -609,12 +609,12 @@ def triplify_adoption(
     for coll in collections:
         iri = minter.claim(
             collection_iri(coll.zip, coll.year, coll.product),
-            f"{coll.zip}/{coll.year}/{product_iri(coll.product).value}",
+            f"{coll.zip}/{coll.year}/{products[coll.product].value}",
         )
         g.insert(Triple(iri, RDF.type, EV_ONT.ElectricVehicleRegistrationCollection))
         g.insert(Triple(iri, EV_ONT.hasSpatialScope, zip_area_iri(coll.zip)))
         g.insert(Triple(iri, EV_ONT.hasTemporalScope, Literal(str(coll.year), XSD_GYEAR)))
-        g.insert(Triple(iri, EV_ONT.hasProductInfo, product_iri(coll.product)))
+        g.insert(Triple(iri, EV_ONT.hasProductInfo, products[coll.product]))
         g.insert(Triple(iri, EV_ONT.hasAmount, Literal(str(coll.amount), XSD_INTEGER)))
     return g
 
@@ -764,8 +764,7 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
     from . import materialize  # local import: materialize depends on this module's IRIs
 
     report = LoadReport()
-    merged = Graph()
-    merged.update(individuals_graph())
+    merged = individuals_graph()
 
     if config.zip_areas:
         records, issues = read_zip_areas(config.zip_areas)
@@ -776,11 +775,10 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
         records, issues = read_registrations(config.registrations)
         report.skipped.extend(issues)
         collections = aggregate_registrations(records)
-        products = sorted({product_key(r) for r in records}, key=lambda k: product_iri(k).value)
         report.bump("registration_records", len(records))
         report.bump("registration_collections", len(collections))
-        report.bump("products", len(products))
-        merged.update(triplify_adoption(collections, products))
+        report.bump("products", len({coll.product for coll in collections}))
+        merged.update(triplify_adoption(collections))
     if config.stations:
         records, issues = read_stations(config.stations)
         report.skipped.extend(issues)

@@ -124,85 +124,81 @@ class OntologyRegistry:
                 raise ValueError(f"subclass cycle through {c.iri}")
 
 
-def _cls(iri: Iri, label: str, supers: tuple[Iri, ...], tag: str) -> ClassDef:
-    return ClassDef(iri, label, supers, tag)
-
-
 @lru_cache(maxsize=1)
 def registry() -> OntologyRegistry:
     """Build the full ontology registry (cached; treat as immutable)."""
     classes = [
         # --- adoption module -------------------------------------------------
-        _cls(
+        ClassDef(
             EV_ONT.ElectricVehicleRegistrationCollection,
             "Electric Vehicle Registration Collection",
             (),
             ADOPTION,
         ),
-        _cls(EV_ONT.ElectricVehicleProduct, "Electric Vehicle Product", (), ADOPTION),
-        _cls(EV_ONT.MakeType, "Make Type", (), ADOPTION),
-        _cls(EV_ONT.ModelType, "Model Type", (), ADOPTION),
-        _cls(EV_ONT.Technology, "Technology", (), ADOPTION),
-        _cls(EV_ONT.Manufacturer, "Manufacturer", (), ADOPTION),
-        _cls(EV_ONT.VehicleUseCase, "Vehicle Use Case", (), ADOPTION),
-        _cls(EV_ONT.WeightLevel, "Weight Level", (), ADOPTION),
-        _cls(EV_ONT.ChargerType, "Charger Type", (), ADOPTION),
-        _cls(EV_ONT.ConnectorType, "Connector Type", (), ADOPTION),
+        ClassDef(EV_ONT.ElectricVehicleProduct, "Electric Vehicle Product", (), ADOPTION),
+        ClassDef(EV_ONT.MakeType, "Make Type", (), ADOPTION),
+        ClassDef(EV_ONT.ModelType, "Model Type", (), ADOPTION),
+        ClassDef(EV_ONT.Technology, "Technology", (), ADOPTION),
+        ClassDef(EV_ONT.Manufacturer, "Manufacturer", (), ADOPTION),
+        ClassDef(EV_ONT.VehicleUseCase, "Vehicle Use Case", (), ADOPTION),
+        ClassDef(EV_ONT.WeightLevel, "Weight Level", (), ADOPTION),
+        ClassDef(EV_ONT.ChargerType, "Charger Type", (), ADOPTION),
+        ClassDef(EV_ONT.ConnectorType, "Connector Type", (), ADOPTION),
         # --- charging module -------------------------------------------------
-        _cls(EV_ONT.ChargingStation, "Charging Station", (GEO.Feature,), CHARGING),
-        _cls(
+        ClassDef(EV_ONT.ChargingStation, "Charging Station", (GEO.Feature,), CHARGING),
+        ClassDef(
             EV_ONT.PublicChargingStation,
             "Public Charging Station",
             (EV_ONT.ChargingStation,),
             CHARGING,
         ),
-        _cls(
+        ClassDef(
             EV_ONT.PrivateChargingStation,
             "Private Charging Station",
             (EV_ONT.ChargingStation,),
             CHARGING,
         ),
-        _cls(
+        ClassDef(
             EV_ONT.NetworkedChargingStation,
             "Networked Charging Station",
             (EV_ONT.ChargingStation,),
             CHARGING,
         ),
-        _cls(
+        ClassDef(
             EV_ONT.NonNetworkedChargingStation,
             "Non-Networked Charging Station",
             (EV_ONT.ChargingStation,),
             CHARGING,
         ),
-        _cls(EV_ONT.ChargerCollection, "Charger Collection", (), CHARGING),
-        _cls(EV_ONT.ChargingNetwork, "Charging Network", (), CHARGING),
-        _cls(EV_ONT.ChargingUserGroup, "Charging User Group", (), CHARGING),
+        ClassDef(EV_ONT.ChargerCollection, "Charger Collection", (), CHARGING),
+        ClassDef(EV_ONT.ChargingNetwork, "Charging Network", (), CHARGING),
+        ClassDef(EV_ONT.ChargingUserGroup, "Charging User Group", (), CHARGING),
         # --- transmission module ----------------------------------------------
-        _cls(EV_ONT.PowerPlant, "Power Plant", (GEO.Feature,), TRANSMISSION),
-        _cls(EV_ONT.TransmissionLine, "Transmission Line", (GEO.Feature,), TRANSMISSION),
-        _cls(EV_ONT.Substation, "Substation", (GEO.Feature,), TRANSMISSION),
-        _cls(EV_ONT.LineAttribute, "Line Attribute", (), TRANSMISSION),
-        _cls(EV_ONT.VoltageClass, "Voltage Class", (EV_ONT.LineAttribute,), TRANSMISSION),
-        _cls(EV_ONT.ServingStatus, "Serving Status", (), TRANSMISSION),
-        _cls(
+        ClassDef(EV_ONT.PowerPlant, "Power Plant", (GEO.Feature,), TRANSMISSION),
+        ClassDef(EV_ONT.TransmissionLine, "Transmission Line", (GEO.Feature,), TRANSMISSION),
+        ClassDef(EV_ONT.Substation, "Substation", (GEO.Feature,), TRANSMISSION),
+        ClassDef(EV_ONT.LineAttribute, "Line Attribute", (), TRANSMISSION),
+        ClassDef(EV_ONT.VoltageClass, "Voltage Class", (EV_ONT.LineAttribute,), TRANSMISSION),
+        ClassDef(EV_ONT.ServingStatus, "Serving Status", (), TRANSMISSION),
+        ClassDef(
             EV_ONT.TransmissionLineOwner,
             "Transmission Line Owner",
             (),
             TRANSMISSION,
         ),
         # --- external terms -----------------------------------------------------
-        _cls(KWG_ONT.ZipCodeArea, "Zip Code Area", (GEO.Feature,), EXTERNAL),
-        _cls(KWG_ONT.AdministrativeRegion_2, "Administrative Region 2", (), EXTERNAL),
-        _cls(KWG_ONT.AdministrativeRegion_3, "Administrative Region 3", (), EXTERNAL),
-        _cls(KWG_ONT.RoadSegment, "Road Segment", (GEO.Feature,), EXTERNAL),
-        _cls(GEO.Feature, "Feature", (), EXTERNAL),
-        _cls(GEO.Geometry, "Geometry", (), EXTERNAL),
-        _cls(SF.Point, "Point", (GEO.Geometry,), EXTERNAL),
-        _cls(SF.LineString, "LineString", (GEO.Geometry,), EXTERNAL),
-        _cls(SF.Polygon, "Polygon", (GEO.Geometry,), EXTERNAL),
-        _cls(SF.MultiPoint, "MultiPoint", (GEO.Geometry,), EXTERNAL),
-        _cls(SF.MultiLineString, "MultiLineString", (GEO.Geometry,), EXTERNAL),
-        _cls(SF.MultiPolygon, "MultiPolygon", (GEO.Geometry,), EXTERNAL),
+        ClassDef(KWG_ONT.ZipCodeArea, "Zip Code Area", (GEO.Feature,), EXTERNAL),
+        ClassDef(KWG_ONT.AdministrativeRegion_2, "Administrative Region 2", (), EXTERNAL),
+        ClassDef(KWG_ONT.AdministrativeRegion_3, "Administrative Region 3", (), EXTERNAL),
+        ClassDef(KWG_ONT.RoadSegment, "Road Segment", (GEO.Feature,), EXTERNAL),
+        ClassDef(GEO.Feature, "Feature", (), EXTERNAL),
+        ClassDef(GEO.Geometry, "Geometry", (), EXTERNAL),
+        ClassDef(SF.Point, "Point", (GEO.Geometry,), EXTERNAL),
+        ClassDef(SF.LineString, "LineString", (GEO.Geometry,), EXTERNAL),
+        ClassDef(SF.Polygon, "Polygon", (GEO.Geometry,), EXTERNAL),
+        ClassDef(SF.MultiPoint, "MultiPoint", (GEO.Geometry,), EXTERNAL),
+        ClassDef(SF.MultiLineString, "MultiLineString", (GEO.Geometry,), EXTERNAL),
+        ClassDef(SF.MultiPolygon, "MultiPolygon", (GEO.Geometry,), EXTERNAL),
     ]
 
     properties = [
@@ -441,7 +437,7 @@ def _check_ranges(reg: OntologyRegistry) -> None:
 def schema_graph(reg: Optional[OntologyRegistry] = None) -> Graph:
     """Emit the registry as schema triples (types, labels, subclass, domain/range)."""
     reg = reg or registry()
-    g = Graph(prefixes=reg.prefixes.copy())
+    g = individuals_graph(reg)
     for c in reg.classes:
         g.insert(Triple(c.iri, RDF.type, OWL.Class))
         g.insert(Triple(c.iri, RDFS.label, Literal(c.label)))
@@ -455,9 +451,6 @@ def schema_graph(reg: Optional[OntologyRegistry] = None) -> Graph:
             g.insert(Triple(p.iri, RDFS.domain, p.domain))
         if p.range is not None:
             g.insert(Triple(p.iri, RDFS.range, p.range))
-    for ind in reg.individuals:
-        g.insert(Triple(ind.iri, RDF.type, ind.type))
-        g.insert(Triple(ind.iri, RDFS.label, Literal(ind.label)))
     return g
 
 

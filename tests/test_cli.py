@@ -165,6 +165,17 @@ def test_ingest_infinite_zip_coordinate_is_a_skipped_row(workspace, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_ingest_non_utf8_csv_exit_2(workspace, capsys):
+    stations = workspace / "stations.csv"
+    data = stations.read_bytes()
+    stations.write_bytes(data.replace(b"Downtown Garage", b"Downtown Caf\xe9 Garage"))
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    captured = capsys.readouterr()
+    assert "stations.csv: not UTF-8 text (invalid continuation byte)" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_station_name_with_line_separator_survives_the_snapshot(workspace, capsys):
     stations = workspace / "stations.csv"
     text = stations.read_text(encoding="utf-8")

@@ -8,8 +8,8 @@ import pytest
 from evkg import geometry
 from evkg.ingest import (
     ChargerGroup,
-    DanglingProductKey,
     DuplicateZip,
+    ProductKey,
     RegistrationRecord,
     StationRecord,
     UnknownVocabularyToken,
@@ -18,7 +18,6 @@ from evkg.ingest import (
     build_graph,
     collection_iri,
     product_iri,
-    product_key,
     read_registrations,
     read_stations,
     read_transmission,
@@ -35,14 +34,11 @@ from evkg.terms import EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, 
 from conftest import fixture_config
 
 
-def _registration(zip_code="07677", year=2019, **overrides) -> RegistrationRecord:
-    fields = dict(
-        vin8="WBY1Z4C5",
-        zip=zip_code,
-        model_year=2018,
-        registration_year=year,
+def _registration(zip_code="07677", year=2019, **product_overrides) -> RegistrationRecord:
+    product = dict(
         make="BMW",
         model="i3",
+        model_year=2018,
         technology="BEV",
         manufacturer="BMW of North America Inc.",
         use_case="compact",
@@ -50,8 +46,8 @@ def _registration(zip_code="07677", year=2019, **overrides) -> RegistrationRecor
         charger_types=frozenset({"LEVEL2", "DCFC"}),
         connector_types=frozenset({"J1772", "J1772COMBO"}),
     )
-    fields.update(overrides)
-    return RegistrationRecord(**fields)
+    product.update(product_overrides)
+    return RegistrationRecord("WBY1Z4C5", zip_code, year, ProductKey(**product))
 
 
 def _station(**overrides) -> StationRecord:
@@ -114,8 +110,8 @@ def test_amounts_conserve_record_count():
 def test_adoption_emits_collection_facts():
     records = [_registration() for _ in range(36)]
     collections = aggregate_registrations(records)
-    key = product_key(records[0])
-    g = triplify_adoption(collections, [key])
+    key = records[0].product
+    g = triplify_adoption(collections)
     coll = collection_iri("07677", 2019, key)
     assert Triple(coll, EV_ONT.hasAmount, Literal("36", XSD_INTEGER)) in g
     assert Triple(coll, EV_ONT.hasSpatialScope, zip_area_iri("07677")) in g
@@ -126,30 +122,31 @@ def test_adoption_emits_collection_facts():
 
 def test_product_with_two_connectors_two_matchable_triples():
     rec = _registration()
-    key = product_key(rec)
-    g = triplify_adoption(aggregate_registrations([rec]), [key])
+    key = rec.product
+    g = triplify_adoption(aggregate_registrations([rec]))
     matchable = g.objects(product_iri(key), EV_ONT.hasMatchableConnectorType)
     assert set(matchable) == {EVR["connectortype.J1772"], EVR["connectortype.J1772COMBO"]}
 
 
 def test_adoption_deterministic():
     records = [_registration(), _registration(zip_code="07001"), _registration(model="iX")]
-    keys = sorted({product_key(r) for r in records}, key=lambda k: product_iri(k).value)
-    one = triplify_adoption(aggregate_registrations(records), keys)
-    two = triplify_adoption(aggregate_registrations(list(reversed(records))), keys)
+    one = triplify_adoption(aggregate_registrations(records))
+    two = triplify_adoption(aggregate_registrations(list(reversed(records))))
     assert serialize_ntriples(one) == serialize_ntriples(two)
 
 
-def test_dangling_product_key_rejected():
-    rec = _registration()
-    with pytest.raises(DanglingProductKey):
-        triplify_adoption(aggregate_registrations([rec]), [])
+def test_adoption_products_come_from_the_collections():
+    records = [_registration(), _registration(year=2020), _registration(model="iX")]
+    g = triplify_adoption(aggregate_registrations(records))
+    products = set(g.subjects(RDF.type, EV_ONT.ElectricVehicleProduct))
+    assert products == {product_iri(r.product) for r in records}
+    assert len(products) == 2
 
 
 def test_unknown_connector_token_named():
     rec = _registration(connector_types=frozenset({"WARPPLUG"}))
     with pytest.raises(UnknownVocabularyToken) as exc:
-        triplify_adoption(aggregate_registrations([rec]), [product_key(rec)])
+        triplify_adoption(aggregate_registrations([rec]))
     assert "WARPPLUG" in str(exc.value)
 
 
@@ -320,9 +317,56 @@ def test_bad_rows_skipped_with_row_numbers(tmp_path: Path):
                          "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
         writer.writerow(["WBY1Z4C5", "0767", 2018, 2019, "BMW", "i3", "BEV",
                          "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
+        writer.writerow(["WBY1Z4C5", "07677", 99, 2019, "BMW", "i3", "BEV",
+                         "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
+        writer.writerow(["WBY1Z4C5", "07677", 2018, 2019, "BMW", "i3", "FCEV",
+                         "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
+        writer.writerow(["WBY1Z4C5", "07677", "20x8", 2019, "BMW", "i3", "BEV",
+                         "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
     records, issues = read_registrations(path)
     assert len(records) == 1
-    assert [i.row for i in issues] == [3, 4]
+    assert [i.row for i in issues] == [3, 4, 5, 6, 7]
+    assert "year must be 4 digits: 99" in issues[2].message
+    assert "technology must be BEV or PHEV: 'FCEV'" in issues[3].message
+    assert "20x8" in issues[4].message
+
+
+@pytest.mark.parametrize("reader, name, cells", [
+    (read_registrations, "registrations.csv", 12),
+    (read_stations, "stations.csv", 12),
+    (read_transmission, "transmission.csv", 11),
+    (read_zip_areas, "zip_areas.csv", 5),
+])
+def test_row_with_wrong_cell_count_skipped(tmp_path, fixtures_dir, reader, name, cells):
+    text = (fixtures_dir / name).read_text(encoding="utf-8")
+    rows = len(text.splitlines())
+    path = tmp_path / name
+    path.write_text(text + "WBY1Z4C5,07677,2018\n" + "," * cells + "\n", encoding="utf-8")
+    records, issues = reader(path)
+    assert len(records) == rows - 1
+    assert [(i.row, i.message) for i in issues] == [
+        (rows + 1, f"cell count 3 differs from the header's {cells}"),
+        (rows + 2, f"cell count {cells + 1} differs from the header's {cells}"),
+    ]
+
+
+def test_non_finite_station_coordinates_skipped(tmp_path, fixtures_dir):
+    with open(fixtures_dir / "stations.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    template = rows[1]
+    for i, (lon, lat) in enumerate([("nan", "38.4"), ("-121.6", "inf"), ("1e999", "38.4")]):
+        rows.append([f"NF{i}", "x", lon, lat] + template[4:])
+    path = tmp_path / "stations.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    records, issues = read_stations(path)
+    assert not any(r.station_id.startswith("NF") for r in records)
+    n = len(rows)
+    assert [(i.row, i.message) for i in issues] == [
+        (n - 2, "lon must be finite: nan"),
+        (n - 1, "lat must be finite: inf"),
+        (n, "lon must be finite: inf"),
+    ]
 
 
 def test_header_only_registrations(tmp_path: Path):
@@ -375,6 +419,22 @@ def test_triplifiers_reuse_record_geometry(fixtures_dir, monkeypatch):
     triplify_places(zips)
     triplify_transmission(assets)
     assert calls[0] == 0
+
+
+def test_fixture_load_counts_pinned():
+    _, report = build_graph(fixture_config())
+    assert report.counts == {
+        "zip_areas": 32,
+        "registration_records": 3683,
+        "registration_collections": 47,
+        "products": 7,
+        "stations": 40,
+        "transmission_lines": 10,
+        "transmission_plants": 5,
+        "transmission_substations": 6,
+        "closure_triples": 228,
+        "spatial_triples": 115,
+    }
 
 
 def test_double_ingest_byte_identical():
