@@ -6,9 +6,11 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
   technology,manufacturer,use_case,weight_level,charger_types,connector_types
   (the last two are |-separated token lists, e.g. "LEVEL2|DCFC"). A row is
   a `RegistrationRecord`: vin8, zip, registration year and its product, one
-  `ProductKey` built from the other nine columns. Registrations are counted
-  into one collection per (zip, year, product), and the products written
-  are the distinct ones among the collections.
+  `ProductKey` built from the other nine columns. A product is built and
+  checked once per distinct set of those nine cells, and every row with the
+  same cells shares that object; a ProductKey computes its hash once.
+  Registrations are counted into one collection per (zip, year, product),
+  and the products written are the distinct ones among the collections.
 * stations.csv: station_id,name,lon,lat,zip,access,network,operating_hours,
   open_date,pricing,parking_restriction,charger_groups
   (charger_groups: |-separated charger:connector:count triplets)
@@ -20,10 +22,11 @@ IRIs are minted deterministically from natural keys, so re-ingesting the
 same inputs yields a byte-identical graph. Rows that violate record
 invariants are skipped and reported with their row number; they never abort
 a load. Among them are rows whose cell count differs from the header's and
-stations with a non-finite lon or lat. A file that is not UTF-8 is an
-`IngestError`, which fails the whole load. Source strings are preserved
-byte-exactly (including whitespace), because literal matching in queries is
-exact.
+stations with a non-finite lon or lat. A file that is not UTF-8, or a row
+the csv module cannot read (a cell over its 131,072-character field
+limit), is an `IngestError` naming the file (and row), which fails the
+whole load. Source strings are preserved byte-exactly (including
+whitespace), because literal matching in queries is exact.
 
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
@@ -39,7 +42,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -135,11 +140,19 @@ class ProductKey:
     weight_level: str
     charger_types: frozenset[str]
     connector_types: frozenset[str]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_year(self.model_year)
         if self.technology not in ("BEV", "PHEV"):
             raise IngestError(f"technology must be BEV or PHEV: {self.technology!r}")
+        # The hash the generated __hash__ would rebuild on every dict step.
+        identity = (self.make, self.model, self.model_year, self.technology, self.manufacturer,
+                    self.use_case, self.weight_level, self.charger_types, self.connector_types)
+        object.__setattr__(self, "_hash", hash(identity))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -273,28 +286,36 @@ class LoadReport:
 
 def _read_rows(
     path: Path, required: Sequence[str], issues: list[RowIssue]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (row number, cell by column) for each data row; blank lines are
-    not rows. A row whose cell count differs from the header's goes to issues."""
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (row number, the required columns' cells in `required` order) for
+    each data row; blank lines are not rows. A row whose cell count differs
+    from the header's goes to issues. A cell longer than the csv module's
+    field limit (131,072 characters) fails the load naming its row."""
+    row_no = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
-            missing = [col for col in required if col not in header]
+            position = {col: i for i, col in enumerate(header)}  # a repeated column: its last cell
+            missing = [col for col in required if col not in position]
             if missing:
                 raise IngestError(f"{path}: missing columns {missing}")
+            pick = operator.itemgetter(*(position[col] for col in required))
             row_no = 1  # row 1 is the header
             for cells in reader:
                 if not cells:
                     continue
                 row_no += 1
                 if len(cells) == len(header):
-                    yield row_no, dict(zip(header, cells))
+                    yield row_no, pick(cells)
                 else:
                     message = f"cell count {len(cells)} differs from the header's {len(header)}"
                     issues.append(RowIssue(row_no, message))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        # The failing row was not counted yet; blank lines never fail.
+        raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
 
 
 def _tokens(cell: str) -> frozenset[str]:
@@ -317,27 +338,27 @@ def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIs
         "connector_types",
     ]
     records, issues = [], []
-    for row_no, row in _read_rows(path, cols, issues):
+    products: dict[tuple[str, ...], ProductKey] = {}  # by its nine cells; valid products only
+    for row_no, (vin8, zip_code, model_year, registration_year, make, model, technology,
+                 manufacturer, use_case, weight_level, charger_types,
+                 connector_types) in _read_rows(path, cols, issues):
+        cells = (model_year, make, model, technology, manufacturer, use_case, weight_level,
+                 charger_types, connector_types)
         try:
-            product = ProductKey(
-                make=row["make"],
-                model=row["model"],
-                model_year=int(row["model_year"]),
-                technology=row["technology"],
-                manufacturer=row["manufacturer"],
-                use_case=row["use_case"],
-                weight_level=row["weight_level"],
-                charger_types=_tokens(row["charger_types"]),
-                connector_types=_tokens(row["connector_types"]),
-            )
-            records.append(
-                RegistrationRecord(
-                    vin8=row["vin8"],
-                    zip=row["zip"],
-                    registration_year=int(row["registration_year"]),
-                    product=product,
+            product = products.get(cells)
+            if product is None:
+                product = products[cells] = ProductKey(
+                    make=make,
+                    model=model,
+                    model_year=int(model_year),
+                    technology=technology,
+                    manufacturer=manufacturer,
+                    use_case=use_case,
+                    weight_level=weight_level,
+                    charger_types=_tokens(charger_types),
+                    connector_types=_tokens(connector_types),
                 )
-            )
+            records.append(RegistrationRecord(vin8, zip_code, int(registration_year), product))
         except (IngestError, ValueError) as exc:
             issues.append(RowIssue(row_no, str(exc)))
     return records, issues
@@ -371,26 +392,28 @@ def read_stations(path: Path) -> tuple[list[StationRecord], list[RowIssue]]:
         "charger_groups",
     ]
     records, issues = [], []
-    for row_no, row in _read_rows(path, cols, issues):
+    for row_no, (station_id, name, lon, lat, zip_code, access, network, operating_hours,
+                 open_date, pricing, parking_restriction, charger_groups) in _read_rows(
+                     path, cols, issues):
         try:
-            open_date = row["open_date"].strip() or None
+            open_date = open_date.strip() or None
             if open_date is None:
                 raise IngestError("open_date is required")
             records.append(
                 StationRecord(
-                    station_id=row["station_id"],
-                    name=row["name"],
-                    lon=float(row["lon"]),
-                    lat=float(row["lat"]),
-                    zip=row["zip"],
-                    access=row["access"],
-                    network=row["network"] or None,
-                    operating_hours=row["operating_hours"],
+                    station_id=station_id,
+                    name=name,
+                    lon=float(lon),
+                    lat=float(lat),
+                    zip=zip_code,
+                    access=access,
+                    network=network or None,
+                    operating_hours=operating_hours,
                     open_date=open_date,
                     open_year=int(open_date[:4]),
-                    pricing=row["pricing"] or None,
-                    parking_restriction=row["parking_restriction"] or None,
-                    charger_groups=_parse_groups(row["charger_groups"]),
+                    pricing=pricing or None,
+                    parking_restriction=parking_restriction or None,
+                    charger_groups=_parse_groups(charger_groups),
                 )
             )
         except (IngestError, ValueError) as exc:
@@ -413,21 +436,22 @@ def read_transmission(path: Path) -> tuple[list[TransmissionAssetRecord], list[R
         "owner",
     ]
     records, issues = [], []
-    for row_no, row in _read_rows(path, cols, issues):
+    for row_no, (asset_id, kind, wkt, voltage_class, min_voltage, max_voltage, summer_capacity,
+                 winter_capacity, operating_capacity, status, owner) in _read_rows(path, cols, issues):
         try:
             records.append(
                 TransmissionAssetRecord(
-                    asset_id=row["asset_id"],
-                    kind=row["kind"],
-                    geometry_wkt=row["wkt"],
-                    voltage_class=row["voltage_class"] or None,
-                    min_voltage=row["min_voltage"] or None,
-                    max_voltage=row["max_voltage"] or None,
-                    summer_capacity=row["summer_capacity"] or None,
-                    winter_capacity=row["winter_capacity"] or None,
-                    operating_capacity=row["operating_capacity"] or None,
-                    status=row["status"] or None,
-                    owner=row["owner"] or None,
+                    asset_id=asset_id,
+                    kind=kind,
+                    geometry_wkt=wkt,
+                    voltage_class=voltage_class or None,
+                    min_voltage=min_voltage or None,
+                    max_voltage=max_voltage or None,
+                    summer_capacity=summer_capacity or None,
+                    winter_capacity=winter_capacity or None,
+                    operating_capacity=operating_capacity or None,
+                    status=status or None,
+                    owner=owner or None,
                 )
             )
         except (IngestError, ValueError, geometry.WktParseError) as exc:
@@ -439,16 +463,16 @@ def read_zip_areas(path: Path) -> tuple[list[ZipAreaRecord], list[RowIssue]]:
     cols = ["zip", "wkt", "state", "county", "kwg_sameas"]
     records, issues = [], []
     seen: set[str] = set()
-    for row_no, row in _read_rows(path, cols, issues):
+    for row_no, (zip_code, wkt, state, county, kwg_sameas) in _read_rows(path, cols, issues):
         try:
-            if row["zip"] in seen:
-                raise DuplicateZip(row["zip"])
+            if zip_code in seen:
+                raise DuplicateZip(zip_code)
             rec = ZipAreaRecord(
-                zip=row["zip"],
-                polygon_wkt=row["wkt"],
-                state_label=row["state"],
-                county_label=row["county"],
-                kwg_sameas=row["kwg_sameas"] or None,
+                zip=zip_code,
+                polygon_wkt=wkt,
+                state_label=state,
+                county_label=county,
+                kwg_sameas=kwg_sameas or None,
             )
             seen.add(rec.zip)
             records.append(rec)
@@ -519,10 +543,7 @@ class _Minter:
 
 def aggregate_registrations(records: Iterable[RegistrationRecord]) -> list[RegistrationCollection]:
     """Group records by (zip, registration year, full product identity)."""
-    groups: dict[tuple[str, int, ProductKey], int] = {}
-    for rec in records:
-        key = (rec.zip, rec.registration_year, rec.product)
-        groups[key] = groups.get(key, 0) + 1
+    groups = Counter((rec.zip, rec.registration_year, rec.product) for rec in records)
     return [
         RegistrationCollection(zip_code, year, prod, amount)
         for (zip_code, year, prod), amount in sorted(

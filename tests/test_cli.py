@@ -176,6 +176,19 @@ def test_ingest_non_utf8_csv_exit_2(workspace, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_ingest_oversized_csv_cell_exit_2(workspace, capsys):
+    zip_areas = workspace / "zip_areas.csv"
+    rows = len(zip_areas.read_text(encoding="utf-8").splitlines())
+    ring = ", ".join(f"{i % 90}.{i:06d} 0" for i in range(20_000))  # about 290 KB
+    with zip_areas.open("a", encoding="utf-8") as f:
+        f.write(f'99998,"POLYGON (({ring}, 0 0))",Nowhere,Nowhere,\n')
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    captured = capsys.readouterr()
+    assert f"zip_areas.csv: row {rows + 1}: field larger than field limit (131072)" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_station_name_with_line_separator_survives_the_snapshot(workspace, capsys):
     stations = workspace / "stations.csv"
     text = stations.read_text(encoding="utf-8")

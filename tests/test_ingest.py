@@ -381,6 +381,122 @@ def test_header_only_registrations(tmp_path: Path):
     assert aggregate_registrations(records) == []
 
 
+REGISTRATION_HEADER = [
+    "vin8", "zip", "model_year", "registration_year", "make", "model", "technology",
+    "manufacturer", "use_case", "weight_level", "charger_types", "connector_types",
+]
+
+
+def _write_registrations(path: Path, rows) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([REGISTRATION_HEADER, *rows])
+    return path
+
+
+def _read_registrations_one_product_per_row(path: Path):
+    """Reference reader: builds one ProductKey for every row."""
+    def tokens(cell):
+        return frozenset(t.strip() for t in cell.split("|") if t.strip())
+
+    records, issues = [], []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        row_no = 1
+        for cells in reader:
+            if not cells:
+                continue
+            row_no += 1
+            if len(cells) != len(header):
+                issues.append((row_no, f"cell count {len(cells)} differs from the header's {len(header)}"))
+                continue
+            row = dict(zip(header, cells))
+            try:
+                product = ProductKey(
+                    make=row["make"],
+                    model=row["model"],
+                    model_year=int(row["model_year"]),
+                    technology=row["technology"],
+                    manufacturer=row["manufacturer"],
+                    use_case=row["use_case"],
+                    weight_level=row["weight_level"],
+                    charger_types=tokens(row["charger_types"]),
+                    connector_types=tokens(row["connector_types"]),
+                )
+                records.append(RegistrationRecord(
+                    row["vin8"], row["zip"], int(row["registration_year"]), product))
+            except ValueError as exc:  # IngestError is a ValueError
+                issues.append((row_no, str(exc)))
+    return records, issues
+
+
+@pytest.mark.parametrize("edited", [False, True])
+def test_read_registrations_matches_one_product_per_row(tmp_path, fixtures_dir, edited):
+    path = fixtures_dir / "registrations.csv"
+    if edited:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        good = rows[0]
+        rows[3:3] = [
+            good[:6] + ["FCEV"] + good[7:],  # bad product
+            ["SHORT"] + good[1:],  # good product, bad vin8
+            good[:3] + ["20x9"] + good[4:],  # good product, bad registration year
+            good[:2] + ["20x8", "20x9"] + good[4:],  # both bad: the product is reported
+            good[:2] + ["99"] + good[3:],  # product year out of range
+            good[:3],  # cell count
+            [],  # a blank line is not a row
+            good[:10] + [" DCFC | LEVEL2 ", "J1772COMBO|J1772"],  # tokens reordered
+        ]
+        # One row per product column with only that cell changed: each is its own product.
+        changed = {2: "2017", 4: "Tesla", 5: "X", 6: "PHEV", 7: "Tesla Inc.", 8: "suv",
+                   9: "medium-duty", 10: "LEVEL1", 11: "TESLA"}
+        rows += [good[:i] + [value] + good[i + 1:] for i, value in changed.items()]
+        path = _write_registrations(tmp_path / "registrations.csv", rows)
+    records, issues = read_registrations(path)
+    expected_records, expected_issues = _read_registrations_one_product_per_row(path)
+    assert records == expected_records
+    assert [(i.row, i.message) for i in issues] == expected_issues
+    assert len(expected_issues) == (6 if edited else 0)
+
+
+def test_token_order_and_spacing_give_one_product_and_one_collection(tmp_path):
+    row = ["WBY1Z4C5", "07677", "2018", "2019", "BMW", "i3", "BEV",
+           "BMW NA", "compact", "light-duty", "LEVEL2|DCFC", "J1772|J1772COMBO"]
+    respaced = row[:10] + [" DCFC | LEVEL2", "J1772COMBO | J1772"]
+    path = _write_registrations(tmp_path / "registrations.csv", [row, respaced, row])
+    records, issues = read_registrations(path)
+    assert not issues
+    assert records[0].product == records[1].product
+    assert hash(records[0].product) == hash(records[1].product)
+    [collection] = aggregate_registrations(records)
+    assert collection.amount == 3
+
+
+def test_repeated_bad_product_rows_each_reported(tmp_path):
+    good = ["WBY1Z4C5", "07677", "2018", "2019", "BMW", "i3", "BEV",
+            "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"]
+    bad = good[:6] + ["FCEV"] + good[7:]
+    path = _write_registrations(tmp_path / "registrations.csv", [good, bad, bad, bad, good])
+    records, issues = read_registrations(path)
+    assert len(records) == 2
+    message = "technology must be BEV or PHEV: 'FCEV'"
+    assert [(i.row, i.message) for i in issues] == [(3, message), (4, message), (5, message)]
+
+
+def test_equal_product_cells_share_one_product_key(fixtures_dir):
+    path = fixtures_dir / "registrations.csv"
+    records, issues = read_registrations(path)
+    assert not issues
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert len(rows) == len(records)
+    first: dict[tuple[str, ...], ProductKey] = {}
+    for row, rec in zip(rows, records):
+        cells = (row[2], *row[4:])
+        assert rec.product is first.setdefault(cells, rec.product)
+    assert len(first) < len(records)
+
+
 def test_station_reader_round_trips_trailing_spaces(fixtures_dir):
     records, issues = read_stations(fixtures_dir / "stations.csv")
     assert not issues
