@@ -3,6 +3,8 @@
 The store has set semantics: re-inserting an existing triple is a no-op.
 After a load it is treated as immutable and is safe for concurrent
 read-only query evaluation (single writer during load, no internal locks).
+A triple is checked once, when it is built for ``insert``; the triples that
+``match`` and iteration yield are built from the indexes without checks.
 """
 
 from __future__ import annotations
@@ -42,19 +44,20 @@ class Graph:
         for subj, po in self._spo.items():
             for pred, objs in po.items():
                 for obj in objs:
-                    yield Triple(subj, pred, obj)
+                    yield tuple.__new__(Triple, (subj, pred, obj))
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True if it was not already present."""
         if not isinstance(t, Triple):
             raise TypeError(f"expected Triple, got {type(t).__name__}")
-        objects = self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set())
-        if t.object in objects:
+        s, p, o = t
+        objects = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objects:
             return False
-        objects.add(t.object)
-        self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-        self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
-        self._predicate_sizes[t.predicate] = self._predicate_sizes.get(t.predicate, 0) + 1
+        objects.add(o)
+        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._predicate_sizes[p] = self._predicate_sizes.get(p, 0) + 1
         self._size += 1
         return True
 
@@ -93,28 +96,28 @@ class Graph:
                     continue
                 if o is not None:
                     if o in objs:
-                        yield Triple(s, pred, o)
+                        yield tuple.__new__(Triple, (s, pred, o))
                 else:
                     for obj in objs:
-                        yield Triple(s, pred, obj)
+                        yield tuple.__new__(Triple, (s, pred, obj))
         elif p is not None:
             os_ = self._pos.get(p)
             if not os_:
                 return
             if o is not None:
                 for subj in os_.get(o, ()):
-                    yield Triple(subj, p, o)
+                    yield tuple.__new__(Triple, (subj, p, o))
             else:
                 for obj, subjs in os_.items():
                     for subj in subjs:
-                        yield Triple(subj, p, obj)
+                        yield tuple.__new__(Triple, (subj, p, obj))
         elif o is not None:
             sp = self._osp.get(o)
             if not sp:
                 return
             for subj, preds in sp.items():
                 for pred in preds:
-                    yield Triple(subj, pred, o)
+                    yield tuple.__new__(Triple, (subj, pred, o))
         else:
             yield from self
 

@@ -101,8 +101,8 @@ CONNECTOR_TOKENS = {
     "NEMA": EVR["connectortype.NEMA"],
 }
 
-_YEAR_RE = re.compile(r"^\d{4}$")
-_ZIP_RE = re.compile(r"^\d{5}$")
+# Matched whole and ASCII only: `\d` takes any Unicode digit, `$` a final newline.
+_ZIP_RE = re.compile(r"[0-9]{5}")
 _SANITIZE_RE = re.compile(r"[^A-Za-z0-9_\-]+")
 
 
@@ -165,7 +165,7 @@ class RegistrationRecord:
     def __post_init__(self):
         if len(self.vin8) != 8:
             raise IngestError(f"vin8 must be exactly 8 characters: {self.vin8!r}")
-        if not _ZIP_RE.match(self.zip):
+        if not _ZIP_RE.fullmatch(self.zip):
             raise IngestError(f"zip must be 5 digits: {self.zip!r}")
         _check_year(self.registration_year)
 
@@ -248,7 +248,7 @@ class ZipAreaRecord:
     geometry: geometry.Geometry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _ZIP_RE.match(self.zip):
+        if not _ZIP_RE.fullmatch(self.zip):
             raise IngestError(f"zip must be 5 digits: {self.zip!r}")
         geom = geometry.parse_wkt(self.polygon_wkt)
         if not isinstance(geom, (geometry.Polygon, geometry.MultiPolygon)):

@@ -4,6 +4,8 @@ Inside a BGP, patterns join connected first: each next pattern shares a
 variable with those already bound (or has none), so only a BGP that is
 itself disconnected joins unrelated row sets; among those patterns the one
 with the most bound positions, then the smallest index estimate, wins.
+Each step joins all rows with its pattern at once, working out which
+positions are lookup keys and which are free once per step, not per row.
 Expression errors follow SPARQL conventions: a failing FILTER expression
 drops the row, a failing projection expression leaves that variable
 unbound but keeps the row, and a SUM over a group containing a
@@ -206,31 +208,44 @@ def effective_boolean(expr: Expression, row: Binding) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def match_pattern(graph: Graph, tp: TriplePattern, binding: Binding) -> Iterator[Binding]:
-    # Bound positions are lookup keys, so only the free ones need binding;
-    # a variable repeated among them (?v p ?v) must take one value.
-    key: list[Optional[Term]] = []
-    free: list[tuple[int, str]] = []
+def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Iterator[Binding]:
+    """Join every row of one BGP step with `tp`, in row order.
+
+    All rows of a BGP step bind the same variables, so the step works out
+    once which positions are constants, which are lookup keys taken from
+    the row and which are free; a free variable repeated (?v p ?v) must take
+    one value. Each row then makes one ``graph.match`` call, and a row value
+    in a position no stored triple holds (a literal subject) finds nothing.
+    """
+    if not rows:
+        return
+    bound = rows[0].keys()
+    key: list[Optional[Term]] = [None, None, None]
+    lookups: list[tuple[int, str]] = []
+    free: dict[str, int] = {}  # free variable -> its first position
+    repeats: list[tuple[int, int]] = []  # (position, first position) of a repeat
     for i, pos in enumerate(tp.positions()):
-        if isinstance(pos, Variable):
-            value = binding.get(pos.name)
-            if value is None:
-                free.append((i, pos.name))
-            key.append(value)
+        if not isinstance(pos, Variable):
+            key[i] = pos
+        elif pos.name in bound:
+            lookups.append((i, pos.name))
+        elif pos.name in free:
+            repeats.append((i, free[pos.name]))
         else:
-            key.append(pos)
-    s, p, o = key
+            free[pos.name] = i
+    s, p, _ = key
     if isinstance(s, Literal) or (p is not None and not isinstance(p, Iri)):
         return
-    repeated = len({name for _, name in free}) < len(free)
-    for t in graph.match(s, p, o):
-        spo = (t.subject, t.predicate, t.object)
-        merged = dict(binding)
-        for i, name in free:
-            merged[name] = spo[i]
-        if repeated and any(merged[name] != spo[i] for i, name in free):
-            continue
-        yield merged
+    for row in rows:
+        for i, name in lookups:
+            key[i] = row[name]
+        for t in graph.match(*key):
+            if repeats and any(t[i] != t[j] for i, j in repeats):
+                continue
+            merged = row.copy()
+            for name, i in free.items():
+                merged[name] = t[i]
+            yield merged
 
 
 def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
@@ -247,14 +262,14 @@ def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[T
     all remaining ones. Among the candidates: most bound positions first,
     then the smallest index estimate for the constant positions.
     """
-    remaining = list(patterns)
+    remaining = [(tp, {v.name for v in pattern_vars(tp)}) for tp in patterns]
     ordered: list[TriplePattern] = []
     bound: set[str] = set()
 
-    def key(tp: TriplePattern):
+    def key(item: tuple[TriplePattern, set[str]]):
         selectivity = 0
         const = [None, None, None]
-        for idx, pos in enumerate(tp.positions()):
+        for idx, pos in enumerate(item[0].positions()):
             if isinstance(pos, Variable):
                 if pos.name in bound:
                     selectivity += 1
@@ -271,22 +286,19 @@ def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[T
             estimate = graph.count_estimate(s, p, o)
         return (-selectivity, estimate)
 
-    def connected(tp: TriplePattern) -> bool:
-        names = [v.name for v in pattern_vars(tp)]
-        return not names or any(name in bound for name in names)
-
     while remaining:
-        best = min([tp for tp in remaining if connected(tp)] or remaining, key=key)
+        connected = [item for item in remaining if not item[1] or not item[1].isdisjoint(bound)]
+        best = min(connected or remaining, key=key)
         remaining.remove(best)
-        ordered.append(best)
-        bound.update(v.name for v in pattern_vars(best))
+        ordered.append(best[0])
+        bound |= best[1]
     return ordered
 
 
 def eval_bgp(graph: Graph, bgp: Bgp) -> list[Binding]:
     rows: list[Binding] = [{}]
     for tp in _order_patterns(graph, bgp.patterns):
-        rows = [merged for b in rows for merged in match_pattern(graph, tp, b)]
+        rows = list(match_pattern(graph, tp, rows))
         if not rows:
             break
     return rows

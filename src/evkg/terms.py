@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -70,6 +71,9 @@ class Iri:
         if _IRI_FORBIDDEN.search(self.value):
             raise TermError(f"IRI contains forbidden character: {self.value!r}")
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
@@ -119,6 +123,9 @@ class Literal:
         if self.datatype == XSD_DOUBLE and not _DOUBLE_RE.fullmatch(self.lexical):
             raise TermError(f"not a valid xsd:double lexical form: {self.lexical!r}")
 
+    def __hash__(self) -> int:
+        return hash(self.lexical)
+
     def __repr__(self) -> str:
         if self.language:
             return f'"{self.lexical}"@{self.language}'
@@ -133,6 +140,9 @@ class BlankNode:
 
     label: str
 
+    def __hash__(self) -> int:
+        return hash(self.label)
+
     def __repr__(self) -> str:
         return f"_:{self.label}"
 
@@ -140,26 +150,34 @@ class BlankNode:
 Term = Union[Iri, Literal, BlankNode]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """One RDF statement. Literals may only appear in object position."""
+class Triple(tuple):
+    """One RDF statement. Literals may only appear in object position.
 
-    subject: Union[Iri, BlankNode]
-    predicate: Iri
-    object: Term
+    A validated ``(subject, predicate, object)`` tuple: it equals, and
+    hashes like, the plain 3-tuple of the same terms. The store yields
+    triples it checked on insert through ``tuple.__new__(Triple, ...)``,
+    without checking them again.
+    """
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
+    __slots__ = ()
+
+    def __new__(cls, subject: Union[Iri, BlankNode], predicate: Iri, object: Term) -> "Triple":
+        if isinstance(subject, Literal):
             raise TermError("literal in subject position")
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise TermError(f"bad subject: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise TermError(f"predicate must be an IRI: {self.predicate!r}")
-        if not isinstance(self.object, (Iri, Literal, BlankNode)):
-            raise TermError(f"bad object: {self.object!r}")
+        if not isinstance(subject, (Iri, BlankNode)):
+            raise TermError(f"bad subject: {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise TermError(f"predicate must be an IRI: {predicate!r}")
+        if not isinstance(object, (Iri, Literal, BlankNode)):
+            raise TermError(f"bad object: {object!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
 
-    def __iter__(self) -> Iterator[Term]:
-        return iter((self.subject, self.predicate, self.object))
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[Term, Term, Term]:
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------

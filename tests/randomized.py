@@ -35,16 +35,20 @@ VARIABLES = [Variable(f"v{i}") for i in range(5)]
 
 
 def random_graph(rng: random.Random, max_triples: int = 200) -> Graph:
+    """A few triples repeat their predicate as subject or object, so that
+    patterns repeating a variable there (``?v ?v ?o``, ``?s ?v ?v``) can match."""
     n = rng.randint(0, max_triples) if rng.random() < 0.1 else rng.randint(60, max_triples)
     graph = Graph()
     for _ in range(n):
-        graph.insert(
-            Triple(
-                rng.choice(SUBJECTS),
-                rng.choice(PREDICATES),
-                rng.choice(OBJECT_IRIS + OBJECT_LITERALS),
-            )
-        )
+        s = rng.choice(SUBJECTS)
+        p = rng.choice(PREDICATES)
+        o = rng.choice(OBJECT_IRIS + OBJECT_LITERALS)
+        roll = rng.random()
+        if roll < 0.05:
+            s = p
+        elif roll < 0.1:
+            o = p
+        graph.insert(Triple(s, p, o))
     return graph
 
 
@@ -53,16 +57,20 @@ def _random_chain(
 ) -> list[TriplePattern]:
     """Chain-shaped patterns: each tends to hang off the last variable
     introduced, so multi-pattern joins stay satisfiable without exploding.
-    Some repeat their subject variable as object (``?v p ?v``)."""
-    usable = [variables[0]]
+    Some repeat a variable within one pattern (``?v p ?v``, ``?v ?v ?o``,
+    ``?s ?v ?v``), and some take as subject a variable introduced as an
+    object, which earlier patterns may have bound to a literal."""
+    usable = [variables[0]]  # then each variable introduced as an object
     next_fresh = 1
     patterns = []
     for _ in range(n_patterns):
         roll = rng.random()
-        if roll < 0.55:
+        if roll < 0.45:
             s = usable[-1]
-        elif roll < 0.8:
+        elif roll < 0.6:
             s = rng.choice(usable)
+        elif roll < 0.85 and len(usable) > 1:
+            s = rng.choice(usable[1:])
         else:
             s = rng.choice(SUBJECTS)
         p = rng.choice(PREDICATES) if rng.random() < 0.8 else rng.choice(usable)
@@ -77,6 +85,11 @@ def _random_chain(
             o = rng.choice(usable)
         else:
             o = s
+        roll = rng.random()
+        if roll < 0.08 and isinstance(s, Variable):
+            p = s
+        elif roll < 0.16 and isinstance(o, Variable):
+            p = o
         if not any(isinstance(x, Variable) for x in (s, p, o)):
             s = rng.choice(usable)
         patterns.append(TriplePattern(s, p, o))

@@ -131,6 +131,16 @@ def test_fully_bound_match_consistent_with_membership():
     assert list(g.match(absent.subject, absent.predicate, absent.object)) == []
 
 
+def test_match_and_iteration_yield_triples_with_their_terms():
+    g = Graph()
+    t = Triple(EVR["s"], RDF_TYPE, STATION)
+    g.insert(t)
+    hits = [*g.match(), *g.match(t.subject), *g.match(None, RDF_TYPE)]
+    for found in [*hits, *g.match(None, None, STATION), *g]:
+        assert type(found) is Triple and found == t
+        assert (found.subject, found.predicate, found.object) == (EVR["s"], RDF_TYPE, STATION)
+
+
 def test_count_estimate_bounds_match():
     random.seed(7)
     pool_s, pool_p, pool_o = _triple_pool()

@@ -323,12 +323,36 @@ def test_bad_rows_skipped_with_row_numbers(tmp_path: Path):
                          "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
         writer.writerow(["WBY1Z4C5", "07677", "20x8", 2019, "BMW", "i3", "BEV",
                          "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
+        for zip_code in ("07677\n", "\u0660\u0667\u0666\u0667\u0667"):  # Arabic-Indic digits
+            writer.writerow(["WBY1Z4C5", zip_code, 2018, 2019, "BMW", "i3", "BEV",
+                             "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
     records, issues = read_registrations(path)
     assert len(records) == 1
-    assert [i.row for i in issues] == [3, 4, 5, 6, 7]
+    assert [i.row for i in issues] == [3, 4, 5, 6, 7, 8, 9]
     assert "year must be 4 digits: 99" in issues[2].message
     assert "technology must be BEV or PHEV: 'FCEV'" in issues[3].message
     assert "20x8" in issues[4].message
+    assert issues[5].message == "zip must be 5 digits: '07677\\n'"
+    assert issues[6].message == "zip must be 5 digits: '\u0660\u0667\u0666\u0667\u0667'"
+
+
+def test_bad_zip_area_rows_skipped_with_row_numbers(tmp_path, fixtures_dir):
+    with open(fixtures_dir / "zip_areas.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    template = rows[1]
+    for zip_code in ("07677\n", "\u0660\u0667\u0666\u0667\u0667", "0767"):
+        rows.append([zip_code] + template[1:])
+    path = tmp_path / "zip_areas.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    records, issues = read_zip_areas(path)
+    assert len(records) == len(rows) - 4
+    n = len(rows)
+    assert [(i.row, i.message) for i in issues] == [
+        (n - 2, "zip must be 5 digits: '07677\\n'"),
+        (n - 1, "zip must be 5 digits: '\u0660\u0667\u0666\u0667\u0667'"),
+        (n, "zip must be 5 digits: '0767'"),
+    ]
 
 
 @pytest.mark.parametrize("reader, name, cells", [

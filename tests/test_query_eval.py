@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evkg.graph import Graph
 from evkg.sparql import parse_query
-from evkg.sparql.algebra import Bgp, Group, SelectQuery, Variable
+from evkg.sparql.algebra import Bgp, Group, SelectQuery, TriplePattern, Variable
 from evkg.queries import QUERY_TEXTS, run_suite_query
 from evkg.sparql import engine
 from evkg.sparql.engine import evaluate
@@ -270,6 +270,52 @@ def test_planner_bounds_suite_bindings_on_fixture(fixture_graph, binding_count):
     assert sum(per_query.values()) <= 3_000
 
 
+# --- one join step per pattern -------------------------------------------------
+
+
+class _CountingGraph(Graph):
+    """A graph that counts its ``match`` calls."""
+
+    match_calls = 0
+
+    def match(self, s=None, p=None, o=None):
+        self.match_calls += 1
+        return super().match(s, p, o)
+
+
+TWO = Literal("2", XSD_INTEGER)
+_STEP_TRIPLES = [(A, P, A), (A, P, B), (B, P, TWO), (B, Q, C), (C, Q, C), (A, Q, TWO), (C, Q, D)]
+
+
+@pytest.mark.parametrize("where, n_rows, match_calls", [
+    ("?v evr:p ?v .", 1, 1),  # a repeated free variable
+    ("?x evr:q ?v . ?v evr:q ?v .", 2, 5),  # a repeated key; ?v is "2" in one row
+    ("evr:a evr:p evr:b . ?x evr:q ?y .", 4, 2),  # a ground pattern that hits
+    ("evr:a evr:p evr:c . ?x evr:q ?y .", 0, 1),  # ... and one that misses
+    ('"2" evr:p ?o .', 0, 0),  # a constant literal subject
+    # ?o is bound to "2" in one of three rows, then used as a subject
+    ("?s evr:p ?o . ?o evr:q ?z .", 2, 4),
+])
+def test_batched_step_agrees_with_oracle(where, n_rows, match_calls):
+    g = _CountingGraph()
+    g.update(Triple(s, p, o) for s, p, o in _STEP_TRIPLES)
+    query = parse_query(f"SELECT * WHERE {{ {where} }}")
+    solution = evaluate(g, query)
+    assert len(solution.rows) == n_rows
+    assert g.match_calls == match_calls  # one per row reaching each step
+    assert solution_multiset(solution) == solution_multiset(naive.evaluate(g, query))
+
+
+def test_step_without_rows_yields_nothing_and_looks_nothing_up():
+    g = _CountingGraph()
+    g.update(Triple(s, p, o) for s, p, o in _STEP_TRIPLES)
+    tp = TriplePattern(Variable("x"), P, Variable("y"))
+    assert list(engine.match_pattern(g, tp, [])) == []
+    assert g.match_calls == 0
+    query = parse_query("SELECT * WHERE { ?x evr:p evr:d . ?x evr:q ?y . }")
+    assert evaluate(g, query).rows == naive.evaluate(g, query).rows == []
+
+
 # --- long chains: UNION branches, FILTERs in one group, terms of one sum -------
 
 _CHAINS = {
@@ -377,8 +423,6 @@ def test_engine_matches_naive_on_exhaustive_small_queries():
     for s1, p1, o1, s2, p2, o2 in itertools.product(
         positions, preds, positions, positions, preds, positions
     ):
-        from evkg.sparql.algebra import TriplePattern
-
         query = SelectQuery(
             select=(),
             distinct=False,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from evkg.terms import (
     XSD_GYEAR,
     XSD_INTEGER,
     XSD_STRING,
+    BlankNode,
     Iri,
     Literal,
     TermError,
@@ -80,11 +82,29 @@ def test_non_finite_doubles_render_in_xsd_form():
     assert numeric_literal("double", 1e300) == Literal("1e+300", XSD_DOUBLE)
 
 
-def test_triple_rejects_literal_subject_and_predicate():
-    with pytest.raises(TermError):
-        Triple(Literal("x"), EV_ONT.hasAmount, Literal("1", XSD_INTEGER))  # type: ignore[arg-type]
-    with pytest.raises(TermError):
-        Triple(EVR["s"], Literal("p"), EVR["o"])  # type: ignore[arg-type]
+@pytest.mark.parametrize("s, p, o, message", [
+    (Literal("x"), EV_ONT.hasAmount, Literal("1", XSD_INTEGER), "literal in subject position"),
+    ("http://evkg.org/resource/s", EV_ONT.p, EVR["o"], "bad subject"),
+    (EVR["s"], Literal("p"), EVR["o"], "predicate must be an IRI"),
+    (EVR["s"], BlankNode("p"), EVR["o"], "predicate must be an IRI"),
+    (EVR["s"], EV_ONT.p, None, "bad object"),
+    (EVR["s"], EV_ONT.p, "o", "bad object"),
+])
+def test_triple_rejects_each_bad_position(s, p, o, message):
+    with pytest.raises(TermError, match=message):
+        Triple(s, p, o)  # type: ignore[arg-type]
+
+
+def test_triple_is_a_read_only_tuple_of_its_terms():
+    s, p, o = EVR["s"], EV_ONT.hasAmount, Literal("1", XSD_INTEGER)
+    t = Triple(s, p, o)
+    assert (t.subject, t.predicate, t.object) == (s, p, o)
+    assert t == (s, p, o) and hash(t) == hash((s, p, o))
+    assert copy.copy(t) == t and type(copy.copy(t)) is Triple
+    for name in ("subject", "predicate", "object", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, s)
+    assert t == (s, p, o)
 
 
 def test_expand_curie_concatenates():
