@@ -139,10 +139,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _expected_dir(args: argparse.Namespace) -> Path:
-    return Path(args.expected)
-
-
 def _diff(expected: str, actual: str, name: str) -> str:
     return "".join(
         difflib.unified_diff(
@@ -159,7 +155,7 @@ def cmd_cq(args: argparse.Namespace) -> int:
     question = args.question
     if question not in suite.QUESTION_QUERIES:
         raise CliError(f"unknown competency question: {question}", EXIT_IO)
-    expected_dir = _expected_dir(args)
+    expected_dir = Path(args.expected)
     failures = []
     outputs: list[tuple[str, str]] = []
     try:

@@ -18,15 +18,21 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
   summer_capacity,winter_capacity,operating_capacity,status,owner
 * zip_areas.csv: zip,wkt,state,county,kwg_sameas
 
-IRIs are minted deterministically from natural keys, so re-ingesting the
-same inputs yields a byte-identical graph. Rows that violate record
-invariants are skipped and reported with their row number; they never abort
-a load. Among them are rows whose cell count differs from the header's and
-stations with a non-finite lon or lat. A file that is not UTF-8, or a row
-the csv module cannot read (a cell over its 131,072-character field
-limit), is an `IngestError` naming the file (and row), which fails the
-whole load. Source strings are preserved byte-exactly (including
-whitespace), because literal matching in queries is exact.
+The readers share one row loop, `_read_records`, and differ only in the
+function that builds a record from a row's cells. A row whose build raises
+`ValueError` (it violates a record invariant) or whose cell count differs
+from the header's is skipped and reported with its row number; it never
+aborts a load. A file that is not UTF-8, or a row the csv module cannot
+read (a cell over its 131,072-character field limit), is an `IngestError`
+naming the file (and row), which fails the whole load. Source strings are
+preserved byte-exactly (including whitespace), because literal matching in
+queries is exact.
+
+Each triplifier returns the triples it emits, repeats included, and
+`build_graph` inserts them into its one graph. IRIs are minted
+deterministically from natural keys, so re-ingesting the same inputs yields
+a byte-identical graph. Uniqueness is checked at minting: an IRI collision,
+or two valid rows with one zip (`DuplicateZip`), fails the load.
 
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
@@ -47,7 +53,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import geometry
 from .graph import Graph
@@ -70,6 +76,9 @@ from .terms import (
     Triple,
 )
 from .vocabulary import individuals_graph
+
+
+R = TypeVar("R")
 
 
 class IngestError(ValueError):
@@ -284,13 +293,14 @@ class LoadReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(
-    path: Path, required: Sequence[str], issues: list[RowIssue]
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (row number, the required columns' cells in `required` order) for
-    each data row; blank lines are not rows. A row whose cell count differs
-    from the header's goes to issues. A cell longer than the csv module's
-    field limit (131,072 characters) fails the load naming its row."""
+def _read_records(
+    path: Path, required: Sequence[str], build: Callable[..., R]
+) -> tuple[list[R], list[RowIssue]]:
+    """Return (`build(*cells)` per data row, with cells in `required` order;
+    the skipped rows). Blank lines are not rows. A cell longer than the csv
+    module's field limit (131,072 characters) fails the load naming its row."""
+    records: list[R] = []
+    issues: list[RowIssue] = []
     row_no = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -306,16 +316,20 @@ def _read_rows(
                 if not cells:
                     continue
                 row_no += 1
-                if len(cells) == len(header):
-                    yield row_no, pick(cells)
-                else:
+                if len(cells) != len(header):
                     message = f"cell count {len(cells)} differs from the header's {len(header)}"
                     issues.append(RowIssue(row_no, message))
+                    continue
+                try:
+                    records.append(build(*pick(cells)))
+                except ValueError as exc:  # IngestError, TermError and WktParseError among them
+                    issues.append(RowIssue(row_no, str(exc)))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         # The failing row was not counted yet; blank lines never fail.
         raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
+    return records, issues
 
 
 def _tokens(cell: str) -> frozenset[str]:
@@ -337,31 +351,29 @@ def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIs
         "charger_types",
         "connector_types",
     ]
-    records, issues = [], []
     products: dict[tuple[str, ...], ProductKey] = {}  # by its nine cells; valid products only
-    for row_no, (vin8, zip_code, model_year, registration_year, make, model, technology,
-                 manufacturer, use_case, weight_level, charger_types,
-                 connector_types) in _read_rows(path, cols, issues):
+
+    def build(vin8, zip_code, model_year, registration_year, make, model, technology,
+              manufacturer, use_case, weight_level, charger_types,
+              connector_types) -> RegistrationRecord:
         cells = (model_year, make, model, technology, manufacturer, use_case, weight_level,
                  charger_types, connector_types)
-        try:
-            product = products.get(cells)
-            if product is None:
-                product = products[cells] = ProductKey(
-                    make=make,
-                    model=model,
-                    model_year=int(model_year),
-                    technology=technology,
-                    manufacturer=manufacturer,
-                    use_case=use_case,
-                    weight_level=weight_level,
-                    charger_types=_tokens(charger_types),
-                    connector_types=_tokens(connector_types),
-                )
-            records.append(RegistrationRecord(vin8, zip_code, int(registration_year), product))
-        except (IngestError, ValueError) as exc:
-            issues.append(RowIssue(row_no, str(exc)))
-    return records, issues
+        product = products.get(cells)
+        if product is None:
+            product = products[cells] = ProductKey(
+                make=make,
+                model=model,
+                model_year=int(model_year),
+                technology=technology,
+                manufacturer=manufacturer,
+                use_case=use_case,
+                weight_level=weight_level,
+                charger_types=_tokens(charger_types),
+                connector_types=_tokens(connector_types),
+            )
+        return RegistrationRecord(vin8, zip_code, int(registration_year), product)
+
+    return _read_records(path, cols, build)
 
 
 def _parse_groups(cell: str) -> tuple[ChargerGroup, ...]:
@@ -391,34 +403,29 @@ def read_stations(path: Path) -> tuple[list[StationRecord], list[RowIssue]]:
         "parking_restriction",
         "charger_groups",
     ]
-    records, issues = [], []
-    for row_no, (station_id, name, lon, lat, zip_code, access, network, operating_hours,
-                 open_date, pricing, parking_restriction, charger_groups) in _read_rows(
-                     path, cols, issues):
-        try:
-            open_date = open_date.strip() or None
-            if open_date is None:
-                raise IngestError("open_date is required")
-            records.append(
-                StationRecord(
-                    station_id=station_id,
-                    name=name,
-                    lon=float(lon),
-                    lat=float(lat),
-                    zip=zip_code,
-                    access=access,
-                    network=network or None,
-                    operating_hours=operating_hours,
-                    open_date=open_date,
-                    open_year=int(open_date[:4]),
-                    pricing=pricing or None,
-                    parking_restriction=parking_restriction or None,
-                    charger_groups=_parse_groups(charger_groups),
-                )
-            )
-        except (IngestError, ValueError) as exc:
-            issues.append(RowIssue(row_no, str(exc)))
-    return records, issues
+
+    def build(station_id, name, lon, lat, zip_code, access, network, operating_hours,
+              open_date, pricing, parking_restriction, charger_groups) -> StationRecord:
+        open_date = open_date.strip()
+        if not open_date:
+            raise IngestError("open_date is required")
+        return StationRecord(
+            station_id=station_id,
+            name=name,
+            lon=float(lon),
+            lat=float(lat),
+            zip=zip_code,
+            access=access,
+            network=network or None,
+            operating_hours=operating_hours,
+            open_date=open_date,
+            open_year=int(open_date[:4]),
+            pricing=pricing or None,
+            parking_restriction=parking_restriction or None,
+            charger_groups=_parse_groups(charger_groups),
+        )
+
+    return _read_records(path, cols, build)
 
 
 def read_transmission(path: Path) -> tuple[list[TransmissionAssetRecord], list[RowIssue]]:
@@ -435,52 +442,37 @@ def read_transmission(path: Path) -> tuple[list[TransmissionAssetRecord], list[R
         "status",
         "owner",
     ]
-    records, issues = [], []
-    for row_no, (asset_id, kind, wkt, voltage_class, min_voltage, max_voltage, summer_capacity,
-                 winter_capacity, operating_capacity, status, owner) in _read_rows(path, cols, issues):
-        try:
-            records.append(
-                TransmissionAssetRecord(
-                    asset_id=asset_id,
-                    kind=kind,
-                    geometry_wkt=wkt,
-                    voltage_class=voltage_class or None,
-                    min_voltage=min_voltage or None,
-                    max_voltage=max_voltage or None,
-                    summer_capacity=summer_capacity or None,
-                    winter_capacity=winter_capacity or None,
-                    operating_capacity=operating_capacity or None,
-                    status=status or None,
-                    owner=owner or None,
-                )
-            )
-        except (IngestError, ValueError, geometry.WktParseError) as exc:
-            issues.append(RowIssue(row_no, str(exc)))
-    return records, issues
+
+    def build(asset_id, kind, wkt, voltage_class, min_voltage, max_voltage, summer_capacity,
+              winter_capacity, operating_capacity, status, owner) -> TransmissionAssetRecord:
+        return TransmissionAssetRecord(
+            asset_id=asset_id,
+            kind=kind,
+            geometry_wkt=wkt,
+            voltage_class=voltage_class or None,
+            min_voltage=min_voltage or None,
+            max_voltage=max_voltage or None,
+            summer_capacity=summer_capacity or None,
+            winter_capacity=winter_capacity or None,
+            operating_capacity=operating_capacity or None,
+            status=status or None,
+            owner=owner or None,
+        )
+
+    return _read_records(path, cols, build)
 
 
 def read_zip_areas(path: Path) -> tuple[list[ZipAreaRecord], list[RowIssue]]:
-    cols = ["zip", "wkt", "state", "county", "kwg_sameas"]
-    records, issues = [], []
-    seen: set[str] = set()
-    for row_no, (zip_code, wkt, state, county, kwg_sameas) in _read_rows(path, cols, issues):
-        try:
-            if zip_code in seen:
-                raise DuplicateZip(zip_code)
-            rec = ZipAreaRecord(
-                zip=zip_code,
-                polygon_wkt=wkt,
-                state_label=state,
-                county_label=county,
-                kwg_sameas=kwg_sameas or None,
-            )
-            seen.add(rec.zip)
-            records.append(rec)
-        except DuplicateZip:
-            raise
-        except (IngestError, ValueError, geometry.WktParseError) as exc:
-            issues.append(RowIssue(row_no, str(exc)))
-    return records, issues
+    def build(zip_code, wkt, state, county, kwg_sameas) -> ZipAreaRecord:
+        return ZipAreaRecord(
+            zip=zip_code,
+            polygon_wkt=wkt,
+            state_label=state,
+            county_label=county,
+            kwg_sameas=kwg_sameas or None,
+        )
+
+    return _read_records(path, ["zip", "wkt", "state", "county", "kwg_sameas"], build)
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +559,27 @@ _GEOM_CLASSES = {
 }
 
 
-def _geometry_triples(g: Graph, feature: Iri, geom: geometry.Geometry) -> None:
+def _geometry_triples(out: list[Triple], feature: Iri, geom: geometry.Geometry) -> None:
     node = geometry_iri(feature)
-    g.insert(Triple(feature, GEO.hasGeometry, node))
-    g.insert(Triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
-    g.insert(Triple(node, GEO.asWKT, Literal(geometry.to_wkt(geom), WKT_LITERAL)))
+    out.append(Triple(feature, GEO.hasGeometry, node))
+    out.append(Triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
+    out.append(Triple(node, GEO.asWKT, Literal(geometry.to_wkt(geom), WKT_LITERAL)))
 
 
-def _individual(g: Graph, subject: Iri, prop: Iri, kind: str, cls: Iri, label: str) -> Iri:
+def _individual(out: list[Triple], subject: Iri, prop: Iri, kind: str, cls: Iri, label: str) -> Iri:
     """Link subject via prop to the labeled individual of class cls minted from (kind, label)."""
     ind = EVR[f"{kind}.{_sanitize(label)}"]
-    g.insert(Triple(subject, prop, ind))
-    g.insert(Triple(ind, RDF.type, cls))
-    g.insert(Triple(ind, RDFS.label, Literal(label)))
+    out.append(Triple(subject, prop, ind))
+    out.append(Triple(ind, RDF.type, cls))
+    out.append(Triple(ind, RDFS.label, Literal(label)))
     return ind
 
 
-def triplify_adoption(collections: Iterable[RegistrationCollection]) -> Graph:
+def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Triple]:
     """Write the distinct products of the collections in product-IRI order, then
     the collections. Equal IRIs keep collection order, so an IRI collision is
     reported the same way on every run."""
-    g = Graph()
+    out: list[Triple] = []
     minter = _Minter()
     collections = list(collections)
     distinct = dict.fromkeys(coll.product for coll in collections)
@@ -595,20 +587,20 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> Graph:
 
     for key, prod in sorted(products.items(), key=lambda kv: kv[1].value):
         minter.claim(prod, repr(key))
-        g.insert(Triple(prod, RDF.type, EV_ONT.ElectricVehicleProduct))
-        g.insert(Triple(prod, RDFS.label, Literal(f"{key.make} {key.model}")))
+        out.append(Triple(prod, RDF.type, EV_ONT.ElectricVehicleProduct))
+        out.append(Triple(prod, RDFS.label, Literal(f"{key.make} {key.model}")))
         model_year = Literal(str(key.model_year), XSD_GYEAR)
-        g.insert(Triple(prod, EV_ONT.hasModelYear, model_year))
+        out.append(Triple(prod, EV_ONT.hasModelYear, model_year))
 
-        _individual(g, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
+        _individual(out, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
 
         model = EVR[
             f"modeltype.{_sanitize(key.make)}.{_sanitize(key.model)}.{key.model_year}"
         ]
-        g.insert(Triple(prod, EV_ONT.hasModelType, model))
-        g.insert(Triple(model, RDF.type, EV_ONT.ModelType))
-        g.insert(Triple(model, RDFS.label, Literal(key.model)))
-        g.insert(Triple(model, EV_ONT.hasModelYear, model_year))
+        out.append(Triple(prod, EV_ONT.hasModelType, model))
+        out.append(Triple(model, RDF.type, EV_ONT.ModelType))
+        out.append(Triple(model, RDFS.label, Literal(key.model)))
+        out.append(Triple(model, EV_ONT.hasModelYear, model_year))
 
         for kind, prop, cls, raw in (
             ("technology", EV_ONT.isWithTechnology, EV_ONT.Technology, key.technology),
@@ -616,59 +608,59 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> Graph:
             ("vehicleusecase", EV_ONT.hasVehicleUseCase, EV_ONT.VehicleUseCase, key.use_case),
             ("weightlevel", EV_ONT.hasWeightLevel, EV_ONT.WeightLevel, key.weight_level),
         ):
-            _individual(g, prod, prop, kind, cls, raw)
+            _individual(out, prod, prop, kind, cls, raw)
 
         for token in sorted(key.charger_types):
             if token not in CHARGER_TOKENS:
                 raise UnknownVocabularyToken(token, "charger type")
-            g.insert(Triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
+            out.append(Triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
         for token in sorted(key.connector_types):
             if token not in CONNECTOR_TOKENS:
                 raise UnknownVocabularyToken(token, "connector type")
-            g.insert(Triple(prod, EV_ONT.hasMatchableConnectorType, CONNECTOR_TOKENS[token]))
+            out.append(Triple(prod, EV_ONT.hasMatchableConnectorType, CONNECTOR_TOKENS[token]))
 
     for coll in collections:
         iri = minter.claim(
             collection_iri(coll.zip, coll.year, coll.product),
             f"{coll.zip}/{coll.year}/{products[coll.product].value}",
         )
-        g.insert(Triple(iri, RDF.type, EV_ONT.ElectricVehicleRegistrationCollection))
-        g.insert(Triple(iri, EV_ONT.hasSpatialScope, zip_area_iri(coll.zip)))
-        g.insert(Triple(iri, EV_ONT.hasTemporalScope, Literal(str(coll.year), XSD_GYEAR)))
-        g.insert(Triple(iri, EV_ONT.hasProductInfo, products[coll.product]))
-        g.insert(Triple(iri, EV_ONT.hasAmount, Literal(str(coll.amount), XSD_INTEGER)))
-    return g
+        out.append(Triple(iri, RDF.type, EV_ONT.ElectricVehicleRegistrationCollection))
+        out.append(Triple(iri, EV_ONT.hasSpatialScope, zip_area_iri(coll.zip)))
+        out.append(Triple(iri, EV_ONT.hasTemporalScope, Literal(str(coll.year), XSD_GYEAR)))
+        out.append(Triple(iri, EV_ONT.hasProductInfo, products[coll.product]))
+        out.append(Triple(iri, EV_ONT.hasAmount, Literal(str(coll.amount), XSD_INTEGER)))
+    return out
 
 
-def triplify_stations(records: Iterable[StationRecord]) -> Graph:
-    g = Graph()
+def triplify_stations(records: Iterable[StationRecord]) -> list[Triple]:
+    out: list[Triple] = []
     minter = _Minter()
     for rec in records:
         stn = minter.claim(station_iri(rec.station_id), rec.station_id)
         access_cls = (
             EV_ONT.PublicChargingStation if rec.access == "public" else EV_ONT.PrivateChargingStation
         )
-        g.insert(Triple(stn, RDF.type, access_cls))
+        out.append(Triple(stn, RDF.type, access_cls))
         if rec.network:
-            g.insert(Triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
+            out.append(Triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
             _individual(
-                g, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork", EV_ONT.ChargingNetwork,
+                out, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork", EV_ONT.ChargingNetwork,
                 rec.network,
             )
         else:
-            g.insert(Triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
-        g.insert(Triple(stn, RDFS.label, Literal(rec.name)))
+            out.append(Triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
+        out.append(Triple(stn, RDFS.label, Literal(rec.name)))
 
-        _geometry_triples(g, stn, geometry.Point(rec.lon, rec.lat))
+        _geometry_triples(out, stn, geometry.Point(rec.lon, rec.lat))
 
-        g.insert(Triple(stn, EV_ONT.hasOperatingHours, Literal(rec.operating_hours)))
-        g.insert(Triple(stn, EV_ONT.hasOpenYear, Literal(str(rec.open_year), XSD_GYEAR)))
+        out.append(Triple(stn, EV_ONT.hasOperatingHours, Literal(rec.operating_hours)))
+        out.append(Triple(stn, EV_ONT.hasOpenYear, Literal(str(rec.open_year), XSD_GYEAR)))
         if rec.open_date:
-            g.insert(Triple(stn, EV_ONT.hasOpenTime, Literal(rec.open_date)))
+            out.append(Triple(stn, EV_ONT.hasOpenTime, Literal(rec.open_date)))
         if rec.pricing:
-            g.insert(Triple(stn, EV_ONT.hasPricingScheme, Literal(rec.pricing)))
+            out.append(Triple(stn, EV_ONT.hasPricingScheme, Literal(rec.pricing)))
         if rec.parking_restriction:
-            g.insert(Triple(stn, EV_ONT.hasParkingRestriction, Literal(rec.parking_restriction)))
+            out.append(Triple(stn, EV_ONT.hasParkingRestriction, Literal(rec.parking_restriction)))
 
         amounts: dict[tuple[str, str], int] = {}
         for group in rec.charger_groups:
@@ -682,12 +674,12 @@ def triplify_stations(records: Iterable[StationRecord]) -> Graph:
             cc = EVR[
                 f"chargercollection.{_sanitize(rec.station_id)}.{charger}.{connector}"
             ]
-            g.insert(Triple(stn, EV_ONT.hosts, cc))
-            g.insert(Triple(cc, RDF.type, EV_ONT.ChargerCollection))
-            g.insert(Triple(cc, EV_ONT.hasChargerType, CHARGER_TOKENS[charger]))
-            g.insert(Triple(cc, EV_ONT.hasConnectorType, CONNECTOR_TOKENS[connector]))
-            g.insert(Triple(cc, EV_ONT.hasAmount, Literal(str(amount), XSD_INTEGER)))
-    return g
+            out.append(Triple(stn, EV_ONT.hosts, cc))
+            out.append(Triple(cc, RDF.type, EV_ONT.ChargerCollection))
+            out.append(Triple(cc, EV_ONT.hasChargerType, CHARGER_TOKENS[charger]))
+            out.append(Triple(cc, EV_ONT.hasConnectorType, CONNECTOR_TOKENS[connector]))
+            out.append(Triple(cc, EV_ONT.hasAmount, Literal(str(amount), XSD_INTEGER)))
+    return out
 
 
 # kind -> (IRI prefix, class, status property)
@@ -698,14 +690,14 @@ _ASSET_KINDS = {
 }
 
 
-def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> Graph:
-    g = Graph()
+def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> list[Triple]:
+    out: list[Triple] = []
     minter = _Minter()
     for rec in records:
         prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
-        g.insert(Triple(asset, RDF.type, cls))
-        _geometry_triples(g, asset, rec.geometry)
+        out.append(Triple(asset, RDF.type, cls))
+        _geometry_triples(out, asset, rec.geometry)
 
         if rec.kind == "line":
             for prop, kind, ind_cls, label in (
@@ -713,12 +705,12 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> Graph:
                 (EV_ONT.hasLineOwner, "translineowner", EV_ONT.TransmissionLineOwner, rec.owner),
             ):
                 if label:
-                    _individual(g, asset, prop, kind, ind_cls, label)
+                    _individual(out, asset, prop, kind, ind_cls, label)
         elif rec.kind == "substation":
             if rec.min_voltage:
-                g.insert(Triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
+                out.append(Triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
             if rec.max_voltage:
-                g.insert(Triple(asset, EV_ONT.hasMaxVoltage, Literal(rec.max_voltage, XSD_DOUBLE)))
+                out.append(Triple(asset, EV_ONT.hasMaxVoltage, Literal(rec.max_voltage, XSD_DOUBLE)))
         else:  # plant
             for prop, value in (
                 (EV_ONT.hasSummerCapacity, rec.summer_capacity),
@@ -726,37 +718,37 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> Graph:
                 (EV_ONT.hasOperatingCapacity, rec.operating_capacity),
             ):
                 if value:
-                    g.insert(Triple(asset, prop, Literal(value, XSD_DOUBLE)))
+                    out.append(Triple(asset, prop, Literal(value, XSD_DOUBLE)))
         if rec.status:
-            _individual(g, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status)
-    return g
+            _individual(out, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status)
+    return out
 
 
-def triplify_places(records: Iterable[ZipAreaRecord]) -> Graph:
-    g = Graph()
+def triplify_places(records: Iterable[ZipAreaRecord]) -> list[Triple]:
+    out: list[Triple] = []
     seen: set[str] = set()
     for rec in records:
         if rec.zip in seen:
             raise DuplicateZip(rec.zip)
         seen.add(rec.zip)
         zip_area = zip_area_iri(rec.zip)
-        g.insert(Triple(zip_area, RDF.type, KWG_ONT.ZipCodeArea))
-        g.insert(Triple(zip_area, RDFS.label, Literal(f"zip code {rec.zip}")))
-        _geometry_triples(g, zip_area, rec.geometry)
+        out.append(Triple(zip_area, RDF.type, KWG_ONT.ZipCodeArea))
+        out.append(Triple(zip_area, RDFS.label, Literal(f"zip code {rec.zip}")))
+        _geometry_triples(out, zip_area, rec.geometry)
 
         for kind, cls, label in (
             ("state", KWG_ONT.AdministrativeRegion_2, rec.state_label),
             ("county", KWG_ONT.AdministrativeRegion_3, rec.county_label),
         ):
-            region = _individual(g, zip_area, KWG_ONT.sfWithin, kind, cls, label)
-            g.insert(Triple(region, KWG_ONT.sfContains, zip_area))
+            region = _individual(out, zip_area, KWG_ONT.sfWithin, kind, cls, label)
+            out.append(Triple(region, KWG_ONT.sfContains, zip_area))
 
         if rec.kwg_sameas:
             try:
-                g.insert(Triple(zip_area, OWL.sameAs, Iri(rec.kwg_sameas)))
+                out.append(Triple(zip_area, OWL.sameAs, Iri(rec.kwg_sameas)))
             except TermError as exc:
                 raise IngestError(f"zip {rec.zip}: bad sameAs IRI: {exc}") from None
-    return g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +767,7 @@ class IngestConfig:
 
 
 def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
-    """Run every configured pipeline and merge into one graph.
+    """Run every configured pipeline, inserting its triples into one graph.
 
     Always includes the fixed vocabulary individuals (charger levels,
     connector types) because instance queries match on their labels.

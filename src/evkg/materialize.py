@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import geometry
 from .graph import Graph
-from .terms import EV_ONT, GEO, KWG_ONT, RDF, Iri, Literal, Triple
+from .terms import EV_ONT, GEO, KWG_ONT, RDF_TYPE, Iri, Literal, Triple
 from .vocabulary import OntologyRegistry, registry
 
 # Instance classes whose members participate in feature-vs-zip materialization.
@@ -66,7 +66,7 @@ def _geometries(
     graph: Graph, classes: tuple[Iri, ...]
 ) -> list[tuple[Iri, Optional[geometry.Geometry]]]:
     """IRI-sorted (member, stored geometry or None) for the members of classes."""
-    members = {s for cls in classes for s in graph.subjects(RDF.type, cls) if isinstance(s, Iri)}
+    members = {s for cls in classes for s in graph.subjects(RDF_TYPE, cls) if isinstance(s, Iri)}
     out = []
     for member in sorted(members, key=lambda iri: iri.value):
         # Parse the stored 9-decimal literal, not the source WKT: it is the
@@ -132,10 +132,10 @@ def materialize_subclass_closure(graph: Graph, reg: Optional[OntologyRegistry] =
     """For every typed instance, also assert all registry superclasses."""
     reg = reg or registry()
     added = 0
-    for t in list(graph.match(None, RDF.type, None)):
+    for t in list(graph.match(None, RDF_TYPE, None)):
         if not isinstance(t.object, Iri):
             continue
         for sup in reg.superclasses(t.object):
-            if graph.insert(Triple(t.subject, RDF.type, sup)):
+            if graph.insert(Triple(t.subject, RDF_TYPE, sup)):
                 added += 1
     return added

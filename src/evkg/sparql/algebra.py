@@ -3,6 +3,12 @@
 A parsed query holds resolved IRIs only; the prefix table it was parsed
 with is kept for reference but excluded from equality so that a query and
 its canonical re-rendering compare equal.
+
+Equality is the dataclass-generated `__eq__`, which recurses about twice
+per tree level (about three recursion-limit units on CPython 3.11), so at
+the default limit only trees up to about 330 levels compare, while the
+parser accepts `MAX_TREE_DEPTH` (500). Comparing deeper trees needs a raised
+recursion limit, as `test_long_sum_round_trips` sets.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from .terms import (
     KWG_ONT,
     OWL,
     RDF,
+    RDF_TYPE,
     RDFS,
     SF,
     WKT_LITERAL,
@@ -488,12 +489,12 @@ def validate_instances(data: Graph, reg: Optional[OntologyRegistry] = None) -> l
     def types_of(term: Term) -> list[Iri]:
         if term not in type_cache:
             type_cache[term] = [
-                t.object for t in data.match(term, RDF.type, None) if isinstance(t.object, Iri)
+                t.object for t in data.match(term, RDF_TYPE, None) if isinstance(t.object, Iri)
             ]
         return type_cache[term]
 
     for t in data:
-        if t.predicate == RDF.type:
+        if t.predicate == RDF_TYPE:
             if isinstance(t.object, Iri) and t.object.value.startswith(EV_ONT.base):
                 if not reg.is_class(t.object):
                     violations.append(

@@ -165,6 +165,18 @@ def test_ingest_infinite_zip_coordinate_is_a_skipped_row(workspace, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_ingest_repeated_zip_exit_2(workspace, capsys):
+    zip_areas = workspace / "zip_areas.csv"
+    first = zip_areas.read_text(encoding="utf-8").splitlines()[1]
+    with zip_areas.open("a", encoding="utf-8") as f:
+        f.write(first + "\n")
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    captured = capsys.readouterr()
+    assert f"ingest failed: duplicate zip code area: {first.split(',')[0]}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_ingest_non_utf8_csv_exit_2(workspace, capsys):
     stations = workspace / "stations.csv"
     data = stations.read_bytes()

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from evkg import geometry
+from evkg.graph import Graph
 from evkg.ingest import (
     ChargerGroup,
     DuplicateZip,
@@ -31,7 +35,7 @@ from evkg.ingest import (
 )
 from evkg.ntriples import serialize_ntriples
 from evkg.terms import EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, Triple, XSD_INTEGER
-from conftest import fixture_config
+from conftest import ROOT, fixture_config
 
 
 def _registration(zip_code="07677", year=2019, **product_overrides) -> RegistrationRecord:
@@ -111,7 +115,7 @@ def test_adoption_emits_collection_facts():
     records = [_registration() for _ in range(36)]
     collections = aggregate_registrations(records)
     key = records[0].product
-    g = triplify_adoption(collections)
+    g = Graph(triplify_adoption(collections))
     coll = collection_iri("07677", 2019, key)
     assert Triple(coll, EV_ONT.hasAmount, Literal("36", XSD_INTEGER)) in g
     assert Triple(coll, EV_ONT.hasSpatialScope, zip_area_iri("07677")) in g
@@ -123,21 +127,21 @@ def test_adoption_emits_collection_facts():
 def test_product_with_two_connectors_two_matchable_triples():
     rec = _registration()
     key = rec.product
-    g = triplify_adoption(aggregate_registrations([rec]))
+    g = Graph(triplify_adoption(aggregate_registrations([rec])))
     matchable = g.objects(product_iri(key), EV_ONT.hasMatchableConnectorType)
     assert set(matchable) == {EVR["connectortype.J1772"], EVR["connectortype.J1772COMBO"]}
 
 
 def test_adoption_deterministic():
     records = [_registration(), _registration(zip_code="07001"), _registration(model="iX")]
-    one = triplify_adoption(aggregate_registrations(records))
-    two = triplify_adoption(aggregate_registrations(list(reversed(records))))
+    one = Graph(triplify_adoption(aggregate_registrations(records)))
+    two = Graph(triplify_adoption(aggregate_registrations(list(reversed(records)))))
     assert serialize_ntriples(one) == serialize_ntriples(two)
 
 
 def test_adoption_products_come_from_the_collections():
     records = [_registration(), _registration(year=2020), _registration(model="iX")]
-    g = triplify_adoption(aggregate_registrations(records))
+    g = Graph(triplify_adoption(aggregate_registrations(records)))
     products = set(g.subjects(RDF.type, EV_ONT.ElectricVehicleProduct))
     assert products == {product_iri(r.product) for r in records}
     assert len(products) == 2
@@ -154,7 +158,7 @@ def test_unknown_connector_token_named():
 
 
 def test_station_types_and_collections():
-    g = triplify_stations([_station()])
+    g = Graph(triplify_stations([_station()]))
     stn = EVR["chargingstation.ST1"]
     types = set(g.objects(stn, RDF.type))
     assert EV_ONT.PublicChargingStation in types
@@ -167,20 +171,20 @@ def test_station_types_and_collections():
 
 
 def test_station_operating_hours_preserved_byte_exact():
-    g = triplify_stations([_station()])
+    g = Graph(triplify_stations([_station()]))
     stn = EVR["chargingstation.ST1"]
     assert g.value(stn, EV_ONT.hasOperatingHours) == Literal("24 hours daily  ")
 
 
 def test_station_without_groups_emits_no_collections():
-    g = triplify_stations([_station(charger_groups=())])
+    g = Graph(triplify_stations([_station(charger_groups=())]))
     stn = EVR["chargingstation.ST1"]
     assert g.objects(stn, EV_ONT.hosts) == []
     assert EV_ONT.PublicChargingStation in g.objects(stn, RDF.type)
 
 
 def test_private_nonnetworked_station_types():
-    g = triplify_stations([_station(access="private", network=None)])
+    g = Graph(triplify_stations([_station(access="private", network=None)]))
     stn = EVR["chargingstation.ST1"]
     types = set(g.objects(stn, RDF.type))
     assert EV_ONT.PrivateChargingStation in types
@@ -212,7 +216,7 @@ def test_line_voltage_class_labeled():
         asset_id="L1", kind="line", geometry_wkt="LINESTRING (0 0, 5 5)",
         voltage_class="500", status="IN SERVICE", owner="PSEG",
     )
-    g = triplify_transmission([rec])
+    g = Graph(triplify_transmission([rec]))
     line = EVR["transmissionline.L1"]
     [vc] = g.objects(line, EV_ONT.hasVoltageClass)
     assert g.value(vc, RDFS.label) == Literal("500")
@@ -223,7 +227,7 @@ def test_substation_two_voltage_triples():
         asset_id="S1", kind="substation", geometry_wkt="POINT (1 1)",
         min_voltage="115", max_voltage="345",
     )
-    g = triplify_transmission([rec])
+    g = Graph(triplify_transmission([rec]))
     sub = EVR["substation.S1"]
     assert g.value(sub, EV_ONT.hasMinVoltage) is not None
     assert g.value(sub, EV_ONT.hasMaxVoltage) is not None
@@ -233,7 +237,7 @@ def test_plant_with_only_operating_capacity():
     rec = TransmissionAssetRecord(
         asset_id="P1", kind="plant", geometry_wkt="POINT (2 2)", operating_capacity="300",
     )
-    g = triplify_transmission([rec])
+    g = Graph(triplify_transmission([rec]))
     plant = EVR["powerplant.P1"]
     assert g.value(plant, EV_ONT.hasOperatingCapacity) is not None
     assert g.value(plant, EV_ONT.hasSummerCapacity) is None
@@ -255,7 +259,7 @@ def test_places_hierarchy_and_label():
         state_label="California",
         county_label="Sacramento",
     )
-    g = triplify_places([rec])
+    g = Graph(triplify_places([rec]))
     zip_area = zip_area_iri("95814")
     state = EVR["state.California"]
     assert g.value(zip_area, RDFS.label) == Literal("zip code 95814")
@@ -271,7 +275,7 @@ def test_places_sameas_emitted_once():
         county_label="Sacramento",
         kwg_sameas="http://stko-kwg.geog.ucsb.edu/lod/resource/zipCodeArea.95814",
     )
-    g = triplify_places([rec])
+    g = Graph(triplify_places([rec]))
     assert len(list(g.match(None, OWL.sameAs, None))) == 1
 
 
@@ -285,7 +289,7 @@ def test_places_hierarchy_triple_count():
         )
         for i in range(4)
     ]
-    g = triplify_places(records)
+    g = Graph(triplify_places(records))
     # 2N per parent level: state<->zip and county<->zip
     assert len(list(g.match(None, KWG_ONT.sfContains, None))) == 2 * len(records)
     assert len(list(g.match(None, KWG_ONT.sfWithin, None))) == 2 * len(records)
@@ -298,6 +302,25 @@ def test_duplicate_zip_rejected():
     )
     with pytest.raises(DuplicateZip):
         triplify_places([rec, rec])
+
+
+def _zip_areas_plus(tmp_path: Path, fixtures_dir: Path, extra) -> tuple[Path, int]:
+    """Copy the fixture's zip areas with the rows `extra(first data row)` appended;
+    return the copy and its row count (the header is row 1)."""
+    with open(fixtures_dir / "zip_areas.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[1][0] == "07677"
+    rows.extend(extra(rows[1]))
+    path = tmp_path / "zip_areas.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    return path, len(rows)
+
+
+def test_repeated_valid_zip_row_fails_the_load(tmp_path, fixtures_dir):
+    path, _ = _zip_areas_plus(tmp_path, fixtures_dir, lambda first: [first])
+    with pytest.raises(DuplicateZip, match="^duplicate zip code area: 07677$"):
+        build_graph(replace(fixture_config(), zip_areas=path))
 
 
 # --- CSV readers ----------------------------------------------------------------
@@ -337,21 +360,20 @@ def test_bad_rows_skipped_with_row_numbers(tmp_path: Path):
 
 
 def test_bad_zip_area_rows_skipped_with_row_numbers(tmp_path, fixtures_dir):
-    with open(fixtures_dir / "zip_areas.csv", newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    template = rows[1]
-    for zip_code in ("07677\n", "\u0660\u0667\u0666\u0667\u0667", "0767"):
-        rows.append([zip_code] + template[1:])
-    path = tmp_path / "zip_areas.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(rows)
+    def extra(first: list[str]) -> list[list[str]]:
+        bad_zips = [[zip_code] + first[1:]
+                    for zip_code in ("07677\n", "\u0660\u0667\u0666\u0667\u0667", "0767")]
+        # Repeats the first zip, but is itself invalid: a skipped row, not a DuplicateZip.
+        return bad_zips + [[first[0], "POINT (0 0)"] + first[2:]]
+
+    path, n = _zip_areas_plus(tmp_path, fixtures_dir, extra)
     records, issues = read_zip_areas(path)
-    assert len(records) == len(rows) - 4
-    n = len(rows)
+    assert len(records) == n - 5
     assert [(i.row, i.message) for i in issues] == [
-        (n - 2, "zip must be 5 digits: '07677\\n'"),
-        (n - 1, "zip must be 5 digits: '\u0660\u0667\u0666\u0667\u0667'"),
-        (n, "zip must be 5 digits: '0767'"),
+        (n - 3, "zip must be 5 digits: '07677\\n'"),
+        (n - 2, "zip must be 5 digits: '\u0660\u0667\u0666\u0667\u0667'"),
+        (n - 1, "zip must be 5 digits: '0767'"),
+        (n, "zip 07677: area geometry must be a polygon"),
     ]
 
 
@@ -575,6 +597,13 @@ def test_fixture_load_counts_pinned():
         "closure_triples": 228,
         "spatial_triples": 115,
     }
+
+
+def test_fixture_snapshot_matches_bench_pin():
+    pin = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["1"]
+    text = serialize_ntriples(build_graph(fixture_config())[0])
+    assert text.count("\n") == pin["triples"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"]
 
 
 def test_double_ingest_byte_identical():
