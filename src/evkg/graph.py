@@ -153,6 +153,12 @@ class Graph:
             return sum(len(v) for v in sp.values())
         return self._size
 
+    def predicate_objects(self) -> Iterator[tuple[Iri, Term]]:
+        """Each distinct (predicate, object) pair, from the predicate-first index."""
+        for p, os_ in self._pos.items():
+            for o in os_:
+                yield p, o
+
     # Convenience accessors used by reporting and materialization code.
 
     def objects(self, s: Term, p: Iri) -> list[Term]:

@@ -8,9 +8,13 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
   a `RegistrationRecord`: vin8, zip, registration year and its product, one
   `ProductKey` built from the other nine columns. A product is built and
   checked once per distinct set of those nine cells, and every row with the
-  same cells shares that object; a ProductKey computes its hash once.
-  Registrations are counted into one collection per (zip, year, product),
-  and the products written are the distinct ones among the collections.
+  same cells shares that object; a ProductKey computes its hash once. In
+  the same way a record is built once per distinct set of all twelve
+  cells: rows with equal cells share one record object, while every row
+  still yields its record and an invalid row is checked and reported on
+  its own. Registrations are counted into one collection per (zip, year,
+  product), and the products written are the distinct ones among the
+  collections.
 * stations.csv: station_id,name,lon,lat,zip,access,network,operating_hours,
   open_date,pricing,parking_restriction,charger_groups
   (charger_groups: |-separated charger:connector:count triplets)
@@ -352,10 +356,17 @@ def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIs
         "connector_types",
     ]
     products: dict[tuple[str, ...], ProductKey] = {}  # by its nine cells; valid products only
+    records: dict[tuple[str, ...], RegistrationRecord] = {}  # by all twelve cells; valid rows only
 
-    def build(vin8, zip_code, model_year, registration_year, make, model, technology,
-              manufacturer, use_case, weight_level, charger_types,
-              connector_types) -> RegistrationRecord:
+    def build(*cells: str) -> RegistrationRecord:
+        record = records.get(cells)
+        if record is None:
+            record = records[cells] = build_record(*cells)
+        return record
+
+    def build_record(vin8, zip_code, model_year, registration_year, make, model, technology,
+                     manufacturer, use_case, weight_level, charger_types,
+                     connector_types) -> RegistrationRecord:
         cells = (model_year, make, model, technology, manufacturer, use_case, weight_level,
                  charger_types, connector_types)
         product = products.get(cells)

@@ -5,11 +5,21 @@ Storing these relations explicitly keeps queries away from on-the-fly
 geometry evaluation; with a declared snap tolerance the containment
 decisions are auditable instead of silently brittle. Both operations are
 idempotent: re-running them adds nothing.
+
+Features meet zips through a sparse uniform grid, `_ZipGrid`. Its cell
+side is the largest zip box extent plus 2·EPS, so a zip's EPS-grown box
+reaches about 2×2 cells and the index holds O(zips) entries whatever the
+input. A feature collects the zips listed in the cells its EPS-grown box
+covers and box-checks only those, in zip order; so `geometry.bbox_checks`
+grows with the number of features, not features × zips, and the inserts
+and boundary reports come in the same order as an all-pairs loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 from . import geometry
@@ -85,6 +95,55 @@ def _geometries(
     return out
 
 
+_FAR_CELL = 2.0**62
+
+
+class _ZipGrid:
+    """Zip box indexes by grid cell, for the box checks a feature needs.
+
+    Cells are keyed `(floor(x / side), floor(y / side))` and list, in zip
+    order, each zip whose EPS-grown box reaches them. Growing both the zip
+    and the feature box by EPS keeps every pair that `bbox_disjoint` (which
+    allows EPS) would pass among the candidates, rounding included.
+    """
+
+    def __init__(self, boxes: list[geometry.Box]):
+        self.side = 2 * geometry.EPS + max(
+            (max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes), default=0.0
+        )
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        for index, box in enumerate(boxes):
+            i0, j0, i1, j1 = self._span(box)
+            for key in product(range(i0, i1 + 1), range(j0, j1 + 1)):
+                self.cells.setdefault(key, []).append(index)
+
+    def _span(self, box: geometry.Box) -> tuple[int, int, int, int]:
+        """First and last cell column and row that the EPS-grown box covers.
+        Cell numbers are clamped to ±2**62, so a far coordinate over a small
+        side cannot overflow; clamping keeps their order, so no pair is lost."""
+        x0, y0, x1, y1 = box
+        eps, side = geometry.EPS, self.side
+        i0, j0, i1, j1 = (
+            math.floor(min(max(v / side, -_FAR_CELL), _FAR_CELL))
+            for v in (x0 - eps, y0 - eps, x1 + eps, y1 + eps)
+        )
+        return i0, j0, i1, j1
+
+    def candidates(self, box: geometry.Box) -> list[int]:
+        """Ascending indexes of the zips listed in the cells `box` covers. A
+        box that covers more cells than are occupied scans the occupied ones
+        instead, so no feature costs more than the index holds."""
+        i0, j0, i1, j1 = self._span(box)
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(self.cells):
+            keys = product(range(i0, i1 + 1), range(j0, j1 + 1))
+        else:
+            keys = [(i, j) for i, j in self.cells if i0 <= i <= i1 and j0 <= j <= j1]
+        found: set[int] = set()
+        for key in keys:
+            found.update(self.cells.get(key, ()))
+        return sorted(found)
+
+
 def materialize_spatial_relations(graph: Graph) -> SpatialReport:
     """Assert point-in-zip (sfWithin/sfContains) and line-crosses-zip triples.
 
@@ -101,6 +160,7 @@ def materialize_spatial_relations(graph: Graph) -> SpatialReport:
         if not isinstance(zip_geom, (geometry.Polygon, geometry.MultiPolygon)):
             raise StoredGeometryError(f"{zip_iri.value}: zip area geometry must be a polygon")
         zip_areas.append((zip_iri, zip_geom, geometry.bbox(zip_geom)))
+    grid = _ZipGrid([zip_box for _, _, zip_box in zip_areas])
 
     for feature, geom in _geometries(graph, FEATURE_CLASSES):
         if geom is None:
@@ -110,7 +170,8 @@ def materialize_spatial_relations(graph: Graph) -> SpatialReport:
         if not is_point and not isinstance(geom, (geometry.LineString, geometry.MultiLineString)):
             continue
         box = geometry.bbox(geom)
-        for zip_iri, zip_geom, zip_box in zip_areas:
+        for index in grid.candidates(box):
+            zip_iri, zip_geom, zip_box = zip_areas[index]
             if geometry.bbox_disjoint(box, zip_box):
                 continue
             if is_point:

@@ -8,6 +8,11 @@ for the ontology export and round-trips only what this toolkit emits.
 Lines end only at "\\n", "\\r\\n" or "\\r", the N-Triples EOL; any other
 character, U+2028 included, may stand raw inside a literal. Each line is
 read with one compiled pattern, one match per term.
+
+One parse reads each distinct term text once: later occurrences of the
+same token share the term the first one built (and checked), so equal
+terms in a loaded graph are one object. Only text whose meaning does not
+depend on parser state is shared; Turtle prefixed names are read each time.
 """
 
 from __future__ import annotations
@@ -199,10 +204,39 @@ def _prefix(line: str, line_no: int, prefixes: PrefixTable) -> None:
     prefixes.register(name, namespace.value)
 
 
-def _triple(line: str, line_no: int, prefixes: Optional[PrefixTable]) -> Triple:
+def _interned(
+    m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable], terms: dict[str, Term]
+) -> Term:
+    """`_term`, read once per token text in one parse and shared after that.
+
+    A text that failed is never stored, so each occurrence is reported at
+    its own line and column. A text that needs the prefix table (a prefixed
+    name, or a literal typed by one) is never stored: `@prefix` may rebind it.
+    """
+    text = m[m.lastgroup]
+    term = terms.get(text)
+    if term is None:
+        term = _term(m, line, line_no, prefixes)
+        if prefixes is None or not _prefixed(m):
+            terms[text] = term
+    return term
+
+
+def _prefixed(m: re.Match) -> bool:
+    """Does the term `m` reads use a prefix: a prefixed name, or a literal typed by one?"""
+    if m.lastgroup == "word":
+        return not m["word"].startswith("_:")
+    return m["suffix"] == "^^" and not m["tag"].startswith("<")
+
+
+def _triple(
+    line: str, line_no: int, prefixes: Optional[PrefixTable], terms: dict[str, Term]
+) -> Triple:
     """Read `subject predicate object .`, optionally followed by a comment."""
     tokens = _TOKEN.finditer(line)
-    subject, predicate, obj = [_term(next(tokens), line, line_no, prefixes) for _ in range(3)]
+    subject, predicate, obj = [
+        _interned(next(tokens), line, line_no, prefixes, terms) for _ in range(3)
+    ]
     _end(line, line_no, _expect(".", next(tokens), line, line_no))
     if not isinstance(predicate, Iri):
         raise _error("predicate must be an IRI", line_no, 0)
@@ -215,6 +249,7 @@ def _triple(line: str, line_no: int, prefixes: Optional[PrefixTable]) -> Triple:
 def _parse(text: str, prefixes: Optional[PrefixTable]) -> Graph:
     """The one line loop; a prefix table admits Turtle's @prefix and prefixed names."""
     graph = Graph(prefixes=prefixes)
+    terms: dict[str, Term] = {}  # token text -> its term, for this parse only
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -223,7 +258,7 @@ def _parse(text: str, prefixes: Optional[PrefixTable]) -> Graph:
         if prefixes is not None and stripped.startswith("@prefix"):
             _prefix(line, line_no, prefixes)
         else:
-            graph.insert(_triple(line, line_no, prefixes))
+            graph.insert(_triple(line, line_no, prefixes, terms))
     return graph
 
 

@@ -29,6 +29,10 @@ class Namespace:
     """IRI namespace with attribute/index access to mint terms.
 
     ``GEO.Feature`` and ``EVR["connectortype.CHAdeMO"]`` both return Iri.
+    An attribute IRI is built and checked once and then stored on the
+    instance, so every ``GEO.Feature`` is one shared object (and
+    ``RDF.type is RDF_TYPE``); the cache holds only names spelled in code.
+    Item access, used for per-row resource IRIs, builds a new Iri each time.
     """
 
     def __init__(self, base: str):
@@ -37,7 +41,8 @@ class Namespace:
     def __getattr__(self, local: str) -> "Iri":
         if local.startswith("_"):
             raise AttributeError(local)
-        return Iri(self.base + local)
+        iri = self.__dict__[local] = Iri(self.base + local)
+        return iri
 
     def __getitem__(self, local: str) -> "Iri":
         return Iri(self.base + local)

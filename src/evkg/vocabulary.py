@@ -480,68 +480,43 @@ def validate_instances(data: Graph, reg: Optional[OntologyRegistry] = None) -> l
     Reports object-property objects whose declared types contradict the
     range, datatype-property values with the wrong datatype, and subjects
     typed with an unregistered class in the ev-ont namespace. Untyped
-    objects pass (open world).
+    objects pass (open world). A violation depends only on the predicate
+    and the object, so each distinct pair is checked once; the failing
+    pairs are then reported per triple, in the graph's iteration order.
     """
     reg = reg or registry()
-    violations: list[Violation] = []
-    type_cache: dict[Term, list[Iri]] = {}
 
-    def types_of(term: Term) -> list[Iri]:
-        if term not in type_cache:
-            type_cache[term] = [
-                t.object for t in data.match(term, RDF_TYPE, None) if isinstance(t.object, Iri)
-            ]
-        return type_cache[term]
-
-    for t in data:
-        if t.predicate == RDF_TYPE:
-            if isinstance(t.object, Iri) and t.object.value.startswith(EV_ONT.base):
-                if not reg.is_class(t.object):
-                    violations.append(
-                        Violation(
-                            "unknown-class",
-                            t.subject,
-                            None,
-                            t.object,
-                            f"unregistered class {t.object.value}",
-                        )
-                    )
-            continue
-        prop = reg.property_def(t.predicate)
+    def problem(predicate: Iri, obj: Term) -> Optional[tuple[str, str]]:
+        """(kind, message) of the violation every triple with this predicate and object is."""
+        if predicate == RDF_TYPE:
+            if isinstance(obj, Iri) and obj.value.startswith(EV_ONT.base) and not reg.is_class(obj):
+                return "unknown-class", f"unregistered class {obj.value}"
+            return None
+        prop = reg.property_def(predicate)
         if prop is None or prop.range is None:
-            continue
+            return None
         if prop.kind == DATATYPE:
-            if not isinstance(t.object, Literal) or t.object.datatype != prop.range:
-                violations.append(
-                    Violation(
-                        "range-datatype",
-                        t.subject,
-                        t.predicate,
-                        t.object,
-                        f"expected literal of datatype {prop.range.value}",
-                    )
-                )
-        else:
-            if isinstance(t.object, Literal):
-                violations.append(
-                    Violation(
-                        "range-type",
-                        t.subject,
-                        t.predicate,
-                        t.object,
-                        "object property must not point at a literal",
-                    )
-                )
-                continue
-            obj_types = types_of(t.object)
-            if obj_types and not any(reg.conforms_to(c, prop.range) for c in obj_types):
-                violations.append(
-                    Violation(
-                        "range-type",
-                        t.subject,
-                        t.predicate,
-                        t.object,
-                        f"object types contradict range {prop.range.value}",
-                    )
-                )
+            if not isinstance(obj, Literal) or obj.datatype != prop.range:
+                return "range-datatype", f"expected literal of datatype {prop.range.value}"
+            return None
+        if isinstance(obj, Literal):
+            return "range-type", "object property must not point at a literal"
+        obj_types = [c for c in data.objects(obj, RDF_TYPE) if isinstance(c, Iri)]
+        if obj_types and not any(reg.conforms_to(c, prop.range) for c in obj_types):
+            return "range-type", f"object types contradict range {prop.range.value}"
+        return None
+
+    failing: dict[tuple[Iri, Term], tuple[str, str]] = {}
+    for pair in data.predicate_objects():
+        found = problem(*pair)
+        if found is not None:
+            failing[pair] = found
+    if not failing:
+        return []
+    violations: list[Violation] = []
+    for s, p, o in data:
+        found = failing.get((p, o))
+        if found is not None:
+            kind, message = found
+            violations.append(Violation(kind, s, None if p == RDF_TYPE else p, o, message))
     return violations

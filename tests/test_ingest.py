@@ -651,3 +651,20 @@ def test_fixture_36_record_walkthrough(fixture_graph):
             found.append(coll)
     assert len(found) == 1
     assert fixture_graph.value(found[0], EV_ONT.hasAmount) == Literal("36", XSD_INTEGER)
+
+
+def test_equal_registration_rows_share_one_record(tmp_path):
+    good = ["WBY1Z4C5", "07677", "2018", "2019", "BMW", "i3", "BEV",
+            "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"]
+    other = good[:1] + ["07001"] + good[2:]
+    bad = ["SHORT"] + good[1:]
+    rows = [good, bad, good, other, bad, good]
+    path = _write_registrations(tmp_path / "registrations.csv", rows)
+    records, issues = read_registrations(path)
+    assert len(records) == 4
+    assert records[0] is records[1] is records[3]
+    assert records[2] is not records[0] and records[2].product is records[0].product
+    message = "vin8 must be exactly 8 characters: 'SHORT'"
+    assert [(i.row, i.message) for i in issues] == [(3, message), (6, message)]
+    amounts = {c.zip: c.amount for c in aggregate_registrations(records)}
+    assert amounts == {"07677": 3, "07001": 1}

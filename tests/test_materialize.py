@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+
+import pytest
+
 from evkg import geometry
 from evkg.graph import Graph
 from evkg.ingest import (
@@ -13,6 +17,7 @@ from evkg.ingest import (
 )
 from evkg.materialize import (
     FEATURE_CLASSES,
+    SpatialReport,
     materialize_spatial_relations,
     materialize_subclass_closure,
 )
@@ -231,3 +236,165 @@ def test_closure_equals_reachability_oracle(raw_fixture_graph):
             for sup in reachable(t.object):
                 expected.add(Triple(t.subject, RDF.type, sup))
     assert set(g) == expected
+
+
+# --- grid candidates against all pairs -----------------------------------------
+
+
+def _square(zip_code: str, x0: float, y0: float, size: float) -> tuple[str, str]:
+    x1, y1 = x0 + size, y0 + size
+    return zip_code, f"POLYGON (({x0} {y0}, {x1} {y0}, {x1} {y1}, {x0} {y1}, {x0} {y0}))"
+
+
+def _world(zips: list[tuple[str, str]], assets: list[tuple[str, str, str]]) -> Graph:
+    """Zip areas (zip, wkt) and transmission assets (id, kind, wkt) in one graph."""
+    g = Graph()
+    g.update(triplify_places([ZipAreaRecord(z, wkt, "New Jersey", "Bergen") for z, wkt in zips]))
+    g.update(triplify_transmission([TransmissionAssetRecord(a, k, wkt) for a, k, wkt in assets]))
+    return g
+
+
+def _all_pairs(graph: Graph) -> SpatialReport:
+    """The reference: every feature against every zip, no boxes, no grid."""
+    report = SpatialReport()
+
+    def members(classes):
+        found = {s for c in classes for s in graph.subjects(RDF.type, c) if isinstance(s, Iri)}
+        return sorted(found, key=lambda iri: iri.value)
+
+    def geometry_of(member):
+        for node in graph.objects(member, GEO.hasGeometry):
+            for wkt in graph.objects(node, GEO.asWKT):
+                return geometry.parse_wkt(wkt.lexical)
+        return None
+
+    zips = [(z, geometry_of(z)) for z in members((KWG_ONT.ZipCodeArea,))]
+    for feature in members(FEATURE_CLASSES):
+        geom = geometry_of(feature)
+        if geom is None:
+            report.skipped_no_geometry.append(feature)
+            continue
+        for zip_iri, zip_geom in zips:
+            if zip_geom is None:
+                continue
+            if isinstance(geom, geometry.Point):
+                loc = geometry.locate_point(geom, zip_geom)
+                if loc == geometry.INTERIOR:
+                    report.added_within += graph.insert(Triple(feature, KWG_ONT.sfWithin, zip_iri))
+                    report.added_contains += graph.insert(Triple(zip_iri, KWG_ONT.sfContains, feature))
+                elif loc == geometry.BOUNDARY:
+                    report.boundary_features.append((feature, zip_iri))
+            elif geometry.sf_crosses(geom, zip_geom):
+                report.added_crosses += graph.insert(Triple(feature, KWG_ONT.sfCrosses, zip_iri))
+    return report
+
+
+def _inserts(graph: Graph, materialize) -> tuple[list[Triple], SpatialReport]:
+    """The new triples `materialize(graph)` inserts, in order, and its report."""
+    inserted = []
+    insert = graph.insert
+
+    def recording(t):
+        new = insert(t)
+        if new:
+            inserted.append(t)
+        return new
+
+    graph.insert = recording
+    return inserted, materialize(graph)
+
+
+_LINE_ZIPS = [_square(f"{10000 + i}", 2 * i, 0, 1) for i in range(10)]
+_GRID_CASES = {
+    "point on a shared zip boundary": (
+        [_square("07001", 0, 0, 4), _square("07002", 4, 0, 4)],
+        [("S1", "substation", "POINT (4 2)"), ("S2", "substation", "POINT (2 2)"),
+         ("S3", "substation", "POINT (6 4)")],
+    ),
+    # The largest extent is 4, so cell edges sit at multiples of 4 + 2e-9: S1
+    # lies in the cell after 07002's box and S2 in the cell before 07003's,
+    # each within EPS of the box edge.
+    "box touch within EPS at a cell edge": (
+        [_square("07001", 0, 0, 4),
+         ("07002", "POLYGON ((9 0, 12.000000005 0, 12.000000005 4, 9 4, 9 0))"),
+         ("07003", "POLYGON ((16.000000008 0, 18 0, 18 4, 16.000000008 4, 16.000000008 0))")],
+        [("S1", "substation", "POINT (12.000000006 2)"),
+         ("S2", "substation", "POINT (16.000000007 2)"),
+         ("S3", "substation", "POINT (12.000000005 2)")],
+    ),
+    "line over many cells and zips": (
+        _LINE_ZIPS,
+        [("L1", "line", "LINESTRING (-1 0.5, 21 0.5)"),
+         ("L2", "line", "LINESTRING (0.5 -1, 6.5 2)"),
+         ("S1", "substation", "POINT (4.5 0.5)")],
+    ),
+    "one zip much larger than the rest": (
+        [_square("07001", 0, 0, 1), _square("07002", 2, 0, 1), _square("07003", 100, 100, 200),
+         _square("07004", 150, 150, 1)],
+        [("S1", "substation", "POINT (150.5 150.5)"), ("S2", "substation", "POINT (0.5 0.5)"),
+         ("S3", "substation", "POINT (299 299)"), ("L1", "line", "LINESTRING (-1 0.5, 120 120)")],
+    ),
+    "no zips": (
+        [],
+        [("S1", "substation", "POINT (1 1)"), ("L1", "line", "LINESTRING (0 0, 5 5)")],
+    ),
+    # Over 0.001-wide cells, 1e308 is past the largest float cell number.
+    "feature far outside every zip": (
+        [_square("07001", 0, 0, 0.001), _square("07002", 5, 5, 0.001)],
+        [("S1", "substation", "POINT (1000000000 1000000000)"),
+         ("S2", "plant", "POINT (1e308 -1e308)"),
+         ("L1", "line", "LINESTRING (-1e9 5, 1e9 5)")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_grid_matches_all_pairs_reference(case):
+    zips, assets = _GRID_CASES[case]
+    world = _world(zips, assets)
+    world.insert(Triple(EVR["substation.ghost"], RDF.type, EV_ONT.Substation))
+    expected, expected_report = _inserts(Graph(world), _all_pairs)
+    actual, report = _inserts(Graph(world), materialize_spatial_relations)
+    assert actual == expected
+    assert report == expected_report
+    assert report.summary_lines() == expected_report.summary_lines()
+
+
+def _counting_box_checks(monkeypatch) -> list[tuple[geometry.Box, geometry.Box]]:
+    checked = []
+    disjoint = geometry.bbox_disjoint
+
+    def counting(a, b, eps=geometry.EPS):
+        checked.append((a, b))
+        return disjoint(a, b, eps)
+
+    monkeypatch.setattr(geometry, "bbox_disjoint", counting)
+    return checked
+
+
+def test_eps_touch_across_a_cell_edge_is_checked(monkeypatch):
+    zips, assets = _GRID_CASES["box touch within EPS at a cell edge"]
+    side = 4 + 2 * geometry.EPS
+    touching = [
+        ((12.000000006, 2.0, 12.000000006, 2.0), (9.0, 0.0, 12.000000005, 4.0)),
+        ((16.000000007, 2.0, 16.000000007, 2.0), (16.000000008, 0.0, 18.0, 4.0)),
+    ]
+    for point_box, zip_box in touching:
+        assert math.floor(point_box[0] / side) != math.floor(zip_box[0] / side)
+        assert math.floor(point_box[0] / side) != math.floor(zip_box[2] / side)
+        assert not geometry.bbox_disjoint(point_box, zip_box)
+    checked = _counting_box_checks(monkeypatch)
+    materialize_spatial_relations(_world(zips, assets[:2]))
+    for pair in touching:
+        assert pair in checked
+
+
+def test_box_checks_grow_linearly(monkeypatch):
+    n = 64
+    zips = [_square(f"{10000 + i}", 3 * i, 0, 1) for i in range(n)]
+    assets = [(f"S{i}", "substation", f"POINT ({3 * i + 0.5} 0.5)") for i in range(n)]
+    world = _world(zips, assets)
+    checked = _counting_box_checks(monkeypatch)
+    report = materialize_spatial_relations(world)
+    assert report.added_within == n
+    assert len(checked) <= 4 * n

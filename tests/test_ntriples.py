@@ -266,3 +266,32 @@ def test_readers_raise_only_parse_errors(pieces):
             parse(text)
         except ParseError:
             pass
+
+
+def test_parse_shares_one_object_per_distinct_term(fixture_graph):
+    graph = parse_ntriples(serialize_ntriples(fixture_graph))
+    terms = [term for t in graph for term in t]
+    assert len({id(term) for term in terms}) == len(set(terms)) < len(terms)
+
+
+def test_turtle_prefixed_names_follow_each_prefix_binding():
+    text = (
+        "@prefix ex: <http://a.example/> .\n"
+        'ex:s ex:p ex:o .\nex:s ex:q "1"^^ex:t .\n'
+        "@prefix ex: <http://b.example/> .\n"
+        'ex:s ex:p ex:o .\nex:s ex:q "1"^^ex:t .\n'
+    )
+    graph = parse_turtle(text)
+    assert {(t.subject.value, t.object) for t in graph} == {
+        ("http://a.example/s", Iri("http://a.example/o")),
+        ("http://a.example/s", Literal("1", Iri("http://a.example/t"))),
+        ("http://b.example/s", Iri("http://b.example/o")),
+        ("http://b.example/s", Literal("1", Iri("http://b.example/t"))),
+    }
+
+
+def test_repeated_term_text_in_a_bad_position_reports_its_own_line():
+    text = '<http://x/s> <http://x/p> "lit" .\n"lit" <http://x/p> <http://x/o> .\n'
+    with pytest.raises(ParseError) as exc:
+        parse_ntriples(text)
+    assert (exc.value.line, exc.value.col) == (2, 1)

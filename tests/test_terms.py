@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from evkg.terms import (
     EV_ONT,
     EVR,
+    RDF,
+    RDF_TYPE,
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_GYEAR,
@@ -161,3 +163,16 @@ def test_numeric_value_kinds():
     assert numeric_value(Literal("7", XSD_INTEGER)) == ("integer", 7)
     assert numeric_value(Literal("2021", XSD_GYEAR)) == ("integer", 2021)
     assert numeric_value(Literal("not a number")) is None
+
+
+def test_namespace_shares_attribute_iris_but_not_items():
+    assert EV_ONT.Foo is EV_ONT.Foo
+    assert RDF.type is RDF_TYPE
+    cached = dict(EVR.__dict__)
+    assert EVR["x"] == EVR["x"] and EVR["x"] is not EVR["x"]
+    assert EVR.__dict__ == cached
+    with pytest.raises(AttributeError):
+        EV_ONT._x
+    with pytest.raises(TermError):
+        getattr(EV_ONT, "not an iri")
+    assert "not an iri" not in EV_ONT.__dict__

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 from evkg.graph import Graph
 from evkg.ntriples import serialize_turtle
-from evkg.terms import EV_ONT, EVR, GEO, KWG_ONT, RDF, RDFS, XSD, Iri, Literal, Triple
+from evkg.terms import EV_ONT, EVR, GEO, KWG_ONT, RDF, RDF_TYPE, RDFS, XSD, Iri, Literal, Triple
 from evkg.vocabulary import (
+    DATATYPE,
     ClassDef,
     OntologyRegistry,
+    Violation,
     registry,
     schema_graph,
     validate_instances,
@@ -188,3 +190,80 @@ def test_every_suite_query_term_resolves(fixture_graph):
                 assert reg.is_property(tp.p), f"query {qid}: {tp.p}"
                 if tp.p == RDF_TYPE and isinstance(tp.o, Iri):
                     assert reg.is_class(tp.o), f"query {qid}: {tp.o}"
+
+
+def _validate_per_triple(data: Graph, reg) -> list[Violation]:
+    """Reference: the per-triple walk, every range check once per triple."""
+    violations: list[Violation] = []
+    type_cache: dict = {}
+
+    def types_of(term):
+        if term not in type_cache:
+            type_cache[term] = [
+                t.object for t in data.match(term, RDF_TYPE, None) if isinstance(t.object, Iri)
+            ]
+        return type_cache[term]
+
+    for t in data:
+        if t.predicate == RDF_TYPE:
+            if isinstance(t.object, Iri) and t.object.value.startswith(EV_ONT.base):
+                if not reg.is_class(t.object):
+                    violations.append(
+                        Violation("unknown-class", t.subject, None, t.object,
+                                  f"unregistered class {t.object.value}")
+                    )
+            continue
+        prop = reg.property_def(t.predicate)
+        if prop is None or prop.range is None:
+            continue
+        if prop.kind == DATATYPE:
+            if not isinstance(t.object, Literal) or t.object.datatype != prop.range:
+                violations.append(
+                    Violation("range-datatype", t.subject, t.predicate, t.object,
+                              f"expected literal of datatype {prop.range.value}")
+                )
+        else:
+            if isinstance(t.object, Literal):
+                violations.append(
+                    Violation("range-type", t.subject, t.predicate, t.object,
+                              "object property must not point at a literal")
+                )
+                continue
+            obj_types = types_of(t.object)
+            if obj_types and not any(reg.conforms_to(c, prop.range) for c in obj_types):
+                violations.append(
+                    Violation("range-type", t.subject, t.predicate, t.object,
+                              f"object types contradict range {prop.range.value}")
+                )
+    return violations
+
+
+class _CountingRegistry:
+    """A registry that counts the range lookups made through it."""
+
+    def __init__(self, reg):
+        self.reg, self.lookups = reg, 0
+
+    def property_def(self, iri):
+        self.lookups += 1
+        return self.reg.property_def(iri)
+
+    def __getattr__(self, name):
+        return getattr(self.reg, name)
+
+
+def test_validate_checks_each_pair_once_and_reports_every_triple(raw_fixture_graph):
+    g = Graph(raw_fixture_graph)
+    for i in range(4):
+        g.insert(Triple(EVR[f"s{i}"], EV_ONT.hasAmount, Literal("abc")))  # range-datatype
+        g.insert(Triple(EVR[f"s{i}"], EV_ONT.hasProductInfo, Literal("p")))  # range-type, literal
+        g.insert(Triple(EVR[f"s{i}"], EV_ONT.hasProductInfo, EVR["plant"]))  # range-type, types
+        g.insert(Triple(EVR[f"s{i}"], RDF.type, EV_ONT.NoSuchClass))  # unknown-class
+    g.insert(Triple(EVR["plant"], RDF.type, EV_ONT.PowerPlant))
+    reg = _CountingRegistry(registry())
+    violations = validate_instances(g, reg)
+    assert violations == _validate_per_triple(g, registry())
+    assert {v.kind for v in violations} == {"range-type", "range-datatype", "unknown-class"}
+    assert len(violations) == 16
+    pairs = {(t.predicate, t.object) for t in g if t.predicate != RDF_TYPE}
+    assert reg.lookups == len(pairs) < len(g)
