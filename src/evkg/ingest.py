@@ -8,13 +8,9 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
   a `RegistrationRecord`: vin8, zip, registration year and its product, one
   `ProductKey` built from the other nine columns. A product is built and
   checked once per distinct set of those nine cells, and every row with the
-  same cells shares that object; a ProductKey computes its hash once. In
-  the same way a record is built once per distinct set of all twelve
-  cells: rows with equal cells share one record object, while every row
-  still yields its record and an invalid row is checked and reported on
-  its own. Registrations are counted into one collection per (zip, year,
-  product), and the products written are the distinct ones among the
-  collections.
+  same cells shares that object; a ProductKey computes its hash once.
+  Registrations are counted into one collection per (zip, year, product),
+  and the products written are the distinct ones among the collections.
 * stations.csv: station_id,name,lon,lat,zip,access,network,operating_hours,
   open_date,pricing,parking_restriction,charger_groups
   (charger_groups: |-separated charger:connector:count triplets)
@@ -28,9 +24,13 @@ function that builds a record from a row's cells. A row whose build raises
 from the header's is skipped and reported with its row number; it never
 aborts a load. A file that is not UTF-8, or a row the csv module cannot
 read (a cell over its 131,072-character field limit), is an `IngestError`
-naming the file (and row), which fails the whole load. Source strings are
-preserved byte-exactly (including whitespace), because literal matching in
-queries is exact.
+naming the file (and row), which fails the whole load. Source files repeat
+rows (29,464 rows of the k=8 bench registrations hold 376 distinct lines),
+so `_read_records` parses and builds a row that fits on one line once per
+distinct line text: equal lines share one record object, while every row
+is still returned and counted, and a skipped one is reported with its own
+row number. Source strings are preserved byte-exactly (including
+whitespace), because literal matching in queries is exact.
 
 Each triplifier returns the triples it emits, repeats included, and
 `build_graph` inserts them into its one graph. IRIs are minted
@@ -56,6 +56,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -302,32 +303,50 @@ def _read_records(
 ) -> tuple[list[R], list[RowIssue]]:
     """Return (`build(*cells)` per data row, with cells in `required` order;
     the skipped rows). Blank lines are not rows. A cell longer than the csv
-    module's field limit (131,072 characters) fails the load naming its row."""
+    module's field limit (131,072 characters) fails the load naming its row.
+
+    The outcome of a row that begins and ends on one line is kept by the
+    line's text: csv starts every record from the same state, so that line
+    parses the same wherever a record starts with it. A record spanning
+    several lines (a quoted cell with a line break) is parsed every time;
+    csv pulls its continuation lines from the handle, so they are never
+    looked up."""
     records: list[R] = []
     issues: list[RowIssue] = []
+    seen: dict[str, tuple[Optional[R], Optional[str]]] = {}  # line -> (record, skip message)
     row_no = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, [])
+            header = next(csv.reader(handle), [])
             position = {col: i for i, col in enumerate(header)}  # a repeated column: its last cell
             missing = [col for col in required if col not in position]
             if missing:
                 raise IngestError(f"{path}: missing columns {missing}")
             pick = operator.itemgetter(*(position[col] for col in required))
             row_no = 1  # row 1 is the header
-            for cells in reader:
-                if not cells:
-                    continue
+            for line in handle:
+                outcome = seen.get(line)
+                if outcome is None:
+                    rows = csv.reader(chain((line,), handle))
+                    cells = next(rows, [])
+                    if not cells:
+                        continue
+                    if len(cells) != len(header):
+                        message = f"cell count {len(cells)} differs from the header's {len(header)}"
+                        outcome = (None, message)
+                    else:
+                        try:
+                            outcome = (build(*pick(cells)), None)
+                        except ValueError as exc:  # IngestError, TermError, WktParseError
+                            outcome = (None, str(exc))
+                    if rows.line_num == 1:
+                        seen[line] = outcome
                 row_no += 1
-                if len(cells) != len(header):
-                    message = f"cell count {len(cells)} differs from the header's {len(header)}"
+                record, message = outcome
+                if message is None:
+                    records.append(record)
+                else:
                     issues.append(RowIssue(row_no, message))
-                    continue
-                try:
-                    records.append(build(*pick(cells)))
-                except ValueError as exc:  # IngestError, TermError and WktParseError among them
-                    issues.append(RowIssue(row_no, str(exc)))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -356,17 +375,10 @@ def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIs
         "connector_types",
     ]
     products: dict[tuple[str, ...], ProductKey] = {}  # by its nine cells; valid products only
-    records: dict[tuple[str, ...], RegistrationRecord] = {}  # by all twelve cells; valid rows only
 
-    def build(*cells: str) -> RegistrationRecord:
-        record = records.get(cells)
-        if record is None:
-            record = records[cells] = build_record(*cells)
-        return record
-
-    def build_record(vin8, zip_code, model_year, registration_year, make, model, technology,
-                     manufacturer, use_case, weight_level, charger_types,
-                     connector_types) -> RegistrationRecord:
+    def build(vin8, zip_code, model_year, registration_year, make, model, technology,
+              manufacturer, use_case, weight_level, charger_types,
+              connector_types) -> RegistrationRecord:
         cells = (model_year, make, model, technology, manufacturer, use_case, weight_level,
                  charger_types, connector_types)
         product = products.get(cells)

@@ -3,18 +3,23 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evkg import geometry
+from evkg import geometry, ingest
 from evkg.graph import Graph
 from evkg.ingest import (
     ChargerGroup,
     DuplicateZip,
+    IngestError,
     ProductKey,
     RegistrationRecord,
+    RowIssue,
     StationRecord,
     UnknownVocabularyToken,
     ZipAreaRecord,
@@ -32,6 +37,7 @@ from evkg.ingest import (
     triplify_transmission,
     zip_area_iri,
     TransmissionAssetRecord,
+    _read_records,
 )
 from evkg.ntriples import serialize_ntriples
 from evkg.terms import EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, Triple, XSD_INTEGER
@@ -668,3 +674,159 @@ def test_equal_registration_rows_share_one_record(tmp_path):
     assert [(i.row, i.message) for i in issues] == [(3, message), (6, message)]
     amounts = {c.zip: c.amount for c in aggregate_registrations(records)}
     assert amounts == {"07677": 3, "07001": 1}
+
+
+# --- The per-line memo in the shared row loop -----------------------------------
+
+
+def _read_records_one_reader(path: Path, required, build):
+    """Reference: the row loop before the per-line memo, one csv reader over the file."""
+    records, issues = [], []
+    row_no = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            position = {col: i for i, col in enumerate(header)}
+            missing = [col for col in required if col not in position]
+            if missing:
+                raise IngestError(f"{path}: missing columns {missing}")
+            pick = operator.itemgetter(*(position[col] for col in required))
+            row_no = 1
+            for cells in reader:
+                if not cells:
+                    continue
+                row_no += 1
+                if len(cells) != len(header):
+                    message = f"cell count {len(cells)} differs from the header's {len(header)}"
+                    issues.append(RowIssue(row_no, message))
+                    continue
+                try:
+                    records.append(build(*pick(cells)))
+                except ValueError as exc:
+                    issues.append(RowIssue(row_no, str(exc)))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
+    return records, issues
+
+
+def _build_or_raise(c: str, a: str) -> tuple[str, str]:
+    if "bad" in (a, c):
+        raise IngestError(f"bad cell in {(c, a)!r}")
+    if a == "y":
+        raise ValueError(f"y beside {c!r}")
+    return c, a
+
+
+def _outcome(read, path: Path):
+    try:
+        return read(path, ["c", "a"], _build_or_raise)
+    except IngestError as exc:
+        return "error", str(exc)
+
+
+# Cells with quotes, doubled quotes, quoted commas and quoted line breaks, and one
+# ("zzzzzzzzz") over the field limit the differential test sets.
+_CELLS = ["x", "y", "bad", "", '"', '""', '"q,c"', '"q\nl"', '"q\r\nl"', '"q\rl"',
+          '"a""b"', 'p"q', "zzzzzzzzz"]
+_ENDINGS = ["\n", "\r\n", "\r", ""]
+_cell = st.one_of(st.sampled_from(["x", "z", ""]), st.sampled_from(_CELLS))
+_line = st.builds(
+    lambda cells, end: ",".join(cells) + end,
+    st.one_of(st.lists(_cell, min_size=3, max_size=3), st.lists(_cell, min_size=1, max_size=4)),
+    st.sampled_from(_ENDINGS),
+)
+# Lines are drawn from a small pool, so most files repeat lines; raw pieces mix in
+# stray quotes, separators and blank lines anywhere.
+_body = st.lists(st.one_of(_line, _line, st.sampled_from(_CELLS + [",", "\n", "\r\n", "\r"])),
+                 min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+
+
+@settings(max_examples=400, deadline=None)
+@given(header_end=st.sampled_from(["\n", "\r\n", "\r"]), body=_body)
+def test_line_memo_matches_one_reader_loop(tmp_path_factory, header_end, body):
+    path = tmp_path_factory.mktemp("memo") / "rows.csv"
+    path.write_text("a,b,c" + header_end + "".join(body), encoding="utf-8", newline="")
+    limit = csv.field_size_limit(8)
+    try:
+        expected = _outcome(_read_records_one_reader, path)
+        assert _outcome(_read_records, path) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _counting(build):
+    calls = []
+
+    def counted(*cells):
+        calls.append(cells)
+        return build(*cells)
+
+    return counted, calls
+
+
+def test_multi_line_record_is_parsed_every_time(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text('a,b,c\nx,"l1\nl2",z\nx,"l1\nl2",z\nl2",z\nx,y,z\n', encoding="utf-8")
+    build, calls = _counting(lambda c, a: (c, a))
+    records, issues = _read_records(path, ["c", "a"], build)
+    assert records == [("z", "x"), ("z", "x"), ("z", "x")]
+    assert records[0] is not records[1]  # built twice: a two-line record is never kept
+    assert len(calls) == 3
+    # The continuation line's text, met at a record start, is parsed as its own row.
+    assert [(i.row, i.message) for i in issues] == [(4, "cell count 2 differs from the header's 3")]
+
+
+def test_same_line_without_final_newline_gives_the_same_record(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c\r\nx,y,z\r\nx,y,z\r\nx,y,z", encoding="utf-8")
+    records, issues = _read_records(path, ["c", "a"], lambda c, a: (c, a))
+    assert records == [("z", "x")] * 3 and not issues
+    assert records[0] is records[1]
+
+
+def test_oversized_cell_after_memo_hits_names_its_row(tmp_path):
+    path = tmp_path / "rows.csv"
+    huge = "w" * 131_073
+    path.write_text(f"a,b,c\nx,y,z\n\nx,y,z\nx,y,z\nx,{huge},z\nx,y,z\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"rows\.csv: row 5: field larger than field limit"):
+        _read_records(path, ["c", "a"], lambda c, a: (c, a))
+
+
+def test_repeated_short_rows_each_reported(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c\nx\nx,y,z\nx\n\nx\n", encoding="utf-8")
+    records, issues = _read_records(path, ["c", "a"], lambda c, a: (c, a))
+    assert records == [("z", "x")]
+    message = "cell count 1 differs from the header's 3"
+    assert [(i.row, i.message) for i in issues] == [(2, message), (4, message), (5, message)]
+
+
+@pytest.mark.parametrize("reader, name", [
+    (read_registrations, "registrations.csv"),
+    (read_stations, "stations.csv"),
+    (read_transmission, "transmission.csv"),
+    (read_zip_areas, "zip_areas.csv"),
+])
+def test_build_runs_once_per_distinct_line(tmp_path, fixtures_dir, monkeypatch, reader, name):
+    header, *lines = (fixtures_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / name
+    path.write_text(header + "".join(lines * 3), encoding="utf-8")
+    calls = []
+
+    def read_counting(path, required, build):
+        counted, made = _counting(build)
+        calls.append(made)
+        return _read_records(path, required, counted)
+
+    monkeypatch.setattr(ingest, "_read_records", read_counting)
+    records, issues = reader(path)
+    assert not issues and len(records) == 3 * len(lines)
+    [made] = calls
+    assert len(made) == len(set(lines))
+    first = {}
+    for line, record in zip(lines * 3, records):
+        assert first.setdefault(line, record) is record
