@@ -77,9 +77,22 @@ def triple_to_ntriples(t: Triple) -> str:
     )
 
 
+class _TermText(dict):
+    """term -> its N-Triples text, rendered on first use."""
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = term_to_ntriples(term)
+        return text
+
+
 def serialize_ntriples(graph: Graph) -> str:
-    lines = sorted(triple_to_ntriples(t) for t in graph)
-    return "".join(line + "\n" for line in lines)
+    """Sorted N-Triples lines; each distinct term is rendered once per call.
+
+    Each term's text ends itself, so no line is a prefix of another, and
+    lines sort in the same order with their newline as without it.
+    """
+    text = _TermText()
+    return "".join(sorted(f"{text[s]} {text[p]} {text[o]} .\n" for s, p, o in graph))
 
 
 # A word (blank node label, prefixed name, language tag) runs to a blank,

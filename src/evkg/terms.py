@@ -4,6 +4,14 @@ Terms are immutable value objects; equality is exact (lexical, datatype,
 language) so that graph membership follows RDF term semantics. Value-based
 comparison (e.g. numeric equality of "01" and "1") belongs to the query
 layer, not here.
+
+Each term is a tagged tuple, as a `Triple` is: an `Iri` is ``(value,)``, a
+`BlankNode` is ``("_:", label)`` and a `Literal` is ``(lexical, datatype,
+language)``. The three kinds differ in length, so terms of different kinds
+are never equal, and hashing and equality are CPython's tuple and str code,
+with no Python-level `__hash__` or `__eq__` in the graph's index steps. A
+term equals, and hashes like, the plain tuple of its fields:
+``Iri("http://x/") == ("http://x/",)``. A term never equals a `str`.
 """
 
 from __future__ import annotations
@@ -64,20 +72,22 @@ EVR = Namespace("http://evkg.org/resource/")
 _IRI_FORBIDDEN = re.compile(r"[\s<>\"{}|^`\\]")
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """An absolute IRI. Equality is exact string equality."""
+class Iri(tuple):
+    """An absolute IRI: the 1-tuple ``(value,)``. Equality is exact string equality."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.value:
+    def __new__(cls, value: str) -> "Iri":
+        if not value:
             raise TermError("IRI must be non-empty")
-        if _IRI_FORBIDDEN.search(self.value):
-            raise TermError(f"IRI contains forbidden character: {self.value!r}")
+        if _IRI_FORBIDDEN.search(value):
+            raise TermError(f"IRI contains forbidden character: {value!r}")
+        return tuple.__new__(cls, (value,))
 
-    def __hash__(self) -> int:
-        return hash(self.value)
+    value = property(itemgetter(0))
+
+    def __getnewargs__(self) -> tuple[str]:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
@@ -96,40 +106,50 @@ WKT_LITERAL = GEO.wktLiteral
 # Lexical forms, matched whole (`fullmatch`) and ASCII only: `\d` would take
 # any Unicode digit and `$` a trailing newline. xsd:double follows XSD 1.1.
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_DECIMAL_RE = re.compile(_DECIMAL)
-_DOUBLE_RE = re.compile(rf"{_DECIMAL}(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN")
-_GYEAR_RE = re.compile(r"[0-9]{4}")
+
+# datatype -> (pattern its lexical form must match, TermError message).
+# rdf:langString admits any lexical form but requires a language tag.
+_LANGSTRING_FORM = (None, "rdf:langString literal requires a language tag")
+_LEXICAL_FORMS = {
+    RDF_LANGSTRING: _LANGSTRING_FORM,
+    XSD_GYEAR: (re.compile(r"[0-9]{4}"), "xsd:gYear needs a 4-digit lexical form: {!r}"),
+    XSD_INTEGER: (re.compile(r"[+-]?[0-9]+"), "not a valid xsd:integer lexical form: {!r}"),
+    XSD_DECIMAL: (re.compile(_DECIMAL), "not a valid xsd:decimal lexical form: {!r}"),
+    XSD_DOUBLE: (
+        re.compile(rf"{_DECIMAL}(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN"),
+        "not a valid xsd:double lexical form: {!r}",
+    ),
+}
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A typed literal. Plain literals default to xsd:string.
+class Literal(tuple):
+    """A typed literal: the 3-tuple ``(lexical, datatype, language)``.
 
-    A language tag is only admitted together with rdf:langString, never with
-    another datatype.
+    Plain literals default to xsd:string. A language tag is only admitted
+    together with rdf:langString, never with another datatype.
     """
 
-    lexical: str
-    datatype: Iri = XSD_STRING
-    language: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.language is not None and self.datatype != RDF_LANGSTRING:
+    def __new__(
+        cls, lexical: str, datatype: Iri = XSD_STRING, language: Optional[str] = None
+    ) -> "Literal":
+        form = _LEXICAL_FORMS.get(datatype)
+        if form is _LANGSTRING_FORM:
+            if not language:
+                raise TermError(form[1])
+        elif language is not None:
             raise TermError("language tag requires rdf:langString datatype")
-        if self.datatype == RDF_LANGSTRING and not self.language:
-            raise TermError("rdf:langString literal requires a language tag")
-        if self.datatype == XSD_GYEAR and not _GYEAR_RE.fullmatch(self.lexical):
-            raise TermError(f"xsd:gYear needs a 4-digit lexical form: {self.lexical!r}")
-        if self.datatype == XSD_INTEGER and not _INTEGER_RE.fullmatch(self.lexical):
-            raise TermError(f"not a valid xsd:integer lexical form: {self.lexical!r}")
-        if self.datatype == XSD_DECIMAL and not _DECIMAL_RE.fullmatch(self.lexical):
-            raise TermError(f"not a valid xsd:decimal lexical form: {self.lexical!r}")
-        if self.datatype == XSD_DOUBLE and not _DOUBLE_RE.fullmatch(self.lexical):
-            raise TermError(f"not a valid xsd:double lexical form: {self.lexical!r}")
+        elif form is not None and not form[0].fullmatch(lexical):
+            raise TermError(form[1].format(lexical))
+        return tuple.__new__(cls, (lexical, datatype, language))
 
-    def __hash__(self) -> int:
-        return hash(self.lexical)
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[str, Iri, Optional[str]]:
+        return tuple(self)
 
     def __repr__(self) -> str:
         if self.language:
@@ -139,14 +159,21 @@ class Literal:
         return f'"{self.lexical}"^^<{self.datatype.value}>'
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    """A blank node. Labels are expected to be unique within one graph load."""
+class BlankNode(tuple):
+    """A blank node: the 2-tuple ``("_:", label)``.
 
-    label: str
+    Labels are expected to be unique within one graph load.
+    """
 
-    def __hash__(self) -> int:
-        return hash(self.label)
+    __slots__ = ()
+
+    def __new__(cls, label: str) -> "BlankNode":
+        return tuple.__new__(cls, ("_:", label))
+
+    label = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[str]:
+        return (self[1],)
 
     def __repr__(self) -> str:
         return f"_:{self.label}"

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from evkg.cli import main
 from evkg.queries import QUERY_TEXTS
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ROOT
 
 
 @pytest.fixture()
@@ -339,3 +343,36 @@ def test_export_import_export_byte_identical(workspace):
     # materialized snapshot (adds nothing, rewrites canonically)
     assert main(["materialize", "-i", str(snapshot), "-o", str(reloaded)]) == 0
     assert reloaded.read_bytes() == first
+
+
+def _cli_under_hash_seed(seed: str, workdir: Path) -> tuple[bytes, list[str]]:
+    """`evkg ingest` of the fixture, then `evkg cq` 1-6, in subprocesses."""
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*args: str) -> str:
+        result = subprocess.run(
+            [sys.executable, "-m", "evkg.cli", *args],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        return result.stdout
+
+    snapshot = workdir / "evkg.nt"
+    run("ingest", "-c", str(FIXTURES / "evkg-config.json"), "-o", str(snapshot))
+    outputs = [run("cq", "-i", str(snapshot), "-q", str(q)) for q in range(1, 7)]
+    return snapshot.read_bytes(), outputs
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    """Term hashes vary with PYTHONHASHSEED; no output may follow set order."""
+    pin = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["1"]
+    runs = []
+    for seed in ("1", "2"):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        runs.append(_cli_under_hash_seed(seed, workdir))
+    (snap1, cq1), (snap2, cq2) = runs
+    assert snap1 == snap2
+    assert hashlib.sha256(snap1).hexdigest() == pin["sha256"]
+    assert cq1 == cq2
+    assert all(out.startswith(f"Q{q}: PASS") for q, out in enumerate(cq1, 1))

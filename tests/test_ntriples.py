@@ -11,6 +11,7 @@ from evkg.ntriples import (
     serialize_ntriples,
     serialize_turtle,
     term_to_ntriples,
+    triple_to_ntriples,
 )
 from evkg.terms import (
     EVR,
@@ -45,6 +46,16 @@ def test_empty_graph_round_trip():
     text = serialize_ntriples(Graph())
     assert text == ""
     assert len(parse_ntriples(text)) == 0
+
+
+def test_serialize_lines_are_triple_to_ntriples(fixture_graph):
+    """The per-call term memo renders what the per-triple helper renders."""
+    g = Graph(fixture_graph)
+    objects = [Iri("x"), Literal("x"), Literal("x ."), Literal("x\n"), Literal("1", XSD_INTEGER),
+               Literal("x", RDF_LANGSTRING, "en"), Literal("x", RDF_LANGSTRING, "en-GB")]
+    g.update(Triple(s, EVR["p"], o) for s in (BlankNode("x"), BlankNode("x1"), EVR["x"]) for o in objects)
+    lines = sorted(triple_to_ntriples(t) for t in g)  # sorted before the newline is added
+    assert serialize_ntriples(g) == "".join(line + "\n" for line in lines)
 
 
 def test_gyear_literal_round_trip():

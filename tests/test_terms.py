@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from evkg.terms import (
     EV_ONT,
     EVR,
     RDF,
+    RDF_LANGSTRING,
     RDF_TYPE,
     XSD_DECIMAL,
     XSD_DOUBLE,
@@ -107,6 +109,71 @@ def test_triple_is_a_read_only_tuple_of_its_terms():
         with pytest.raises(AttributeError):
             setattr(t, name, s)
     assert t == (s, p, o)
+
+
+def test_terms_of_different_kinds_never_equal():
+    iri, blank, plain = Iri("x"), BlankNode("x"), Literal("x")
+    assert iri != blank and iri != plain and blank != plain
+    assert len({iri, blank, plain}) == 3
+    for term in (iri, blank, plain, Literal("1", XSD_INTEGER)):
+        assert term != "x" and term != "1"
+        assert term not in {"x", "1"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Iri(EVR.base + "s"),
+    lambda: BlankNode("b0"),
+    lambda: Literal("chargers"),
+    lambda: Literal("12", XSD_INTEGER),
+    lambda: Literal("bonjour", RDF_LANGSTRING, "fr"),
+])
+def test_terms_are_values(make):
+    term, again = make(), make()
+    assert term == again and hash(term) == hash(again) and {term: 1}[again] == 1
+    assert term == tuple(term) and hash(term) == hash(tuple(term))
+    for other in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert other == term and type(other) is type(term) and repr(other) == repr(term)
+
+
+def test_term_fields_are_read_only():
+    for term, name in ((Iri("http://x/"), "value"), (Literal("a"), "lexical"),
+                       (Literal("a"), "datatype"), (BlankNode("b"), "label")):
+        with pytest.raises(AttributeError):
+            setattr(term, name, "y")
+        with pytest.raises(AttributeError):
+            term.other = "y"
+
+
+def test_term_reprs():
+    assert repr(Iri("http://x/a")) == "<http://x/a>"
+    assert repr(BlankNode("b1")) == "_:b1"
+    assert repr(Literal("hi")) == '"hi"'
+    assert repr(Literal("hi", RDF_LANGSTRING, "en-GB")) == '"hi"@en-GB'
+    assert repr(Literal("7", XSD_INTEGER)) == '"7"^^<http://www.w3.org/2001/XMLSchema#integer>'
+
+
+def test_terms_construct_by_keyword():
+    assert Literal(lexical="1", datatype=XSD_INTEGER) == Literal("1", XSD_INTEGER)
+    assert Literal(lexical="hi", datatype=RDF_LANGSTRING, language="en").language == "en"
+    assert Literal(lexical="x").datatype == XSD_STRING
+    assert Iri(value="http://x/").value == "http://x/"
+    assert BlankNode(label="b").label == "b"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("hi", XSD_STRING, "en"), "language tag requires rdf:langString datatype"),
+    (("1.5", XSD_INTEGER, "en"), "language tag requires rdf:langString datatype"),
+    (("hi", RDF_LANGSTRING), "rdf:langString literal requires a language tag"),
+    (("hi", RDF_LANGSTRING, ""), "rdf:langString literal requires a language tag"),
+    (("19", XSD_GYEAR), "xsd:gYear needs a 4-digit lexical form: '19'"),
+    (("1.5", XSD_INTEGER), "not a valid xsd:integer lexical form: '1.5'"),
+    (("1e3", XSD_DECIMAL), "not a valid xsd:decimal lexical form: '1e3'"),
+    (("inf", XSD_DOUBLE), "not a valid xsd:double lexical form: 'inf'"),
+])
+def test_literal_error_messages(args, message):
+    with pytest.raises(TermError) as exc:
+        Literal(*args)
+    assert str(exc.value) == message
 
 
 def test_expand_curie_concatenates():
