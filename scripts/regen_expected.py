@@ -17,8 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from evkg.ingest import IngestConfig, build_graph  # noqa: E402
-from evkg.queries import q4_series, q5_series, q6_selected_zips, run_suite_query  # noqa: E402
-from evkg.results import csv_text, solution_to_tsv  # noqa: E402
+from evkg.queries import QUESTION_QUERIES, question_outputs  # noqa: E402
 from evkg.sparql import naive  # noqa: E402
 
 
@@ -39,13 +38,11 @@ def main() -> int:
         )
     )
 
-    outputs: dict[str, str] = {}
-    for qid in range(1, 11):
-        solution = run_suite_query(graph, qid, evaluator=naive.evaluate)
-        outputs[f"query{qid:02d}.tsv"] = solution_to_tsv(solution)
-    outputs["q4_series.csv"] = csv_text(q4_series(graph, evaluator=naive.evaluate))
-    outputs["q5_series.csv"] = csv_text(q5_series(graph, evaluator=naive.evaluate))
-    outputs["q6_zipcodes.csv"] = csv_text(q6_selected_zips(graph, evaluator=naive.evaluate))
+    outputs = {
+        name: text
+        for question in QUESTION_QUERIES
+        for name, text in question_outputs(graph, question, evaluator=naive.evaluate)
+    }
 
     expected_dir = fx / "expected"
     expected_dir.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,7 @@ from .materialize import (
     materialize_subclass_closure,
 )
 from .ntriples import ParseError, parse_ntriples, serialize_ntriples, serialize_turtle
-from .results import csv_text, solution_to_json, solution_to_tsv
+from .results import solution_to_json, solution_to_tsv
 from .sparql import QueryError, parse_query
 from .sparql.engine import evaluate
 from .terms import EV_ONT, KWG_ONT, RDF, Iri
@@ -111,7 +111,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_materialize(args: argparse.Namespace) -> int:
     graph = _load_snapshot(Path(args.input))
-    closure_added = materialize_subclass_closure(graph, registry())
+    closure_added = materialize_subclass_closure(graph)
     try:
         report = materialize_spatial_relations(graph)
     except StoredGeometryError as exc:
@@ -157,17 +157,8 @@ def cmd_cq(args: argparse.Namespace) -> int:
         raise CliError(f"unknown competency question: {question}", EXIT_IO)
     expected_dir = Path(args.expected)
     failures = []
-    outputs: list[tuple[str, str]] = []
     try:
-        for qid in suite.QUESTION_QUERIES[question]:
-            solution = suite.run_suite_query(graph, qid)
-            outputs.append((f"query{qid:02d}.tsv", solution_to_tsv(solution)))
-        if question == 4:
-            outputs.append(("q4_series.csv", csv_text(suite.q4_series(graph))))
-        elif question == 5:
-            outputs.append(("q5_series.csv", csv_text(suite.q5_series(graph))))
-        elif question == 6:
-            outputs.append(("q6_zipcodes.csv", csv_text(suite.q6_selected_zips(graph))))
+        outputs = suite.question_outputs(graph, question)
     except QueryError as exc:
         raise CliError(f"Q{question}: {exc}", EXIT_QUERY) from None
 

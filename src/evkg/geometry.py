@@ -11,6 +11,12 @@ to a boundary when it lies within EPS of an edge.
 
 Boundary semantics follow DE-9IM interiors: a point exactly on a polygon
 boundary intersects the polygon but is not within it.
+
+`_SHAPE_OF` gives each geometry type's dimension, WKT nesting, point paths
+(each point, line or ring) and parts. Polygon a is within polygon b when no
+boundary sample of a is exterior to b and no boundary sample of b is
+interior to a, so that a's connected interior lies wholly on one side of
+b's boundary, and a point inside a is interior to b.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 # Snap tolerance for on-boundary classification, in coordinate units.
 EPS = 1e-9
@@ -68,7 +75,7 @@ class Polygon:
     holes: tuple[Ring, ...] = ()
 
     def __post_init__(self):
-        for ring in (self.outer, *self.holes):
+        for ring in _rings(self):
             if len(ring) < 4:
                 raise GeometryValidationError("ring needs at least 4 points (closed)")
             if ring[0] != ring[-1]:
@@ -108,6 +115,32 @@ class MultiPolygon:
 
 
 Geometry = Union[Point, LineString, Polygon, MultiPoint, MultiLineString, MultiPolygon]
+
+
+class _Shape(NamedTuple):
+    dimension: int
+    nested: Callable  # its points, nested in tuples as its WKT text nests them
+    paths: Callable  # each point, line or ring, as a tuple of points
+    parts: Optional[Callable] = None  # the members of a multi-part geometry
+
+
+def _rings(poly: Polygon) -> tuple[Ring, ...]:
+    return (poly.outer, *poly.holes)
+
+
+# geometry type -> its structure; code that treats every type alike reads it here
+_SHAPE_OF = {
+    Point: _Shape(0, lambda g: (g,), lambda g: ((g,),)),
+    MultiPoint: _Shape(0, lambda g: g.points, lambda g: [(p,) for p in g.points],
+                       attrgetter("points")),
+    LineString: _Shape(1, lambda g: g.points, lambda g: (g.points,)),
+    MultiLineString: _Shape(1, lambda g: [line.points for line in g.lines],
+                            lambda g: [line.points for line in g.lines], attrgetter("lines")),
+    Polygon: _Shape(2, _rings, _rings),
+    MultiPolygon: _Shape(2, lambda g: [_rings(poly) for poly in g.polygons],
+                         lambda g: [ring for poly in g.polygons for ring in _rings(poly)],
+                         attrgetter("polygons")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +240,6 @@ def _fmt(v: float) -> str:
     return "0" if text in ("-0", "") else text
 
 
-# geometry type -> its points, nested in tuples as its WKT text nests them
-_NESTED = {
-    Point: lambda g: (g,),
-    LineString: lambda g: g.points,
-    MultiPoint: lambda g: g.points,
-    Polygon: lambda g: (g.outer, *g.holes),
-    MultiLineString: lambda g: tuple(line.points for line in g.lines),
-    MultiPolygon: lambda g: tuple((p.outer, *p.holes) for p in g.polygons),
-}
-
-
 def _text(item: Union[Point, tuple]) -> str:
     if isinstance(item, Point):
         return f"{_fmt(item.x)} {_fmt(item.y)}"
@@ -225,9 +247,9 @@ def _text(item: Union[Point, tuple]) -> str:
 
 
 def to_wkt(geom: Geometry) -> str:
-    if type(geom) not in _NESTED:
+    if type(geom) not in _SHAPE_OF:
         raise TypeError(f"not a geometry: {geom!r}")
-    return f"{type(geom).__name__.upper()} {_text(_NESTED[type(geom)](geom))}"
+    return f"{type(geom).__name__.upper()} {_text(_SHAPE_OF[type(geom)].nested(geom))}"
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +310,8 @@ def _dist2_point_segment(p: Point, a: Point, b: Point) -> float:
     return ex * ex + ey * ey
 
 
-def _on_segment(p: Point, a: Point, b: Point, eps: float = EPS) -> bool:
-    return _dist2_point_segment(p, a, b) <= eps * eps
+def _on_segment(p: Point, a: Point, b: Point) -> bool:
+    return _dist2_point_segment(p, a, b) <= EPS * EPS
 
 
 SEG_NONE = 0
@@ -386,46 +408,29 @@ def _point_in_ring(p: Point, ring: Ring) -> bool:
     return inside
 
 
-def locate_point(p: Point, geom: Geometry, eps: float = EPS) -> str:
-    """Classify p as interior/boundary/exterior of geom (eps boundary snap)."""
+def locate_point(p: Point, geom: Geometry) -> str:
+    """Classify p as interior/boundary/exterior of geom (EPS boundary snap)."""
     if isinstance(geom, Point):
-        dx, dy = p.x - geom.x, p.y - geom.y
-        return INTERIOR if dx * dx + dy * dy <= eps * eps else EXTERIOR
-    if isinstance(geom, MultiPoint):
-        locs = {locate_point(p, q, eps) for q in geom.points}
-        return INTERIOR if INTERIOR in locs else EXTERIOR
+        return INTERIOR if _on_segment(p, geom, geom) else EXTERIOR
     if isinstance(geom, LineString):
-        on_line = any(
-            _on_segment(p, a, b, eps) for a, b in zip(geom.points, geom.points[1:])
-        )
-        if not on_line:
+        if not any(_on_segment(p, a, b) for a, b in _segments(geom)):
             return EXTERIOR
-        closed = geom.points[0] == geom.points[-1]
-        if not closed:
-            for end in (geom.points[0], geom.points[-1]):
-                dx, dy = p.x - end.x, p.y - end.y
-                if dx * dx + dy * dy <= eps * eps:
-                    return BOUNDARY
+        ends = (geom.points[0], geom.points[-1])
+        if ends[0] != ends[1] and any(_on_segment(p, end, end) for end in ends):
+            return BOUNDARY
         return INTERIOR
     if isinstance(geom, Polygon):
-        for ring in (geom.outer, *geom.holes):
-            if any(_on_segment(p, a, b, eps) for a, b in zip(ring, ring[1:])):
-                return BOUNDARY
-        if not _point_in_ring(p, geom.outer):
-            return EXTERIOR
-        for hole in geom.holes:
-            if _point_in_ring(p, hole):
-                return EXTERIOR
-        return INTERIOR
-    if isinstance(geom, (MultiLineString, MultiPolygon)):
-        parts = geom.lines if isinstance(geom, MultiLineString) else geom.polygons
-        locs = {locate_point(p, part, eps) for part in parts}
-        if INTERIOR in locs:
-            return INTERIOR
-        if BOUNDARY in locs:
+        if any(_on_segment(p, a, b) for a, b in _segments(geom)):
             return BOUNDARY
-        return EXTERIOR
-    raise TypeError(f"not a geometry: {geom!r}")
+        if not _point_in_ring(p, geom.outer) or any(_point_in_ring(p, h) for h in geom.holes):
+            return EXTERIOR
+        return INTERIOR
+    locs = {locate_point(p, part) for part in _SHAPE_OF[type(geom)].parts(geom)}
+    if INTERIOR in locs:
+        return INTERIOR
+    if BOUNDARY in locs:
+        return BOUNDARY
+    return EXTERIOR
 
 
 # ---------------------------------------------------------------------------
@@ -434,43 +439,15 @@ def locate_point(p: Point, geom: Geometry, eps: float = EPS) -> str:
 
 
 def _dimension(geom: Geometry) -> int:
-    if isinstance(geom, (Point, MultiPoint)):
-        return 0
-    if isinstance(geom, (LineString, MultiLineString)):
-        return 1
-    return 2
+    return _SHAPE_OF[type(geom)].dimension
 
 
 def _vertices(geom: Geometry) -> Iterator[Point]:
-    if isinstance(geom, Point):
-        yield geom
-    elif isinstance(geom, MultiPoint):
-        yield from geom.points
-    elif isinstance(geom, LineString):
-        yield from geom.points
-    elif isinstance(geom, MultiLineString):
-        for line in geom.lines:
-            yield from line.points
-    elif isinstance(geom, Polygon):
-        for ring in (geom.outer, *geom.holes):
-            yield from ring[:-1]
-    elif isinstance(geom, MultiPolygon):
-        for poly in geom.polygons:
-            yield from _vertices(poly)
+    return (p for path in _SHAPE_OF[type(geom)].paths(geom) for p in path)
 
 
 def _segments(geom: Geometry) -> Iterator[tuple[Point, Point]]:
-    if isinstance(geom, LineString):
-        yield from zip(geom.points, geom.points[1:])
-    elif isinstance(geom, MultiLineString):
-        for line in geom.lines:
-            yield from _segments(line)
-    elif isinstance(geom, Polygon):
-        for ring in (geom.outer, *geom.holes):
-            yield from zip(ring, ring[1:])
-    elif isinstance(geom, MultiPolygon):
-        for poly in geom.polygons:
-            yield from _segments(poly)
+    return (seg for path in _SHAPE_OF[type(geom)].paths(geom) for seg in zip(path, path[1:]))
 
 
 Box = tuple[float, float, float, float]
@@ -492,12 +469,6 @@ def bbox_disjoint(a: Box, b: Box, eps: float = EPS) -> bool:
     return ax1 < bx0 - eps or bx1 < ax0 - eps or ay1 < by0 - eps or by1 < ay0 - eps
 
 
-def _bbox_covered(a: Box, b: Box, eps: float = EPS) -> bool:
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    return ax0 >= bx0 - eps and ay0 >= by0 - eps and ax1 <= bx1 + eps and ay1 <= by1 + eps
-
-
 def representative_point(poly: Polygon) -> Point:
     """A point in the polygon's interior (deterministic)."""
     ring = poly.outer[:-1]
@@ -508,7 +479,7 @@ def representative_point(poly: Polygon) -> Point:
         return candidate
     # Concave or holed polygon: scan horizontal midlines between the vertex
     # ys of every ring, so that a hole's edges cannot cover every midline.
-    ys = sorted({p.y for r in (poly.outer, *poly.holes) for p in r})
+    ys = sorted({p.y for p in _vertices(poly)})
     x0, _, x1, _ = bbox(poly)
     for ya, yb in zip(ys, ys[1:]):
         y = (ya + yb) / 2.0
@@ -585,30 +556,18 @@ def sf_intersects(a: Geometry, b: Geometry) -> bool:
 
 def sf_within(a: Geometry, b: Geometry) -> bool:
     """Every point of a lies in the closure of b and interiors intersect."""
-    box_a, box_b = bbox(a), bbox(b)
-    if bbox_disjoint(box_a, box_b) or not _bbox_covered(box_a, box_b):
+    if bbox_disjoint(bbox(a), bbox(b)) or _dimension(a) > _dimension(b):
         return False
-    if _dimension(a) > _dimension(b):
-        return False
-    if _dimension(a) < 2:
-        locs = {locate_point(p, b) for p in _sample_points(a, b)}
+    if isinstance(a, MultiPolygon):
+        return all(sf_within(poly, b) for poly in a.polygons)
+    if isinstance(a, Polygon) and isinstance(b, MultiPolygon):
+        return any(sf_within(a, poly) for poly in b.polygons)
+    locs = {locate_point(p, b) for p in _sample_points(a, b)}
+    if _dimension(a) < 2 or EXTERIOR in locs:
         return EXTERIOR not in locs and INTERIOR in locs
-    if isinstance(a, Polygon):
-        if isinstance(b, MultiPolygon):
-            return any(sf_within(a, poly) for poly in b.polygons)
-        if not isinstance(b, Polygon):
-            return False
-        for v in _vertices(a):
-            if locate_point(v, b) == EXTERIOR:
-                return False
-        segs_b = list(_segments(b))
-        for pa, pb in _segments(a):
-            for qa, qb in segs_b:
-                kind, _ = _segment_relation(pa, pb, qa, qb)
-                if kind == SEG_PROPER:
-                    return False
-        return locate_point(representative_point(a), b) == INTERIOR
-    return all(sf_within(poly, b) for poly in a.polygons)
+    return all(locate_point(p, a) != INTERIOR for p in _sample_points(b, a)) and (
+        locate_point(representative_point(a), b) == INTERIOR
+    )
 
 
 def sf_contains(a: Geometry, b: Geometry) -> bool:

@@ -25,7 +25,7 @@ from typing import Optional
 from . import geometry
 from .graph import Graph
 from .terms import EV_ONT, GEO, KWG_ONT, RDF_TYPE, Iri, Literal, Triple
-from .vocabulary import OntologyRegistry, registry
+from .vocabulary import registry
 
 # Instance classes whose members participate in feature-vs-zip materialization.
 FEATURE_CLASSES = (
@@ -189,9 +189,9 @@ def materialize_spatial_relations(graph: Graph) -> SpatialReport:
     return report
 
 
-def materialize_subclass_closure(graph: Graph, reg: Optional[OntologyRegistry] = None) -> int:
+def materialize_subclass_closure(graph: Graph) -> int:
     """For every typed instance, also assert all registry superclasses."""
-    reg = reg or registry()
+    reg = registry()
     added = 0
     for t in list(graph.match(None, RDF_TYPE, None)):
         if not isinstance(t.object, Iri):

@@ -295,8 +295,8 @@ def _term_to_turtle(term: Term, prefixes: PrefixTable) -> str:
     return term_to_ntriples(term)
 
 
-def serialize_turtle(graph: Graph, prefixes: Optional[PrefixTable] = None) -> str:
-    prefixes = prefixes or graph.prefixes
+def serialize_turtle(graph: Graph) -> str:
+    prefixes = graph.prefixes
     used = sorted(prefixes.entries.items())
     header = "".join(f"@prefix {p}: <{ns}> .\n" for p, ns in used)
     body = sorted(

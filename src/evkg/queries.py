@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .graph import Graph
+from .results import csv_text, solution_to_tsv
 from .sparql import Solution, parse_query
 from .sparql import engine
 from .terms import RDFS, Iri, Literal, format_decimal, numeric_value
@@ -345,3 +346,25 @@ def q6_selected_zips(graph: Graph, evaluator: Optional[Evaluator] = None) -> lis
     }
     selected = sorted(_zip_digits(graph, z) for z in zips_shortage & zips_adoption)
     return [["zipcode"], *[[z] for z in selected]]
+
+
+# The plot-ready series file each competency question adds to its queries' results.
+_QUESTION_SERIES = {
+    4: ("q4_series.csv", q4_series),
+    5: ("q5_series.csv", q5_series),
+    6: ("q6_zipcodes.csv", q6_selected_zips),
+}
+
+
+def question_outputs(
+    graph: Graph, question: int, evaluator: Optional[Evaluator] = None
+) -> list[tuple[str, str]]:
+    """(expected-file name, text) for each output of one competency question."""
+    outputs = [
+        (f"query{qid:02d}.tsv", solution_to_tsv(run_suite_query(graph, qid, evaluator)))
+        for qid in QUESTION_QUERIES[question]
+    ]
+    if question in _QUESTION_SERIES:
+        name, series = _QUESTION_SERIES[question]
+        outputs.append((name, csv_text(series(graph, evaluator))))
+    return outputs

@@ -15,7 +15,7 @@ non-numeric value is unbound for that group.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..graph import Graph
 from ..terms import (
@@ -401,41 +401,28 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
                 groups.setdefault(key, []).append(row)
         else:
             groups = {(): rows}  # implicit single group, even over no rows
-        out_rows: list[Binding] = []
-        for key, members in groups.items():
-            key_binding = {
-                name: value for name, value in zip(key_names, key) if value is not None
-            }
-            out: Binding = {}
-            for item in query.select:
-                if isinstance(item, Variable):
-                    if item.name in key_binding:
-                        out[item.name] = key_binding[item.name]
-                else:
-                    try:
-                        out[item.var.name] = eval_expression(item.expr, key_binding, members)
-                    except EvalError:
-                        pass  # unbound projected value, row kept
-            out_rows.append(out)
+        # A scope is what one output row projects: a group's key binding and
+        # member rows here, one solution row without members otherwise.
+        scopes: Iterable[tuple[Binding, Optional[list[Binding]]]] = (
+            ({name: value for name, value in zip(key_names, key) if value is not None}, members)
+            for key, members in groups.items()
+        )
     else:
-        out_rows = []
-        for row in rows:
-            out = {}
-            if query.star:
-                for name in names:
-                    if name in row:
-                        out[name] = row[name]
+        scopes = ((row, None) for row in rows)
+    items = [Variable(name) for name in names] if query.star else query.select
+    out_rows: list[Binding] = []
+    for row, members in scopes:
+        out: Binding = {}
+        for item in items:
+            if isinstance(item, Variable):
+                if item.name in row:
+                    out[item.name] = row[item.name]
             else:
-                for item in query.select:
-                    if isinstance(item, Variable):
-                        if item.name in row:
-                            out[item.name] = row[item.name]
-                    else:
-                        try:
-                            out[item.var.name] = eval_expression(item.expr, row)
-                        except EvalError:
-                            pass
-            out_rows.append(out)
+                try:
+                    out[item.var.name] = eval_expression(item.expr, row, members)
+                except EvalError:
+                    pass  # unbound projected value, row kept
+        out_rows.append(out)
     if query.distinct:
         out_rows = _distinct(out_rows)
     return Solution(names, out_rows)

@@ -174,8 +174,8 @@ class Parser:
 
     # -- token helpers ---------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -541,13 +541,9 @@ def _tree_depth(query: SelectQuery) -> int:
     return deepest
 
 
-def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> SelectQuery:
-    """Parse a query against the toolkit's default prefixes (plus any given)."""
-    table = default_prefixes()
-    if prefixes is not None:
-        for prefix, ns in prefixes.entries.items():
-            table.register(prefix, ns)
-    query = Parser(text, table).parse()
+def parse_query(text: str) -> SelectQuery:
+    """Parse a query against the toolkit's default prefixes."""
+    query = Parser(text, default_prefixes()).parse()
     if _tree_depth(query) > MAX_TREE_DEPTH:
         raise QuerySyntaxError(f"query tree more than {MAX_TREE_DEPTH} levels deep")
     return query

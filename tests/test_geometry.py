@@ -371,6 +371,77 @@ def test_polygon_with_hole_on_outer_midline_is_within_itself():
     assert locate_point(representative_point(g.polygons[0]), g) == INTERIOR
 
 
+# Each inner polygon reaches outside its container.
+_NOT_WITHIN = [
+    # an edge leaves through a notch between two boundary contacts
+    ("POLYGON ((1 1, 9 1, 9 2, 6 10, 4 10, 1 2, 1 1))",
+     "POLYGON ((0 0, 10 0, 10 10, 6 10, 5 5, 4 10, 0 10, 0 0))"),
+    # it covers the container's hole
+    ("POLYGON ((1 1, 2 1, 3 1, 9 1, 9 9, 1 9, 1 1))",
+     "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (4 4, 6 4, 6 6, 4 6, 4 4))"),
+    # an edge runs outside from a shared vertex to a vertex on the container's edge
+    ("POLYGON ((2.5 1, 2 1.5, 1.5 1.5, 2 -1, 2.5 1))",
+     "POLYGON ((3 1.5, 3 2, 0.5 1.5, 1 0, 2 -1, 2 0.5, 3 1.5))"),
+]
+
+
+@pytest.mark.parametrize("inner, outer", _NOT_WITHIN)
+def test_polygon_reaching_outside_its_container_is_not_within(inner, outer):
+    a, b = parse_wkt(inner), parse_wkt(outer)
+    assert sf_within(a, b) is False
+    assert sf_contains(b, a) is False
+
+
+def random_grid_polygon(rng: random.Random, cx: float, cy: float, radius: float):
+    """A star-shaped polygon on a half-unit grid, half of them with a hole; None if invalid."""
+
+    def star(r: float) -> tuple[Point, ...]:
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(rng.randrange(3, 8)))
+        pts = []
+        for t in angles:
+            d = r * rng.uniform(0.3, 1.0)
+            x, y = cx + d * math.cos(t), cy + d * math.sin(t)
+            pts.append(Point(round(2 * x) / 2, round(2 * y) / 2))
+        pts = [p for i, p in enumerate(pts) if p != pts[i - 1]]
+        return tuple(pts + pts[:1])
+
+    rings = [star(radius)] + ([star(radius / 3)] if rng.random() < 1 / 2 else [])
+    try:
+        return Polygon(rings[0], tuple(rings[1:]))
+    except GeometryValidationError:
+        return None
+
+
+def test_polygon_within_leaves_no_sample_of_a_outside_b():
+    rng = random.Random(4)
+    held = 0
+    for _ in range(3_000):
+        b = random_grid_polygon(rng, 5, 5, rng.uniform(3, 5))
+        a = random_grid_polygon(rng, rng.uniform(4, 6), rng.uniform(4, 6), rng.uniform(1, 3))
+        if a is None or b is None:
+            continue
+        within = sf_within(a, b)
+        assert within == sf_contains(b, a)
+        if not within:
+            continue
+        held += 1
+        rings = (a.outer, *a.holes)
+        samples = [p for ring in rings for p in ring]
+        samples += [
+            Point((p.x + q.x) / 2, (p.y + q.y) / 2) for r in rings for p, q in zip(r, r[1:])
+        ]
+        x0, y0, x1, y1 = bbox(a)
+        quarter_grid = (
+            Point(i / 4, j / 4)
+            for i in range(int(4 * x0), int(4 * x1) + 1)
+            for j in range(int(4 * y0), int(4 * y1) + 1)
+        )
+        samples += [p for p in quarter_grid if locate_point(p, a) == INTERIOR]
+        for p in samples:
+            assert locate_point(p, b) != EXTERIOR, (p, to_wkt(a), to_wkt(b))
+    assert held > 100
+
+
 def test_line_within_polygon():
     assert sf_within(LineString((Point(1, 1), Point(2, 2))), SQUARE) is True
     assert sf_within(LineString((Point(1, 1), Point(9, 9))), SQUARE) is False

@@ -12,6 +12,7 @@ from evkg.queries import (
     q4_series,
     q5_series,
     q6_selected_zips,
+    question_outputs,
     run_suite_query,
 )
 from evkg.sparql import parse_query
@@ -297,3 +298,13 @@ def test_query2_king_county_membership(fixture_graph, fixtures_dir):
     assert bound_stations == stations_in_king
     # the road branch is empty: the road subgraph is out of scope
     assert all("road" not in row for row in solution.rows)
+
+
+def test_question_outputs_are_exactly_the_expected_files(fixture_graph, fixtures_dir):
+    expected_dir = fixtures_dir / "expected"
+    outputs = [out for q in range(1, 7) for out in question_outputs(fixture_graph, q)]
+    names = [name for name, _ in outputs]
+    assert len(names) == len(set(names))
+    assert set(names) == {path.name for path in expected_dir.iterdir()}
+    for name, text in outputs:
+        assert text == (expected_dir / name).read_text(encoding="utf-8"), name
