@@ -1,9 +1,10 @@
-"""In-memory triple store with subject-, predicate-, and object-first indexes.
+"""In-memory triple store with a subject-first and a predicate-first index.
 
 The store has set semantics: re-inserting an existing triple is a no-op.
 After a load it is treated as immutable and is safe for concurrent
 read-only query evaluation (single writer during load, no internal locks).
-A triple is checked once, when it is built for ``insert``; the triples that
+A triple's terms are checked when it is built for ``insert`` (the
+triplifiers skip that for terms they made themselves); the triples that
 ``match`` and iteration yield are built from the indexes without checks.
 """
 
@@ -17,18 +18,18 @@ from .terms import Iri, PrefixTable, Term, Triple, default_prefixes
 class Graph:
     """Indexed set of triples plus the prefix table used to render it.
 
-    The three indexes are the only per-triple storage; membership, size and
+    The two indexes are the only per-triple storage; membership, size and
     iteration all come from the subject-first one. A per-predicate triple
-    count makes predicate-only estimates O(1).
+    count makes predicate-only estimates O(1). There is no object-first
+    index: a lookup by object alone costs one predicate-first probe per
+    predicate, and the vocabulary fixes the number of predicates.
     """
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Optional[PrefixTable] = None):
         self._size = 0
-        # Access orders: subject->predicate->objects, predicate->object->subjects,
-        # object->subject->predicates.
+        # Access orders: subject->predicate->objects, predicate->object->subjects.
         self._spo: dict = {}
         self._pos: dict = {}
-        self._osp: dict = {}
         self._predicate_sizes: dict = {}
         self.prefixes = prefixes if prefixes is not None else default_prefixes()
         for t in triples:
@@ -56,7 +57,6 @@ class Graph:
             return False
         objects.add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._predicate_sizes[p] = self._predicate_sizes.get(p, 0) + 1
         self._size += 1
         return True
@@ -65,13 +65,13 @@ class Graph:
         """Insert many; returns how many were new."""
         return sum(1 for t in triples if self.insert(t))
 
-    def index_sizes(self) -> tuple[int, int, int]:
-        """Triple counts per index; all three must equal len(self)."""
+    def index_sizes(self) -> tuple[int, int]:
+        """Triple counts per index; both must equal len(self)."""
 
         def total(index: dict) -> int:
             return sum(len(third) for second in index.values() for third in second.values())
 
-        return (total(self._spo), total(self._pos), total(self._osp))
+        return (total(self._spo), total(self._pos))
 
     def match(
         self,
@@ -81,9 +81,9 @@ class Graph:
     ) -> Iterator[Triple]:
         """Yield triples matching the bound positions (None = wildcard).
 
-        Uses the index whose first key position is the leftmost bound one:
-        subject-first when s is bound, else predicate-first, else
-        object-first, else a walk of the subject-first index.
+        Subject-first when s is bound, else predicate-first. A bound object
+        alone probes the predicate-first index once per predicate; nothing
+        bound walks the subject-first index.
         """
         if s is not None:
             po = self._spo.get(s)
@@ -112,11 +112,8 @@ class Graph:
                     for subj in subjs:
                         yield tuple.__new__(Triple, (subj, p, obj))
         elif o is not None:
-            sp = self._osp.get(o)
-            if not sp:
-                return
-            for subj, preds in sp.items():
-                for pred in preds:
+            for pred, os_ in self._pos.items():
+                for subj in os_.get(o, ()):
                     yield tuple.__new__(Triple, (subj, pred, o))
         else:
             yield from self
@@ -130,7 +127,8 @@ class Graph:
         """Cheap upper bound on match cardinality, used for join ordering.
 
         O(1) when p is bound, since ``insert`` keeps a triple count per
-        predicate; a lone bound subject or object sums over its index entry.
+        predicate; a lone bound subject sums over its index entry, and a
+        lone bound object over one predicate-first probe per predicate.
         """
         if s is not None:
             po = self._spo.get(s)
@@ -147,10 +145,7 @@ class Graph:
                 return len(os_.get(o, ()))
             return self._predicate_sizes[p]
         if o is not None:
-            sp = self._osp.get(o)
-            if not sp:
-                return 0
-            return sum(len(v) for v in sp.values())
+            return sum(len(os_.get(o, ())) for os_ in self._pos.values())
         return self._size
 
     def predicate_objects(self) -> Iterator[tuple[Iri, Term]]:

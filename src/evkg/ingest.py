@@ -33,10 +33,12 @@ row number. Source strings are preserved byte-exactly (including
 whitespace), because literal matching in queries is exact.
 
 Each triplifier returns the triples it emits, repeats included, and
-`build_graph` inserts them into its one graph. IRIs are minted
-deterministically from natural keys, so re-ingesting the same inputs yields
-a byte-identical graph. Uniqueness is checked at minting: an IRI collision,
-or two valid rows with one zip (`DuplicateZip`), fails the load.
+`build_graph` inserts them into its one graph. The triplifiers build their
+triples from terms they made themselves, so they skip `Triple`'s term
+checks; a test pins that every triple they emit would pass them. IRIs are
+minted deterministically from natural keys, so re-ingesting the same inputs
+yields a byte-identical graph. Uniqueness is checked at minting: an IRI
+collision, or two valid rows with one zip (`DuplicateZip`), fails the load.
 
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
@@ -77,6 +79,7 @@ from .terms import (
     XSD_INTEGER,
     Iri,
     Literal,
+    Term,
     TermError,
     Triple,
 )
@@ -582,19 +585,24 @@ _GEOM_CLASSES = {
 }
 
 
+def _triple(s: Iri, p: Iri, o: Term) -> Triple:
+    """A triple of terms the triplifiers built themselves, so Triple's checks are skipped."""
+    return tuple.__new__(Triple, (s, p, o))
+
+
 def _geometry_triples(out: list[Triple], feature: Iri, geom: geometry.Geometry) -> None:
     node = geometry_iri(feature)
-    out.append(Triple(feature, GEO.hasGeometry, node))
-    out.append(Triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
-    out.append(Triple(node, GEO.asWKT, Literal(geometry.to_wkt(geom), WKT_LITERAL)))
+    out.append(_triple(feature, GEO.hasGeometry, node))
+    out.append(_triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
+    out.append(_triple(node, GEO.asWKT, Literal(geometry.to_wkt(geom), WKT_LITERAL)))
 
 
 def _individual(out: list[Triple], subject: Iri, prop: Iri, kind: str, cls: Iri, label: str) -> Iri:
     """Link subject via prop to the labeled individual of class cls minted from (kind, label)."""
     ind = EVR[f"{kind}.{_sanitize(label)}"]
-    out.append(Triple(subject, prop, ind))
-    out.append(Triple(ind, RDF.type, cls))
-    out.append(Triple(ind, RDFS.label, Literal(label)))
+    out.append(_triple(subject, prop, ind))
+    out.append(_triple(ind, RDF.type, cls))
+    out.append(_triple(ind, RDFS.label, Literal(label)))
     return ind
 
 
@@ -610,20 +618,20 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
 
     for key, prod in sorted(products.items(), key=lambda kv: kv[1].value):
         minter.claim(prod, repr(key))
-        out.append(Triple(prod, RDF.type, EV_ONT.ElectricVehicleProduct))
-        out.append(Triple(prod, RDFS.label, Literal(f"{key.make} {key.model}")))
+        out.append(_triple(prod, RDF.type, EV_ONT.ElectricVehicleProduct))
+        out.append(_triple(prod, RDFS.label, Literal(f"{key.make} {key.model}")))
         model_year = Literal(str(key.model_year), XSD_GYEAR)
-        out.append(Triple(prod, EV_ONT.hasModelYear, model_year))
+        out.append(_triple(prod, EV_ONT.hasModelYear, model_year))
 
         _individual(out, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
 
         model = EVR[
             f"modeltype.{_sanitize(key.make)}.{_sanitize(key.model)}.{key.model_year}"
         ]
-        out.append(Triple(prod, EV_ONT.hasModelType, model))
-        out.append(Triple(model, RDF.type, EV_ONT.ModelType))
-        out.append(Triple(model, RDFS.label, Literal(key.model)))
-        out.append(Triple(model, EV_ONT.hasModelYear, model_year))
+        out.append(_triple(prod, EV_ONT.hasModelType, model))
+        out.append(_triple(model, RDF.type, EV_ONT.ModelType))
+        out.append(_triple(model, RDFS.label, Literal(key.model)))
+        out.append(_triple(model, EV_ONT.hasModelYear, model_year))
 
         for kind, prop, cls, raw in (
             ("technology", EV_ONT.isWithTechnology, EV_ONT.Technology, key.technology),
@@ -636,22 +644,22 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
         for token in sorted(key.charger_types):
             if token not in CHARGER_TOKENS:
                 raise UnknownVocabularyToken(token, "charger type")
-            out.append(Triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
+            out.append(_triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
         for token in sorted(key.connector_types):
             if token not in CONNECTOR_TOKENS:
                 raise UnknownVocabularyToken(token, "connector type")
-            out.append(Triple(prod, EV_ONT.hasMatchableConnectorType, CONNECTOR_TOKENS[token]))
+            out.append(_triple(prod, EV_ONT.hasMatchableConnectorType, CONNECTOR_TOKENS[token]))
 
     for coll in collections:
         iri = minter.claim(
             collection_iri(coll.zip, coll.year, coll.product),
             f"{coll.zip}/{coll.year}/{products[coll.product].value}",
         )
-        out.append(Triple(iri, RDF.type, EV_ONT.ElectricVehicleRegistrationCollection))
-        out.append(Triple(iri, EV_ONT.hasSpatialScope, zip_area_iri(coll.zip)))
-        out.append(Triple(iri, EV_ONT.hasTemporalScope, Literal(str(coll.year), XSD_GYEAR)))
-        out.append(Triple(iri, EV_ONT.hasProductInfo, products[coll.product]))
-        out.append(Triple(iri, EV_ONT.hasAmount, Literal(str(coll.amount), XSD_INTEGER)))
+        out.append(_triple(iri, RDF.type, EV_ONT.ElectricVehicleRegistrationCollection))
+        out.append(_triple(iri, EV_ONT.hasSpatialScope, zip_area_iri(coll.zip)))
+        out.append(_triple(iri, EV_ONT.hasTemporalScope, Literal(str(coll.year), XSD_GYEAR)))
+        out.append(_triple(iri, EV_ONT.hasProductInfo, products[coll.product]))
+        out.append(_triple(iri, EV_ONT.hasAmount, Literal(str(coll.amount), XSD_INTEGER)))
     return out
 
 
@@ -663,27 +671,27 @@ def triplify_stations(records: Iterable[StationRecord]) -> list[Triple]:
         access_cls = (
             EV_ONT.PublicChargingStation if rec.access == "public" else EV_ONT.PrivateChargingStation
         )
-        out.append(Triple(stn, RDF.type, access_cls))
+        out.append(_triple(stn, RDF.type, access_cls))
         if rec.network:
-            out.append(Triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
+            out.append(_triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
             _individual(
                 out, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork", EV_ONT.ChargingNetwork,
                 rec.network,
             )
         else:
-            out.append(Triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
-        out.append(Triple(stn, RDFS.label, Literal(rec.name)))
+            out.append(_triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
+        out.append(_triple(stn, RDFS.label, Literal(rec.name)))
 
         _geometry_triples(out, stn, geometry.Point(rec.lon, rec.lat))
 
-        out.append(Triple(stn, EV_ONT.hasOperatingHours, Literal(rec.operating_hours)))
-        out.append(Triple(stn, EV_ONT.hasOpenYear, Literal(str(rec.open_year), XSD_GYEAR)))
+        out.append(_triple(stn, EV_ONT.hasOperatingHours, Literal(rec.operating_hours)))
+        out.append(_triple(stn, EV_ONT.hasOpenYear, Literal(str(rec.open_year), XSD_GYEAR)))
         if rec.open_date:
-            out.append(Triple(stn, EV_ONT.hasOpenTime, Literal(rec.open_date)))
+            out.append(_triple(stn, EV_ONT.hasOpenTime, Literal(rec.open_date)))
         if rec.pricing:
-            out.append(Triple(stn, EV_ONT.hasPricingScheme, Literal(rec.pricing)))
+            out.append(_triple(stn, EV_ONT.hasPricingScheme, Literal(rec.pricing)))
         if rec.parking_restriction:
-            out.append(Triple(stn, EV_ONT.hasParkingRestriction, Literal(rec.parking_restriction)))
+            out.append(_triple(stn, EV_ONT.hasParkingRestriction, Literal(rec.parking_restriction)))
 
         amounts: dict[tuple[str, str], int] = {}
         for group in rec.charger_groups:
@@ -697,11 +705,11 @@ def triplify_stations(records: Iterable[StationRecord]) -> list[Triple]:
             cc = EVR[
                 f"chargercollection.{_sanitize(rec.station_id)}.{charger}.{connector}"
             ]
-            out.append(Triple(stn, EV_ONT.hosts, cc))
-            out.append(Triple(cc, RDF.type, EV_ONT.ChargerCollection))
-            out.append(Triple(cc, EV_ONT.hasChargerType, CHARGER_TOKENS[charger]))
-            out.append(Triple(cc, EV_ONT.hasConnectorType, CONNECTOR_TOKENS[connector]))
-            out.append(Triple(cc, EV_ONT.hasAmount, Literal(str(amount), XSD_INTEGER)))
+            out.append(_triple(stn, EV_ONT.hosts, cc))
+            out.append(_triple(cc, RDF.type, EV_ONT.ChargerCollection))
+            out.append(_triple(cc, EV_ONT.hasChargerType, CHARGER_TOKENS[charger]))
+            out.append(_triple(cc, EV_ONT.hasConnectorType, CONNECTOR_TOKENS[connector]))
+            out.append(_triple(cc, EV_ONT.hasAmount, Literal(str(amount), XSD_INTEGER)))
     return out
 
 
@@ -719,7 +727,7 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> list[Tr
     for rec in records:
         prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
-        out.append(Triple(asset, RDF.type, cls))
+        out.append(_triple(asset, RDF.type, cls))
         _geometry_triples(out, asset, rec.geometry)
 
         if rec.kind == "line":
@@ -731,9 +739,9 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> list[Tr
                     _individual(out, asset, prop, kind, ind_cls, label)
         elif rec.kind == "substation":
             if rec.min_voltage:
-                out.append(Triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
+                out.append(_triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
             if rec.max_voltage:
-                out.append(Triple(asset, EV_ONT.hasMaxVoltage, Literal(rec.max_voltage, XSD_DOUBLE)))
+                out.append(_triple(asset, EV_ONT.hasMaxVoltage, Literal(rec.max_voltage, XSD_DOUBLE)))
         else:  # plant
             for prop, value in (
                 (EV_ONT.hasSummerCapacity, rec.summer_capacity),
@@ -741,7 +749,7 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> list[Tr
                 (EV_ONT.hasOperatingCapacity, rec.operating_capacity),
             ):
                 if value:
-                    out.append(Triple(asset, prop, Literal(value, XSD_DOUBLE)))
+                    out.append(_triple(asset, prop, Literal(value, XSD_DOUBLE)))
         if rec.status:
             _individual(out, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status)
     return out
@@ -755,8 +763,8 @@ def triplify_places(records: Iterable[ZipAreaRecord]) -> list[Triple]:
             raise DuplicateZip(rec.zip)
         seen.add(rec.zip)
         zip_area = zip_area_iri(rec.zip)
-        out.append(Triple(zip_area, RDF.type, KWG_ONT.ZipCodeArea))
-        out.append(Triple(zip_area, RDFS.label, Literal(f"zip code {rec.zip}")))
+        out.append(_triple(zip_area, RDF.type, KWG_ONT.ZipCodeArea))
+        out.append(_triple(zip_area, RDFS.label, Literal(f"zip code {rec.zip}")))
         _geometry_triples(out, zip_area, rec.geometry)
 
         for kind, cls, label in (
@@ -764,11 +772,11 @@ def triplify_places(records: Iterable[ZipAreaRecord]) -> list[Triple]:
             ("county", KWG_ONT.AdministrativeRegion_3, rec.county_label),
         ):
             region = _individual(out, zip_area, KWG_ONT.sfWithin, kind, cls, label)
-            out.append(Triple(region, KWG_ONT.sfContains, zip_area))
+            out.append(_triple(region, KWG_ONT.sfContains, zip_area))
 
         if rec.kwg_sameas:
             try:
-                out.append(Triple(zip_area, OWL.sameAs, Iri(rec.kwg_sameas)))
+                out.append(_triple(zip_area, OWL.sameAs, Iri(rec.kwg_sameas)))
             except TermError as exc:
                 raise IngestError(f"zip {rec.zip}: bad sameAs IRI: {exc}") from None
     return out

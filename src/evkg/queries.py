@@ -264,15 +264,13 @@ def _ratio_text(numerator: Optional[int], denominator: Optional[int]) -> str:
     return format_decimal(Fraction(numerator, denominator))
 
 
-def q4_series(graph: Graph, evaluator: Optional[Evaluator] = None) -> list[list[str]]:
+def q4_series(graph: Graph, dcfc: Solution, regs: Solution) -> list[list[str]]:
     """Per (connector, open/registration year): DCFC count, EV count, ratio.
 
-    Outer-joins the charger-side and registration-side results; years with
-    data on only one side keep the other columns empty (the source data has
-    gaps).
+    Outer-joins the charger-side (query 4) and registration-side (query 5)
+    results; years with data on only one side keep the other columns empty
+    (the source data has gaps).
     """
-    dcfc = run_suite_query(graph, 4, evaluator)
-    regs = run_suite_query(graph, 5, evaluator)
     table: dict[tuple[str, str], dict[str, Optional[int]]] = {}
     for row in dcfc.rows:
         co = row.get("co")
@@ -309,9 +307,8 @@ def _zip_digits(graph: Graph, zipcode: Iri) -> str:
     return label.removeprefix("zip code ").strip()
 
 
-def q5_series(graph: Graph, evaluator: Optional[Evaluator] = None) -> list[list[str]]:
-    """Per zip: CCS charger count, CCS-matched EV registrations, ratio."""
-    solution = run_suite_query(graph, 8, evaluator)
+def q5_series(graph: Graph, solution: Solution) -> list[list[str]]:
+    """Per zip, from query 8: CCS charger count, CCS-matched EV registrations, ratio."""
     rows = [["zipcode", "ccs_charger_num", "ccs_ev_num", "ratio"]]
     body = []
     for row in solution.rows:
@@ -333,11 +330,9 @@ def q5_series(graph: Graph, evaluator: Optional[Evaluator] = None) -> list[list[
     return rows
 
 
-def q6_selected_zips(graph: Graph, evaluator: Optional[Evaluator] = None) -> list[list[str]]:
-    """Zips passing both conditions: ratio < 0.1 and registrations > 98,
-    each crossed by a 500-class transmission line."""
-    shortage = run_suite_query(graph, 9, evaluator)
-    adoption = run_suite_query(graph, 10, evaluator)
+def q6_selected_zips(graph: Graph, shortage: Solution, adoption: Solution) -> list[list[str]]:
+    """Zips passing both conditions, ratio < 0.1 (query 9) and registrations
+    > 98 (query 10), each crossed by a 500-class transmission line."""
     zips_shortage = {
         row["zipcode"] for row in shortage.rows if isinstance(row.get("zipcode"), Iri)
     }
@@ -348,23 +343,25 @@ def q6_selected_zips(graph: Graph, evaluator: Optional[Evaluator] = None) -> lis
     return [["zipcode"], *[[z] for z in selected]]
 
 
-# The plot-ready series file each competency question adds to its queries' results.
+# The plot-ready series file each competency question adds to its queries'
+# results, and the queries whose solutions it reads.
 _QUESTION_SERIES = {
-    4: ("q4_series.csv", q4_series),
-    5: ("q5_series.csv", q5_series),
-    6: ("q6_zipcodes.csv", q6_selected_zips),
+    4: ("q4_series.csv", q4_series, (4, 5)),
+    5: ("q5_series.csv", q5_series, (8,)),
+    6: ("q6_zipcodes.csv", q6_selected_zips, (9, 10)),
 }
 
 
 def question_outputs(
     graph: Graph, question: int, evaluator: Optional[Evaluator] = None
 ) -> list[tuple[str, str]]:
-    """(expected-file name, text) for each output of one competency question."""
-    outputs = [
-        (f"query{qid:02d}.tsv", solution_to_tsv(run_suite_query(graph, qid, evaluator)))
-        for qid in QUESTION_QUERIES[question]
-    ]
+    """(expected-file name, text) for each output of one competency question.
+
+    Each of the question's suite queries is evaluated once.
+    """
+    solutions = {qid: run_suite_query(graph, qid, evaluator) for qid in QUESTION_QUERIES[question]}
+    outputs = [(f"query{qid:02d}.tsv", solution_to_tsv(sol)) for qid, sol in solutions.items()]
     if question in _QUESTION_SERIES:
-        name, series = _QUESTION_SERIES[question]
-        outputs.append((name, csv_text(series(graph, evaluator))))
+        name, series, qids = _QUESTION_SERIES[question]
+        outputs.append((name, csv_text(series(graph, *(solutions[q] for q in qids)))))
     return outputs

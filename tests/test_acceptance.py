@@ -313,7 +313,9 @@ def test_criterion_7_cq_scenarios(fixture_graph, fixtures_dir):
         and regs[z] > 98
         and z in crossed
     }
-    selected = {row[0] for row in q6_selected_zips(fixture_graph)[1:]}
+    shortage = run_suite_query(fixture_graph, 9)
+    adoption = run_suite_query(fixture_graph, 10)
+    selected = {row[0] for row in q6_selected_zips(fixture_graph, shortage, adoption)[1:]}
     assert selected == expected_selected == {"07001", "07003"}
     _ok(7, "station-search filters and shortage thresholds (0.1 / 98 / \"500\") "
            "verified by CSV-level recomputation")

@@ -108,7 +108,7 @@ def test_match_type_returns_exactly_inserted_stations():
 def test_index_sizes_always_agree(triples):
     g = Graph(triples)
     sizes = g.index_sizes()
-    assert sizes == (len(g), len(g), len(g))
+    assert sizes == (len(g), len(g))
 
 
 @given(triples_strategy, st.randoms())
@@ -164,3 +164,14 @@ def test_count_estimate_bounds_match():
                 assert len(matched) <= g.count_estimate(s, p, o)
     for p in pool_p:
         assert g.count_estimate(None, p, None) == len(list(g.match(None, p, None)))
+
+
+@given(triples_strategy)
+def test_object_only_estimate_is_the_match_count(triples):
+    # No object-first index: both walk the predicate-first one, so the estimate is exact.
+    g = Graph(triples)
+    absent = [EVR["nowhere"], Literal("nowhere"), Literal("7", XSD_INTEGER)]
+    for o in [*_triple_pool()[2], *absent]:
+        matched = list(g.match(None, None, o))
+        assert len(matched) == len(set(matched)) == g.count_estimate(None, None, o)
+        assert set(matched) == {t for t in triples if t.object == o}

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import json
 import operator
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +18,10 @@ from evkg.graph import Graph
 from evkg.ingest import (
     ChargerGroup,
     DuplicateZip,
+    IngestConfig,
     IngestError,
     ProductKey,
+    RegistrationCollection,
     RegistrationRecord,
     RowIssue,
     StationRecord,
@@ -830,3 +834,95 @@ def test_build_runs_once_per_distinct_line(tmp_path, fixtures_dir, monkeypatch, 
     first = {}
     for line, record in zip(lines * 3, records):
         assert first.setdefault(line, record) is record
+
+
+# --- triplifiers build their triples without Triple's checks ---------------------
+
+
+def _assert_checked_triples(triples) -> None:
+    for t in triples:
+        assert type(t) is Triple and Triple(*t) == t, t
+
+
+def _load_tiler():
+    """The bench's corpus tiler, loaded from its file (bench/ is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_tiler", ROOT / "bench" / "tiler.py")
+    tiler = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tiler)
+    return tiler
+
+
+def test_build_graph_triples_pass_triple_checks(fixture_graph, tmp_path):
+    _assert_checked_triples(fixture_graph)
+    _load_tiler().tile_corpus(ROOT / "fixtures", tmp_path, 2, 1)
+    tiled, report = build_graph(IngestConfig(
+        registrations=tmp_path / "registrations.csv",
+        stations=tmp_path / "stations.csv",
+        transmission=tmp_path / "transmission.csv",
+        zip_areas=tmp_path / "zip_areas.csv",
+    ))
+    assert not report.skipped and len(tiled) > len(fixture_graph)
+    _assert_checked_triples(tiled)
+
+
+# Labels hold at least one IRI-safe character, so every minted fragment is non-empty.
+_label = st.tuples(st.text(max_size=4), st.sampled_from("aZ7_-"), st.text(max_size=4)).map("".join)
+_text = st.text(max_size=8)
+_zip = st.from_regex(r"[0-9]{5}", fullmatch=True)
+_year = st.integers(1000, 9999)
+_coord = st.floats(-179, 179, allow_nan=False)
+_number = st.one_of(st.none(), st.integers(0, 10**6).map(str), _coord.map(repr))
+_product = st.builds(
+    ProductKey, _label, _label, _year, st.sampled_from(["BEV", "PHEV"]), _label, _label, _label,
+    st.frozensets(st.sampled_from(sorted(ingest.CHARGER_TOKENS))),
+    st.frozensets(st.sampled_from(sorted(ingest.CONNECTOR_TOKENS))),
+)
+_collections = st.lists(
+    st.builds(RegistrationCollection, _zip, _year, _product, st.integers(1, 500)), max_size=3
+)
+_stations = st.lists(
+    st.builds(
+        StationRecord, _label, _text, _coord, _coord, _zip, st.sampled_from(["public", "private"]),
+        st.none() | _label, _text, st.none() | _text, _year, st.none() | _text,
+        st.none() | _text,
+        st.lists(st.builds(
+            ChargerGroup, st.sampled_from(sorted(ingest.CHARGER_TOKENS)),
+            st.sampled_from(sorted(ingest.CONNECTOR_TOKENS)), st.integers(1, 9),
+        ), max_size=3).map(tuple),
+    ),
+    max_size=3, unique_by=lambda rec: ingest._sanitize(rec.station_id),
+)
+
+
+def _asset(kind, asset_id, x, y, *values) -> TransmissionAssetRecord:
+    wkt = f"LINESTRING ({x} {y}, {x + 1} {y + 1})" if kind == "line" else f"POINT ({x} {y})"
+    return TransmissionAssetRecord(asset_id, kind, wkt, *values)
+
+
+_assets = st.lists(
+    st.builds(
+        _asset, st.sampled_from(["line", "substation", "plant"]), _label, _coord, _coord,
+        st.none() | _label, _number, _number, _number, _number, _number, st.none() | _label,
+        st.none() | _label,
+    ),
+    max_size=3, unique_by=lambda rec: (rec.kind, ingest._sanitize(rec.asset_id)),
+)
+_places = st.lists(
+    st.builds(
+        lambda zip_code, x, y, state, county, same: ZipAreaRecord(
+            zip_code, f"POLYGON (({x} {y}, {x + 1} {y}, {x + 1} {y + 1}, {x} {y + 1}, {x} {y}))",
+            state, county, f"https://example.org/zip/{zip_code}" if same else None,
+        ),
+        _zip, _coord, _coord, _label, _label, st.booleans(),
+    ),
+    max_size=3, unique_by=lambda rec: rec.zip,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_collections, _stations, _assets, _places)
+def test_triplifiers_emit_only_checked_triples(collections, stations, assets, places):
+    _assert_checked_triples(triplify_adoption(collections))
+    _assert_checked_triples(triplify_stations(stations))
+    _assert_checked_triples(triplify_transmission(assets))
+    _assert_checked_triples(triplify_places(places))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from evkg import queries
 from evkg.queries import (
     QUERY_TEXTS,
     expand_query_references,
@@ -237,7 +238,7 @@ def test_query9_and_10_thresholds(fixture_graph, fixtures_dir):
         row["zipcode"].value.rsplit(".", 1)[-1] for row in ten.rows
     } == expected_adoption
 
-    selected = q6_selected_zips(fixture_graph)
+    selected = q6_selected_zips(fixture_graph, nine, ten)
     assert selected[0] == ["zipcode"]
     assert {row[0] for row in selected[1:]} == expected_shortage & expected_adoption
     assert {row[0] for row in selected[1:]} == {"07001", "07003"}
@@ -262,7 +263,9 @@ def test_q4_series_recount(fixture_graph, fixtures_dir):
             key = (token_to_label[connector], year)
             dcfc[key] = dcfc.get(key, 0) + int(amount)
 
-    series = q4_series(fixture_graph)
+    series = q4_series(
+        fixture_graph, run_suite_query(fixture_graph, 4), run_suite_query(fixture_graph, 5)
+    )
     assert series[0] == ["connector", "year", "dcfc_num", "ev_num", "dcfc_per_ev"]
     actual = {
         (row[0], row[1]): int(row[2]) for row in series[1:] if row[2] != ""
@@ -271,7 +274,7 @@ def test_q4_series_recount(fixture_graph, fixtures_dir):
 
 
 def test_q5_series_zip_column(fixture_graph, fixtures_dir):
-    series = q5_series(fixture_graph)
+    series = q5_series(fixture_graph, run_suite_query(fixture_graph, 8))
     assert series[0] == ["zipcode", "ccs_charger_num", "ccs_ev_num", "ratio"]
     regs = _ccs_registrations_2021(fixtures_dir)
     chargers = _ccs_chargers(fixtures_dir)
@@ -308,3 +311,17 @@ def test_question_outputs_are_exactly_the_expected_files(fixture_graph, fixtures
     assert set(names) == {path.name for path in expected_dir.iterdir()}
     for name, text in outputs:
         assert text == (expected_dir / name).read_text(encoding="utf-8"), name
+
+
+def test_question_outputs_run_each_query_once(fixture_graph, monkeypatch):
+    calls = []
+
+    def counting(graph, qid, evaluator=None):
+        calls.append(qid)
+        return run_suite_query(graph, qid, evaluator)
+
+    monkeypatch.setattr(queries, "run_suite_query", counting)
+    for question, expected in {4: [4, 5, 6], 5: [7, 8], 6: [9, 10]}.items():
+        calls.clear()
+        question_outputs(fixture_graph, question)
+        assert calls == expected, question

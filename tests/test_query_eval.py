@@ -435,3 +435,19 @@ def test_engine_matches_naive_on_exhaustive_small_queries():
         )
         count += 1
     assert count == 4 * 3 * 4 * 4 * 3 * 4
+
+
+@pytest.mark.parametrize("obj, present", [
+    ("evr:connectortype.CHAdeMO", True),
+    ("evr:zipcodearea.07001", True),
+    ("evr:nowhere.nothing", False),
+    ('"King"', True),
+    ('"2021"^^xsd:gYear', True),
+    ('"no such label"', False),
+])
+def test_object_only_pattern_agrees_with_oracle(fixture_graph, obj, present):
+    # Only the object is bound, so the engine asks the store for an object-only match.
+    query = parse_query(f"SELECT ?s ?p WHERE {{ ?s ?p {obj} }}")
+    rows = solution_multiset(evaluate(fixture_graph, query))
+    assert rows == solution_multiset(naive.evaluate(fixture_graph, query))
+    assert bool(rows) == present
