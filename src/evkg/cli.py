@@ -3,7 +3,8 @@
 Subcommands: ingest (CSV -> N-Triples snapshot), materialize, query, cq
 (competency-question suite with expected-result diffs), stats, and
 export-ontology. Exit codes: 0 ok, 1 competency diff failure, 2 I/O
-problem, 3 query syntax or unsupported construct.
+problem (an input that cannot be read, is not UTF-8 or is malformed), 3
+query syntax or unsupported construct.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason})", EXIT_IO) from None
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -69,10 +72,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raw = json.loads(_read_text(config_path))
     except json.JSONDecodeError as exc:
         raise CliError(f"{config_path}: not valid JSON: {exc}", EXIT_IO) from None
+    if not isinstance(raw, dict):
+        raise CliError(f"{config_path}: config must be a JSON object", EXIT_IO)
     base = config_path.parent
 
+    def setting(key: str, kind: type | tuple[type, ...], what: str, default: object) -> object:
+        """The value of `key`, which must be an instance of `kind`; `default` when absent."""
+        if key not in raw:
+            return default
+        if not isinstance(raw[key], kind):
+            raise CliError(f"{config_path}: {key!r} must be {what}", EXIT_IO)
+        return raw[key]
+
     def path_of(key: str) -> Path | None:
-        value = raw.get(key)
+        value = setting(key, (str, type(None)), "a string path or null", None)
         if value is None:
             return None
         path = base / value
@@ -85,15 +98,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         stations=path_of("stations"),
         transmission=path_of("transmission"),
         zip_areas=path_of("zip_areas"),
-        materialize_spatial=bool(raw.get("materialize_spatial", True)),
-        subclass_closure=bool(raw.get("subclass_closure", True)),
+        materialize_spatial=setting("materialize_spatial", bool, "true or false", True),
+        subclass_closure=setting("subclass_closure", bool, "true or false", True),
     )
+    snapshot_name = setting("snapshot", str, "a string path", "evkg.nt")
     try:
         graph, report = build_graph(config)
     except (IngestError, StoredGeometryError) as exc:
         raise CliError(f"ingest failed: {exc}", EXIT_IO) from None
 
-    snapshot = Path(args.output) if args.output else base / raw.get("snapshot", "evkg.nt")
+    snapshot = Path(args.output) if args.output else base / snapshot_name
     _write_text(snapshot, serialize_ntriples(graph))
 
     violations = validate_instances(graph)

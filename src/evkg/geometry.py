@@ -83,20 +83,24 @@ class Polygon:
         if _ring_self_intersects(self.outer):
             raise GeometryValidationError("outer ring is self-intersecting")
         # A hole may touch the outer ring along its boundary but not reach
-        # outside it: no edge properly crosses an outer edge, and neither its
+        # outside it, and may touch another hole but not reach inside it: no
+        # edge properly crosses an edge of the other ring, and neither its
         # vertices nor the pieces of its edges between contacts with the
-        # outer ring lie outside (EPS snap, as in locate_point).
-        outer_edges = list(zip(self.outer, self.outer[1:]))
-        for hole in self.holes:
+        # other ring lie on the wrong side of it. A hole whose samples all
+        # lie on another hole's boundary is that hole again.
+        for i, hole in enumerate(self.holes):
             if _ring_self_intersects(hole):
                 raise GeometryValidationError("hole is self-intersecting")
-            for p, q in zip(hole, hole[1:]):
-                if any(_segment_relation(p, q, a, b)[0] == SEG_PROPER for a, b in outer_edges):
-                    raise GeometryValidationError("hole crosses the outer ring")
-            for v in _sample_points(LineString(hole), LineString(self.outer)):
-                on_outer = any(_on_segment(v, a, b) for a, b in outer_edges)
-                if not on_outer and not _point_in_ring(v, self.outer):
-                    raise GeometryValidationError("hole reaches outside the outer ring")
+            if _crosses(hole, self.outer):
+                raise GeometryValidationError("hole crosses the outer ring")
+            if EXTERIOR in _locations(hole, self.outer):
+                raise GeometryValidationError("hole reaches outside the outer ring")
+            for other in self.holes[:i]:
+                if _crosses(hole, other):
+                    raise GeometryValidationError("hole crosses another hole")
+                where = set(_locations(hole, other))
+                if INTERIOR in where or where == {BOUNDARY} or INTERIOR in _locations(other, hole):
+                    raise GeometryValidationError("hole lies inside another hole")
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,6 +392,16 @@ def _ring_self_intersects(ring: Ring) -> bool:
     return False
 
 
+def _crosses(ring: Ring, other: Ring) -> bool:
+    """Does an edge of `ring` properly cross an edge of `other`?"""
+    other_edges = list(zip(other, other[1:]))
+    return any(
+        _segment_relation(p, q, a, b)[0] == SEG_PROPER
+        for p, q in zip(ring, ring[1:])
+        for a, b in other_edges
+    )
+
+
 # ---------------------------------------------------------------------------
 # Point location
 # ---------------------------------------------------------------------------
@@ -406,6 +420,17 @@ def _point_in_ring(p: Point, ring: Ring) -> bool:
         if (a.y > p.y) != (b.y > p.y) and _orient(a, b, p) == (1 if b.y > a.y else -1):
             inside = not inside
     return inside
+
+
+def _locations(ring: Ring, other: Ring) -> Iterator[str]:
+    """Where each sample point of `ring` lies against the area `other` bounds
+    (EPS boundary snap, as in locate_point)."""
+    other_edges = list(zip(other, other[1:]))
+    for p in _sample_points(LineString(ring), LineString(other)):
+        if any(_on_segment(p, a, b) for a, b in other_edges):
+            yield BOUNDARY
+        else:
+            yield INTERIOR if _point_in_ring(p, other) else EXTERIOR
 
 
 def locate_point(p: Point, geom: Geometry) -> str:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .terms import Iri, PrefixTable, Term, Triple, default_prefixes
+from .terms import Iri, Term, Triple
 
 
 class Graph:
-    """Indexed set of triples plus the prefix table used to render it.
+    """Indexed set of triples.
 
     The two indexes are the only per-triple storage; membership, size and
     iteration all come from the subject-first one. A per-predicate triple
@@ -25,13 +25,12 @@ class Graph:
     predicate, and the vocabulary fixes the number of predicates.
     """
 
-    def __init__(self, triples: Iterable[Triple] = (), prefixes: Optional[PrefixTable] = None):
+    def __init__(self, triples: Iterable[Triple] = ()):
         self._size = 0
         # Access orders: subject->predicate->objects, predicate->object->subjects.
         self._spo: dict = {}
         self._pos: dict = {}
         self._predicate_sizes: dict = {}
-        self.prefixes = prefixes if prefixes is not None else default_prefixes()
         for t in triples:
             self.insert(t)
 

@@ -305,7 +305,8 @@ def _read_records(
     path: Path, required: Sequence[str], build: Callable[..., R]
 ) -> tuple[list[R], list[RowIssue]]:
     """Return (`build(*cells)` per data row, with cells in `required` order;
-    the skipped rows). Blank lines are not rows. A cell longer than the csv
+    the skipped rows). Blank lines are not rows. A file that cannot be read
+    or is not UTF-8 fails the load naming it. A cell longer than the csv
     module's field limit (131,072 characters) fails the load naming its row.
 
     The outcome of a row that begins and ends on one line is kept by the
@@ -350,6 +351,8 @@ def _read_records(
                     records.append(record)
                 else:
                     issues.append(RowIssue(row_no, message))
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

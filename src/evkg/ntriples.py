@@ -1,9 +1,10 @@
-"""N-Triples and Turtle-subset reading/writing.
+"""N-Triples reading and writing, and the Turtle ontology export.
 
 N-Triples is the snapshot format: one `.`-terminated triple per line,
 lines sorted lexicographically so equal graphs serialize to identical bytes.
-The Turtle subset (prefix header + full triples, no `;`/`,` lists) exists
-for the ontology export and round-trips only what this toolkit emits.
+The reader takes W3C N-Triples, which has no prefixes. Turtle is written
+only, by `evkg export-ontology`: a header of the default prefixes, then full
+triples with CURIEs where they round-trip (no `;`/`,` lists).
 
 Lines end only at "\\n", "\\r\\n" or "\\r", the N-Triples EOL; any other
 character, U+2028 included, may stand raw inside a literal. Each line is
@@ -11,14 +12,12 @@ read with one compiled pattern, one match per term.
 
 One parse reads each distinct term text once: later occurrences of the
 same token share the term the first one built (and checked), so equal
-terms in a loaded graph are one object. Only text whose meaning does not
-depend on parser state is shared; Turtle prefixed names are read each time.
+terms in a loaded graph are one object.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .graph import Graph
 from .terms import (
@@ -31,6 +30,7 @@ from .terms import (
     Term,
     TermError,
     Triple,
+    default_prefixes,
 )
 
 
@@ -95,9 +95,9 @@ def serialize_ntriples(graph: Graph) -> str:
     return "".join(sorted(f"{text[s]} {text[p]} {text[o]} .\n" for s, p, o in graph))
 
 
-# A word (blank node label, prefixed name, language tag) runs to a blank,
-# '<' or '"'; a '.' ends it only before a blank or the end of the line, so
-# locals such as connectortype.CHAdeMO keep their interior dots. A '#' after
+# A word (blank node label, language tag, or any bare text to report) runs
+# to a blank, '<' or '"'; a '.' ends it only before a blank or the end of
+# the line, so labels such as _:a.b keep their interior dots. A '#' after
 # the final '.' starts a comment, which this pattern reads as a word.
 _WORD = r'(?:[^ \t<".]|\.(?![ \t]|\Z))+'
 _TOKEN = re.compile(rf"""[ \t]*(?:
@@ -139,8 +139,8 @@ def _unescape(line: str, line_no: int, offset: int, body: str) -> str:
     return _ESCAPE.sub(decode, body)
 
 
-def _term(m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable]) -> Term:
-    """The term one `_TOKEN` match reads; prefixed names need a prefix table."""
+def _term(m: re.Match, line: str, line_no: int) -> Term:
+    """The term one `_TOKEN` match reads."""
     kind, end = m.lastgroup, m.end()
     try:
         if kind == "iri":
@@ -151,19 +151,15 @@ def _term(m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable])
             at = m.start("tag") if tag else end
             if suffix is None:
                 return Literal(lexical)
-            if suffix == "^^" and tag and tag[0] == "<":
-                return Literal(lexical, Iri(tag[1:-1]))
-            if suffix == "^^" and line[at:at + 1] == "<":
-                raise _error("unterminated IRI", line_no, at + 1)
-            if suffix == "^^" and prefixes is None:
-                raise _error("expected <datatype IRI>", line_no, at)
             if suffix == "@":
                 if not tag or not _LANGUAGE_TAG.fullmatch(tag):
                     raise _error("expected a language tag", line_no, at)
                 return Literal(lexical, RDF_LANGSTRING, tag)
-            if not tag or tag[0] == "<":
-                raise _error("expected a token", line_no, at)
-            return Literal(lexical, prefixes.expand(tag))
+            if tag and tag[0] == "<":
+                return Literal(lexical, Iri(tag[1:-1]))
+            if line[at:at + 1] == "<":
+                raise _error("unterminated IRI", line_no, at + 1)
+            raise _error("expected <datatype IRI>", line_no, at)
         start = m.start(kind)
         first = line[start:start + 1]
         if first == "<":
@@ -178,12 +174,8 @@ def _term(m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable])
             if not word.startswith("_:") or not _BLANK_LABEL.fullmatch(word, 2):
                 raise _error(f"bad blank node: {word!r}", line_no, end)
             return BlankNode(word[2:])
-        if prefixes is None or kind == "eol":
-            raise _error(f"unexpected character {first!r}", line_no, start)
-        if kind == "dot":
-            raise _error("expected a token", line_no, start)
-        return prefixes.expand(m["word"])
-    except (TermError, KeyError) as exc:
+        raise _error(f"unexpected character {first!r}", line_no, start)
+    except TermError as exc:
         raise _error(str(exc), line_no, end) from None
 
 
@@ -195,62 +187,27 @@ def _expect(ch: str, m: re.Match, line: str, line_no: int) -> int:
     return start
 
 
-def _end(line: str, line_no: int, dot: int) -> None:
-    """Only blanks or a comment may follow the final '.' at offset `dot`."""
+def _triple(line: str, line_no: int, terms: dict[str, Term]) -> Triple:
+    """Read `subject predicate object .`, optionally followed by a comment.
+
+    `terms` maps each token text read so far in this parse to its term. A
+    text that failed is never stored, so each occurrence is reported at its
+    own line and column.
+    """
+    tokens = _TOKEN.finditer(line)
+    spo = []
+    for _ in range(3):
+        m = next(tokens)
+        text = m[m.lastgroup]
+        term = terms.get(text)
+        if term is None:
+            term = terms[text] = _term(m, line, line_no)
+        spo.append(term)
+    dot = _expect(".", next(tokens), line, line_no)
     rest = line[dot + 1:].lstrip(" \t")
     if rest[:1] not in ("", "#"):
         raise _error("trailing content after '.'", line_no, len(line) - len(rest))
-
-
-def _prefix(line: str, line_no: int, prefixes: PrefixTable) -> None:
-    """Register the namespace of one `@prefix name: <iri> .` line."""
-    tokens = _TOKEN.finditer(line, line.index("@prefix") + len("@prefix"))
-    m = next(tokens)
-    if m.lastgroup != "word":
-        raise _error("expected a token", line_no, m.start(m.lastgroup))
-    if not m["word"].endswith(":"):
-        raise _error("prefix name must end with ':'", line_no, m.end())
-    name, m = m["word"][:-1], next(tokens)
-    _expect("<", m, line, line_no)
-    namespace = _term(m, line, line_no, prefixes)
-    _end(line, line_no, _expect(".", next(tokens), line, line_no))
-    prefixes.register(name, namespace.value)
-
-
-def _interned(
-    m: re.Match, line: str, line_no: int, prefixes: Optional[PrefixTable], terms: dict[str, Term]
-) -> Term:
-    """`_term`, read once per token text in one parse and shared after that.
-
-    A text that failed is never stored, so each occurrence is reported at
-    its own line and column. A text that needs the prefix table (a prefixed
-    name, or a literal typed by one) is never stored: `@prefix` may rebind it.
-    """
-    text = m[m.lastgroup]
-    term = terms.get(text)
-    if term is None:
-        term = _term(m, line, line_no, prefixes)
-        if prefixes is None or not _prefixed(m):
-            terms[text] = term
-    return term
-
-
-def _prefixed(m: re.Match) -> bool:
-    """Does the term `m` reads use a prefix: a prefixed name, or a literal typed by one?"""
-    if m.lastgroup == "word":
-        return not m["word"].startswith("_:")
-    return m["suffix"] == "^^" and not m["tag"].startswith("<")
-
-
-def _triple(
-    line: str, line_no: int, prefixes: Optional[PrefixTable], terms: dict[str, Term]
-) -> Triple:
-    """Read `subject predicate object .`, optionally followed by a comment."""
-    tokens = _TOKEN.finditer(line)
-    subject, predicate, obj = [
-        _interned(next(tokens), line, line_no, prefixes, terms) for _ in range(3)
-    ]
-    _end(line, line_no, _expect(".", next(tokens), line, line_no))
+    subject, predicate, obj = spo
     if not isinstance(predicate, Iri):
         raise _error("predicate must be an IRI", line_no, 0)
     try:
@@ -259,28 +216,20 @@ def _triple(
         raise _error(str(exc), line_no, 0) from None
 
 
-def _parse(text: str, prefixes: Optional[PrefixTable]) -> Graph:
-    """The one line loop; a prefix table admits Turtle's @prefix and prefixed names."""
-    graph = Graph(prefixes=prefixes)
+def parse_ntriples(text: str) -> Graph:
+    """A graph of every triple line; blank and `#` comment lines are skipped."""
+    graph = Graph()
     terms: dict[str, Term] = {}  # token text -> its term, for this parse only
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
-        if prefixes is not None and stripped.startswith("@prefix"):
-            _prefix(line, line_no, prefixes)
-        else:
-            graph.insert(_triple(line, line_no, prefixes, terms))
+        if stripped and stripped[0] != "#":
+            graph.insert(_triple(line, line_no, terms))
     return graph
 
 
-def parse_ntriples(text: str) -> Graph:
-    return _parse(text, None)
-
-
 # ---------------------------------------------------------------------------
-# Turtle subset
+# Turtle export (written only)
 # ---------------------------------------------------------------------------
 
 
@@ -296,16 +245,12 @@ def _term_to_turtle(term: Term, prefixes: PrefixTable) -> str:
 
 
 def serialize_turtle(graph: Graph) -> str:
-    prefixes = graph.prefixes
-    used = sorted(prefixes.entries.items())
-    header = "".join(f"@prefix {p}: <{ns}> .\n" for p, ns in used)
+    """The default prefix header, a blank line, then one sorted full triple per line."""
+    prefixes = default_prefixes()
+    header = "".join(f"@prefix {p}: <{ns}> .\n" for p, ns in sorted(prefixes.entries.items()))
     body = sorted(
         f"{_term_to_turtle(t.subject, prefixes)} {_term_to_turtle(t.predicate, prefixes)} "
         f"{_term_to_turtle(t.object, prefixes)} ."
         for t in graph
     )
     return header + "\n" + "".join(line + "\n" for line in body)
-
-
-def parse_turtle(text: str) -> Graph:
-    return _parse(text, PrefixTable())

@@ -1,8 +1,7 @@
 """Query AST and its canonical text form.
 
-A parsed query holds resolved IRIs only; the prefix table it was parsed
-with is kept for reference but excluded from equality so that a query and
-its canonical re-rendering compare equal.
+A parsed query holds resolved IRIs only, so a query and its canonical
+re-rendering compare equal.
 
 Equality is the dataclass-generated `__eq__`, which recurses about twice
 per tree level (about three recursion-limit units on CPython 3.11), so at
@@ -13,7 +12,7 @@ recursion limit, as `test_long_sum_round_trips` sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union as TUnion
 
 from ..ntriples import term_to_ntriples
@@ -133,7 +132,6 @@ class SelectQuery:
     star: bool
     pattern: Pattern
     group_by: tuple[Variable, ...] = ()
-    prefixes: dict = field(default_factory=dict, compare=False, hash=False)
 
 
 @dataclass

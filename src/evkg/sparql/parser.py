@@ -231,7 +231,6 @@ class Parser:
         if tok.kind != "eof":
             self.check_unsupported(tok)
             raise self.error(f"unexpected trailing content: {tok.value!r}", tok)
-        query.prefixes.update(self.prefixes.entries)
         return query
 
     def parse_select(self) -> SelectQuery:

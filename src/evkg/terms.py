@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class TermError(ValueError):
@@ -239,9 +239,6 @@ class PrefixTable:
     def register(self, prefix: str, namespace: str) -> None:
         self.entries[prefix] = namespace
 
-    def copy(self) -> "PrefixTable":
-        return PrefixTable(dict(self.entries))
-
     def expand(self, curie: str) -> Iri:
         prefix, sep, local = curie.partition(":")
         if not sep:
@@ -266,9 +263,6 @@ class PrefixTable:
         if not _LOCAL_RE.match(local):
             return None
         return f"{best[0]}:{local}"
-
-    def items(self) -> Iterator[tuple[str, str]]:
-        return iter(sorted(self.entries.items()))
 
 
 def default_prefixes() -> PrefixTable:

@@ -15,7 +15,7 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -34,10 +34,8 @@ from .terms import (
     XSD,
     Iri,
     Literal,
-    PrefixTable,
     Term,
     Triple,
-    default_prefixes,
 )
 
 OBJECT = "object"
@@ -80,7 +78,6 @@ class OntologyRegistry:
     classes: list[ClassDef]
     properties: list[PropertyDef]
     individuals: list[IndividualDef]
-    prefixes: PrefixTable = field(default_factory=default_prefixes)
 
     def __post_init__(self):
         self._class_map = {c.iri: c for c in self.classes}
@@ -458,7 +455,7 @@ def schema_graph(reg: Optional[OntologyRegistry] = None) -> Graph:
 def individuals_graph(reg: Optional[OntologyRegistry] = None) -> Graph:
     """Just the fixed individuals (typed and labeled); merged into instance data."""
     reg = reg or registry()
-    g = Graph(prefixes=reg.prefixes.copy())
+    g = Graph()
     for ind in reg.individuals:
         g.insert(Triple(ind.iri, RDF.type, ind.type))
         g.insert(Triple(ind.iri, RDFS.label, Literal(ind.label)))

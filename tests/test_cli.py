@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,6 +48,57 @@ def test_ingest_missing_file_exit_2(workspace, capsys):
     bad.write_text(json.dumps(config))
     assert main(["ingest", "-c", str(bad)]) == 2
     assert "no-such-file.csv" in capsys.readouterr().err
+
+
+def _config(workspace: Path, **changes) -> Path:
+    """The fixture config with `changes` applied, written beside it."""
+    config = json.loads((workspace / "evkg-config.json").read_text())
+    path = workspace / "changed-config.json"
+    path.write_text(json.dumps({**config, **changes}))
+    return path
+
+
+def _exit_2_naming(capsys, argv: list[str], *names: str) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    for name in names:
+        assert name in captured.err
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"registrations": 5}, "'registrations' must be a string path or null"),
+    ({"snapshot": ["out.nt"]}, "'snapshot' must be a string path"),
+    ({"materialize_spatial": "false"}, "'materialize_spatial' must be true or false"),
+    ({"subclass_closure": None}, "'subclass_closure' must be true or false"),
+])
+def test_ingest_malformed_config_value_exit_2(workspace, capsys, changes, message):
+    config = _config(workspace, **changes)
+    _exit_2_naming(capsys, ["ingest", "-c", str(config)], f"{config}: {message}")
+
+
+def test_ingest_config_not_an_object_exit_2(workspace, capsys):
+    config = workspace / "list-config.json"
+    config.write_text("[1, 2]")
+    _exit_2_naming(capsys, ["ingest", "-c", str(config)], f"{config}: config must be a JSON object")
+
+
+def test_ingest_unopenable_input_exit_2(workspace, capsys):
+    (workspace / "a-directory").mkdir()
+    config = _config(workspace, registrations="a-directory")
+    _exit_2_naming(capsys, ["ingest", "-c", str(config), "-o", str(workspace / "out.nt")],
+                   "a-directory: cannot read: Is a directory")
+
+
+@pytest.mark.parametrize("command", ["query", "stats"])
+def test_non_utf8_input_exit_2(workspace, capsys, command):
+    bad = workspace / "utf16.txt"
+    bad.write_bytes(b"\xff\xfeS\x00E\x00")
+    if command == "query":
+        argv = ["query", "-i", str(_ingest(workspace)), "-q", str(bad)]
+    else:
+        argv = ["stats", "-i", str(bad)]
+    _exit_2_naming(capsys, argv, f"cannot read {bad}: not UTF-8 text (invalid start byte)")
 
 
 def test_ingest_header_only_registrations_ok(workspace, capsys):
@@ -325,13 +377,28 @@ def test_stats_empty_snapshot(workspace, tmp_path, capsys):
     assert "Total number of classes:    37" in out
 
 
+# A quoted literal or an <IRI> (kept as written), or a CURIE (group 1).
+_TURTLE_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|<[^>]*>|([^\s<>"^]+:[^\s<>"]*)')
+
+
 def test_export_ontology_round_trips(workspace, capsys):
-    from evkg.ntriples import parse_turtle
+    """The export is the default prefix header, then the schema graph as
+    N-Triples lines with CURIEs."""
+    from evkg.ntriples import parse_ntriples
+    from evkg.terms import default_prefixes
     from evkg.vocabulary import schema_graph
 
     out_path = workspace / "evkg-ontology.ttl"
     assert main(["export-ontology", "-o", str(out_path)]) == 0
-    parsed = parse_turtle(out_path.read_text(encoding="utf-8"))
+    header, body = out_path.read_text(encoding="utf-8").split("\n\n", 1)
+    prefixes = default_prefixes()
+    assert header.splitlines() == [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.entries.items())]
+
+    def expand(m: re.Match) -> str:
+        return f"<{prefixes.expand(m[1]).value}>" if m[1] else m[0]
+
+    parsed = parse_ntriples(_TURTLE_TOKEN.sub(expand, body))
+    assert len(parsed) == body.count("\n")
     assert set(parsed) == set(schema_graph())
 
 

@@ -151,6 +151,15 @@ def test_wkt_round_trip_points(x, y):
     # the hole's edge x = 6 spans the mouth of the C, outside the polygon.
     ("POLYGON ((0 0, 6 0, 6 2, 2 2, 2 4, 6 4, 6 6, 0 6, 0 0), (1 1, 6 2, 6 4, 1 5, 1 1))",
      "hole reaches outside the outer ring", 82),
+    # Holes that overlap, nest (in either order) or repeat one another.
+    ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 6 2, 6 6, 2 6, 2 2), (4 4, 8 4, 8 8, 4 8, 4 4))",
+     "hole crosses another hole", 93),
+    ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 8 2, 8 8, 2 8, 2 2), (3 3, 4 3, 4 4, 3 4, 3 3))",
+     "hole lies inside another hole", 93),
+    ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (3 3, 4 3, 4 4, 3 4, 3 3), (2 2, 8 2, 8 8, 2 8, 2 2))",
+     "hole lies inside another hole", 93),
+    ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2), (4 2, 4 4, 2 4, 2 2, 3 2, 4 2))",
+     "hole lies inside another hole", 98),
 ])
 def test_wkt_error_messages_and_positions_pinned(text, message, position):
     with pytest.raises(WktParseError) as exc:
@@ -163,6 +172,7 @@ def test_wkt_error_messages_and_positions_pinned(text, message, position):
     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (0 0, 2 0, 2 2, 0 2, 0 0))",  # shares a corner and two edges
     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (2 0, 3 1, 1 1, 2 0))",  # a vertex on an outer edge
     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1), (2 2, 3 2, 3 3, 2 2))",
+    "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2), (4 4, 6 4, 6 6, 4 6, 4 4))",
 ])
 def test_holes_inside_or_touching_the_outer_boundary_are_accepted(text):
     assert parse_wkt(text).holes

@@ -7,7 +7,6 @@ from evkg.graph import Graph
 from evkg.ntriples import (
     ParseError,
     parse_ntriples,
-    parse_turtle,
     serialize_ntriples,
     serialize_turtle,
     term_to_ntriples,
@@ -135,8 +134,6 @@ def test_valid_unicode_escapes_decoded():
 def test_comment_after_final_dot_accepted():
     nt = '<http://x/s> <http://x/p> "x" . # c\n<http://x/s> <http://x/p> <http://x/o> .#c\n'
     assert len(parse_ntriples(nt)) == 2
-    ttl = '@prefix ex: <http://x/> .\nex:s ex:p "x" . # c\n'
-    assert set(parse_turtle(ttl)) == {Triple(Iri("http://x/s"), Iri("http://x/p"), Literal("x"))}
 
 
 def test_content_after_final_dot_still_rejected():
@@ -149,14 +146,16 @@ def test_missing_dot_rejected():
         parse_ntriples("<http://x/s> <http://x/p> <http://x/o>\n")
 
 
-def test_turtle_subset_round_trip():
+def test_turtle_subset_written_with_curies():
     g = Graph()
     g.insert(Triple(EVR["s"], RDF_TYPE, EVR["Type"]))
     g.insert(Triple(EVR["s"], EVR["year"], Literal("2020", XSD_GYEAR)))
     g.insert(Triple(EVR["s"], EVR["label"], Literal("a b c")))
     text = serialize_turtle(g)
     assert "@prefix evr:" in text
-    assert set(parse_turtle(text)) == set(g)
+    assert text.endswith(
+        '\nevr:s evr:label "a b c" .\nevr:s evr:year "2020"^^xsd:gYear .\nevr:s rdf:type evr:Type .\n'
+    )
 
 
 def test_turtle_preserves_dotted_locals():
@@ -164,7 +163,6 @@ def test_turtle_preserves_dotted_locals():
     g.insert(Triple(EVR["connectortype.CHAdeMO"], RDF_TYPE, EVR["Type"]))
     text = serialize_turtle(g)
     assert "evr:connectortype.CHAdeMO" in text
-    assert set(parse_turtle(text)) == set(g)
 
 
 # U+0085, U+2028 and U+2029 stay raw in a literal: lines end only at the
@@ -176,7 +174,7 @@ def test_unicode_line_separators_round_trip(sep):
     text = serialize_ntriples(g)
     assert sep in text
     assert set(parse_ntriples(text)) == set(g)
-    assert set(parse_turtle(serialize_turtle(g))) == set(g)
+    assert f'"one{sep}two" .\n' in serialize_turtle(g)
 
 
 def test_crlf_and_cr_end_lines():
@@ -188,8 +186,7 @@ def test_crlf_and_cr_end_lines():
 
 
 # One row per message the reader raises, with its line and column; the
-# erroneous line follows one good line (N-Triples) or the prefix header
-# (Turtle), so every row is on line 2.
+# erroneous line follows one good line, so every row is on line 2.
 _SP, _P, _XSD = "<http://x/s> <http://x/p>", "<http://x/p>", "http://www.w3.org/2001/XMLSchema#"
 _NTRIPLES_ERRORS = [
     (f"{_SP} <http://x/o> <http://x/z>", "expected '.', found '<http://x/'", 40),
@@ -225,38 +222,20 @@ _NTRIPLES_ERRORS = [
     (f'{_SP} "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
      "rdf:langString literal requires a language tag", 87),
     ("@prefix ex: <http://x/> .", "unexpected character '@'", 1),
+    (f"ex:s {_P} <http://x/o> .", "unexpected character 'e'", 1),
+    ("<http://x/s> ex:p <http://x/o> .", "unexpected character 'e'", 14),
+    (f"{_SP} ex:o .", "unexpected character 'e'", 27),
     (_SP, "unexpected character ''", 26),
     (f"{_SP} <http://x/o> . <http://x/o>", "trailing content after '.'", 42),
     ("<http://x/s> _:b <http://x/o> .", "predicate must be an IRI", 1),
     (f'"lit" {_P} <http://x/o> .', "literal in subject position", 1),
 ]
-_TURTLE_ERRORS = [
-    ("@prefix ex2: ex:b .", "expected '<', found 'ex:b .'", 14),
-    ("@prefix ex2 <http://y/> .", "prefix name must end with ':'", 12),
-    ("@prefix <http://y/> .", "expected a token", 9),
-    ("@prefix ex2: <http://y/> x", "expected '.', found 'x'", 26),
-    ("@prefix ex2: <http://y/", "unterminated IRI", 15),
-    ("foo ex:p ex:o .", "not a CURIE (missing colon): 'foo'", 4),
-    ("zz:s ex:p ex:o .", "unknown prefix: 'zz'", 5),
-    ('ex:s ex:p "x"^^ .', "expected a token", 16),
-    ('ex:s ex:p "x"^^ ex:t .', "expected a token", 16),
-    ("@prefix ex2: <http://y/> . trailing junk", "trailing content after '.'", 28),
-    ("@prefix ex2: <http://y/> .junk", "trailing content after '.'", 27),
-    ("ex:s ex:p", "unexpected character ''", 10),
-    ("ex:s ex:p ex:a>b .", "IRI contains forbidden character: 'http://x/a>b'", 17),
-    ("ex:s ex:p .", "expected a token", 11),
-    ('ex:s ex:p "x"^^ex:t>y .', "IRI contains forbidden character: 'http://x/t>y'", 22),
-]
 
 
-@pytest.mark.parametrize(
-    "parse, header, line, message, col",
-    [(parse_ntriples, f"{_SP} <http://x/o> .\n", *row) for row in _NTRIPLES_ERRORS]
-    + [(parse_turtle, "@prefix ex: <http://x/> .\n", *row) for row in _TURTLE_ERRORS],
-)
-def test_error_messages_and_positions_pinned(parse, header, line, message, col):
+@pytest.mark.parametrize("line, message, col", _NTRIPLES_ERRORS)
+def test_error_messages_and_positions_pinned(line, message, col):
     with pytest.raises(ParseError) as exc:
-        parse(header + line + "\n")
+        parse_ntriples(f"{_SP} <http://x/o> .\n" + line + "\n")
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col {col}: {message}", 2, col)
 
 
@@ -270,35 +249,17 @@ _NT_FUZZ_PIECES = [
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(_NT_FUZZ_PIECES), st.characters()), max_size=40))
-def test_readers_raise_only_parse_errors(pieces):
-    text = "".join(pieces)
-    for parse in (parse_ntriples, parse_turtle):
-        try:
-            parse(text)
-        except ParseError:
-            pass
+def test_reader_raises_only_parse_errors(pieces):
+    try:
+        parse_ntriples("".join(pieces))
+    except ParseError:
+        pass
 
 
 def test_parse_shares_one_object_per_distinct_term(fixture_graph):
     graph = parse_ntriples(serialize_ntriples(fixture_graph))
     terms = [term for t in graph for term in t]
     assert len({id(term) for term in terms}) == len(set(terms)) < len(terms)
-
-
-def test_turtle_prefixed_names_follow_each_prefix_binding():
-    text = (
-        "@prefix ex: <http://a.example/> .\n"
-        'ex:s ex:p ex:o .\nex:s ex:q "1"^^ex:t .\n'
-        "@prefix ex: <http://b.example/> .\n"
-        'ex:s ex:p ex:o .\nex:s ex:q "1"^^ex:t .\n'
-    )
-    graph = parse_turtle(text)
-    assert {(t.subject.value, t.object) for t in graph} == {
-        ("http://a.example/s", Iri("http://a.example/o")),
-        ("http://a.example/s", Literal("1", Iri("http://a.example/t"))),
-        ("http://b.example/s", Iri("http://b.example/o")),
-        ("http://b.example/s", Literal("1", Iri("http://b.example/t"))),
-    }
 
 
 def test_repeated_term_text_in_a_bad_position_reports_its_own_line():
