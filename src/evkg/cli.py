@@ -66,6 +66,10 @@ def _load_snapshot(path: Path) -> Graph:
         raise CliError(f"{path}: {exc}", EXIT_IO) from None
 
 
+_CONFIG_KEYS = {"registrations", "stations", "transmission", "zip_areas", "snapshot",
+                "materialize_spatial", "subclass_closure"}
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     try:
@@ -74,6 +78,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise CliError(f"{config_path}: not valid JSON: {exc}", EXIT_IO) from None
     if not isinstance(raw, dict):
         raise CliError(f"{config_path}: config must be a JSON object", EXIT_IO)
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        # A misspelt input key would otherwise drop that input silently.
+        raise CliError(f"{config_path}: unknown config key {unknown[0]!r}", EXIT_IO)
     base = config_path.parent
 
     def setting(key: str, kind: type | tuple[type, ...], what: str, default: object) -> object:

@@ -4,10 +4,13 @@ Coordinates are treated as Cartesian (lon/lat on a plane). Every sign
 decision is exact: an orientation sign, and the segment-crossing,
 point-in-ring and ring-validity tests built on it, comes from float products
 whenever Shewchuk's proven error bound separates it from zero, and from exact
-rationals only when the bound cannot decide (nearly collinear points, or
-products that underflow or overflow). The point where two segments properly
-cross is solved in rationals. The only approximate step is snapping a point
-to a boundary when it lies within EPS of an edge.
+integer arithmetic only when the bound cannot decide (nearly collinear
+points, or products that underflow or overflow). The point where two
+segments properly cross is solved exactly in integers and rounded once, to
+the nearest float. Exact arithmetic scales the coordinates to integers over
+their common power-of-two denominator (`_integers`), which every finite
+float has. The only approximate step is snapping a point to a boundary when
+it lies within EPS of an edge.
 
 Boundary semantics follow DE-9IM interiors: a point exactly on a polygon
 boundary intersects the polygon but is not within it.
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -256,6 +258,14 @@ def to_wkt(geom: Geometry) -> str:
     return f"{type(geom).__name__.upper()} {_text(_SHAPE_OF[type(geom)].nested(geom))}"
 
 
+def survives_wkt(geom: Geometry) -> bool:
+    """Does `to_wkt(geom)` parse back to an equal geometry? It does when every
+    coordinate survives the writer's 9 decimals: the same coordinates in the
+    same structure, which pass the same validation. `round(v, 9)` is
+    `float(_fmt(v))`: both round v's exact decimal value correctly."""
+    return all(round(v, 9) == v for p in _vertices(geom) for v in (p.x, p.y))
+
+
 # ---------------------------------------------------------------------------
 # Exact predicates on segments
 # ---------------------------------------------------------------------------
@@ -276,7 +286,8 @@ def _orient(a: Point, b: Point, c: Point) -> int:
 
     The sign comes from the float products when they decide it: opposite
     signs, exact zeros (an exactly-zero factor, as on axis-aligned edges), or
-    a difference beyond the rounding bound. Only the rest take rationals.
+    a difference beyond the rounding bound. Only the rest are decided in
+    integers.
     """
     bx, cy, by, cx = b.x - a.x, c.y - a.y, b.y - a.y, c.x - a.x
     left, right = bx * cy, by * cx
@@ -295,10 +306,34 @@ def _orient(a: Point, b: Point, c: Point) -> int:
             return -1
         if bound == 0.0:
             return 0
-    det = (Fraction(b.x) - Fraction(a.x)) * (Fraction(c.y) - Fraction(a.y)) - (
-        Fraction(b.y) - Fraction(a.y)
-    ) * (Fraction(c.x) - Fraction(a.x))
+    (ax, ay, bx, by, cx, cy), _ = _integers(a.x, a.y, b.x, b.y, c.x, c.y)
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+def _integers(*values: float) -> tuple[list[int], int]:
+    """The values as integers over their common denominator, and that
+    denominator: a power of two, as every finite float's denominator is."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _crossing_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
+    """Where lines p1p2 and q1q2 meet, each coordinate the float nearest the
+    exact rational (p1 + t·(p2 - p1)); the lines must not be parallel.
+    Dividing one int by another rounds correctly."""
+    (x1, y1, x2, y2, x3, y3, x4, y4), scale = _integers(
+        p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y
+    )
+    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    t = (x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)  # over denom
+    if denom < 0:
+        denom, t = -denom, -t
+    return Point(
+        (x1 * denom + t * (x2 - x1)) / (denom * scale),
+        (y1 * denom + t * (y2 - y1)) / (denom * scale),
+    )
 
 
 def _dist2_point_segment(p: Point, a: Point, b: Point) -> float:
@@ -336,14 +371,7 @@ def _segment_relation(p1: Point, p2: Point, q1: Point, q2: Point) -> tuple[int, 
     o3 = _orient(q1, q2, p1)
     o4 = _orient(q1, q2, p2)
     if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        # Proper crossing: solve for the intersection point exactly.
-        x1, y1, x2, y2 = map(Fraction, (p1.x, p1.y, p2.x, p2.y))
-        x3, y3, x4, y4 = map(Fraction, (q1.x, q1.y, q2.x, q2.y))
-        denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-        t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
-        px = x1 + t * (x2 - x1)
-        py = y1 + t * (y2 - y1)
-        return SEG_PROPER, Point(float(px), float(py))
+        return SEG_PROPER, _crossing_point(p1, p2, q1, q2)
     if o1 == o2 == o3 == o4 == 0:
         # Collinear: overlap if the projections share more than a point.
         touches = [c for c in (q1, q2) if _between(p1, p2, c)] + [

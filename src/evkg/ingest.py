@@ -42,11 +42,14 @@ collision, or two valid rows with one zip (`DuplicateZip`), fails the load.
 
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
-and never parse the source text again. Spatial materialization reads that
-canonical `geo:asWKT` literal back rather than the record geometry: `to_wkt`
-rounds every coordinate to 9 decimals, so the literal is the geometry the
-snapshot states, and `evkg materialize` on a stored snapshot takes the same
-path.
+and never parse the source text again. Spatial materialization works from
+that canonical `geo:asWKT` literal, not the record geometry: `to_wkt` rounds
+every coordinate to 9 decimals, so the literal is the geometry the snapshot
+states, and `evkg materialize` on a stored snapshot takes the same path.
+`build_graph` hands it, keyed by that text, every zip, transmission and
+station geometry whose text parses back to an equal geometry
+(`geometry.survives_wkt`), so the WKT of each is parsed once; a literal that
+rounding changed is parsed from the snapshot text.
 """
 
 from __future__ import annotations
@@ -800,6 +803,11 @@ class IngestConfig:
     subclass_closure: bool = True
 
 
+def _by_wkt(geoms: Iterable[geometry.Geometry]) -> dict[str, geometry.Geometry]:
+    """Canonical WKT text -> geometry, for the geometries that text parses back to."""
+    return {geometry.to_wkt(g): g for g in geoms if geometry.survives_wkt(g)}
+
+
 def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
     """Run every configured pipeline, inserting its triples into one graph.
 
@@ -812,12 +820,14 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
 
     report = LoadReport()
     merged = individuals_graph()
+    geoms: list[geometry.Geometry] = []  # zip, station and asset geometries, for the spatial step
 
     if config.zip_areas:
         records, issues = read_zip_areas(config.zip_areas)
         report.skipped.extend(issues)
         report.bump("zip_areas", len(records))
         merged.update(triplify_places(records))
+        geoms.extend(rec.geometry for rec in records)
     if config.registrations:
         records, issues = read_registrations(config.registrations)
         report.skipped.extend(issues)
@@ -831,16 +841,18 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
         report.skipped.extend(issues)
         report.bump("stations", len(records))
         merged.update(triplify_stations(records))
+        geoms.extend(geometry.Point(rec.lon, rec.lat) for rec in records)
     if config.transmission:
         records, issues = read_transmission(config.transmission)
         report.skipped.extend(issues)
         for rec in records:
             report.bump(f"transmission_{rec.kind}s")
         merged.update(triplify_transmission(records))
+        geoms.extend(rec.geometry for rec in records)
 
     if config.subclass_closure:
         report.bump("closure_triples", materialize.materialize_subclass_closure(merged))
     if config.materialize_spatial:
-        spatial = materialize.materialize_spatial_relations(merged)
+        spatial = materialize.materialize_spatial_relations(merged, _by_wkt(geoms))
         report.bump("spatial_triples", spatial.added_total)
     return merged, report

@@ -13,6 +13,14 @@ input. A feature collects the zips listed in the cells its EPS-grown box
 covers and box-checks only those, in zip order; so `geometry.bbox_checks`
 grows with the number of features, not features × zips, and the inserts
 and boundary reports come in the same order as an all-pairs loop.
+
+Each member's geometry is its stored `geo:asWKT` literal; of several, the
+one on the geometry node with the smallest IRI, and within that node the
+smallest literal, so the choice never follows set order. A caller that
+built the geometries passes them keyed by their stored text, and only a
+literal missing there is parsed: `build_graph` passes every geometry whose
+text parses back to an equal one, so an ingest parses each WKT once, while
+`evkg materialize` on a snapshot parses every literal.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import geometry
 from .graph import Graph
@@ -73,25 +81,33 @@ class StoredGeometryError(ValueError):
 
 
 def _geometries(
-    graph: Graph, classes: tuple[Iri, ...]
+    graph: Graph, classes: tuple[Iri, ...], parsed: Mapping[str, geometry.Geometry]
 ) -> list[tuple[Iri, Optional[geometry.Geometry]]]:
     """IRI-sorted (member, stored geometry or None) for the members of classes."""
     members = {s for cls in classes for s in graph.subjects(RDF_TYPE, cls) if isinstance(s, Iri)}
     out = []
     for member in sorted(members, key=lambda iri: iri.value):
-        # Parse the stored 9-decimal literal, not the source WKT: it is the
-        # geometry the snapshot states, and a reloaded snapshot has nothing else.
-        wkt = next(
-            (w for node in graph.objects(member, GEO.hasGeometry)
+        # The stored 9-decimal literal, not the source WKT: it is the geometry
+        # the snapshot states, and a reloaded snapshot has nothing else. Of
+        # several, the smallest node's smallest literal, whatever the set order.
+        stored = min(
+            ((node, w) for node in graph.objects(member, GEO.hasGeometry)
              for w in graph.objects(node, GEO.asWKT) if isinstance(w, Literal)),
-            None,
+            default=None,
         )
-        try:
-            out.append((member, None if wkt is None else geometry.parse_wkt(wkt.lexical)))
-        except geometry.WktParseError as exc:
-            raise StoredGeometryError(
-                f"{member.value}: stored geometry does not parse: {exc}"
-            ) from None
+        if stored is None:
+            out.append((member, None))
+            continue
+        text = stored[1].lexical
+        geom = parsed.get(text)
+        if geom is None:
+            try:
+                geom = geometry.parse_wkt(text)
+            except geometry.WktParseError as exc:
+                raise StoredGeometryError(
+                    f"{member.value}: stored geometry does not parse: {exc}"
+                ) from None
+        out.append((member, geom))
     return out
 
 
@@ -144,17 +160,22 @@ class _ZipGrid:
         return sorted(found)
 
 
-def materialize_spatial_relations(graph: Graph) -> SpatialReport:
+def materialize_spatial_relations(
+    graph: Graph, parsed: Optional[Mapping[str, geometry.Geometry]] = None
+) -> SpatialReport:
     """Assert point-in-zip (sfWithin/sfContains) and line-crosses-zip triples.
 
-    A point exactly on a zip boundary (within the geometry EPS) is assigned
-    to no zip but reported, so sliver-boundary cases stay auditable.
-    Raises StoredGeometryError for a stored geometry that does not parse or
-    a zip area that is not a polygon.
+    `parsed` maps stored `geo:asWKT` texts to the geometries they parse to,
+    so that a caller which built them need not have them parsed again; a
+    text it lacks is parsed. A point exactly on a zip boundary (within the
+    geometry EPS) is assigned to no zip but reported, so sliver-boundary
+    cases stay auditable. Raises StoredGeometryError for a stored geometry
+    that does not parse or a zip area that is not a polygon.
     """
     report = SpatialReport()
+    parsed = parsed or {}
     zip_areas = []
-    for zip_iri, zip_geom in _geometries(graph, (KWG_ONT.ZipCodeArea,)):
+    for zip_iri, zip_geom in _geometries(graph, (KWG_ONT.ZipCodeArea,), parsed):
         if zip_geom is None:
             continue
         if not isinstance(zip_geom, (geometry.Polygon, geometry.MultiPolygon)):
@@ -162,7 +183,7 @@ def materialize_spatial_relations(graph: Graph) -> SpatialReport:
         zip_areas.append((zip_iri, zip_geom, geometry.bbox(zip_geom)))
     grid = _ZipGrid([zip_box for _, _, zip_box in zip_areas])
 
-    for feature, geom in _geometries(graph, FEATURE_CLASSES):
+    for feature, geom in _geometries(graph, FEATURE_CLASSES, parsed):
         if geom is None:
             report.skipped_no_geometry.append(feature)
             continue

@@ -12,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from evkg.cli import main
+from evkg.graph import Graph
+from evkg.ingest import ZipAreaRecord, triplify_places, zip_area_iri
+from evkg.ntriples import serialize_ntriples
 from evkg.queries import QUERY_TEXTS
+from evkg.terms import EV_ONT, EVR, GEO, KWG_ONT, RDF, WKT_LITERAL, Literal, Triple
 
 from conftest import FIXTURES, ROOT
 
@@ -75,6 +79,17 @@ def _exit_2_naming(capsys, argv: list[str], *names: str) -> None:
 def test_ingest_malformed_config_value_exit_2(workspace, capsys, changes, message):
     config = _config(workspace, **changes)
     _exit_2_naming(capsys, ["ingest", "-c", str(config)], f"{config}: {message}")
+
+
+def test_ingest_unknown_config_key_exit_2(workspace, capsys):
+    # A misspelt input key used to drop that input and exit 0.
+    config = json.loads((workspace / "evkg-config.json").read_text())
+    config["zip_area"] = config.pop("zip_areas")
+    path = workspace / "misspelt-config.json"
+    path.write_text(json.dumps(config))
+    _exit_2_naming(capsys, ["ingest", "-c", str(path), "-o", str(workspace / "out.nt")],
+                   f"{path}: unknown config key 'zip_area'")
+    assert not (workspace / "out.nt").exists()
 
 
 def test_ingest_config_not_an_object_exit_2(workspace, capsys):
@@ -443,3 +458,36 @@ def test_outputs_do_not_depend_on_hash_seed(tmp_path):
     assert hashlib.sha256(snap1).hexdigest() == pin["sha256"]
     assert cq1 == cq2
     assert all(out.startswith(f"Q{q}: PASS") for q, out in enumerate(cq1, 1))
+
+
+def test_materialize_geometry_choice_does_not_depend_on_hash_seed(tmp_path):
+    """Of a station's several stored geometries, `evkg materialize` uses the
+    smallest node's smallest literal, POINT (2 2), under every hash seed."""
+    graph = Graph()
+    graph.update(triplify_places([
+        ZipAreaRecord("07001", "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "New Jersey", "Bergen"),
+        ZipAreaRecord("07002", "POLYGON ((6 0, 10 0, 10 4, 6 4, 6 0))", "New Jersey", "Hudson"),
+    ]))
+    station = EVR["chargingstation.multi"]
+    graph.insert(Triple(station, RDF.type, EV_ONT.PublicChargingStation))
+    for name, wkt in (("b", "POINT (8 2)"), ("a", "POINT (20 20)"), ("a", "POINT (2 2)"),
+                      ("c", "POINT (30 30)")):
+        node = EVR[f"geometry.multi.{name}"]
+        graph.insert(Triple(station, GEO.hasGeometry, node))
+        graph.insert(Triple(node, GEO.asWKT, Literal(wkt, WKT_LITERAL)))
+    snapshot = tmp_path / "multi.nt"
+    snapshot.write_text(serialize_ntriples(graph), encoding="utf-8")
+    outputs = []
+    for seed in ("2", "3"):  # seeds that chose different geometries by set order
+        output = tmp_path / f"seed{seed}.nt"
+        result = subprocess.run(
+            [sys.executable, "-m", "evkg.cli", "materialize", "-i", str(snapshot), "-o", str(output)],
+            capture_output=True, text=True, timeout=120, cwd=ROOT,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(output.read_text(encoding="utf-8"))
+    assert outputs[0] == outputs[1]
+    prefix = f"<{station.value}> <{KWG_ONT.sfWithin.value}> "
+    within = [line for line in outputs[0].splitlines() if line.startswith(prefix)]
+    assert within == [f"{prefix}<{zip_area_iri('07001').value}> ."]

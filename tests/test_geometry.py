@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evkg.geometry import (
@@ -16,8 +16,11 @@ from evkg.geometry import (
     INTERIOR,
     SEG_NONE,
     SEG_OVERLAP,
+    SEG_PROPER,
     GeometryValidationError,
     LineString,
+    MultiLineString,
+    MultiPoint,
     MultiPolygon,
     Point,
     Polygon,
@@ -36,6 +39,7 @@ from evkg.geometry import (
     sf_crosses,
     sf_intersects,
     sf_within,
+    survives_wkt,
     to_wkt,
 )
 
@@ -121,6 +125,48 @@ def test_wkt_coordinate_formatting():
 def test_wkt_round_trip_points(x, y):
     p = Point(float(x) + 0.5, float(y) + 0.25)
     assert parse_wkt(to_wkt(p)) == p
+
+
+def _rectangle(x0: float, y0: float, x1: float, y1: float) -> tuple[Point, ...]:
+    return (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1), Point(x0, y0))
+
+
+# Coordinates on the 9-decimal grid, which survive the writer, and any finite float.
+_coordinate = st.one_of(
+    st.integers(-10**12, 10**12).map(lambda n: n / 1e9),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _polygons(draw) -> Polygon:
+    """A rectangle, perhaps with a rectangular hole strictly inside it."""
+    xs = sorted(draw(st.lists(_coordinate, min_size=4, max_size=4, unique=True)))
+    ys = sorted(draw(st.lists(_coordinate, min_size=4, max_size=4, unique=True)))
+    holes = (_rectangle(xs[1], ys[1], xs[2], ys[2]),) if draw(st.booleans()) else ()
+    return Polygon(_rectangle(xs[0], ys[0], xs[3], ys[3]), holes)
+
+
+_points = st.builds(Point, _coordinate, _coordinate)
+_lines = st.lists(_points, min_size=2, max_size=4).map(lambda pts: LineString(tuple(pts)))
+_geometries = st.one_of(
+    _points,
+    _lines,
+    _polygons(),
+    st.lists(_points, min_size=1, max_size=3).map(lambda pts: MultiPoint(tuple(pts))),
+    st.lists(_lines, min_size=1, max_size=3).map(lambda ls: MultiLineString(tuple(ls))),
+    st.lists(_polygons(), min_size=1, max_size=2).map(lambda ps: MultiPolygon(tuple(ps))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_geometries)
+def test_wkt_parses_back_to_an_equal_geometry_exactly_when_it_survives(geom):
+    try:
+        back = parse_wkt(to_wkt(geom))
+    except WktParseError:  # rounding made a ring invalid
+        back = None
+    assert survives_wkt(geom) == (back == geom)
 
 
 # One row per message the reader raises, with its offset: the start of the
@@ -297,6 +343,40 @@ def test_orient_agrees_with_fraction_determinant():
     for i in range(100_000):
         a, b, c = orient_case(rng, scales[i % len(scales)])
         assert _orient(a, b, c) == fraction_orient(a, b, c), (a, b, c)
+
+
+def fraction_crossing_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
+    x1, y1, x2, y2 = map(Fraction, (p1.x, p1.y, p2.x, p2.y))
+    x3, y3, x4, y4 = map(Fraction, (q1.x, q1.y, q2.x, q2.y))
+    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
+    return Point(float(x1 + t * (x2 - x1)), float(y1 + t * (y2 - y1)))
+
+
+@st.composite
+def _crossings(draw) -> tuple[Point, Point, Point, Point]:
+    """Two segments through a common centre, at 2**scale, with the centre up
+    to 2**60 times farther out: from subnormal to near the largest float."""
+    scale = draw(st.integers(-1070, 960))
+    offset = draw(st.integers(0, 60))
+
+    def size(exponent: int, low: float) -> float:
+        return math.ldexp(draw(st.floats(low, 1.0)), exponent)
+
+    cx, cy = (size(scale + offset, -1.0) for _ in range(2))
+    a, b, c, d = (size(scale, 0.125) for _ in range(4))
+    return Point(cx - a, cy - b), Point(cx + a, cy + b), Point(cx - c, cy + d), Point(cx + c, cy - d)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_crossings())
+def test_crossing_point_equals_the_rational_one_bit_for_bit(segments):
+    kind, point = _segment_relation(*segments)
+    assume(kind == SEG_PROPER)
+    expected = fraction_crossing_point(*segments)
+    assert [(v, math.copysign(1.0, v)) for v in (point.x, point.y)] == [
+        (v, math.copysign(1.0, v)) for v in (expected.x, expected.y)
+    ]
 
 
 def random_grid_ring(rng: random.Random) -> tuple[Point, ...]:

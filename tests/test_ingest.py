@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evkg import geometry, ingest
+from evkg import geometry, ingest, materialize
 from evkg.graph import Graph
 from evkg.ingest import (
     ChargerGroup,
@@ -578,10 +578,53 @@ def _count_wkt_parses(monkeypatch) -> list[int]:
 
 def test_build_graph_parses_each_source_wkt_once(monkeypatch):
     # 53 zip and transmission records parse their WKT once while validating;
-    # spatial materialization parses the 93 stored literals it reads back.
+    # every stored literal is the text of a record or station geometry that
+    # survives 9 decimals, so spatial materialization parses none of the 93.
     calls = _count_wkt_parses(monkeypatch)
     build_graph(fixture_config())
-    assert calls[0] == 146
+    assert calls[0] == 53
+
+
+@pytest.mark.parametrize("vertex, calls", [("0.5", 54), ("0.5000000001", 55)])
+def test_literal_that_rounding_changed_is_parsed(tmp_path, fixtures_dir, monkeypatch, vertex, calls):
+    # One more zip: its source WKT is parsed while validating, and its stored
+    # literal only when a vertex is off the 9-decimal grid (still valid there).
+    zips = tmp_path / "zip_areas.csv"
+    zips.write_text((fixtures_dir / "zip_areas.csv").read_text(encoding="utf-8")
+                    + f'99999,"POLYGON ((0 0, 1 0, 1 1, {vertex} 1.5, 0 1, 0 0))",Nowhere,Nowhere,\n',
+                    encoding="utf-8")
+    count = _count_wkt_parses(monkeypatch)
+    graph, report = build_graph(replace(fixture_config(), zip_areas=zips))
+    assert count[0] == calls
+    assert report.counts["zip_areas"] == 33
+    node = ingest.geometry_iri(zip_area_iri("99999"))
+    assert [w.lexical for w in graph.objects(node, GEO.asWKT)] == [
+        "POLYGON ((0 0, 1 0, 1 1, 0.5 1.5, 0 1, 0 0))"
+    ]
+
+
+def _tiled_config(tmp_path: Path) -> IngestConfig:
+    _load_tiler().tile_corpus(ROOT / "fixtures", tmp_path, 2, 1)
+    return IngestConfig(**{name: tmp_path / f"{name}.csv"
+                           for name in ("registrations", "stations", "transmission", "zip_areas")})
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["fixture", "k2"])
+def test_handed_geometries_give_what_parsing_every_literal_gives(tmp_path, monkeypatch, tiled):
+    config = _tiled_config(tmp_path) if tiled else fixture_config()
+    spatial = materialize.materialize_spatial_relations
+    reports = []
+
+    def recording(graph, parsed):
+        reports.append(spatial(graph, parsed))
+        return reports[-1]
+
+    monkeypatch.setattr(materialize, "materialize_spatial_relations", recording)
+    graph, _ = build_graph(config)
+    bare, _ = build_graph(replace(config, materialize_spatial=False))
+    assert reports == [spatial(bare)]
+    assert reports[0].added_total > 0
+    assert serialize_ntriples(graph) == serialize_ntriples(bare)
 
 
 def test_triplifiers_reuse_record_geometry(fixtures_dir, monkeypatch):
@@ -854,13 +897,7 @@ def _load_tiler():
 
 def test_build_graph_triples_pass_triple_checks(fixture_graph, tmp_path):
     _assert_checked_triples(fixture_graph)
-    _load_tiler().tile_corpus(ROOT / "fixtures", tmp_path, 2, 1)
-    tiled, report = build_graph(IngestConfig(
-        registrations=tmp_path / "registrations.csv",
-        stations=tmp_path / "stations.csv",
-        transmission=tmp_path / "transmission.csv",
-        zip_areas=tmp_path / "zip_areas.csv",
-    ))
+    tiled, report = build_graph(_tiled_config(tmp_path))
     assert not report.skipped and len(tiled) > len(fixture_graph)
     _assert_checked_triples(tiled)
 
