@@ -46,10 +46,11 @@ and never parse the source text again. Spatial materialization works from
 that canonical `geo:asWKT` literal, not the record geometry: `to_wkt` rounds
 every coordinate to 9 decimals, so the literal is the geometry the snapshot
 states, and `evkg materialize` on a stored snapshot takes the same path.
-`build_graph` hands it, keyed by that text, every zip, transmission and
-station geometry whose text parses back to an equal geometry
-(`geometry.survives_wkt`), so the WKT of each is parsed once; a literal that
-rounding changed is parsed from the snapshot text.
+`build_graph` hands it, keyed by the text the triplifiers wrote, every zip,
+transmission and station geometry whose text parses back to an equal
+geometry (`geometry.survives_wkt`), so the WKT of each is written once and
+parsed once; a literal that rounding changed is parsed from the snapshot
+text.
 """
 
 from __future__ import annotations
@@ -596,11 +597,22 @@ def _triple(s: Iri, p: Iri, o: Term) -> Triple:
     return tuple.__new__(Triple, (s, p, o))
 
 
-def _geometry_triples(out: list[Triple], feature: Iri, geom: geometry.Geometry) -> None:
+# Stored WKT text -> geometry, filled by the triplifiers for the spatial step.
+Shapes = dict[str, geometry.Geometry]
+
+
+def _geometry_triples(
+    out: list[Triple], feature: Iri, geom: geometry.Geometry, shapes: Optional[Shapes]
+) -> None:
+    """The feature's geometry node and canonical WKT literal; `shapes`, when
+    given, maps that text to `geom` if the text parses back to it."""
     node = geometry_iri(feature)
+    text = geometry.to_wkt(geom)
     out.append(_triple(feature, GEO.hasGeometry, node))
     out.append(_triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
-    out.append(_triple(node, GEO.asWKT, Literal(geometry.to_wkt(geom), WKT_LITERAL)))
+    out.append(_triple(node, GEO.asWKT, Literal(text, WKT_LITERAL)))
+    if shapes is not None and geometry.survives_wkt(geom):
+        shapes[text] = geom
 
 
 def _individual(out: list[Triple], subject: Iri, prop: Iri, kind: str, cls: Iri, label: str) -> Iri:
@@ -669,7 +681,9 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
     return out
 
 
-def triplify_stations(records: Iterable[StationRecord]) -> list[Triple]:
+def triplify_stations(
+    records: Iterable[StationRecord], shapes: Optional[Shapes] = None
+) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
     for rec in records:
@@ -688,7 +702,7 @@ def triplify_stations(records: Iterable[StationRecord]) -> list[Triple]:
             out.append(_triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
         out.append(_triple(stn, RDFS.label, Literal(rec.name)))
 
-        _geometry_triples(out, stn, geometry.Point(rec.lon, rec.lat))
+        _geometry_triples(out, stn, geometry.Point(rec.lon, rec.lat), shapes)
 
         out.append(_triple(stn, EV_ONT.hasOperatingHours, Literal(rec.operating_hours)))
         out.append(_triple(stn, EV_ONT.hasOpenYear, Literal(str(rec.open_year), XSD_GYEAR)))
@@ -727,14 +741,16 @@ _ASSET_KINDS = {
 }
 
 
-def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> list[Triple]:
+def triplify_transmission(
+    records: Iterable[TransmissionAssetRecord], shapes: Optional[Shapes] = None
+) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
     for rec in records:
         prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
         out.append(_triple(asset, RDF.type, cls))
-        _geometry_triples(out, asset, rec.geometry)
+        _geometry_triples(out, asset, rec.geometry, shapes)
 
         if rec.kind == "line":
             for prop, kind, ind_cls, label in (
@@ -761,7 +777,9 @@ def triplify_transmission(records: Iterable[TransmissionAssetRecord]) -> list[Tr
     return out
 
 
-def triplify_places(records: Iterable[ZipAreaRecord]) -> list[Triple]:
+def triplify_places(
+    records: Iterable[ZipAreaRecord], shapes: Optional[Shapes] = None
+) -> list[Triple]:
     out: list[Triple] = []
     seen: set[str] = set()
     for rec in records:
@@ -771,7 +789,7 @@ def triplify_places(records: Iterable[ZipAreaRecord]) -> list[Triple]:
         zip_area = zip_area_iri(rec.zip)
         out.append(_triple(zip_area, RDF.type, KWG_ONT.ZipCodeArea))
         out.append(_triple(zip_area, RDFS.label, Literal(f"zip code {rec.zip}")))
-        _geometry_triples(out, zip_area, rec.geometry)
+        _geometry_triples(out, zip_area, rec.geometry, shapes)
 
         for kind, cls, label in (
             ("state", KWG_ONT.AdministrativeRegion_2, rec.state_label),
@@ -803,11 +821,6 @@ class IngestConfig:
     subclass_closure: bool = True
 
 
-def _by_wkt(geoms: Iterable[geometry.Geometry]) -> dict[str, geometry.Geometry]:
-    """Canonical WKT text -> geometry, for the geometries that text parses back to."""
-    return {geometry.to_wkt(g): g for g in geoms if geometry.survives_wkt(g)}
-
-
 def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
     """Run every configured pipeline, inserting its triples into one graph.
 
@@ -820,14 +833,13 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
 
     report = LoadReport()
     merged = individuals_graph()
-    geoms: list[geometry.Geometry] = []  # zip, station and asset geometries, for the spatial step
+    shapes: Shapes = {}  # every zip, station and asset geometry's text, for the spatial step
 
     if config.zip_areas:
         records, issues = read_zip_areas(config.zip_areas)
         report.skipped.extend(issues)
         report.bump("zip_areas", len(records))
-        merged.update(triplify_places(records))
-        geoms.extend(rec.geometry for rec in records)
+        merged.update(triplify_places(records, shapes))
     if config.registrations:
         records, issues = read_registrations(config.registrations)
         report.skipped.extend(issues)
@@ -840,19 +852,17 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
         records, issues = read_stations(config.stations)
         report.skipped.extend(issues)
         report.bump("stations", len(records))
-        merged.update(triplify_stations(records))
-        geoms.extend(geometry.Point(rec.lon, rec.lat) for rec in records)
+        merged.update(triplify_stations(records, shapes))
     if config.transmission:
         records, issues = read_transmission(config.transmission)
         report.skipped.extend(issues)
         for rec in records:
             report.bump(f"transmission_{rec.kind}s")
-        merged.update(triplify_transmission(records))
-        geoms.extend(rec.geometry for rec in records)
+        merged.update(triplify_transmission(records, shapes))
 
     if config.subclass_closure:
         report.bump("closure_triples", materialize.materialize_subclass_closure(merged))
     if config.materialize_spatial:
-        spatial = materialize.materialize_spatial_relations(merged, _by_wkt(geoms))
+        spatial = materialize.materialize_spatial_relations(merged, shapes)
         report.bump("spatial_triples", spatial.added_total)
     return merged, report

@@ -6,6 +6,22 @@ itself disconnected joins unrelated row sets; among those patterns the one
 with the most bound positions, then the smallest index estimate, wins.
 Each step joins all rows with its pattern at once, working out which
 positions are lookup keys and which are free once per step, not per row.
+
+A group passes its rows into the elements that follow (a bind join, the
+"sideways information passing" of RDF-3X): a UNION joins them into each
+branch, and a BGP starts from them, looking its patterns up from their
+values, when every row binds the same variables and there is one row or the
+BGP uses one of those variables. Everything else is evaluated on its own and
+hash-joined: a FILTER (its expression must not see outer variables), a
+sub-select, a VALUES block, rows of mixed shape, and a BGP that shares no
+variable with several rows (looking it up once per row would repeat it).
+`Graph.match` stays the only index access.
+
+The engine parses nothing: `queries.suite_query` keeps the parsed AST of
+each bundled query, which only a long-lived process reuses (library use,
+repeated `question_outputs` calls, the benchmark); `evkg query` and `evkg
+cq` parse each text once anyway.
+
 Expression errors follow SPARQL conventions: a failing FILTER expression
 drops the row, a failing projection expression leaves that variable
 unbound but keeps the row, and a SUM over a group containing a
@@ -216,6 +232,10 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
     the row and which are free; a free variable repeated (?v p ?v) must take
     one value. Each row then makes one ``graph.match`` call, and a row value
     in a position no stored triple holds (a literal subject) finds nothing.
+    The first step's rows may come from outside the BGP (`join_into` passes
+    a group's rows in only when they all bind the same variables); every
+    step adds the same variables to each row, so the next step's rows agree
+    again.
     """
     if not rows:
         return
@@ -248,11 +268,13 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             yield merged
 
 
-def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
+def _order_patterns(
+    graph: Graph, patterns: tuple[TriplePattern, ...], bound: Iterable[str]
+) -> list[TriplePattern]:
     """Greedy, connected first: the next pattern shares a variable with
     those already bound, so no step joins two unrelated row sets. A pattern
     with no variables counts as connected: it is an existence check, best
-    run early.
+    run early. `bound` names the variables the incoming rows already bind.
 
     Ranked by bound positions alone, q8 would take ``?zipcode a
     ZipCodeArea``, then ``?station a ChargingStation`` (both all constants
@@ -264,7 +286,7 @@ def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[T
     """
     remaining = [(tp, {v.name for v in pattern_vars(tp)}) for tp in patterns]
     ordered: list[TriplePattern] = []
-    bound: set[str] = set()
+    bound = set(bound)
 
     def key(item: tuple[TriplePattern, set[str]]):
         selectivity = 0
@@ -295,9 +317,9 @@ def _order_patterns(graph: Graph, patterns: tuple[TriplePattern, ...]) -> list[T
     return ordered
 
 
-def eval_bgp(graph: Graph, bgp: Bgp) -> list[Binding]:
-    rows: list[Binding] = [{}]
-    for tp in _order_patterns(graph, bgp.patterns):
+def eval_bgp(graph: Graph, bgp: Bgp, rows: list[Binding]) -> list[Binding]:
+    """Extend `rows`, which all bind the same variables, by `bgp`'s matches."""
+    for tp in _order_patterns(graph, bgp.patterns, rows[0].keys()):
         rows = list(match_pattern(graph, tp, rows))
         if not rows:
             break
@@ -333,18 +355,33 @@ def join_rows(left: list[Binding], right: list[Binding]) -> list[Binding]:
     return out
 
 
-def eval_pattern(graph: Graph, pattern: Pattern) -> list[Binding]:
-    if isinstance(pattern, Bgp):
-        return eval_bgp(graph, pattern)
+def join_into(graph: Graph, rows: list[Binding], pattern: Pattern) -> list[Binding]:
+    """Join `rows` with the solutions of `pattern`, by the bind-join rule in
+    the module docstring. A BGP may also start from one row that shares no
+    variable with it: that costs what evaluating it alone does, without the
+    joined copy of every row.
+    """
     if isinstance(pattern, Group):
-        rows: list[Binding] = [{}]
         for element in pattern.elements:
-            rows = join_rows(rows, eval_pattern(graph, element))
             if not rows:
                 break
+            rows = join_into(graph, rows, element)
         return rows
     if isinstance(pattern, Union):
-        return eval_pattern(graph, pattern.left) + eval_pattern(graph, pattern.right)
+        return join_into(graph, rows, pattern.left) + join_into(graph, rows, pattern.right)
+    if isinstance(pattern, Bgp):
+        bound = rows[0].keys()
+        shares = any(v.name in bound for tp in pattern.patterns for v in pattern_vars(tp))
+        if (shares or len(rows) == 1) and all(row.keys() == bound for row in rows):
+            return eval_bgp(graph, pattern, rows)
+    return join_rows(rows, eval_pattern(graph, pattern))
+
+
+def eval_pattern(graph: Graph, pattern: Pattern) -> list[Binding]:
+    if isinstance(pattern, Bgp):
+        return eval_bgp(graph, pattern, [{}])
+    if isinstance(pattern, (Group, Union)):
+        return join_into(graph, [{}], pattern)
     if isinstance(pattern, Filter):
         return [
             row

@@ -613,18 +613,29 @@ def _tiled_config(tmp_path: Path) -> IngestConfig:
 def test_handed_geometries_give_what_parsing_every_literal_gives(tmp_path, monkeypatch, tiled):
     config = _tiled_config(tmp_path) if tiled else fixture_config()
     spatial = materialize.materialize_spatial_relations
-    reports = []
+    reports, handed = [], []
 
     def recording(graph, parsed):
+        handed.append(parsed)
         reports.append(spatial(graph, parsed))
         return reports[-1]
 
     monkeypatch.setattr(materialize, "materialize_spatial_relations", recording)
+    to_wkt, written = geometry.to_wkt, []
+    monkeypatch.setattr(geometry, "to_wkt", lambda g: written.append(g) or to_wkt(g))
     graph, _ = build_graph(config)
+    monkeypatch.setattr(geometry, "to_wkt", to_wkt)
     bare, _ = build_graph(replace(config, materialize_spatial=False))
     assert reports == [spatial(bare)]
     assert reports[0].added_total > 0
     assert serialize_ntriples(graph) == serialize_ntriples(bare)
+
+    # The handed map is keyed by each geometry's text, written once per geometry.
+    geoms = [rec.geometry for rec in read_zip_areas(config.zip_areas)[0]]
+    geoms += [geometry.Point(rec.lon, rec.lat) for rec in read_stations(config.stations)[0]]
+    geoms += [rec.geometry for rec in read_transmission(config.transmission)[0]]
+    assert written == geoms
+    assert handed == [{to_wkt(g): g for g in geoms if geometry.survives_wkt(g)}]
 
 
 def test_triplifiers_reuse_record_geometry(fixtures_dir, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,12 +10,14 @@ import pytest
 from evkg import queries
 from evkg.queries import (
     QUERY_TEXTS,
+    UnknownQueryId,
     expand_query_references,
     q4_series,
     q5_series,
     q6_selected_zips,
     question_outputs,
     run_suite_query,
+    suite_query,
 )
 from evkg.sparql import parse_query
 from evkg.sparql.engine import evaluate
@@ -47,8 +50,6 @@ def test_expansion_equals_manual_inlining(fixture_graph):
 
 
 def test_unknown_listing_reference_rejected():
-    from evkg.queries import UnknownQueryId
-
     with pytest.raises(UnknownQueryId):
         expand_query_references("SELECT ?x WHERE { {``` Query from Listing 42 ```} }")
 
@@ -325,3 +326,43 @@ def test_question_outputs_run_each_query_once(fixture_graph, monkeypatch):
         calls.clear()
         question_outputs(fixture_graph, question)
         assert calls == expected, question
+
+
+# --- the parsed-query cache -----------------------------------------------------
+
+
+def test_each_suite_query_is_parsed_once(fixture_graph, monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_query(text)
+
+    suite_query.cache_clear()
+    monkeypatch.setattr(queries, "parse_query", counting)
+    for _ in range(2):
+        for qid in range(1, 11):
+            run_suite_query(fixture_graph, qid)
+    question_outputs(fixture_graph, 4)
+    assert parsed == [expand_query_references(QUERY_TEXTS[qid]) for qid in range(1, 11)]
+
+
+def test_cached_asts_hold_no_mutable_container():
+    stack = [suite_query(qid) for qid in range(1, 11)]
+    while stack:
+        node = stack.pop()
+        assert not isinstance(node, (list, dict, set)), node
+        if dataclasses.is_dataclass(node):
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+        elif isinstance(node, tuple):
+            stack.extend(node)
+
+
+def test_unknown_suite_id_raises_every_time(fixture_graph):
+    size = suite_query.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(UnknownQueryId):
+            suite_query(42)
+        with pytest.raises(UnknownQueryId):
+            run_suite_query(fixture_graph, 42)
+    assert suite_query.cache_info().currsize == size

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from evkg.terms import (
     Literal,
     Triple,
 )
-from randomized import random_graph, random_query, solution_multiset
+from randomized import random_graph, random_group_query, random_query, solution_multiset
 
 EX = EVR  # shorthand namespace for test data
 
@@ -409,6 +410,31 @@ def test_engine_matches_naive_oracle(rng):
     assert solution_multiset(evaluate(graph, query)) == solution_multiset(
         naive.evaluate(graph, query)
     )
+
+
+def test_engine_matches_naive_on_group_shapes(monkeypatch):
+    """300 seeded queries whose groups pass rows into the elements after them."""
+    bind_joins, mixed_joins = [0], [0]
+    eval_bgp, join_rows = engine.eval_bgp, engine.join_rows
+
+    def counting_eval_bgp(graph, bgp, rows):
+        bind_joins[0] += bool(rows[0])
+        return eval_bgp(graph, bgp, rows)
+
+    def counting_join_rows(left, right):
+        mixed_joins[0] += len({frozenset(row) for row in left}) > 1
+        return join_rows(left, right)
+
+    monkeypatch.setattr(engine, "eval_bgp", counting_eval_bgp)
+    monkeypatch.setattr(engine, "join_rows", counting_join_rows)
+    rng = random.Random(0x6B1D)
+    for case in range(300):
+        graph = random_graph(rng, 200)
+        query = random_group_query(rng)
+        assert solution_multiset(evaluate(graph, query)) == solution_multiset(
+            naive.evaluate(graph, query)
+        ), f"case {case}: {query}"
+    assert bind_joins[0] > 100 and mixed_joins[0] > 10, (bind_joins, mixed_joins)
 
 
 def test_engine_matches_naive_on_exhaustive_small_queries():
