@@ -630,7 +630,8 @@ def sf_contains(a: Geometry, b: Geometry) -> bool:
 def sf_crosses(a: Geometry, b: Geometry) -> bool:
     """Simple-features crosses for line/polygon and line/line pairs.
 
-    Line vs polygon: the line runs partly inside and partly outside.
+    Line vs polygon: the line runs partly inside and partly outside; the
+    sample points are located until one is inside and another outside.
     Line vs line: interiors meet in isolated points only.
     """
     a_dim, b_dim = _dimension(a), _dimension(b)
@@ -639,8 +640,14 @@ def sf_crosses(a: Geometry, b: Geometry) -> bool:
     if bbox_disjoint(bbox(a), bbox(b)):
         return False
     if b_dim == 2:
-        locs = {locate_point(p, b) for p in _sample_points(a, b)}
-        return INTERIOR in locs and EXTERIOR in locs
+        inside = outside = False
+        for p in _sample_points(a, b):
+            loc = locate_point(p, b)
+            inside = inside or loc == INTERIOR
+            outside = outside or loc == EXTERIOR
+            if inside and outside:
+                return True
+        return False
     crossing_point = False
     for pa, pb in _segments(a):
         for qa, qb in _segments(b):

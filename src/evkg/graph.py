@@ -3,9 +3,12 @@
 The store has set semantics: re-inserting an existing triple is a no-op.
 After a load it is treated as immutable and is safe for concurrent
 read-only query evaluation (single writer during load, no internal locks).
-A triple's terms are checked when it is built for ``insert`` (the
-triplifiers skip that for terms they made themselves); the triples that
-``match`` and iteration yield are built from the indexes without checks.
+``update`` is the one write loop: it takes a whole batch, and ``insert``
+and the constructor are an ``update`` of one triple and of their argument.
+A triple's terms are checked when it is built (the triplifiers and the
+subclass closure skip that for terms they made or read from the graph);
+the triples that ``match`` and iteration yield are built from the indexes
+without checks.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ class Graph:
         self._spo: dict = {}
         self._pos: dict = {}
         self._predicate_sizes: dict = {}
-        for t in triples:
-            self.insert(t)
+        self.update(triples)
 
     def __len__(self) -> int:
         return self._size
@@ -48,21 +50,46 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True if it was not already present."""
-        if not isinstance(t, Triple):
-            raise TypeError(f"expected Triple, got {type(t).__name__}")
-        s, p, o = t
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._predicate_sizes[p] = self._predicate_sizes.get(p, 0) + 1
-        self._size += 1
-        return True
+        return self.update((t,)) == 1
 
     def update(self, triples: Iterable[Triple]) -> int:
-        """Insert many; returns how many were new."""
-        return sum(1 for t in triples if self.insert(t))
+        """Insert many; returns how many were new.
+
+        Raises TypeError at the first item that is not a Triple; the ones
+        before it stay inserted, and the size, both indexes and the
+        per-predicate counts still agree.
+        """
+        spo, pos, sizes = self._spo, self._pos, self._predicate_sizes
+        added = 0
+        try:
+            for t in triples:
+                if not isinstance(t, Triple):
+                    raise TypeError(f"expected Triple, got {type(t).__name__}")
+                s, p, o = t
+                po = spo.get(s)
+                if po is None:
+                    po = spo[s] = {}
+                objects = po.get(p)
+                if objects is None:
+                    po[p] = {o}
+                elif o in objects:
+                    continue
+                else:
+                    objects.add(o)
+                os_ = pos.get(p)
+                if os_ is None:
+                    os_ = pos[p] = {}
+                    sizes[p] = 0
+                subjects = os_.get(o)
+                if subjects is None:
+                    os_[o] = {s}
+                else:
+                    subjects.add(s)
+                sizes[p] += 1
+                added += 1
+        finally:
+            self._size += added
+        return added
 
     def index_sizes(self) -> tuple[int, int]:
         """Triple counts per index; both must equal len(self)."""
@@ -125,7 +152,7 @@ class Graph:
     ) -> int:
         """Cheap upper bound on match cardinality, used for join ordering.
 
-        O(1) when p is bound, since ``insert`` keeps a triple count per
+        O(1) when p is bound, since ``update`` keeps a triple count per
         predicate; a lone bound subject sums over its index entry, and a
         lone bound object over one predicate-first probe per predicate.
         """
@@ -152,6 +179,18 @@ class Graph:
         for p, os_ in self._pos.items():
             for o in os_:
                 yield p, o
+
+    def object_subjects(self, p: Iri) -> list[tuple[Term, tuple[Term, ...]]]:
+        """Each distinct object of p with the subjects that state it, from the
+        predicate-first index. A copy, so the caller may insert while it walks it."""
+        return [(o, tuple(subjects)) for o, subjects in self._pos.get(p, {}).items()]
+
+    def subject_groups(self) -> Iterator[tuple[Term, Iri, set[Term]]]:
+        """Each (subject, predicate, objects) group of the subject-first index;
+        the object set is the index's own, to be read only."""
+        for s, po in self._spo.items():
+            for p, objects in po.items():
+                yield s, p, objects
 
     # Convenience accessors used by reporting and materialization code.
 

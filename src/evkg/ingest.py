@@ -567,12 +567,28 @@ class _Minter:
 
 
 def aggregate_registrations(records: Iterable[RegistrationRecord]) -> list[RegistrationCollection]:
-    """Group records by (zip, registration year, full product identity)."""
-    groups = Counter((rec.zip, rec.registration_year, rec.product) for rec in records)
+    """Group records by (zip, registration year, full product identity).
+
+    `_read_records` returns one record object for every repeat of a line,
+    so records are counted by identity first; the distinct records then
+    merge by key, since two different lines can give one key (a reordered
+    token list, another vin8). Collections are sorted by zip, year and
+    product IRI, each distinct product's IRI computed once; equal sort keys
+    keep the order in which their key first occurs.
+    """
+    records = list(records)
+    ids = list(map(id, records))
+    by_id = dict(zip(ids, records))
+    groups: dict[tuple[str, int, ProductKey], int] = {}
+    for rec_id, amount in Counter(ids).items():
+        rec = by_id[rec_id]
+        key = (rec.zip, rec.registration_year, rec.product)
+        groups[key] = groups.get(key, 0) + amount
+    iris = {prod: product_iri(prod).value for _, _, prod in groups}
     return [
         RegistrationCollection(zip_code, year, prod, amount)
         for (zip_code, year, prod), amount in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1], product_iri(kv[0][2]).value)
+            groups.items(), key=lambda kv: (kv[0][0], kv[0][1], iris[kv[0][2]])
         )
     ]
 

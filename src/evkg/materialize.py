@@ -211,13 +211,23 @@ def materialize_spatial_relations(
 
 
 def materialize_subclass_closure(graph: Graph) -> int:
-    """For every typed instance, also assert all registry superclasses."""
+    """For every typed instance, also assert all registry superclasses.
+
+    Works one class at a time: each distinct IRI object of rdf:type, with
+    the subjects typed by it, comes once from the predicate-first index; its
+    superclasses are looked up once, and all the triples they imply go to
+    one `Graph.update`. Their terms come from the graph, so `Triple`'s
+    checks are skipped. Blank-node and literal type objects have no
+    superclasses and are skipped. Returns the number of new triples.
+    """
     reg = registry()
     added = 0
-    for t in list(graph.match(None, RDF_TYPE, None)):
-        if not isinstance(t.object, Iri):
+    for cls, members in graph.object_subjects(RDF_TYPE):
+        if not isinstance(cls, Iri):
             continue
-        for sup in reg.superclasses(t.object):
-            if graph.insert(Triple(t.subject, RDF_TYPE, sup)):
-                added += 1
+        added += graph.update(
+            tuple.__new__(Triple, (member, RDF_TYPE, sup))
+            for sup in reg.superclasses(cls)
+            for member in members
+        )
     return added

@@ -86,13 +86,22 @@ class _TermText(dict):
 
 
 def serialize_ntriples(graph: Graph) -> str:
-    """Sorted N-Triples lines; each distinct term is rendered once per call.
+    """Sorted N-Triples lines, written from the subject-first index.
 
+    Each distinct term is rendered once per call, and each `"<s> <p> "`
+    head once per subject and predicate; one sort and one join follow.
     Each term's text ends itself, so no line is a prefix of another, and
     lines sort in the same order with their newline as without it.
     """
     text = _TermText()
-    return "".join(sorted(f"{text[s]} {text[p]} {text[o]} .\n" for s, p, o in graph))
+    lines: list[str] = []
+    append = lines.append
+    for s, p, objects in graph.subject_groups():
+        head = f"{text[s]} {text[p]} "
+        for o in objects:
+            append(f"{head}{text[o]} .\n")
+    lines.sort()
+    return "".join(lines)
 
 
 # A word (blank node label, language tag, or any bare text to report) runs
@@ -217,15 +226,15 @@ def _triple(line: str, line_no: int, terms: dict[str, Term]) -> Triple:
 
 
 def parse_ntriples(text: str) -> Graph:
-    """A graph of every triple line; blank and `#` comment lines are skipped."""
-    graph = Graph()
+    """A graph of every triple line; blank and `#` comment lines are skipped.
+    The lines are parsed as the graph's one `update` consumes them."""
     terms: dict[str, Term] = {}  # token text -> its term, for this parse only
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped and stripped[0] != "#":
-            graph.insert(_triple(line, line_no, terms))
-    return graph
+    return Graph(
+        _triple(line, line_no, terms)
+        for line_no, line in enumerate(lines, start=1)
+        if line.lstrip()[:1] not in ("", "#")
+    )
 
 
 # ---------------------------------------------------------------------------

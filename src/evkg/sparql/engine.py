@@ -4,8 +4,10 @@ Inside a BGP, patterns join connected first: each next pattern shares a
 variable with those already bound (or has none), so only a BGP that is
 itself disconnected joins unrelated row sets; among those patterns the one
 with the most bound positions, then the smallest index estimate, wins.
-Each step joins all rows with its pattern at once, working out which
-positions are lookup keys and which are free once per step, not per row.
+A pattern whose constant positions have an estimate of 0 empties the BGP
+before any lookup. Each step joins all rows with its pattern at once,
+working out which positions are lookup keys and which are free once per
+step, not per row.
 
 A group passes its rows into the elements that follow (a bind join, the
 "sideways information passing" of RDF-3X): a UNION joins them into each
@@ -253,9 +255,6 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             repeats.append((i, free[pos.name]))
         else:
             free[pos.name] = i
-    s, p, _ = key
-    if isinstance(s, Literal) or (p is not None and not isinstance(p, Iri)):
-        return
     for row in rows:
         for i, name in lookups:
             key[i] = row[name]
@@ -268,13 +267,24 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             yield merged
 
 
+def _estimate(graph: Graph, tp: TriplePattern) -> int:
+    """`count_estimate` for the constant positions of `tp`: an upper bound on
+    its matches under any binding. No stored triple has a literal subject
+    or a non-IRI predicate, so such a constant bounds it by 0."""
+    s, p, o = (None if isinstance(pos, Variable) else pos for pos in tp.positions())
+    if isinstance(s, Literal) or (p is not None and not isinstance(p, Iri)):
+        return 0
+    return graph.count_estimate(s, p, o)
+
+
 def _order_patterns(
-    graph: Graph, patterns: tuple[TriplePattern, ...], bound: Iterable[str]
+    patterns: tuple[TriplePattern, ...], estimates: list[int], bound: Iterable[str]
 ) -> list[TriplePattern]:
     """Greedy, connected first: the next pattern shares a variable with
     those already bound, so no step joins two unrelated row sets. A pattern
     with no variables counts as connected: it is an existence check, best
-    run early. `bound` names the variables the incoming rows already bind.
+    run early. `estimates` holds each pattern's `_estimate`, and `bound`
+    names the variables the incoming rows already bind.
 
     Ranked by bound positions alone, q8 would take ``?zipcode a
     ZipCodeArea``, then ``?station a ChargingStation`` (both all constants
@@ -282,31 +292,20 @@ def _order_patterns(
     collections cross product. The first pattern and, in a BGP with
     disconnected parts, the first pattern of the next part are chosen from
     all remaining ones. Among the candidates: most bound positions first,
-    then the smallest index estimate for the constant positions.
+    then the smallest estimate.
     """
-    remaining = [(tp, {v.name for v in pattern_vars(tp)}) for tp in patterns]
+    remaining = [
+        (tp, {v.name for v in pattern_vars(tp)}, estimate)
+        for tp, estimate in zip(patterns, estimates)
+    ]
     ordered: list[TriplePattern] = []
     bound = set(bound)
 
-    def key(item: tuple[TriplePattern, set[str]]):
-        selectivity = 0
-        const = [None, None, None]
-        for idx, pos in enumerate(item[0].positions()):
-            if isinstance(pos, Variable):
-                if pos.name in bound:
-                    selectivity += 1
-            else:
-                selectivity += 1
-                const[idx] = pos
-        # count_estimate needs an IRI predicate and a non-literal subject
-        s, p, o = const
-        if p is not None and not isinstance(p, Iri):
-            estimate = 0
-        elif isinstance(s, Literal):
-            estimate = 0
-        else:
-            estimate = graph.count_estimate(s, p, o)
-        return (-selectivity, estimate)
+    def key(item: tuple[TriplePattern, set[str], int]):
+        selectivity = sum(
+            not isinstance(pos, Variable) or pos.name in bound for pos in item[0].positions()
+        )
+        return (-selectivity, item[2])
 
     while remaining:
         connected = [item for item in remaining if not item[1] or not item[1].isdisjoint(bound)]
@@ -318,8 +317,13 @@ def _order_patterns(
 
 
 def eval_bgp(graph: Graph, bgp: Bgp, rows: list[Binding]) -> list[Binding]:
-    """Extend `rows`, which all bind the same variables, by `bgp`'s matches."""
-    for tp in _order_patterns(graph, bgp.patterns, rows[0].keys()):
+    """Extend `rows`, which all bind the same variables, by `bgp`'s matches.
+    A pattern whose constants match nothing empties the BGP before any
+    lookup, wherever the planner would have put it."""
+    estimates = [_estimate(graph, tp) for tp in bgp.patterns]
+    if 0 in estimates:
+        return []
+    for tp in _order_patterns(bgp.patterns, estimates, rows[0].keys()):
         rows = list(match_pattern(graph, tp, rows))
         if not rows:
             break

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,17 @@ def fixture_config(materialize: bool = True) -> IngestConfig:
         materialize_spatial=materialize,
         subclass_closure=materialize,
     )
+
+
+def tiled_config(out: Path) -> IngestConfig:
+    """The bench's k=2 tiling of the fixture CSVs (seed 1), written into `out`.
+    The tiler is loaded from its file, since bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tiler", ROOT / "bench" / "tiler.py")
+    tiler = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tiler)
+    tiler.tile_corpus(FIXTURES, out, 2, 1)
+    return IngestConfig(**{name: out / f"{name}.csv"
+                           for name in ("registrations", "stations", "transmission", "zip_areas")})
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,7 @@ from evkg.geometry import (
     _orient,
     _point_in_ring,
     _ring_self_intersects,
+    _sample_points,
     _segment_relation,
     bbox,
     bbox_disjoint,
@@ -625,6 +626,63 @@ def test_crosses_agrees_with_sampling_oracle_on_random_segments():
         checked += 1
         assert sf_crosses(seg, poly) == _sampling_crosses_oracle(seg, poly), to_wkt(seg)
     assert checked > 150
+
+
+def _crosses_by_every_sample(line, poly) -> bool:
+    """Line-vs-polygon crosses as first written: locate every sample point,
+    then look for one inside and one outside."""
+    if bbox_disjoint(bbox(line), bbox(poly)):
+        return False
+    locs = {locate_point(p, poly) for p in _sample_points(line, poly)}
+    return INTERIOR in locs and EXTERIOR in locs
+
+
+_L_SHAPE = Polygon(tuple(Point(x, y) for x, y in
+                         [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4), (0, 0)]))
+_HOLED = Polygon(SQUARE.outer, ((Point(1, 1), Point(1, 3), Point(3, 3), Point(3, 1), Point(1, 1)),))
+_TWO_SQUARES = MultiPolygon((
+    Polygon((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2), Point(0, 0))),
+    Polygon((Point(3, 3), Point(5, 3), Point(5, 5), Point(3, 5), Point(3, 3))),
+))
+
+
+def _random_line(rng: random.Random, poly) -> LineString:
+    """A 2-4 point line on the integer grid around `poly`, or one that runs
+    along one of its edges and may go on past either end."""
+    if rng.random() < 0.3:
+        parts = getattr(poly, "polygons", (poly,))
+        rings = [ring for part in parts for ring in (part.outer, *part.holes)]
+        ring = rng.choice(rings)
+        i = rng.randrange(len(ring) - 1)
+        a, b = ring[i], ring[i + 1]
+        t0, t1 = rng.choice([-0.5, 0.0, 0.25]), rng.choice([0.75, 1.0, 1.5])
+        along = [Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t) for t in (t0, t1)]
+        return LineString(tuple(along) + ((Point(rng.randint(-1, 6), rng.randint(-1, 6)),)
+                                          if rng.random() < 0.5 else ()))
+    points = [Point(rng.randint(-1, 6), rng.randint(-1, 6))]
+    while len(points) < rng.randint(2, 4):
+        nxt = Point(rng.randint(-1, 6), rng.randint(-1, 6))
+        if nxt != points[-1]:
+            points.append(nxt)
+    return LineString(tuple(points))
+
+
+def test_crosses_stops_early_yet_agrees_with_every_sample():
+    rng = random.Random(20)
+    polygons = [SQUARE, _L_SHAPE, _HOLED, _TWO_SQUARES]
+    outcomes = set()
+    for _ in range(600):
+        x0, y0 = rng.randint(-1, 3), rng.randint(-1, 3)
+        x1, y1 = x0 + rng.randint(1, 4), y0 + rng.randint(1, 4)
+        box = Polygon((Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1), Point(x0, y0)))
+        poly = rng.choice(polygons + [box])
+        line = _random_line(rng, poly)
+        if rng.random() < 0.2:
+            line = MultiLineString((line, _random_line(rng, poly)))
+        expected = _crosses_by_every_sample(line, poly)
+        assert sf_crosses(line, poly) is expected, (to_wkt(line), to_wkt(poly))
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # --- intersects / bbox ------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -175,3 +176,39 @@ def test_object_only_estimate_is_the_match_count(triples):
         matched = list(g.match(None, None, o))
         assert len(matched) == len(set(matched)) == g.count_estimate(None, None, o)
         assert set(matched) == {t for t in triples if t.object == o}
+
+
+def _state(g: Graph):
+    predicates = _triple_pool()[1]
+    return (len(g), g.index_sizes(), [g.count_estimate(p=p) for p in predicates], set(g))
+
+
+def test_update_equals_inserting_one_at_a_time():
+    rng = random.Random(20)
+    pool_s, pool_p, pool_o = _triple_pool()
+    for _ in range(60):
+        batched, single, distinct = Graph(), Graph(), set()
+        for _ in range(3):
+            batch = [Triple(rng.choice(pool_s), rng.choice(pool_p), rng.choice(pool_o))
+                     for _ in range(rng.randint(0, 50))]
+            batch += rng.sample(batch, len(batch) // 3)  # repeats inside the batch
+            new = len(set(batch) - distinct)
+            distinct.update(batch)
+            assert batched.update(batch) == new
+            assert sum(single.insert(t) for t in batch) == new
+            assert _state(batched) == _state(single)
+            assert _state(batched)[3] == distinct
+            assert _state(batched)[:2] == (len(distinct), (len(distinct), len(distinct)))
+
+
+def test_update_stopped_by_a_non_triple_leaves_the_store_consistent():
+    a, b, c = (Triple(EVR[f"s{i}"], RDF_TYPE, STATION) for i in range(3))
+    g = Graph([a])
+    with pytest.raises(TypeError, match="expected Triple, got tuple"):
+        g.update([b, a, (EVR["s9"], RDF_TYPE, STATION), c])
+    assert len(g) == g.index_sizes()[0] == g.index_sizes()[1] == 2
+    assert g.count_estimate(p=RDF_TYPE) == 2
+    assert set(g) == {a, b}
+    with pytest.raises(TypeError):
+        g.insert((EVR["s9"], RDF_TYPE, STATION))
+    assert g.update([c]) == 1 and len(g) == 3

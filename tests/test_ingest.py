@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
-import importlib.util
 import json
 import operator
-import sys
+import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from evkg.graph import Graph
 from evkg.ingest import (
     ChargerGroup,
     DuplicateZip,
-    IngestConfig,
     IngestError,
     ProductKey,
     RegistrationCollection,
@@ -45,7 +45,7 @@ from evkg.ingest import (
 )
 from evkg.ntriples import serialize_ntriples
 from evkg.terms import EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, Triple, XSD_INTEGER
-from conftest import ROOT, fixture_config
+from conftest import ROOT, fixture_config, tiled_config
 
 
 def _registration(zip_code="07677", year=2019, **product_overrides) -> RegistrationRecord:
@@ -519,13 +519,33 @@ def test_token_order_and_spacing_give_one_product_and_one_collection(tmp_path):
     row = ["WBY1Z4C5", "07677", "2018", "2019", "BMW", "i3", "BEV",
            "BMW NA", "compact", "light-duty", "LEVEL2|DCFC", "J1772|J1772COMBO"]
     respaced = row[:10] + [" DCFC | LEVEL2", "J1772COMBO | J1772"]
-    path = _write_registrations(tmp_path / "registrations.csv", [row, respaced, row])
+    other_vin = ["5YJ3E1EA"] + row[1:]
+    path = _write_registrations(tmp_path / "registrations.csv",
+                                [row, respaced, row, other_vin, respaced])
     records, issues = read_registrations(path)
     assert not issues
     assert records[0].product == records[1].product
     assert hash(records[0].product) == hash(records[1].product)
+    assert len({id(rec) for rec in records}) == 3  # three distinct lines, one key
     [collection] = aggregate_registrations(records)
-    assert collection.amount == 3
+    assert collection.amount == 5
+
+
+def test_aggregation_equals_counting_keys_on_the_k2_records(tmp_path):
+    records, _ = read_registrations(tiled_config(tmp_path).registrations)
+    rng = random.Random(20)
+    shuffled = [copy.copy(rec) if rng.random() < 0.5 else rec for rec in records]
+    rng.shuffle(shuffled)
+    for recs in (records, shuffled):
+        groups = Counter((rec.zip, rec.registration_year, rec.product) for rec in recs)
+        expected = [
+            RegistrationCollection(zip_code, year, prod, amount)
+            for (zip_code, year, prod), amount in sorted(
+                groups.items(), key=lambda kv: (kv[0][0], kv[0][1], product_iri(kv[0][2]).value)
+            )
+        ]
+        assert aggregate_registrations(recs) == expected
+    assert len(expected) < len({id(rec) for rec in shuffled}) < len(records)
 
 
 def test_repeated_bad_product_rows_each_reported(tmp_path):
@@ -603,15 +623,9 @@ def test_literal_that_rounding_changed_is_parsed(tmp_path, fixtures_dir, monkeyp
     ]
 
 
-def _tiled_config(tmp_path: Path) -> IngestConfig:
-    _load_tiler().tile_corpus(ROOT / "fixtures", tmp_path, 2, 1)
-    return IngestConfig(**{name: tmp_path / f"{name}.csv"
-                           for name in ("registrations", "stations", "transmission", "zip_areas")})
-
-
 @pytest.mark.parametrize("tiled", [False, True], ids=["fixture", "k2"])
 def test_handed_geometries_give_what_parsing_every_literal_gives(tmp_path, monkeypatch, tiled):
-    config = _tiled_config(tmp_path) if tiled else fixture_config()
+    config = tiled_config(tmp_path) if tiled else fixture_config()
     spatial = materialize.materialize_spatial_relations
     reports, handed = [], []
 
@@ -898,17 +912,9 @@ def _assert_checked_triples(triples) -> None:
         assert type(t) is Triple and Triple(*t) == t, t
 
 
-def _load_tiler():
-    """The bench's corpus tiler, loaded from its file (bench/ is not a package)."""
-    spec = importlib.util.spec_from_file_location("bench_tiler", ROOT / "bench" / "tiler.py")
-    tiler = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tiler)
-    return tiler
-
-
 def test_build_graph_triples_pass_triple_checks(fixture_graph, tmp_path):
     _assert_checked_triples(fixture_graph)
-    tiled, report = build_graph(_tiled_config(tmp_path))
+    tiled, report = build_graph(tiled_config(tmp_path))
     assert not report.skipped and len(tiled) > len(fixture_graph)
     _assert_checked_triples(tiled)
 

@@ -21,7 +21,7 @@ from evkg.materialize import (
     materialize_spatial_relations,
     materialize_subclass_closure,
 )
-from evkg.terms import EV_ONT, EVR, GEO, KWG_ONT, RDF, Iri, Triple
+from evkg.terms import EV_ONT, EVR, GEO, KWG_ONT, RDF, BlankNode, Iri, Literal, Triple
 from evkg.vocabulary import registry
 
 
@@ -210,6 +210,26 @@ def test_closure_idempotent():
     g.insert(Triple(EVR["x"], RDF.type, EV_ONT.PublicChargingStation))
     materialize_subclass_closure(g)
     assert materialize_subclass_closure(g) == 0
+
+
+def test_closure_skips_non_iri_types_and_counts_what_it_adds():
+    g = Graph([
+        Triple(EVR["x"], RDF.type, EV_ONT.PublicChargingStation),
+        Triple(EVR["y"], RDF.type, EV_ONT.PublicChargingStation),
+        Triple(EVR["y"], RDF.type, EV_ONT.ChargingStation),  # already half closed
+        Triple(EVR["z"], RDF.type, BlankNode("cls")),
+        Triple(BlankNode("b"), RDF.type, Literal("ChargingStation")),
+        Triple(BlankNode("b"), RDF.type, EV_ONT.Substation),
+    ])
+    before = set(g)
+    added = materialize_subclass_closure(g)
+    new = set(g) - before
+    assert added == len(new) == len(g) - len(before)
+    assert {t.subject for t in new} == {EVR["x"], EVR["y"], BlankNode("b")}
+    assert not any(t.subject == EVR["z"] for t in new)
+    assert len(g) == g.index_sizes()[0] == g.index_sizes()[1]
+    assert materialize_subclass_closure(g) == 0
+    assert set(g) == before | new
 
 
 def test_closure_equals_reachability_oracle(raw_fixture_graph):

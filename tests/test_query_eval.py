@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evkg.graph import Graph
+from evkg.ingest import build_graph
 from evkg.sparql import parse_query
 from evkg.sparql.algebra import Bgp, Group, SelectQuery, TriplePattern, Variable
 from evkg.queries import QUERY_TEXTS, run_suite_query
@@ -25,6 +26,7 @@ from evkg.terms import (
     Literal,
     Triple,
 )
+from conftest import tiled_config
 from randomized import random_graph, random_group_query, random_query, solution_multiset
 
 EX = EVR  # shorthand namespace for test data
@@ -294,6 +296,8 @@ _STEP_TRIPLES = [(A, P, A), (A, P, B), (B, P, TWO), (B, Q, C), (C, Q, C), (A, Q,
     ("evr:a evr:p evr:b . ?x evr:q ?y .", 4, 2),  # a ground pattern that hits
     ("evr:a evr:p evr:c . ?x evr:q ?y .", 0, 1),  # ... and one that misses
     ('"2" evr:p ?o .', 0, 0),  # a constant literal subject
+    # ?y ?z evr:e is connected once evr:a evr:p ?y runs, but no triple holds evr:e
+    ("evr:a evr:p ?y . ?y ?z evr:e .", 0, 0),
     # ?o is bound to "2" in one of three rows, then used as a subject
     ("?s evr:p ?o . ?o evr:q ?z .", 2, 4),
 ])
@@ -305,6 +309,22 @@ def test_batched_step_agrees_with_oracle(where, n_rows, match_calls):
     assert len(solution.rows) == n_rows
     assert g.match_calls == match_calls  # one per row reaching each step
     assert solution_multiset(solution) == solution_multiset(naive.evaluate(g, query))
+
+
+def test_empty_constant_pattern_ends_q2_road_branch_before_any_lookup(tmp_path, monkeypatch):
+    # No road segment exists, so `?road a kwg-ont:RoadSegment` empties the
+    # road branch; probing it once per county row made 155 match calls.
+    graph, _ = build_graph(tiled_config(tmp_path))
+    calls = [0]
+    match = Graph.match
+
+    def counted(self, s=None, p=None, o=None):
+        calls[0] += 1
+        return match(self, s, p, o)
+
+    monkeypatch.setattr(Graph, "match", counted)
+    run_suite_query(graph, 2)
+    assert calls[0] == 83
 
 
 def test_step_without_rows_yields_nothing_and_looks_nothing_up():
