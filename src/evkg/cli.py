@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_CQ_FAIL = 1
 EXIT_IO = 2
 EXIT_QUERY = 3
+EXIT_MEMORY = 4
 
 
 class CliError(Exception):
@@ -302,6 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print(
+            "error: out of memory (the input or the query's intermediate results"
+            " need more memory than this process may use)",
+            file=sys.stderr,
+        )
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

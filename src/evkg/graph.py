@@ -13,9 +13,11 @@ without checks.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .terms import Iri, Term, Triple
+
+_EMPTY: dict = {}  # a missing index entry; never written
 
 
 class Graph:
@@ -26,6 +28,13 @@ class Graph:
     count makes predicate-only estimates O(1). There is no object-first
     index: a lookup by object alone costs one predicate-first probe per
     predicate, and the vocabulary fixes the number of predicates.
+
+    The query engine reads the indexes only through two methods. ``match``
+    takes one pattern and yields its triples; the engine calls it once per
+    row. ``neighbours`` takes a predicate and a batch of subjects (or
+    objects) and returns, for each, the index's own set of objects (or
+    subjects); the engine calls it once per step that binds one new
+    variable, in the subject or object position, under a constant predicate.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -143,6 +152,17 @@ class Graph:
                     yield tuple.__new__(Triple, (subj, pred, o))
         else:
             yield from self
+
+    def neighbours(self, p: Iri, keys: Iterable[Term], forward: bool) -> list[Collection[Term]]:
+        """For each key, the objects of (key, p, ?) when `forward`, else the
+        subjects of (?, p, key): the index's own set, to be read only, or an
+        empty tuple. One call looks up a whole batch of keys; the sets are
+        the ones ``match`` walks, in the same order."""
+        if forward:
+            spo = self._spo
+            return [spo.get(key, _EMPTY).get(p, ()) for key in keys]
+        subjects = self._pos.get(p, _EMPTY)
+        return [subjects.get(key, ()) for key in keys]
 
     def count_estimate(
         self,

@@ -17,7 +17,14 @@ BGP uses one of those variables. Everything else is evaluated on its own and
 hash-joined: a FILTER (its expression must not see outer variables), a
 sub-select, a VALUES block, rows of mixed shape, and a BGP that shares no
 variable with several rows (looking it up once per row would repeat it).
-`Graph.match` stays the only index access.
+
+The engine reads the store through two methods and never its indexes. A
+step with a constant predicate that binds one new variable, in the subject
+or object position, looks up the whole batch of its rows' keys in one
+`Graph.neighbours` call (vector-at-a-time, as in MonetDB/X100). Every other
+step makes one `Graph.match` call per row: an existence step (no new
+variable), a variable predicate, two or more new variables, or a new
+variable repeated in the pattern.
 
 The engine parses nothing: `queries.suite_query` keeps the parsed AST of
 each bundled query, which only a long-lived process reuses (library use,
@@ -232,7 +239,11 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
     All rows of a BGP step bind the same variables, so the step works out
     once which positions are constants, which are lookup keys taken from
     the row and which are free; a free variable repeated (?v p ?v) must take
-    one value. Each row then makes one ``graph.match`` call, and a row value
+    one value. A step with a constant predicate that binds one new variable,
+    in the subject or object position, looks up all its keys in one
+    ``graph.neighbours`` call and copies each row once per value. Any other
+    step makes one ``graph.match`` call per row; an existence step (no new
+    variable) yields the row itself when its triple is stored. A row value
     in a position no stored triple holds (a literal subject) finds nothing.
     The first step's rows may come from outside the BGP (`join_into` passes
     a group's rows in only when they all bind the same variables); every
@@ -255,13 +266,25 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             repeats.append((i, free[pos.name]))
         else:
             free[pos.name] = i
+    if len(free) == 1 and not repeats and key[1] is not None:
+        ((name, i),) = free.items()
+        if lookups:
+            keys = [row[lookups[0][1]] for row in rows]
+        else:
+            keys = [key[2 - i]] * len(rows)
+        for row, values in zip(rows, graph.neighbours(key[1], keys, i == 2)):
+            for value in values:
+                merged = row.copy()
+                merged[name] = value
+                yield merged
+        return
     for row in rows:
         for i, name in lookups:
             key[i] = row[name]
         for t in graph.match(*key):
             if repeats and any(t[i] != t[j] for i, j in repeats):
                 continue
-            merged = row.copy()
+            merged = row.copy() if free else row
             for name, i in free.items():
                 merged[name] = t[i]
             yield merged

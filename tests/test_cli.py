@@ -167,6 +167,25 @@ def test_query_nested_too_deep_exit_3(workspace, capsys):
     assert "levels deep" in capsys.readouterr().err
 
 
+def test_query_out_of_memory_exit_4(workspace, capsys, monkeypatch):
+    # A cross product such as ?a ?b ?c . ?d ?e ?f under an address-space cap
+    # ends in MemoryError; it exits 4 with a message, not a traceback.
+    from evkg import cli
+
+    def exhausted(graph, query):
+        raise MemoryError
+
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    query_file = workspace / "cross.rq"
+    query_file.write_text("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . }", encoding="utf-8")
+    monkeypatch.setattr(cli, "evaluate", exhausted)
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_query_non_ascii_character_exit_3(workspace, capsys):
     snapshot = _ingest(workspace)
     bad = workspace / "bad.rq"

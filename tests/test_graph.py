@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from evkg.graph import Graph
 from evkg.terms import EV_ONT, EVR, RDF_TYPE, Literal, Triple, XSD_INTEGER
 
+from randomized import OBJECT_IRIS, OBJECT_LITERALS, PREDICATES, SUBJECTS, random_graph
+
 STATION = EV_ONT.ChargingStation
 
 
@@ -212,3 +214,25 @@ def test_update_stopped_by_a_non_triple_leaves_the_store_consistent():
     with pytest.raises(TypeError):
         g.insert((EVR["s9"], RDF_TYPE, STATION))
     assert g.update([c]) == 1 and len(g) == 3
+
+
+def test_neighbours_are_what_match_yields_in_both_directions():
+    # Keys cover absent IRIs, literals (never a stored subject) and the
+    # predicates some triples use as subject or object; one predicate is
+    # absent from every graph. Each key's values come in match's order.
+    keys = SUBJECTS + OBJECT_IRIS + OBJECT_LITERALS + PREDICATES + [EVR["absent"]]
+    rng = random.Random(21)
+    for _ in range(40):
+        g = random_graph(rng)
+        for p in PREDICATES + [EVR["missing"]]:
+            forward = g.neighbours(p, keys, True)
+            backward = g.neighbours(p, keys, False)
+            assert [list(values) for values in forward] == [
+                [t.object for t in g.match(key, p, None)] for key in keys
+            ]
+            assert [list(values) for values in backward] == [
+                [t.subject for t in g.match(None, p, key)] for key in keys
+            ]
+    assert g.neighbours(PREDICATES[0], iter([]), True) == []
+    assert g.neighbours(EVR["missing"], [SUBJECTS[0]], False) == [()]
+    assert g.neighbours(PREDICATES[0], [Literal("1", XSD_INTEGER)], True) == [()]

@@ -277,52 +277,72 @@ def test_planner_bounds_suite_bindings_on_fixture(fixture_graph, binding_count):
 
 
 class _CountingGraph(Graph):
-    """A graph that counts its ``match`` calls."""
+    """A graph that counts its lookups: one per ``match`` call and one per
+    key passed to ``neighbours``, whose calls it also records as
+    (predicate, forward, number of keys)."""
 
     match_calls = 0
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
 
     def match(self, s=None, p=None, o=None):
         self.match_calls += 1
         return super().match(s, p, o)
+
+    def neighbours(self, p, keys, forward):
+        keys = list(keys)
+        self.match_calls += len(keys)
+        self.batches.append((p, forward, len(keys)))
+        return super().neighbours(p, keys, forward)
 
 
 TWO = Literal("2", XSD_INTEGER)
 _STEP_TRIPLES = [(A, P, A), (A, P, B), (B, P, TWO), (B, Q, C), (C, Q, C), (A, Q, TWO), (C, Q, D)]
 
 
-@pytest.mark.parametrize("where, n_rows, match_calls", [
-    ("?v evr:p ?v .", 1, 1),  # a repeated free variable
-    ("?x evr:q ?v . ?v evr:q ?v .", 2, 5),  # a repeated key; ?v is "2" in one row
-    ("evr:a evr:p evr:b . ?x evr:q ?y .", 4, 2),  # a ground pattern that hits
-    ("evr:a evr:p evr:c . ?x evr:q ?y .", 0, 1),  # ... and one that misses
-    ('"2" evr:p ?o .', 0, 0),  # a constant literal subject
+@pytest.mark.parametrize("where, n_rows, match_calls, batches", [
+    ("?v evr:p ?v .", 1, 1, []),  # a repeated free variable
+    ("?x evr:q ?v . ?v evr:q ?v .", 2, 5, []),  # a repeated key; ?v is "2" in one row
+    ("evr:a evr:p evr:b . ?x evr:q ?y .", 4, 2, []),  # a ground pattern that hits
+    ("evr:a evr:p evr:c . ?x evr:q ?y .", 0, 1, []),  # ... and one that misses
+    ('"2" evr:p ?o .', 0, 0, []),  # a constant literal subject
     # ?y ?z evr:e is connected once evr:a evr:p ?y runs, but no triple holds evr:e
-    ("evr:a evr:p ?y . ?y ?z evr:e .", 0, 0),
-    # ?o is bound to "2" in one of three rows, then used as a subject
-    ("?s evr:p ?o . ?o evr:q ?z .", 2, 4),
+    ("evr:a evr:p ?y . ?y ?z evr:e .", 0, 0, []),
+    # ?o is bound to "2" in one of three rows, then used as a subject: one
+    # batched lookup of the three ?o values binds ?z
+    ("?s evr:p ?o . ?o evr:q ?z .", 2, 4, [(Q, True, 3)]),
 ])
-def test_batched_step_agrees_with_oracle(where, n_rows, match_calls):
+def test_batched_step_agrees_with_oracle(where, n_rows, match_calls, batches):
     g = _CountingGraph()
     g.update(Triple(s, p, o) for s, p, o in _STEP_TRIPLES)
     query = parse_query(f"SELECT * WHERE {{ {where} }}")
     solution = evaluate(g, query)
     assert len(solution.rows) == n_rows
     assert g.match_calls == match_calls  # one per row reaching each step
+    assert g.batches == batches
     assert solution_multiset(solution) == solution_multiset(naive.evaluate(g, query))
 
 
 def test_empty_constant_pattern_ends_q2_road_branch_before_any_lookup(tmp_path, monkeypatch):
     # No road segment exists, so `?road a kwg-ont:RoadSegment` empties the
-    # road branch; probing it once per county row made 155 match calls.
+    # road branch; probing it once per county row made 155 lookups.
     graph, _ = build_graph(tiled_config(tmp_path))
     calls = [0]
-    match = Graph.match
+    match, neighbours = Graph.match, Graph.neighbours
 
-    def counted(self, s=None, p=None, o=None):
+    def counted_match(self, s=None, p=None, o=None):
         calls[0] += 1
         return match(self, s, p, o)
 
-    monkeypatch.setattr(Graph, "match", counted)
+    def counted_neighbours(self, p, keys, forward):
+        keys = list(keys)
+        calls[0] += len(keys)
+        return neighbours(self, p, keys, forward)
+
+    monkeypatch.setattr(Graph, "match", counted_match)
+    monkeypatch.setattr(Graph, "neighbours", counted_neighbours)
     run_suite_query(graph, 2)
     assert calls[0] == 83
 
@@ -335,6 +355,16 @@ def test_step_without_rows_yields_nothing_and_looks_nothing_up():
     assert g.match_calls == 0
     query = parse_query("SELECT * WHERE { ?x evr:p evr:d . ?x evr:q ?y . }")
     assert evaluate(g, query).rows == naive.evaluate(g, query).rows == []
+
+
+def test_existence_step_passes_its_rows_on_uncopied():
+    g = _CountingGraph()
+    g.update(Triple(s, p, o) for s, p, o in _STEP_TRIPLES)
+    rows = [{"x": A}, {"x": B}, {"x": C}]
+    tp = TriplePattern(Variable("x"), Q, C)  # only evr:b and evr:c hold it
+    out = list(engine.match_pattern(g, tp, rows))
+    assert len(out) == 2 and out[0] is rows[1] and out[1] is rows[2]
+    assert g.match_calls == 3 and g.batches == []
 
 
 # --- long chains: UNION branches, FILTERs in one group, terms of one sum -------
