@@ -4,7 +4,7 @@ Subcommands: ingest (CSV -> N-Triples snapshot), materialize, query, cq
 (competency-question suite with expected-result diffs), stats, and
 export-ontology. Exit codes: 0 ok, 1 competency diff failure, 2 I/O
 problem (an input that cannot be read, is not UTF-8 or is malformed), 3
-query syntax or unsupported construct.
+query syntax or unsupported construct, 4 out of memory.
 """
 
 from __future__ import annotations

@@ -31,10 +31,11 @@ class Graph:
 
     The query engine reads the indexes only through two methods. ``match``
     takes one pattern and yields its triples; the engine calls it once per
-    row. ``neighbours`` takes a predicate and a batch of subjects (or
-    objects) and returns, for each, the index's own set of objects (or
-    subjects); the engine calls it once per step that binds one new
-    variable, in the subject or object position, under a constant predicate.
+    row, fully bound for an existence check. ``neighbours`` takes a
+    predicate and a batch of subjects (or objects) and returns, for each,
+    the index's own set of objects (or subjects); the engine calls it once
+    per step that binds one new variable, in the subject or object
+    position, under a constant predicate.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -116,13 +117,18 @@ class Graph:
     ) -> Iterator[Triple]:
         """Yield triples matching the bound positions (None = wildcard).
 
-        Subject-first when s is bound, else predicate-first. A bound object
-        alone probes the predicate-first index once per predicate; nothing
-        bound walks the subject-first index.
+        Subject-first when s is bound, else predicate-first. A fully bound
+        pattern is one membership test in the subject-first index. A bound
+        object alone probes the predicate-first index once per predicate;
+        nothing bound walks the subject-first index.
         """
         if s is not None:
             po = self._spo.get(s)
             if not po:
+                return
+            if p is not None and o is not None:
+                if o in po.get(p, ()):
+                    yield tuple.__new__(Triple, (s, p, o))
                 return
             preds = (p,) if p is not None else po.keys()
             for pred in preds:

@@ -3,7 +3,8 @@
 Inside a BGP, patterns join connected first: each next pattern shares a
 variable with those already bound (or has none), so only a BGP that is
 itself disconnected joins unrelated row sets; among those patterns the one
-with the most bound positions, then the smallest index estimate, wins.
+with the most bound positions, then the smallest index estimate, then the
+first in the BGP's order, wins.
 A pattern whose constant positions have an estimate of 0 empties the BGP
 before any lookup. Each step joins all rows with its pattern at once,
 working out which positions are lookup keys and which are free once per
@@ -21,10 +22,13 @@ variable with several rows (looking it up once per row would repeat it).
 The engine reads the store through two methods and never its indexes. A
 step with a constant predicate that binds one new variable, in the subject
 or object position, looks up the whole batch of its rows' keys in one
-`Graph.neighbours` call (vector-at-a-time, as in MonetDB/X100). Every other
-step makes one `Graph.match` call per row: an existence step (no new
-variable), a variable predicate, two or more new variables, or a new
-variable repeated in the pattern.
+`Graph.neighbours` call (vector-at-a-time, as in MonetDB/X100). An
+existence step (no new variable) is a bare probe: one `Graph.match` call per
+row, which the store answers with one membership test, and the row itself
+passes on when its triple is stored. Every other step makes one
+`Graph.match` call per row and copies the row once per match: a variable
+predicate, two or more new variables, or a new variable repeated in the
+pattern.
 
 The engine parses nothing: `queries.suite_query` keeps the parsed AST of
 each bundled query, which only a long-lived process reuses (library use,
@@ -241,10 +245,13 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
     the row and which are free; a free variable repeated (?v p ?v) must take
     one value. A step with a constant predicate that binds one new variable,
     in the subject or object position, looks up all its keys in one
-    ``graph.neighbours`` call and copies each row once per value. Any other
-    step makes one ``graph.match`` call per row; an existence step (no new
-    variable) yields the row itself when its triple is stored. A row value
-    in a position no stored triple holds (a literal subject) finds nothing.
+    ``graph.neighbours`` call and copies each row once per value. An
+    existence step (no new variable) has its own loop: it sets the row's
+    keys, makes one fully bound ``graph.match`` probe and yields the row
+    itself when the triple is stored. Any other step makes one
+    ``graph.match`` call per row and copies the row once per match. A row
+    value in a position no stored triple holds (a literal subject) finds
+    nothing.
     The first step's rows may come from outside the BGP (`join_into` passes
     a group's rows in only when they all bind the same variables); every
     step adds the same variables to each row, so the next step's rows agree
@@ -278,13 +285,20 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
                 merged[name] = value
                 yield merged
         return
+    if not free:
+        for row in rows:
+            for i, name in lookups:
+                key[i] = row[name]
+            for _ in graph.match(*key):
+                yield row
+        return
     for row in rows:
         for i, name in lookups:
             key[i] = row[name]
         for t in graph.match(*key):
             if repeats and any(t[i] != t[j] for i, j in repeats):
                 continue
-            merged = row.copy() if free else row
+            merged = row.copy()
             for name, i in free.items():
                 merged[name] = t[i]
             yield merged
@@ -315,27 +329,32 @@ def _order_patterns(
     collections cross product. The first pattern and, in a BGP with
     disconnected parts, the first pattern of the next part are chosen from
     all remaining ones. Among the candidates: most bound positions first,
-    then the smallest estimate.
+    then the smallest estimate, then the first in `patterns`.
+
+    Each pattern's variable names, one per variable position, are listed
+    once per call; each round then scores every remaining pattern in one
+    plain loop, counting its free positions against the variables bound so
+    far.
     """
+    bound = set(bound)
     remaining = [
-        (tp, {v.name for v in pattern_vars(tp)}, estimate)
+        ([pos.name for pos in tp.positions() if isinstance(pos, Variable)], estimate, tp)
         for tp, estimate in zip(patterns, estimates)
     ]
     ordered: list[TriplePattern] = []
-    bound = set(bound)
-
-    def key(item: tuple[TriplePattern, set[str], int]):
-        selectivity = sum(
-            not isinstance(pos, Variable) or pos.name in bound for pos in item[0].positions()
-        )
-        return (-selectivity, item[2])
-
     while remaining:
-        connected = [item for item in remaining if not item[1] or not item[1].isdisjoint(bound)]
-        best = min(connected or remaining, key=key)
-        remaining.remove(best)
-        ordered.append(best[0])
-        bound |= best[1]
+        best, best_rank = 0, None
+        for i, (names, estimate, _) in enumerate(remaining):
+            free = 0
+            for name in names:
+                if name not in bound:
+                    free += 1
+            rank = (free == len(names) > 0, free, estimate)  # disconnected last
+            if best_rank is None or rank < best_rank:
+                best, best_rank = i, rank
+        names, _, tp = remaining.pop(best)
+        ordered.append(tp)
+        bound.update(names)
     return ordered
 
 

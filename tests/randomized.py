@@ -166,14 +166,17 @@ def random_query(rng: random.Random, max_patterns: int = 4) -> SelectQuery:
 
 
 def _linked_bgp(rng: random.Random, variables: list[Variable]) -> Bgp:
-    """One or two patterns with a constant predicate and a subject among the
-    first two of `variables`, so that BGPs over the same variables usually
-    join, and a subject bound to a literal by earlier rows occurs too."""
+    """One or two patterns with a subject among the first two of
+    `variables`, so that BGPs over the same variables usually join, and a
+    subject bound to a literal by earlier rows occurs too. The predicate is
+    a constant, or now and then one of `variables`, which earlier rows may
+    already bind."""
     patterns = []
     for _ in range(rng.randint(1, 2)):
         objects = variables if rng.random() < 0.6 else OBJECT_IRIS + OBJECT_LITERALS
         o = rng.choice(objects)
-        patterns.append(TriplePattern(rng.choice(variables[:2]), rng.choice(PREDICATES), o))
+        p = rng.choice(variables) if rng.random() < 0.15 else rng.choice(PREDICATES)
+        patterns.append(TriplePattern(rng.choice(variables[:2]), p, o))
     return Bgp(tuple(patterns))
 
 

@@ -132,6 +132,21 @@ def test_fully_bound_match_consistent_with_membership():
     assert list(g.match(t.subject, t.predicate, t.object)) == [t]
     absent = Triple(EVR["s"], RDF_TYPE, EV_ONT.PowerPlant)
     assert list(g.match(absent.subject, absent.predicate, absent.object)) == []
+    # Every stored triple yields exactly itself; the same triple with another
+    # object, an absent predicate or a literal subject yields what `in` says.
+    rng = random.Random(22)
+    for _ in range(40):
+        g = random_graph(rng)
+        for t in g:
+            assert list(g.match(*t)) == [t] and t in g
+            s, p, o = t
+            probes = [(s, p, other) for other in OBJECT_IRIS + OBJECT_LITERALS if other != o]
+            probes += [(s, EVR["missing"], o), (Literal("1", XSD_INTEGER), p, o)]
+            for probe in probes:
+                found = list(g.match(*probe))
+                assert found == ([probe] if tuple.__new__(Triple, probe) in g else [])
+            assert not any(g.match(s, EVR["missing"], o))
+            assert not any(g.match(Literal("1", XSD_INTEGER), p, o))
 
 
 def test_match_and_iteration_yield_triples_with_their_terms():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from evkg.graph import Graph
 from evkg.ingest import build_graph
 from evkg.sparql import parse_query
-from evkg.sparql.algebra import Bgp, Group, SelectQuery, TriplePattern, Variable
+from evkg.sparql.algebra import Bgp, Group, SelectQuery, TriplePattern, Variable, pattern_vars
 from evkg.queries import QUERY_TEXTS, run_suite_query
 from evkg.sparql import engine
 from evkg.sparql.engine import evaluate
@@ -251,6 +251,26 @@ def binding_count(monkeypatch):
     return count
 
 
+@pytest.fixture()
+def existence_steps(monkeypatch):
+    """Count the existence steps (every variable already bound) that reach
+    engine.match_pattern with rows, by shape: row values in one or in two
+    positions, and a row value in the predicate position."""
+    shapes = dict.fromkeys(["one key", "two keys", "predicate key"], 0)
+    inner = engine.match_pattern
+
+    def counted(graph, tp, rows):
+        keyed = [pos for pos in tp.positions() if isinstance(pos, Variable)]
+        if rows and all(pos.name in rows[0] for pos in keyed):
+            shapes["one key"] += len(keyed) == 1
+            shapes["two keys"] += len(keyed) == 2
+            shapes["predicate key"] += isinstance(tp.p, Variable)
+        return inner(graph, tp, rows)
+
+    monkeypatch.setattr(engine, "match_pattern", counted)
+    return shapes
+
+
 def test_planner_joins_connected_patterns_first(binding_count):
     n = 200
     g = Graph()
@@ -271,6 +291,64 @@ def test_planner_bounds_suite_bindings_on_fixture(fixture_graph, binding_count):
         per_query[qid] = binding_count[0]
     assert per_query[8] <= 1_000
     assert sum(per_query.values()) <= 3_000
+
+
+def _reference_order(patterns, estimates, bound):
+    """The join order `engine._order_patterns` must give, computed the plain
+    way: every round re-scores each candidate through a key function."""
+    remaining = [
+        (tp, {v.name for v in pattern_vars(tp)}, estimate)
+        for tp, estimate in zip(patterns, estimates)
+    ]
+    ordered = []
+    bound = set(bound)
+
+    def key(item):
+        selectivity = sum(
+            not isinstance(pos, Variable) or pos.name in bound for pos in item[0].positions()
+        )
+        return (-selectivity, item[2])
+
+    while remaining:
+        connected = [item for item in remaining if not item[1] or not item[1].isdisjoint(bound)]
+        best = min(connected or remaining, key=key)
+        remaining.remove(best)
+        ordered.append(best[0])
+        bound |= best[1]
+    return ordered
+
+
+def test_planner_order_equals_the_reference_order():
+    # Small pools, so that cases repeat variables inside a pattern, hold
+    # all-constant patterns, split into parts sharing no variable, tie on
+    # estimates and start from rows that already bind some variables.
+    names = ["a", "b", "c", "d"]
+    terms = [A, B, P, Literal("1", XSD_INTEGER)]
+    rng = random.Random(0x0DE5)
+    seen = dict.fromkeys(["repeat", "constant", "disconnected", "tie", "bound"], 0)
+    for _ in range(4000):
+        patterns = tuple(
+            TriplePattern(*(
+                Variable(rng.choice(names)) if rng.random() < 0.6 else rng.choice(terms)
+                for _ in range(3)
+            ))
+            for _ in range(rng.randint(1, 6))
+        )
+        estimates = [rng.randint(0, 3) for _ in patterns]
+        bound = set(rng.sample(names, rng.randint(0, 2)))
+        order = engine._order_patterns(patterns, estimates, bound)
+        expected = _reference_order(patterns, estimates, bound)
+        assert len(order) == len(expected) and all(a is b for a, b in zip(order, expected))
+        variables = [{v.name for v in pattern_vars(tp)} for tp in expected]
+        seen["repeat"] += any(len(vs) < len(list(pattern_vars(tp)))
+                              for vs, tp in zip(variables, expected))
+        seen["constant"] += not all(variables)
+        seen["disconnected"] += any(  # a later step shares no variable with the earlier ones
+            vs and vs.isdisjoint(bound.union(*variables[:i])) for i, vs in enumerate(variables) if i
+        )
+        seen["tie"] += len(set(estimates)) < len(estimates)
+        seen["bound"] += bool(bound)
+    assert min(seen.values()) > 200, seen
 
 
 # --- one join step per pattern -------------------------------------------------
@@ -462,7 +540,7 @@ def test_engine_matches_naive_oracle(rng):
     )
 
 
-def test_engine_matches_naive_on_group_shapes(monkeypatch):
+def test_engine_matches_naive_on_group_shapes(monkeypatch, existence_steps):
     """300 seeded queries whose groups pass rows into the elements after them."""
     bind_joins, mixed_joins = [0], [0]
     eval_bgp, join_rows = engine.eval_bgp, engine.join_rows
@@ -485,9 +563,10 @@ def test_engine_matches_naive_on_group_shapes(monkeypatch):
             naive.evaluate(graph, query)
         ), f"case {case}: {query}"
     assert bind_joins[0] > 100 and mixed_joins[0] > 10, (bind_joins, mixed_joins)
+    assert min(existence_steps.values()) > 10, existence_steps
 
 
-def test_engine_matches_naive_on_exhaustive_small_queries():
+def test_engine_matches_naive_on_exhaustive_small_queries(existence_steps):
     """Every 2-pattern BGP over a tiny vocabulary, engine vs oracle."""
     g = _graph(
         (A, P, B), (B, P, C), (A, Q, C), (C, Q, A), (B, Q, Literal("2", XSD_INTEGER))
@@ -511,6 +590,7 @@ def test_engine_matches_naive_on_exhaustive_small_queries():
         )
         count += 1
     assert count == 4 * 3 * 4 * 4 * 3 * 4
+    assert min(existence_steps.values()) > 10, existence_steps
 
 
 @pytest.mark.parametrize("obj, present", [
