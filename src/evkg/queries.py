@@ -264,11 +264,13 @@ def _label_of(graph: Graph, iri: Iri) -> str:
 
 
 def _int_of(term) -> Optional[int]:
-    if isinstance(term, Literal):
-        parsed = numeric_value(term)
-        if parsed is not None:
-            return int(parsed[1])
-    return None
+    value = numeric_value(term) if isinstance(term, Literal) else None
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (OverflowError, ValueError):  # INF, -INF, NaN
+        return None
 
 
 def _ratio_text(numerator: Optional[int], denominator: Optional[int]) -> str:

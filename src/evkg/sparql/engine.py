@@ -35,6 +35,12 @@ each bundled query, which only a long-lived process reuses (library use,
 repeated `question_outputs` calls, the benchmark); `evkg query` and `evkg
 cq` parse each text once anyway.
 
+A number is the `terms.numeric_value` of its literal, whose Python type is
+its kind, so one `operator` table serves `+ - *` and the six comparisons,
+SUM adds the values, and Python's int -> Fraction -> float coercion is the
+integer -> decimal -> double promotion of SPARQL 1.1 §17.3; `/` of two
+non-doubles is an exact `Fraction`, an xsd:decimal.
+
 Expression errors follow SPARQL conventions: a failing FILTER expression
 drops the row, a failing projection expression leaves that variable
 unbound but keeps the row, and a SUM over a group containing a
@@ -43,6 +49,7 @@ non-numeric value is unbound for that group.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -120,54 +127,43 @@ def eval_expression(
         if members is None:
             raise EvalError("aggregate outside a grouped projection")
         total = 0
-        kind = "integer"
         for member in members:
             try:
-                inner = eval_expression(expr.expr, member)
+                total += _numeric(eval_expression(expr.expr, member))
             except EvalError:
                 raise EvalError("non-numeric value in SUM group") from None
-            parsed = numeric_value(inner) if isinstance(inner, Literal) else None
-            if parsed is None:
-                raise EvalError("non-numeric value in SUM group")
-            kind = _promote(kind, parsed[0])
-            total = total + parsed[1]
-        return numeric_literal(kind, total)
+        return numeric_literal(total)
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _numeric(term: Term):
-    if isinstance(term, Literal):
-        parsed = numeric_value(term)
-        if parsed is not None:
-            return parsed
-    raise EvalError(f"not a numeric value: {term!r}")
+def _numeric(term: Term) -> int | Fraction | float:
+    value = numeric_value(term) if isinstance(term, Literal) else None
+    if value is None:
+        raise EvalError(f"not a numeric value: {term!r}")
+    return value
 
 
-_KIND_ORDER = {"integer": 0, "decimal": 1, "double": 2}
+def _divide(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    return Fraction(a, b)  # integer and decimal division both yield xsd:decimal
 
 
-def _promote(kind_a: str, kind_b: str) -> str:
-    return kind_a if _KIND_ORDER[kind_a] >= _KIND_ORDER[kind_b] else kind_b
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def apply_arith(op: str, left: Term, right: Term) -> Literal:
-    kind_l, val_l = _numeric(left)
-    kind_r, val_r = _numeric(right)
-    kind = _promote(kind_l, kind_r)
-    if op == "+":
-        return numeric_literal(kind, val_l + val_r)
-    if op == "-":
-        return numeric_literal(kind, val_l - val_r)
-    if op == "*":
-        return numeric_literal(kind, val_l * val_r)
-    if op == "/":
-        if val_r == 0:
-            raise EvalError("division by zero")
-        if kind == "double":
-            return numeric_literal("double", val_l / val_r)
-        # Integer and decimal division both yield xsd:decimal.
-        return numeric_literal("decimal", Fraction(val_l) / Fraction(val_r))
-    raise EvalError(f"unknown operator {op!r}")
+    return numeric_literal(_ARITH[op](_numeric(left), _numeric(right)))
 
 
 def _is_plain_string(term: Term) -> bool:
@@ -175,44 +171,23 @@ def _is_plain_string(term: Term) -> bool:
 
 
 def compare_terms(op: str, left: Term, right: Term) -> bool:
+    """Numbers compare by value, plain strings by lexical form, and two
+    equal literals of any other datatype as equal; other literals of one
+    datatype are only (un)equal, and a non-literal only (un)equal."""
+    compare = _COMPARE[op]
     if isinstance(left, Literal) and isinstance(right, Literal):
         num_l = numeric_value(left)
         num_r = numeric_value(right)
         if num_l is not None and num_r is not None:
-            return _ordered(op, num_l[1], num_r[1])
-        if _is_plain_string(left) and _is_plain_string(right):
-            return _ordered(op, left.lexical, right.lexical)
-        if left == right:
-            return _equality_only(op, True)
+            return compare(num_l, num_r)
+        if left == right or (_is_plain_string(left) and _is_plain_string(right)):
+            return compare(left.lexical, right.lexical)
         if left.datatype == right.datatype and op in ("=", "!="):
             return op == "!="
         raise EvalError(f"incomparable literals: {left!r} vs {right!r}")
     if op not in ("=", "!="):
         raise EvalError(f"operator {op!r} needs literal operands")
-    same = left == right
-    return same if op == "=" else not same
-
-
-def _equality_only(op: str, same: bool) -> bool:
-    if op in ("=", "<=", ">="):
-        return same
-    if op == "!=":
-        return not same
-    return False  # '<' or '>' on an equal pair
-
-
-def _ordered(op: str, a, b) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+    return compare(left, right)
 
 
 def effective_boolean(expr: Expression, row: Binding) -> bool:
@@ -223,9 +198,8 @@ def effective_boolean(expr: Expression, row: Binding) -> bool:
     if isinstance(term, Literal):
         if term.datatype == XSD_BOOLEAN:
             return term.lexical == "true"
-        parsed = numeric_value(term)
-        if parsed is not None:
-            value = parsed[1]
+        value = numeric_value(term)
+        if value is not None:
             return value == value and value != 0  # NaN is false
         if _is_plain_string(term):
             return len(term.lexical) > 0

@@ -6,6 +6,10 @@ with the engine but none of the evaluation machinery: every pattern is
 matched by scanning the full triple list, joins are plain nested loops over
 binding compatibility, and expression semantics are re-implemented here
 from scratch. Keep it simple and obviously correct; do not optimize it.
+
+Numeric promotion is explicit: kinds are ranked by datatype, and arithmetic
+and SUM convert both operands to the higher kind's type first, where the
+engine relies on Python's mixed-type coercion.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from fractions import Fraction
 from ..graph import Graph
 from ..terms import (
     XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_GYEAR,
+    XSD_INTEGER,
     Literal,
     Term,
     Triple,
@@ -126,11 +134,17 @@ def _rows(triples: list[Triple], graph: Graph, pattern: Pattern) -> list[dict]:
 # --- expressions, re-implemented independently ------------------------------
 
 
-def _num(term: Term):
-    if isinstance(term, Literal):
-        parsed = numeric_value(term)
-        if parsed is not None:
-            return parsed
+# Numeric kinds in promotion order, and the Python type of each kind's values.
+_KIND_RANKS = {XSD_INTEGER: 0, XSD_GYEAR: 0, XSD_DECIMAL: 1, XSD_DOUBLE: 2}
+_KIND_TYPES = (int, Fraction, float)
+
+
+def _num(term: Term) -> tuple[int, object]:
+    """(kind rank, value) of a numeric literal."""
+    if isinstance(term, Literal) and term.datatype in _KIND_RANKS:
+        value = numeric_value(term)
+        if value is not None:
+            return _KIND_RANKS[term.datatype], value
     raise _Error("not numeric")
 
 
@@ -154,20 +168,21 @@ def _expr(expr, row: dict) -> Term:
 def _arith(op: str, left: Term, right: Term) -> Literal:
     kind_l, a = _num(left)
     kind_r, b = _num(right)
-    order = ["integer", "decimal", "double"]
-    kind = order[max(order.index(kind_l), order.index(kind_r))]
-    if op == "+":
-        return numeric_literal(kind, a + b)
-    if op == "-":
-        return numeric_literal(kind, a - b)
-    if op == "*":
-        return numeric_literal(kind, a * b)
+    kind = max(kind_l, kind_r)
     if op == "/":
         if b == 0:
             raise _Error("division by zero")
-        if kind == "double":
-            return numeric_literal("double", a / b)
-        return numeric_literal("decimal", Fraction(a) / Fraction(b))
+        kind = max(kind, 1)
+    as_kind = _KIND_TYPES[kind]
+    a, b = as_kind(a), as_kind(b)
+    if op == "+":
+        return numeric_literal(a + b)
+    if op == "-":
+        return numeric_literal(a - b)
+    if op == "*":
+        return numeric_literal(a * b)
+    if op == "/":
+        return numeric_literal(a / b)
     raise _Error("bad operator")
 
 
@@ -216,24 +231,23 @@ def _truth(term: Term) -> bool:
     if isinstance(term, Literal):
         if term.datatype == XSD_BOOLEAN:
             return term.lexical == "true"
-        parsed = numeric_value(term)
-        if parsed is not None:
-            return parsed[1] == parsed[1] and parsed[1] != 0
+        value = numeric_value(term)
+        if value is not None:
+            return value == value and value != 0
         if _string_like(term):
             return term.lexical != ""
     return False
 
 
 def _sum_over(expr, rows: list[dict]) -> Literal:
-    order = ["integer", "decimal", "double"]
-    kind = "integer"
-    total = 0
+    kind, total = 0, 0
     for row in rows:
         value = _expr(expr, row)  # _Error propagates: unbound SUM for the group
         knd, num = _num(value)
-        kind = order[max(order.index(kind), order.index(knd))]
-        total = total + num
-    return numeric_literal(kind, total)
+        kind = max(kind, knd)
+        as_kind = _KIND_TYPES[kind]
+        total = as_kind(total) + as_kind(num)
+    return numeric_literal(total)
 
 
 def _agg_expr(expr, key_binding: dict, rows: list[dict]) -> Term:

@@ -286,31 +286,30 @@ def default_prefixes() -> PrefixTable:
 # Numeric value handling shared by serialization and the query layer
 # ---------------------------------------------------------------------------
 
-NUMERIC_DATATYPES = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_GYEAR)
-
 # Non-terminating decimal divisions are rounded to this many fractional
-# digits (half-even) when rendered back to a lexical form.
+# digits when rendered back to a lexical form.
 DECIMAL_SCALE = 12
 
 
-def numeric_value(lit: Literal):
-    """Parse a numeric literal to (kind, value); None if not numeric.
+def numeric_value(lit: Literal) -> Union[int, Fraction, float, None]:
+    """The value of a numeric literal, or None if it is not numeric.
 
-    Kinds: 'integer' -> int, 'decimal' -> Fraction, 'double' -> float.
-    xsd:gYear coerces to the integer kind so year comparisons work.
+    The value's Python type is its XSD kind: `int` for xsd:integer (and
+    xsd:gYear, so that year comparisons work), `Fraction` for xsd:decimal
+    and `float` for xsd:double. Python's int -> Fraction -> float coercion
+    is the integer -> decimal -> double promotion of XPath F&O 3.1 §4.2, so
+    arithmetic on these values yields a value of the promoted kind.
     """
     if lit.language is not None:
         return None
     dt = lit.datatype
     try:
-        if dt == XSD_INTEGER:
-            return ("integer", int(lit.lexical))
-        if dt == XSD_GYEAR:
-            return ("integer", int(lit.lexical))
+        if dt == XSD_INTEGER or dt == XSD_GYEAR:
+            return int(lit.lexical)
         if dt == XSD_DECIMAL:
-            return ("decimal", Fraction(lit.lexical))
+            return Fraction(lit.lexical)
         if dt == XSD_DOUBLE:
-            return ("double", float(lit.lexical))
+            return float(lit.lexical)
     except (ValueError, ZeroDivisionError):
         return None
     return None
@@ -319,11 +318,14 @@ def numeric_value(lit: Literal):
 def format_decimal(value: Fraction) -> str:
     """Canonical xsd:decimal lexical form.
 
-    Exact when the value terminates in base 10; otherwise rounded half-even
-    to DECIMAL_SCALE fractional digits. Always carries a decimal point.
+    Exact when the value terminates in base 10; otherwise rounded to the
+    nearest value with DECIMAL_SCALE fractional digits. That rounding has no
+    tie to break: the value halfway between k / 10**DECIMAL_SCALE and the
+    next such value is (2k + 1) / (2 * 10**DECIMAL_SCALE), which terminates.
+    Always carries a decimal point.
     """
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), abs(value.denominator)
+    sign = "-" if value.numerator < 0 else ""
+    num, den = abs(value.numerator), value.denominator
     scale = 0
     d = den
     while d % 2 == 0:
@@ -335,13 +337,8 @@ def format_decimal(value: Fraction) -> str:
         fives += 1
     scale = max(scale, fives)
     if d != 1:
-        # Non-terminating: round half-even at DECIMAL_SCALE digits.
-        shifted = Fraction(num, den) * 10**DECIMAL_SCALE
-        q, r = divmod(shifted.numerator, shifted.denominator)
-        double_r = 2 * r
-        if double_r > shifted.denominator or (double_r == shifted.denominator and q % 2):
-            q += 1
-        digits, scale = q, DECIMAL_SCALE
+        scale = DECIMAL_SCALE
+        digits = (2 * num * 10**scale + den) // (2 * den)
     else:
         digits = num * 10**scale // den
     text = str(digits).rjust(scale + 1, "0")
@@ -352,15 +349,13 @@ def format_decimal(value: Fraction) -> str:
     return f"{sign}{whole}.{frac}"
 
 
-def numeric_literal(kind: str, value) -> Literal:
-    """Render a computed numeric value back into a canonical literal."""
-    if kind == "integer":
-        return Literal(str(int(value)), XSD_INTEGER)
-    if kind == "decimal":
-        return Literal(format_decimal(Fraction(value)), XSD_DECIMAL)
-    if kind == "double":
-        value = float(value)
+def numeric_literal(value: Union[int, Fraction, float]) -> Literal:
+    """Render a computed numeric value as a canonical literal of the kind
+    its Python type names (see `numeric_value`)."""
+    if isinstance(value, float):
         if math.isfinite(value):
             return Literal(repr(value), XSD_DOUBLE)
         return Literal("NaN" if math.isnan(value) else ("INF" if value > 0 else "-INF"), XSD_DOUBLE)
-    raise ValueError(f"unknown numeric kind: {kind}")
+    if isinstance(value, Fraction):
+        return Literal(format_decimal(value), XSD_DECIMAL)
+    return Literal(str(value), XSD_INTEGER)

@@ -7,6 +7,8 @@ import random
 from evkg.graph import Graph
 from evkg.ntriples import term_to_ntriples
 from evkg.sparql.algebra import (
+    Aliased,
+    Arith,
     Bgp,
     Compare,
     ConstExpr,
@@ -14,6 +16,7 @@ from evkg.sparql.algebra import (
     Group,
     Pattern,
     SelectQuery,
+    SumAgg,
     TriplePattern,
     Union,
     Values,
@@ -21,7 +24,15 @@ from evkg.sparql.algebra import (
     Variable,
     visible_vars,
 )
-from evkg.terms import EVR, XSD_INTEGER, Literal, Triple
+from evkg.terms import (
+    EVR,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_GYEAR,
+    XSD_INTEGER,
+    Literal,
+    Triple,
+)
 
 # Small pools keep random joins selective enough to terminate but dense
 # enough that most generated cases yield rows.
@@ -234,6 +245,81 @@ def random_group_query(rng: random.Random) -> SelectQuery:
         pattern = _random_filter(rng, pattern)
     return _random_select(rng, pattern)
 
+
+# Numeric graphs: each subject has a few values under each of two predicates,
+# which arithmetic and comparisons pair up, and a few amounts to SUM.
+NUMERIC_PREDICATES = [EVR["n0"], EVR["n1"]]
+SUM_PREDICATE = EVR["amount"]
+
+
+def _literals(datatype, *lexicals: str) -> list[Literal]:
+    return [Literal(lexical, datatype) for lexical in lexicals]
+
+
+# Every numeric datatype with a zero, the special doubles, decimals whose
+# sums with a double round, and a string that no arithmetic accepts.
+NUMERIC_LITERALS = [
+    *_literals(XSD_INTEGER, "7", "0", "-3", "12"),
+    *_literals(XSD_DECIMAL, "2.5", "-0.1", "0.0", "0.333333333333"),
+    *_literals(XSD_DOUBLE, "1.5E0", "1.0E-1", "-0.0", "INF", "-INF", "NaN"),
+    *_literals(XSD_GYEAR, "2021", "1999"),
+    Literal("x"),
+]
+# A SUM adds its group's rows in whichever order an evaluator produced them.
+# These amounts are small dyadic numbers, whose sums are exact in every
+# order, or INF, -INF and NaN, whose sums do not depend on the order either.
+SUMMABLE_LITERALS = [
+    *_literals(XSD_INTEGER, "3", "0", "-2"),
+    *_literals(XSD_DECIMAL, "2.5", "-0.75"),
+    *_literals(XSD_DOUBLE, "1.5E0", "-0.0", "INF", "-INF", "NaN"),
+    *_literals(XSD_GYEAR, "2021"),
+    Literal("x"),
+]
+_S, _A, _B, _X = (Variable(name) for name in ("s", "a", "b", "x"))
+SUM_OF_AMOUNTS = Aliased(SumAgg(VarExpr(_A)), _X)
+
+
+def random_numeric_graph(rng: random.Random) -> Graph:
+    graph = Graph()
+    for s in SUBJECTS[: rng.randint(2, len(SUBJECTS))]:
+        for p in NUMERIC_PREDICATES:
+            for o in rng.sample(NUMERIC_LITERALS, rng.randint(1, 4)):
+                graph.insert(Triple(s, p, o))
+        for o in rng.sample(SUMMABLE_LITERALS, rng.randint(1, 4)):
+            graph.insert(Triple(s, SUM_PREDICATE, o))
+    return graph
+
+
+def random_numeric_query(rng: random.Random) -> SelectQuery:
+    """One of three shapes over a `random_numeric_graph`: ``(?l op ?r AS
+    ?x)`` projected with ?a and ?b, a FILTER comparing ?l with ?r, where
+    ?l, ?r is ?a, ?b in either order and ?a, ?b are two values of one
+    subject; or ``SUM(?a)`` over the amounts, grouped by subject or in one
+    group."""
+    roll = rng.random()
+    if roll < 0.3:
+        grouped = rng.random() < 0.7
+        return SelectQuery(
+            select=((_S,) if grouped else ()) + (SUM_OF_AMOUNTS,),
+            distinct=False,
+            star=False,
+            pattern=Group((Bgp((TriplePattern(_S, SUM_PREDICATE, _A),)),)),
+            group_by=(_S,) if grouped else (),
+        )
+    pattern: Pattern = Group((Bgp((
+        TriplePattern(_S, rng.choice(NUMERIC_PREDICATES), _A),
+        TriplePattern(_S, rng.choice(NUMERIC_PREDICATES), _B),
+    )),))
+    left, right = (VarExpr(_A), VarExpr(_B))[:: rng.choice((1, -1))]
+    if roll < 0.65:
+        select: tuple = (_A, _B, Aliased(Arith(rng.choice("+-*/"), left, right), _X))
+    else:
+        op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
+        pattern = Filter(Compare(op, left, right), pattern)
+        select = (_A, _B)
+    return SelectQuery(
+        select=select, distinct=rng.random() < 0.3, star=False, pattern=pattern, group_by=()
+    )
 
 def solution_multiset(solution) -> list[tuple]:
     """Canonical sortable form of a solution's rows for multiset comparison."""

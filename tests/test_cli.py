@@ -363,6 +363,27 @@ def test_cq_diff_failure_exit_1(workspace, tmp_path, capsys):
     assert "Wrong Product" in out  # unified diff shown
 
 
+
+@pytest.mark.parametrize("amount", ["INF", "NaN"])
+def test_cq_non_finite_charger_amount_is_an_empty_series_cell(workspace, capsys, amount):
+    # A DCFC charger collection counting INF or NaN chargers sums to a
+    # non-finite double, which the Q4 series shows as an empty cell.
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    text, count = re.subn(
+        r'(\.DCFC\.\w+> <http://evkg\.org/ontology/hasAmount> )"\d+"\^\^<[^>]+>',
+        rf'\1"{amount}"^^<http://www.w3.org/2001/XMLSchema#double>',
+        snapshot.read_text(encoding="utf-8"),
+    )
+    assert count > 0
+    snapshot.write_text(text, encoding="utf-8")
+    code = main(["cq", "-i", str(snapshot), "-q", "4", "--expected", str(FIXTURES / "expected")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.startswith("Q4: FAIL\n")
+    assert "+CHAdeMO,2019,,10,\n" in out
+    assert "Traceback" not in out + err
+
 def test_materialize_command_idempotent(workspace, capsys):
     # Build without materialization, then materialize via the CLI.
     config = json.loads((workspace / "evkg-config.json").read_text())

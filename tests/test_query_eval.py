@@ -21,13 +21,24 @@ from evkg.terms import (
     EVR,
     RDF_TYPE,
     XSD_DECIMAL,
+    XSD_DOUBLE,
     XSD_GYEAR,
     XSD_INTEGER,
     Literal,
     Triple,
+    numeric_value,
 )
 from conftest import tiled_config
-from randomized import random_graph, random_group_query, random_query, solution_multiset
+from randomized import (
+    SUM_OF_AMOUNTS,
+    SUM_PREDICATE,
+    random_graph,
+    random_group_query,
+    random_numeric_graph,
+    random_numeric_query,
+    random_query,
+    solution_multiset,
+)
 
 EX = EVR  # shorthand namespace for test data
 
@@ -566,6 +577,51 @@ def test_engine_matches_naive_on_group_shapes(monkeypatch, existence_steps):
     assert min(existence_steps.values()) > 10, existence_steps
 
 
+def test_engine_matches_naive_on_numeric_expressions(monkeypatch):
+    """300 seeded arithmetic projections, FILTERs comparing two variables
+    and SUM groups over numbers of all four datatypes. Every operator meets
+    every ordered pair of datatypes, some divisions are by zero, and some
+    bound SUM mixes datatypes."""
+    numeric = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_GYEAR)
+    met, zero_divisions = set(), [0]
+    apply_arith, compare_terms = engine.apply_arith, engine.compare_terms
+
+    def meet(op, left, right):
+        if left.datatype in numeric and right.datatype in numeric:
+            met.add((op, left.datatype, right.datatype))
+
+    def recording_apply_arith(op, left, right):
+        meet(op, left, right)
+        try:
+            return apply_arith(op, left, right)
+        except engine.EvalError:
+            zero_divisions[0] += op == "/" and numeric_value(right) == 0
+            raise
+
+    def recording_compare_terms(op, left, right):
+        meet(op, left, right)
+        return compare_terms(op, left, right)
+
+    monkeypatch.setattr(engine, "apply_arith", recording_apply_arith)
+    monkeypatch.setattr(engine, "compare_terms", recording_compare_terms)
+    mixed_sums = 0
+    rng = random.Random(0x5A17)
+    for case in range(300):
+        graph = random_numeric_graph(rng)
+        query = random_numeric_query(rng)
+        solution = evaluate(graph, query)
+        assert solution_multiset(solution) == solution_multiset(
+            naive.evaluate(graph, query)
+        ), f"case {case}: {query}"
+        if SUM_OF_AMOUNTS in query.select:
+            for row in solution.rows:
+                amounts = graph.match(row.get("s"), SUM_PREDICATE, None)
+                mixed_sums += "x" in row and len({t.object.datatype for t in amounts}) > 1
+    operators = ["+", "-", "*", "/", "<", "<=", ">", ">=", "=", "!="]
+    assert met == set(itertools.product(operators, numeric, numeric))
+    assert zero_divisions[0] > 10 and mixed_sums > 10, (zero_divisions, mixed_sums)
+
+
 def test_engine_matches_naive_on_exhaustive_small_queries(existence_steps):
     """Every 2-pattern BGP over a tiny vocabulary, engine vs oracle."""
     g = _graph(
@@ -607,3 +663,226 @@ def test_object_only_pattern_agrees_with_oracle(fixture_graph, obj, present):
     rows = solution_multiset(evaluate(fixture_graph, query))
     assert rows == solution_multiset(naive.evaluate(fixture_graph, query))
     assert bool(rows) == present
+
+
+# Every ordered pair of this pool meets + - * / and the six comparisons in
+# `_OPERATOR_TABLE`; each result is pinned. Rows read "left right  + - * /
+# = != < <= > >=": an arithmetic result is "lexical^kind" (i integer,
+# d decimal, f double), a comparison T or F, and E an EvalError.
+_POOL = [
+    Literal("7", XSD_INTEGER),
+    Literal("0", XSD_INTEGER),
+    Literal("-3", XSD_INTEGER),
+    Literal("2.5", XSD_DECIMAL),
+    Literal("-0.1", XSD_DECIMAL),
+    Literal("0.333333333333", XSD_DECIMAL),  # 1/3 as a quotient renders
+    Literal("1.5E0", XSD_DOUBLE),
+    Literal("INF", XSD_DOUBLE),
+    Literal("-INF", XSD_DOUBLE),
+    Literal("NaN", XSD_DOUBLE),
+    Literal("-0.0", XSD_DOUBLE),
+    Literal("2021", XSD_GYEAR),
+    Literal("7"),
+]
+_KIND_LETTERS = {XSD_INTEGER: "i", XSD_DECIMAL: "d", XSD_DOUBLE: "f"}
+_OPERATOR_TABLE = """
+     0  0  14^i 0^i 49^i 1.0^d  TFFTFT
+     0  1  7^i 7^i 0^i E  FTFFTT
+     0  2  4^i 10^i -21^i -2.333333333333^d  FTFFTT
+     0  3  9.5^d 4.5^d 17.5^d 2.8^d  FTFFTT
+     0  4  6.9^d 7.1^d -0.7^d -70.0^d  FTFFTT
+     0  5  7.333333333333^d 6.666666666667^d 2.333333333331^d 21.000000000021^d  FTFFTT
+     0  6  8.5^f 5.5^f 10.5^f 4.666666666666667^f  FTFFTT
+     0  7  INF^f -INF^f INF^f 0.0^f  FTTTFF
+     0  8  -INF^f INF^f -INF^f -0.0^f  FTFFTT
+     0  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     0 10  7.0^f 7.0^f -0.0^f E  FTFFTT
+     0 11  2028^i -2014^i 14147^i 0.003463631865^d  FTTTFF
+     0 12  E E E E  EEEEEE
+     1  0  7^i -7^i 0^i 0.0^d  FTTTFF
+     1  1  0^i 0^i 0^i E  TFFTFT
+     1  2  -3^i 3^i 0^i 0.0^d  FTFFTT
+     1  3  2.5^d -2.5^d 0.0^d 0.0^d  FTTTFF
+     1  4  -0.1^d 0.1^d 0.0^d 0.0^d  FTFFTT
+     1  5  0.333333333333^d -0.333333333333^d 0.0^d 0.0^d  FTTTFF
+     1  6  1.5^f -1.5^f 0.0^f 0.0^f  FTTTFF
+     1  7  INF^f -INF^f NaN^f 0.0^f  FTTTFF
+     1  8  -INF^f INF^f NaN^f -0.0^f  FTFFTT
+     1  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     1 10  0.0^f 0.0^f -0.0^f E  TFFTFT
+     1 11  2021^i -2021^i 0^i 0.0^d  FTTTFF
+     1 12  E E E E  EEEEEE
+     2  0  4^i -10^i -21^i -0.428571428571^d  FTTTFF
+     2  1  -3^i -3^i 0^i E  FTTTFF
+     2  2  -6^i 0^i 9^i 1.0^d  TFFTFT
+     2  3  -0.5^d -5.5^d -7.5^d -1.2^d  FTTTFF
+     2  4  -3.1^d -2.9^d 0.3^d 30.0^d  FTTTFF
+     2  5  -2.666666666667^d -3.333333333333^d -0.999999999999^d -9.000000000009^d  FTTTFF
+     2  6  -1.5^f -4.5^f -4.5^f -2.0^f  FTTTFF
+     2  7  INF^f -INF^f -INF^f -0.0^f  FTTTFF
+     2  8  -INF^f INF^f INF^f 0.0^f  FTFFTT
+     2  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     2 10  -3.0^f -3.0^f 0.0^f E  FTTTFF
+     2 11  2018^i -2024^i -6063^i -0.001484413657^d  FTTTFF
+     2 12  E E E E  EEEEEE
+     3  0  9.5^d -4.5^d 17.5^d 0.357142857143^d  FTTTFF
+     3  1  2.5^d 2.5^d 0.0^d E  FTFFTT
+     3  2  -0.5^d 5.5^d -7.5^d -0.833333333333^d  FTFFTT
+     3  3  5.0^d 0.0^d 6.25^d 1.0^d  TFFTFT
+     3  4  2.4^d 2.6^d -0.25^d -25.0^d  FTFFTT
+     3  5  2.833333333333^d 2.166666666667^d 0.8333333333325^d 7.500000000008^d  FTFFTT
+     3  6  4.0^f 1.0^f 3.75^f 1.6666666666666667^f  FTFFTT
+     3  7  INF^f -INF^f INF^f 0.0^f  FTTTFF
+     3  8  -INF^f INF^f -INF^f -0.0^f  FTFFTT
+     3  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     3 10  2.5^f 2.5^f -0.0^f E  FTFFTT
+     3 11  2023.5^d -2018.5^d 5052.5^d 0.001237011381^d  FTTTFF
+     3 12  E E E E  EEEEEE
+     4  0  6.9^d -7.1^d -0.7^d -0.014285714286^d  FTTTFF
+     4  1  -0.1^d -0.1^d 0.0^d E  FTTTFF
+     4  2  -3.1^d 2.9^d 0.3^d 0.033333333333^d  FTFFTT
+     4  3  2.4^d -2.6^d -0.25^d -0.04^d  FTTTFF
+     4  4  -0.2^d 0.0^d 0.01^d 1.0^d  TFFTFT
+     4  5  0.233333333333^d -0.433333333333^d -0.0333333333333^d -0.3^d  FTTTFF
+     4  6  1.4^f -1.6^f -0.15000000000000002^f -0.06666666666666667^f  FTTTFF
+     4  7  INF^f -INF^f -INF^f -0.0^f  FTTTFF
+     4  8  -INF^f INF^f INF^f 0.0^f  FTFFTT
+     4  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     4 10  -0.1^f -0.1^f 0.0^f E  FTTTFF
+     4 11  2020.9^d -2021.1^d -202.1^d -0.000049480455^d  FTTTFF
+     4 12  E E E E  EEEEEE
+     5  0  7.333333333333^d -6.666666666667^d 2.333333333331^d 0.047619047619^d  FTTTFF
+     5  1  0.333333333333^d 0.333333333333^d 0.0^d E  FTFFTT
+     5  2  -2.666666666667^d 3.333333333333^d -0.999999999999^d -0.111111111111^d  FTFFTT
+     5  3  2.833333333333^d -2.166666666667^d 0.8333333333325^d 0.1333333333332^d  FTTTFF
+     5  4  0.233333333333^d 0.433333333333^d -0.0333333333333^d -3.33333333333^d  FTFFTT
+     5  5  0.666666666666^d 0.0^d 0.111111111110888888888889^d 1.0^d  TFFTFT
+     5  6  1.833333333333^f -1.166666666667^f 0.49999999999950007^f 0.22222222222200003^f  FTTTFF
+     5  7  INF^f -INF^f INF^f 0.0^f  FTTTFF
+     5  8  -INF^f INF^f -INF^f -0.0^f  FTFFTT
+     5  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     5 10  0.333333333333^f 0.333333333333^f -0.0^f E  FTFFTT
+     5 11  2021.333333333333^d -2020.666666666667^d 673.666666665993^d 0.000164934851^d  FTTTFF
+     5 12  E E E E  EEEEEE
+     6  0  8.5^f -5.5^f 10.5^f 0.21428571428571427^f  FTTTFF
+     6  1  1.5^f 1.5^f 0.0^f E  FTFFTT
+     6  2  -1.5^f 4.5^f -4.5^f -0.5^f  FTFFTT
+     6  3  4.0^f -1.0^f 3.75^f 0.6^f  FTTTFF
+     6  4  1.4^f 1.6^f -0.15000000000000002^f -15.0^f  FTFFTT
+     6  5  1.833333333333^f 1.166666666667^f 0.49999999999950007^f 4.5000000000044995^f  FTFFTT
+     6  6  3.0^f 0.0^f 2.25^f 1.0^f  TFFTFT
+     6  7  INF^f -INF^f INF^f 0.0^f  FTTTFF
+     6  8  -INF^f INF^f -INF^f -0.0^f  FTFFTT
+     6  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     6 10  1.5^f 1.5^f -0.0^f E  FTFFTT
+     6 11  2022.5^f -2019.5^f 3031.5^f 0.0007422068283028204^f  FTTTFF
+     6 12  E E E E  EEEEEE
+     7  0  INF^f INF^f INF^f INF^f  FTFFTT
+     7  1  INF^f INF^f NaN^f E  FTFFTT
+     7  2  INF^f INF^f -INF^f -INF^f  FTFFTT
+     7  3  INF^f INF^f INF^f INF^f  FTFFTT
+     7  4  INF^f INF^f -INF^f -INF^f  FTFFTT
+     7  5  INF^f INF^f INF^f INF^f  FTFFTT
+     7  6  INF^f INF^f INF^f INF^f  FTFFTT
+     7  7  INF^f NaN^f INF^f NaN^f  TFFTFT
+     7  8  NaN^f INF^f -INF^f NaN^f  FTFFTT
+     7  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     7 10  INF^f INF^f NaN^f E  FTFFTT
+     7 11  INF^f INF^f INF^f INF^f  FTFFTT
+     7 12  E E E E  EEEEEE
+     8  0  -INF^f -INF^f -INF^f -INF^f  FTTTFF
+     8  1  -INF^f -INF^f NaN^f E  FTTTFF
+     8  2  -INF^f -INF^f INF^f INF^f  FTTTFF
+     8  3  -INF^f -INF^f -INF^f -INF^f  FTTTFF
+     8  4  -INF^f -INF^f INF^f INF^f  FTTTFF
+     8  5  -INF^f -INF^f -INF^f -INF^f  FTTTFF
+     8  6  -INF^f -INF^f -INF^f -INF^f  FTTTFF
+     8  7  NaN^f -INF^f -INF^f NaN^f  FTTTFF
+     8  8  -INF^f NaN^f INF^f NaN^f  TFFTFT
+     8  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     8 10  -INF^f -INF^f NaN^f E  FTTTFF
+     8 11  -INF^f -INF^f -INF^f -INF^f  FTTTFF
+     8 12  E E E E  EEEEEE
+     9  0  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  1  NaN^f NaN^f NaN^f E  FTFFFF
+     9  2  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  3  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  4  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  5  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  6  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  7  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  8  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9 10  NaN^f NaN^f NaN^f E  FTFFFF
+     9 11  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+     9 12  E E E E  EEEEEE
+    10  0  7.0^f -7.0^f -0.0^f -0.0^f  FTTTFF
+    10  1  0.0^f -0.0^f -0.0^f E  TFFTFT
+    10  2  -3.0^f 3.0^f 0.0^f 0.0^f  FTFFTT
+    10  3  2.5^f -2.5^f -0.0^f -0.0^f  FTTTFF
+    10  4  -0.1^f 0.1^f 0.0^f 0.0^f  FTFFTT
+    10  5  0.333333333333^f -0.333333333333^f -0.0^f -0.0^f  FTTTFF
+    10  6  1.5^f -1.5^f -0.0^f -0.0^f  FTTTFF
+    10  7  INF^f -INF^f NaN^f -0.0^f  FTTTFF
+    10  8  -INF^f INF^f NaN^f 0.0^f  FTFFTT
+    10  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+    10 10  -0.0^f 0.0^f 0.0^f E  TFFTFT
+    10 11  2021.0^f -2021.0^f -0.0^f -0.0^f  FTTTFF
+    10 12  E E E E  EEEEEE
+    11  0  2028^i 2014^i 14147^i 288.714285714286^d  FTFFTT
+    11  1  2021^i 2021^i 0^i E  FTFFTT
+    11  2  2018^i 2024^i -6063^i -673.666666666667^d  FTFFTT
+    11  3  2023.5^d 2018.5^d 5052.5^d 808.4^d  FTFFTT
+    11  4  2020.9^d 2021.1^d -202.1^d -20210.0^d  FTFFTT
+    11  5  2021.333333333333^d 2020.666666666667^d 673.666666665993^d 6063.000000006063^d  FTFFTT
+    11  6  2022.5^f 2019.5^f 3031.5^f 1347.3333333333333^f  FTFFTT
+    11  7  INF^f -INF^f INF^f 0.0^f  FTTTFF
+    11  8  -INF^f INF^f -INF^f -0.0^f  FTFFTT
+    11  9  NaN^f NaN^f NaN^f NaN^f  FTFFFF
+    11 10  2021.0^f 2021.0^f -0.0^f E  FTFFTT
+    11 11  4042^i 0^i 4084441^i 1.0^d  TFFTFT
+    11 12  E E E E  EEEEEE
+    12  0  E E E E  EEEEEE
+    12  1  E E E E  EEEEEE
+    12  2  E E E E  EEEEEE
+    12  3  E E E E  EEEEEE
+    12  4  E E E E  EEEEEE
+    12  5  E E E E  EEEEEE
+    12  6  E E E E  EEEEEE
+    12  7  E E E E  EEEEEE
+    12  8  E E E E  EEEEEE
+    12  9  E E E E  EEEEEE
+    12 10  E E E E  EEEEEE
+    12 11  E E E E  EEEEEE
+    12 12  E E E E  TFFTFT
+"""
+
+
+def _operator_row(arith, compare, errors, left, right) -> str:
+    results = []
+    for op in "+-*/":
+        try:
+            value = arith(op, left, right)
+        except errors:
+            results.append("E")
+        else:
+            results.append(f"{value.lexical}^{_KIND_LETTERS[value.datatype]}")
+    flags = []
+    for op in ("=", "!=", "<", "<=", ">", ">="):
+        try:
+            flags.append("T" if compare(op, left, right) else "F")
+        except errors:
+            flags.append("E")
+    return f"{' '.join(results)}  {''.join(flags)}"
+
+
+@pytest.mark.parametrize("arith, compare, errors", [
+    (engine.apply_arith, engine.compare_terms, engine.EvalError),
+    (naive._arith, naive._cmp, naive._Error),
+], ids=["engine", "naive"])
+def test_arithmetic_and_comparison_over_every_kind_pair(arith, compare, errors):
+    rows = [line.split(None, 2) for line in _OPERATOR_TABLE.strip().splitlines()]
+    assert len(rows) == len(_POOL) ** 2
+    for i, j, expected in rows:
+        left, right = _POOL[int(i)], _POOL[int(j)]
+        assert _operator_row(arith, compare, errors, left, right) == expected, (left, right)

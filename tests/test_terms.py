@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import copy
+import decimal
 import math
 import pickle
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from evkg.terms import (
     XSD_GYEAR,
     XSD_INTEGER,
     XSD_STRING,
+    DECIMAL_SCALE,
     BlankNode,
     Iri,
     Literal,
@@ -80,10 +84,10 @@ def test_numeric_lexical_forms_follow_xsd(datatype, good, bad):
 
 
 def test_non_finite_doubles_render_in_xsd_form():
-    assert numeric_literal("double", math.inf) == Literal("INF", XSD_DOUBLE)
-    assert numeric_literal("double", -math.inf) == Literal("-INF", XSD_DOUBLE)
-    assert numeric_literal("double", math.nan) == Literal("NaN", XSD_DOUBLE)
-    assert numeric_literal("double", 1e300) == Literal("1e+300", XSD_DOUBLE)
+    assert numeric_literal(math.inf) == Literal("INF", XSD_DOUBLE)
+    assert numeric_literal(-math.inf) == Literal("-INF", XSD_DOUBLE)
+    assert numeric_literal(math.nan) == Literal("NaN", XSD_DOUBLE)
+    assert numeric_literal(1e300) == Literal("1e+300", XSD_DOUBLE)
 
 
 @pytest.mark.parametrize("s, p, o, message", [
@@ -226,9 +230,41 @@ def test_format_decimal_round_trips_terminating(num, den):
     assert abs(parsed - value) <= Fraction(1, 10**12) / 2
 
 
+def test_format_decimal_agrees_with_stdlib_decimal():
+    """Seeded fractions, negative and large ones among them: a value that
+    terminates in base 10 renders exactly, any other as stdlib `decimal`
+    rounds it half-even at DECIMAL_SCALE fractional digits."""
+    rng = random.Random(0xDEC1)
+    context = decimal.Context(prec=200, rounding=decimal.ROUND_HALF_EVEN)
+    quantum = decimal.Decimal(1).scaleb(-DECIMAL_SCALE)
+    counts = {True: 0, False: 0}
+    for _ in range(2000):
+        num = rng.randint(-(10 ** rng.randint(1, 40)), 10 ** rng.randint(1, 40))
+        if rng.random() < 0.4:
+            den = 2 ** rng.randint(0, 40) * 5 ** rng.randint(0, 40)
+        else:
+            den = rng.randint(1, 10 ** rng.randint(1, 25))
+        value = Fraction(num, den)
+        text = format_decimal(value)
+        assert re.fullmatch(r"-?[0-9]+\.[0-9]+", text), text
+        rest = value.denominator
+        for factor in (2, 5):
+            while rest % factor == 0:
+                rest //= factor
+        terminates = rest == 1
+        counts[terminates] += 1
+        if terminates:
+            assert Fraction(text) == value, (value, text)
+        else:
+            exact = context.divide(value.numerator, value.denominator)
+            assert decimal.Decimal(text) == exact.quantize(quantum, context=context), (value, text)
+    assert min(counts.values()) > 500, counts
+
+
 def test_numeric_value_kinds():
-    assert numeric_value(Literal("7", XSD_INTEGER)) == ("integer", 7)
-    assert numeric_value(Literal("2021", XSD_GYEAR)) == ("integer", 2021)
+    seven = numeric_value(Literal("7", XSD_INTEGER))
+    year = numeric_value(Literal("2021", XSD_GYEAR))
+    assert (type(seven), seven, type(year), year) == (int, 7, int, 2021)
     assert numeric_value(Literal("not a number")) is None
 
 
