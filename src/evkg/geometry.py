@@ -82,24 +82,16 @@ class Polygon:
                 raise GeometryValidationError("ring needs at least 4 points (closed)")
             if ring[0] != ring[-1]:
                 raise GeometryValidationError("ring is not closed (first point != last)")
-        if _ring_self_intersects(self.outer):
-            raise GeometryValidationError("outer ring is self-intersecting")
-        # A hole may touch the outer ring along its boundary but not reach
-        # outside it, and may touch another hole but not reach inside it: no
-        # edge properly crosses an edge of the other ring, and neither its
-        # vertices nor the pieces of its edges between contacts with the
-        # other ring lie on the wrong side of it. A hole whose samples all
-        # lie on another hole's boundary is that hole again.
+        fault = _edge_fault(_rings(self))
+        if fault:
+            raise GeometryValidationError(fault)
+        # The rings meet only at points, so a hole is placed right when no vertex
+        # or piece of edge between contacts lies on the wrong side of the other
+        # ring. A hole whose samples all lie on another's boundary repeats it.
         for i, hole in enumerate(self.holes):
-            if _ring_self_intersects(hole):
-                raise GeometryValidationError("hole is self-intersecting")
-            if _crosses(hole, self.outer):
-                raise GeometryValidationError("hole crosses the outer ring")
             if EXTERIOR in _locations(hole, self.outer):
                 raise GeometryValidationError("hole reaches outside the outer ring")
             for other in self.holes[:i]:
-                if _crosses(hole, other):
-                    raise GeometryValidationError("hole crosses another hole")
                 where = set(_locations(hole, other))
                 if INTERIOR in where or where == {BOUNDARY} or INTERIOR in _locations(other, hole):
                     raise GeometryValidationError("hole lies inside another hole")
@@ -396,38 +388,32 @@ def _segment_relation(p1: Point, p2: Point, q1: Point, q2: Point) -> tuple[int, 
     return SEG_NONE, None
 
 
-def _ring_self_intersects(ring: Ring) -> bool:
-    """Do two edges meet, other than adjacent edges at their shared vertex?
-
-    Edges are swept in order of their smallest x; each is compared only with
-    the earlier edges whose x-extent reaches it and whose y-extent meets its
-    own, touching extents included.
-    """
-    n = len(ring) - 1  # last point repeats the first
+def _edge_fault(rings: tuple[Ring, ...]) -> Optional[str]:
+    """The first forbidden contact between edges of the rings, as a validation
+    message, or None: edges of one ring may meet only where adjacent edges
+    share a vertex, and edges of two rings only at a point. Edges are swept in
+    order of their smallest x; each is compared only with the earlier edges
+    whose x-extent reaches it and whose y-extent meets its own, touching
+    extents included."""
     edges = sorted(
-        (min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y), i)
+        (min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y), r, i, a, b)
+        for r, ring in enumerate(rings)
         for i, (a, b) in enumerate(zip(ring, ring[1:]))
     )
-    active: list[tuple[float, float, float, int]] = []  # (max x, min y, max y, index)
-    for x0, x1, y0, y1, j in edges:
+    active: list[tuple] = []  # (max x, min y, max y, ring, index, ends) of earlier edges
+    for x0, x1, y0, y1, r, j, a, b in edges:
         active = [edge for edge in active if edge[0] >= x0]
-        for _, other_y0, other_y1, i in active:
+        for _, other_y0, other_y1, q, i, c, d in active:
             if other_y0 <= y1 and y0 <= other_y1:
-                kind, _ = _segment_relation(ring[i], ring[i + 1], ring[j], ring[j + 1])
-                if kind == SEG_OVERLAP or (kind != SEG_NONE and abs(i - j) not in (1, n - 1)):
-                    return True
-        active.append((x1, y0, y1, j))
-    return False
-
-
-def _crosses(ring: Ring, other: Ring) -> bool:
-    """Does an edge of `ring` properly cross an edge of `other`?"""
-    other_edges = list(zip(other, other[1:]))
-    return any(
-        _segment_relation(p, q, a, b)[0] == SEG_PROPER
-        for p, q in zip(ring, ring[1:])
-        for a, b in other_edges
-    )
+                kind, _ = _segment_relation(c, d, a, b)
+                if q != r and kind in (SEG_PROPER, SEG_OVERLAP):
+                    verb = "crosses" if kind == SEG_PROPER else "shares an edge with"
+                    return f"hole {verb} {'another hole' if q and r else 'the outer ring'}"
+                adjacent = abs(i - j) in (1, len(rings[r]) - 2)  # edges 0 and n - 2 of n points
+                if q == r and (kind == SEG_OVERLAP or kind != SEG_NONE and not adjacent):
+                    return "hole is self-intersecting" if r else "outer ring is self-intersecting"
+        active.append((x1, y0, y1, r, j, a, b))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +436,17 @@ def _point_in_ring(p: Point, ring: Ring) -> bool:
     return inside
 
 
+def _ring_location(p: Point, ring: Ring) -> str:
+    """Where p lies against the area `ring` bounds: on the boundary when
+    within EPS of an edge, else by parity."""
+    if any(_on_segment(p, a, b) for a, b in zip(ring, ring[1:])):
+        return BOUNDARY
+    return INTERIOR if _point_in_ring(p, ring) else EXTERIOR
+
+
 def _locations(ring: Ring, other: Ring) -> Iterator[str]:
-    """Where each sample point of `ring` lies against the area `other` bounds
-    (EPS boundary snap, as in locate_point)."""
-    other_edges = list(zip(other, other[1:]))
-    for p in _sample_points(LineString(ring), LineString(other)):
-        if any(_on_segment(p, a, b) for a, b in other_edges):
-            yield BOUNDARY
-        else:
-            yield INTERIOR if _point_in_ring(p, other) else EXTERIOR
+    """Where each sample point of `ring` lies against the area `other` bounds."""
+    return (_ring_location(p, other) for p in _sample_points(LineString(ring), LineString(other)))
 
 
 def locate_point(p: Point, geom: Geometry) -> str:
@@ -473,11 +461,10 @@ def locate_point(p: Point, geom: Geometry) -> str:
             return BOUNDARY
         return INTERIOR
     if isinstance(geom, Polygon):
-        if any(_on_segment(p, a, b) for a, b in _segments(geom)):
+        where = [_ring_location(p, ring) for ring in _rings(geom)]
+        if BOUNDARY in where:
             return BOUNDARY
-        if not _point_in_ring(p, geom.outer) or any(_point_in_ring(p, h) for h in geom.holes):
-            return EXTERIOR
-        return INTERIOR
+        return INTERIOR if where[0] == INTERIOR and INTERIOR not in where[1:] else EXTERIOR
     locs = {locate_point(p, part) for part in _SHAPE_OF[type(geom)].parts(geom)}
     if INTERIOR in locs:
         return INTERIOR

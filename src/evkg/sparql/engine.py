@@ -37,9 +37,9 @@ cq` parse each text once anyway.
 
 A number is the `terms.numeric_value` of its literal, whose Python type is
 its kind, so one `operator` table serves `+ - *` and the six comparisons,
-SUM adds the values, and Python's int -> Fraction -> float coercion is the
-integer -> decimal -> double promotion of SPARQL 1.1 §17.3; `/` of two
-non-doubles is an exact `Fraction`, an xsd:decimal.
+SUM adds the values, and `_promote` with Python's int -> Fraction coercion
+is the promotion of SPARQL 1.1 §17.3; `/` of two non-doubles is an exact
+`Fraction`, an xsd:decimal.
 
 Expression errors follow SPARQL conventions: a failing FILTER expression
 drops the row, a failing projection expression leaves that variable
@@ -49,6 +49,7 @@ non-numeric value is unbound for that group.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -129,9 +130,10 @@ def eval_expression(
         total = 0
         for member in members:
             try:
-                total += _numeric(eval_expression(expr.expr, member))
+                value = _numeric(eval_expression(expr.expr, member))
             except EvalError:
                 raise EvalError("non-numeric value in SUM group") from None
+            total = operator.add(*_promote(total, value))
         return numeric_literal(total)
     raise TypeError(f"not an expression: {expr!r}")
 
@@ -141,6 +143,17 @@ def _numeric(term: Term) -> int | Fraction | float:
     if value is None:
         raise EvalError(f"not a numeric value: {term!r}")
     return value
+
+
+def _promote(a, b):
+    """Both numbers as floats when exactly one is a double, one too large for
+    a float as ±INF (XPath F&O 3.1 casting); otherwise both unchanged."""
+    if isinstance(a, float) is isinstance(b, float):
+        return a, b
+    try:
+        return float(a), float(b)
+    except OverflowError:
+        return tuple(v if isinstance(v, float) else math.inf if v > 0 else -math.inf for v in (a, b))
 
 
 def _divide(a, b):
@@ -163,7 +176,7 @@ _COMPARE = {
 
 
 def apply_arith(op: str, left: Term, right: Term) -> Literal:
-    return numeric_literal(_ARITH[op](_numeric(left), _numeric(right)))
+    return numeric_literal(_ARITH[op](*_promote(_numeric(left), _numeric(right))))
 
 
 def _is_plain_string(term: Term) -> bool:
@@ -179,7 +192,7 @@ def compare_terms(op: str, left: Term, right: Term) -> bool:
         num_l = numeric_value(left)
         num_r = numeric_value(right)
         if num_l is not None and num_r is not None:
-            return compare(num_l, num_r)
+            return compare(*_promote(num_l, num_r))
         if left == right or (_is_plain_string(left) and _is_plain_string(right)):
             return compare(left.lexical, right.lexical)
         if left.datatype == right.datatype and op in ("=", "!="):
@@ -347,30 +360,20 @@ def eval_bgp(graph: Graph, bgp: Bgp, rows: list[Binding]) -> list[Binding]:
 
 
 def join_rows(left: list[Binding], right: list[Binding]) -> list[Binding]:
+    """Every compatible pair of rows merged, left-major: hashed on the variables
+    every row binds (none: one bucket), other shared ones compared per pair."""
     if not left or not right:
         return []
-    left_vars = set()
-    for r in left:
-        left_vars.update(r)
-    right_vars = set()
+    every = set(left[0]).intersection(*left, *right)
+    loose = (set().union(*left) & set().union(*right)) - every
+    key = sorted(every)
+    index: dict[tuple, list[Binding]] = {}
     for r in right:
-        right_vars.update(r)
-    common = sorted(left_vars & right_vars)
-    if common and all(all(v in r for v in common) for r in left) and all(
-        all(v in r for v in common) for r in right
-    ):
-        index: dict[tuple, list[Binding]] = {}
-        for r in right:
-            index.setdefault(tuple(r[v] for v in common), []).append(r)
-        out = []
-        for l in left:
-            for r in index.get(tuple(l[v] for v in common), ()):  # noqa: E741
-                out.append(l | r)
-        return out
+        index.setdefault(tuple(r[v] for v in key), []).append(r)
     out = []
     for l in left:  # noqa: E741
-        for r in right:
-            if all(l[k] == r[k] for k in l.keys() & r.keys()):
+        for r in index.get(tuple(l[v] for v in key), ()):
+            if not loose or all(l[v] == r[v] for v in loose if v in l and v in r):
                 out.append(l | r)
     return out
 

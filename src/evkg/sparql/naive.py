@@ -7,9 +7,9 @@ matched by scanning the full triple list, joins are plain nested loops over
 binding compatibility, and expression semantics are re-implemented here
 from scratch. Keep it simple and obviously correct; do not optimize it.
 
-Numeric promotion is explicit: kinds are ranked by datatype, and arithmetic
-and SUM convert both operands to the higher kind's type first, where the
-engine relies on Python's mixed-type coercion.
+Numeric promotion is explicit: kinds are ranked by datatype, and arithmetic,
+comparison and SUM convert both operands to the higher kind first (±INF for
+a double too large), where the engine relies on Python's coercion.
 """
 
 from __future__ import annotations
@@ -134,9 +134,17 @@ def _rows(triples: list[Triple], graph: Graph, pattern: Pattern) -> list[dict]:
 # --- expressions, re-implemented independently ------------------------------
 
 
-# Numeric kinds in promotion order, and the Python type of each kind's values.
+def _double(value) -> float:
+    """value as a double; one too large for a float is ±INF, as XPath casts it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
+# Numeric kinds in promotion order, and the conversion of a value to each kind.
 _KIND_RANKS = {XSD_INTEGER: 0, XSD_GYEAR: 0, XSD_DECIMAL: 1, XSD_DOUBLE: 2}
-_KIND_TYPES = (int, Fraction, float)
+_KIND_TYPES = (int, Fraction, _double)
 
 
 def _num(term: Term) -> tuple[int, object]:
@@ -146,6 +154,13 @@ def _num(term: Term) -> tuple[int, object]:
         if value is not None:
             return _KIND_RANKS[term.datatype], value
     raise _Error("not numeric")
+
+
+def _as_one_kind(left: Term, right: Term, least: int = 0) -> tuple:
+    """Both numbers converted to the higher of their kinds, and at least `least`."""
+    (kind_l, a), (kind_r, b) = _num(left), _num(right)
+    as_kind = _KIND_TYPES[max(kind_l, kind_r, least)]
+    return as_kind(a), as_kind(b)
 
 
 def _expr(expr, row: dict) -> Term:
@@ -166,15 +181,9 @@ def _expr(expr, row: dict) -> Term:
 
 
 def _arith(op: str, left: Term, right: Term) -> Literal:
-    kind_l, a = _num(left)
-    kind_r, b = _num(right)
-    kind = max(kind_l, kind_r)
-    if op == "/":
-        if b == 0:
-            raise _Error("division by zero")
-        kind = max(kind, 1)
-    as_kind = _KIND_TYPES[kind]
-    a, b = as_kind(a), as_kind(b)
+    a, b = _as_one_kind(left, right, 1 if op == "/" else 0)  # "/" yields at least a decimal
+    if op == "/" and b == 0:
+        raise _Error("division by zero")
     if op == "+":
         return numeric_literal(a + b)
     if op == "-":
@@ -193,9 +202,7 @@ def _string_like(term: Term) -> bool:
 def _cmp(op: str, left: Term, right: Term) -> bool:
     if isinstance(left, Literal) and isinstance(right, Literal):
         try:
-            _, a = _num(left)
-            _, b = _num(right)
-            return _rel(op, a, b)
+            return _rel(op, *_as_one_kind(left, right))
         except _Error:
             pass
         if _string_like(left) and _string_like(right):

@@ -322,9 +322,8 @@ def format_decimal(value: Fraction) -> str:
     nearest value with DECIMAL_SCALE fractional digits. That rounding has no
     tie to break: the value halfway between k / 10**DECIMAL_SCALE and the
     next such value is (2k + 1) / (2 * 10**DECIMAL_SCALE), which terminates.
-    Always carries a decimal point.
+    Always carries a decimal point; zero carries no sign.
     """
-    sign = "-" if value.numerator < 0 else ""
     num, den = abs(value.numerator), value.denominator
     scale = 0
     d = den
@@ -341,6 +340,7 @@ def format_decimal(value: Fraction) -> str:
         digits = (2 * num * 10**scale + den) // (2 * den)
     else:
         digits = num * 10**scale // den
+    sign = "-" if value < 0 and digits else ""
     text = str(digits).rjust(scale + 1, "0")
     if scale == 0:
         return f"{sign}{text}.0"

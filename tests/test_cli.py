@@ -194,6 +194,25 @@ def test_query_non_ascii_character_exit_3(workspace, capsys):
     assert "line 1, col 25: unexpected character 'é'" in capsys.readouterr().err
 
 
+def test_query_double_plus_integer_too_large_for_a_float_is_inf(tmp_path, capsys):
+    # The integer converts to a float as it meets the double; too large for
+    # one, it is INF rather than an OverflowError traceback.
+    snapshot = tmp_path / "big.nt"
+    snapshot.write_text(
+        f'<http://x/s> <http://x/n> "{"9" * 400}"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+        '<http://x/s> <http://x/d> "1.5E0"^^<http://www.w3.org/2001/XMLSchema#double> .\n',
+        encoding="utf-8",
+    )
+    query_file = tmp_path / "add.rq"
+    query_file.write_text(
+        "SELECT (?n + ?d AS ?x) WHERE { ?s <http://x/n> ?n . ?s <http://x/d> ?d . }", encoding="utf-8"
+    )
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 0
+    out, err = capsys.readouterr()
+    assert out == 'x\n"INF"^^<http://www.w3.org/2001/XMLSchema#double>\n'
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("body", ["x\\uZZZZ", "\\uD800"])
 def test_bad_snapshot_escape_exit_2(tmp_path, capsys, body):
     snapshot = tmp_path / "bad.nt"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import random
 import time
@@ -17,6 +19,7 @@ from evkg.geometry import (
     SEG_NONE,
     SEG_OVERLAP,
     SEG_PROPER,
+    SEG_TOUCH,
     GeometryValidationError,
     LineString,
     MultiLineString,
@@ -26,9 +29,9 @@ from evkg.geometry import (
     Polygon,
     UnsupportedGeometryPair,
     WktParseError,
+    _edge_fault,
     _orient,
     _point_in_ring,
-    _ring_self_intersects,
     _sample_points,
     _segment_relation,
     bbox,
@@ -206,7 +209,12 @@ def test_wkt_parses_back_to_an_equal_geometry_exactly_when_it_survives(geom):
     ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (3 3, 4 3, 4 4, 3 4, 3 3), (2 2, 8 2, 8 8, 2 8, 2 2))",
      "hole lies inside another hole", 93),
     ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2), (4 2, 4 4, 2 4, 2 2, 3 2, 4 2))",
-     "hole lies inside another hole", 98),
+     "hole shares an edge with another hole", 98),
+    # Rings may touch only at points, not along a stretch of edge.
+    ("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2), (4 2, 6 2, 6 4, 4 4, 4 2))",
+     "hole shares an edge with another hole", 93),
+    ("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (0 0, 2 0, 2 2, 0 2, 0 0))",
+     "hole shares an edge with the outer ring", 62),
 ])
 def test_wkt_error_messages_and_positions_pinned(text, message, position):
     with pytest.raises(WktParseError) as exc:
@@ -216,7 +224,6 @@ def test_wkt_error_messages_and_positions_pinned(text, message, position):
 
 @pytest.mark.parametrize("text", [
     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))",
-    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (0 0, 2 0, 2 2, 0 2, 0 0))",  # shares a corner and two edges
     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (2 0, 3 1, 1 1, 2 0))",  # a vertex on an outer edge
     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1), (2 2, 3 2, 3 3, 2 2))",
     "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2), (4 4, 6 4, 6 6, 4 6, 4 4))",
@@ -393,13 +400,65 @@ def test_ring_sweep_and_point_in_ring_agree_with_references():
         ring = random_grid_ring(rng)
         expected = all_pairs_self_intersects(ring)
         simple += not expected
-        assert _ring_self_intersects(ring) == expected, ring
+        assert (_edge_fault((ring,)) is not None) == expected, ring
         for _ in range(4):
             # Quarter-grid points: some off the ring, some on its boundary,
             # where the two crossing formulas agree as well.
             p = Point(rng.randrange(-1, 25) / 4, rng.randrange(-1, 25) / 4)
             assert _point_in_ring(p, ring) == fraction_point_in_ring(p, ring), (p, ring)
     assert 1_000 < simple < 4_000  # both answers are well represented
+
+
+def all_pairs_edge_faults(rings) -> tuple[set[str], bool]:
+    """The message of every forbidden edge contact, from all edge pairs within
+    each ring and across each pair of rings, and whether two rings touch."""
+    faults, touch = set(), False
+    for r, ring in enumerate(rings):
+        if all_pairs_self_intersects(ring):
+            faults.add("hole is self-intersecting" if r else "outer ring is self-intersecting")
+    for (q, ring), (_, other) in itertools.combinations(enumerate(rings), 2):
+        target = "another hole" if q else "the outer ring"
+        for (a, b), (c, d) in itertools.product(zip(ring, ring[1:]), zip(other, other[1:])):
+            kind, _ = _segment_relation(a, b, c, d)
+            if kind == SEG_PROPER:
+                faults.add(f"hole crosses {target}")
+            elif kind == SEG_OVERLAP:
+                faults.add(f"hole shares an edge with {target}")
+            touch = touch or kind == SEG_TOUCH
+    return faults, touch
+
+
+def random_small_ring(rng: random.Random) -> tuple[Point, ...]:
+    """3 or 4 vertices on a half-unit grid, in one unit square inside [0, 5] x [0, 5]."""
+    x, y = rng.randrange(5), rng.randrange(5)
+    pts = [Point(x + rng.randrange(3) / 2, y + rng.randrange(3) / 2) for _ in range(rng.randrange(3, 5))]
+    return tuple(pts + [pts[0]])
+
+
+def test_polygon_sweep_agrees_with_all_edge_pairs_within_and_across_rings():
+    """Seeded polygons with one to three holes: the sweep finds a fault
+    exactly when some pair of edges has one, and reports one of them; a
+    polygon with none is refused only for where a hole lies."""
+    rng = random.Random(2024)
+    seen = collections.Counter()
+    for _ in range(2_000):
+        outer = _rectangle(0, 0, 6, 6) if rng.random() < 0.5 else random_grid_ring(rng)
+        rings = (outer, *(random_small_ring(rng) for _ in range(rng.randrange(1, 4))))
+        faults, touch = all_pairs_edge_faults(rings)
+        fault = _edge_fault(rings)
+        assert (fault is None) == (not faults) and (fault is None or fault in faults), rings
+        seen[fault] += 1
+        try:
+            Polygon(rings[0], rings[1:])
+        except GeometryValidationError as exc:
+            assert str(exc) == fault or fault is None and "hole" in str(exc), rings
+        else:
+            assert fault is None, rings
+            seen["accepted, rings touch"] += touch
+    same_ring = seen["outer ring is self-intersecting"] + seen["hole is self-intersecting"]
+    crossing = seen["hole crosses the outer ring"] + seen["hole crosses another hole"]
+    shared = seen["hole shares an edge with the outer ring"] + seen["hole shares an edge with another hole"]
+    assert min(same_ring, crossing, shared, seen["accepted, rings touch"]) > 20, seen
 
 
 def test_simple_2000_vertex_ring_parses_quickly():
@@ -456,8 +515,8 @@ def test_point_in_hole_is_not_within():
 def test_polygon_with_hole_on_outer_midline_is_within_itself():
     # The only midline between the outer ring's vertex ys (y = 1) runs along
     # the hole's top edge, so the interior point comes from the hole's ys.
-    g = parse_wkt("MULTIPOLYGON (((2.5 1.5, 3.5 0.5, 2.5 0.5, 2.5 1.5), "
-                  "(2.5 0.5, 3 0.5, 3 1, 2.5 1, 2.5 0.5)))")
+    g = parse_wkt("MULTIPOLYGON (((0 0, 2 0, 2 2, 0 2, 0 0), "
+                  "(0.01 0.5, 1.99 0.5, 1.99 1, 0.01 1, 0.01 0.5)))")
     assert sf_within(g, g) is True
     assert locate_point(representative_point(g.polygons[0]), g) == INTERIOR
 

@@ -886,3 +886,63 @@ def test_arithmetic_and_comparison_over_every_kind_pair(arith, compare, errors):
     for i, j, expected in rows:
         left, right = _POOL[int(i)], _POOL[int(j)]
         assert _operator_row(arith, compare, errors, left, right) == expected, (left, right)
+
+
+_NINES = "9" * 400  # too large for a float
+
+
+# When exactly one operand is a double the other is converted to a float
+# first, for comparison as for arithmetic and SUM; one too large for a float
+# becomes ±INF.
+@pytest.mark.parametrize("left, right, expected", [
+    (Literal("9007199254740993", XSD_INTEGER), Literal("9007199254740992.0E0", XSD_DOUBLE),
+     {"eq": "true", "lt": "false", "diff": "0.0", "sum": "1.8014398509481984e+16"}),
+    (Literal("0.1", XSD_DECIMAL), Literal("0.1E0", XSD_DOUBLE),
+     {"eq": "true", "lt": "false", "diff": "0.0", "sum": "0.2"}),
+    (Literal(_NINES, XSD_INTEGER), Literal("1.5E0", XSD_DOUBLE),
+     {"eq": "false", "lt": "false", "diff": "INF", "sum": "INF"}),
+    (Literal("-" + _NINES, XSD_INTEGER), Literal("1.5E0", XSD_DOUBLE),
+     {"eq": "false", "lt": "true", "diff": "-INF", "sum": "-INF"}),
+    (Literal(_NINES + ".5", XSD_DECIMAL), Literal("-1.5E0", XSD_DOUBLE),
+     {"eq": "false", "lt": "false", "diff": "INF", "sum": "INF"}),
+])
+def test_an_operand_meeting_a_double_is_promoted_to_double(left, right, expected):
+    g = _graph((A, P, left), (A, Q, right))
+    projection = parse_query(
+        "SELECT (?l = ?r AS ?eq) (?l < ?r AS ?lt) (?l - ?r AS ?diff) (?l + ?r AS ?sum)"
+        " WHERE { ?s evr:p ?l . ?s evr:q ?r }"
+    )
+    total = parse_query("SELECT (SUM(?v) AS ?sum) WHERE { ?s ?p ?v }")
+    kept = parse_query("SELECT ?s WHERE { ?s evr:p ?l . ?s evr:q ?r . FILTER(?l = ?r) }")
+    for evaluator in (evaluate, naive.evaluate):
+        [row] = evaluator(g, projection).rows
+        assert {name: term.lexical for name, term in row.items()} == expected
+        [row] = evaluator(g, total).rows
+        assert row["sum"] == Literal(expected["sum"], XSD_DOUBLE)
+        assert len(evaluator(g, kept).rows) == (expected["eq"] == "true")
+
+
+def test_join_rows_merges_every_compatible_pair_left_major():
+    """Seeded row lists of mixed shapes against the nested-loop definition,
+    many of them hashing on some variables and comparing others pair by pair."""
+    rng = random.Random(0x701)
+    names, values = "wxyz", (A, B)
+    hashed_and_compared = 0
+    for _ in range(400):
+        sides = []
+        for _ in range(2):
+            always = rng.sample(names, rng.randrange(3))
+            sides.append([
+                {n: rng.choice(values) for n in names if n in always or rng.random() < 0.4}
+                for _ in range(rng.randrange(1, 7))
+            ])
+        left, right = sides
+        expected = [
+            l | r for l in left for r in right  # noqa: E741
+            if all(l[v] == r[v] for v in l.keys() & r.keys())
+        ]
+        assert engine.join_rows(left, right) == expected, (left, right)
+        shared = set().union(*left) & set().union(*right)
+        every = {v for v in shared if all(v in row for row in left + right)}
+        hashed_and_compared += bool(every) and bool(shared - every) and bool(expected)
+    assert hashed_and_compared > 50, hashed_and_compared

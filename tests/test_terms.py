@@ -261,6 +261,17 @@ def test_format_decimal_agrees_with_stdlib_decimal():
     assert min(counts.values()) > 500, counts
 
 
+@pytest.mark.parametrize("value, text", [
+    (Fraction(-1, 3 * 10**13), "0.0"),
+    (Fraction(-1, 3 * 10**12), "0.0"),
+    (Fraction(-2, 3 * 10**12), "-0.000000000001"),
+    (Fraction(0), "0.0"),
+])
+def test_format_decimal_writes_zero_without_a_sign(value, text):
+    # A negative value that rounds to zero at DECIMAL_SCALE digits is zero.
+    assert format_decimal(value) == text
+
+
 def test_numeric_value_kinds():
     seven = numeric_value(Literal("7", XSD_INTEGER))
     year = numeric_value(Literal("2021", XSD_GYEAR))
