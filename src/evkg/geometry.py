@@ -111,6 +111,19 @@ class MultiLineString:
 class MultiPolygon:
     polygons: tuple[Polygon, ...]
 
+    def __post_init__(self):
+        # Members may touch only at points (OGC SF 1.2.1 §6.1.14). Each member's
+        # rings passed, so a fault of the sweep over all rings is an edge of one
+        # member crossing or running along another's; with none, two members
+        # overlap exactly when a boundary sample of one is interior to the other.
+        boxes = [bbox(poly) for poly in self.polygons]
+        if _edge_fault(_SHAPE_OF[MultiPolygon].paths(self)) or any(
+            not bbox_disjoint(boxes[i], boxes[j]) and (_reaches_into(a, b) or _reaches_into(b, a))
+            for i, a in enumerate(self.polygons)
+            for j, b in enumerate(self.polygons[:i])
+        ):
+            raise GeometryValidationError("polygons of a multipolygon overlap")
+
 
 Geometry = Union[Point, LineString, Polygon, MultiPoint, MultiLineString, MultiPolygon]
 
@@ -447,6 +460,11 @@ def _ring_location(p: Point, ring: Ring) -> str:
 def _locations(ring: Ring, other: Ring) -> Iterator[str]:
     """Where each sample point of `ring` lies against the area `other` bounds."""
     return (_ring_location(p, other) for p in _sample_points(LineString(ring), LineString(other)))
+
+
+def _reaches_into(a: Polygon, b: Polygon) -> bool:
+    """Does a sample point of a's boundary lie in b's interior?"""
+    return any(locate_point(p, b) == INTERIOR for p in _sample_points(a, b))
 
 
 def locate_point(p: Point, geom: Geometry) -> str:

@@ -127,11 +127,21 @@ Pattern = TUnion[Bgp, Group, Union, Filter, Values, SubSelect]
 
 @dataclass(frozen=True)
 class SelectQuery:
+    """One SELECT level as parsed: `SELECT *` is expanded into `select` (empty
+    for a pattern without variables) and the grouping rules hold."""
+
     select: tuple[SelectItem, ...]
     distinct: bool
-    star: bool
     pattern: Pattern
     group_by: tuple[Variable, ...] = ()
+
+    @property
+    def grouped(self) -> bool:
+        """GROUP BY, or an aggregate in the projection: one row per group."""
+        return bool(self.group_by) or any(
+            isinstance(item, Aliased) and expression_has_aggregate(item.expr)
+            for item in self.select
+        )
 
 
 @dataclass
@@ -152,57 +162,41 @@ def pattern_vars(tp: TriplePattern) -> Iterator[Variable]:
 
 
 def visible_vars(pattern: Pattern) -> list[str]:
-    """In-scope variable names in syntactic order (SELECT * projection).
-
-    A sub-select contributes only what it projects.
+    """In-scope variable names in syntactic order (SELECT * projection),
+    found without recursion. A sub-select contributes only what it projects.
     """
-    out: list[str] = []
-
-    def add(name: str):
-        if name not in out:
-            out.append(name)
-
-    def walk(p: Pattern):
+    names: list[str] = []
+    stack = [pattern]
+    while stack:
+        p = stack.pop()
         if isinstance(p, Bgp):
-            for tp in p.patterns:
-                for v in pattern_vars(tp):
-                    add(v.name)
+            names += (v.name for tp in p.patterns for v in pattern_vars(tp))
         elif isinstance(p, Group):
-            for el in p.elements:
-                walk(el)
+            stack += reversed(p.elements)
         elif isinstance(p, Union):
-            walk(p.left)
-            walk(p.right)
+            stack += (p.right, p.left)
         elif isinstance(p, Filter):
-            walk(p.inner)
+            stack.append(p.inner)
         elif isinstance(p, Values):
-            for v in p.variables:
-                add(v.name)
+            names += (v.name for v in p.variables)
         elif isinstance(p, SubSelect):
-            for name in projection_names(p.query):
-                add(name)
-
-    walk(pattern)
-    return out
+            names += projection_names(p.query)
+    return list(dict.fromkeys(names))
 
 
 def projection_names(query: SelectQuery) -> list[str]:
-    if query.star:
-        return visible_vars(query.pattern)
-    names = []
-    for item in query.select:
-        if isinstance(item, Variable):
-            names.append(item.name)
-        else:
-            names.append(item.var.name)
-    return names
+    return [item.name if isinstance(item, Variable) else item.var.name for item in query.select]
 
 
 def expression_has_aggregate(expr: Expression) -> bool:
-    if isinstance(expr, SumAgg):
-        return True
-    if isinstance(expr, (Compare, Arith)):
-        return expression_has_aggregate(expr.left) or expression_has_aggregate(expr.right)
+    """Found without recursion, so an operator chain of any length is safe."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SumAgg):
+            return True
+        if isinstance(node, (Compare, Arith)):
+            stack += (node.left, node.right)
     return False
 
 
@@ -245,11 +239,6 @@ def expression_text(expr: Expression, floor: int = 0) -> str:
 
 def _pattern_lines(p: Pattern, indent: str) -> list[str]:
     inner = indent + "  "
-    if isinstance(p, Bgp):
-        return [
-            f"{inner}{_term_text(tp.s)} {_term_text(tp.p)} {_term_text(tp.o)} ."
-            for tp in p.patterns
-        ]
     if isinstance(p, Group):
         lines = []
         for el in p.elements:
@@ -266,7 +255,7 @@ def _pattern_lines(p: Pattern, indent: str) -> list[str]:
         for expr in reversed(filters):
             lines.append(f"{inner}FILTER({expression_text(expr)})")
         return lines
-    if isinstance(p, (Union, Values, SubSelect)):
+    if isinstance(p, (Bgp, Union, Values, SubSelect)):
         return _element_lines(p, inner)
     raise TypeError(f"not a pattern: {p!r}")
 
@@ -315,14 +304,13 @@ def _query_lines(q: SelectQuery, indent: str) -> list[str]:
     head = [indent + "SELECT"]
     if q.distinct:
         head.append("DISTINCT")
-    if q.star:
-        head.append("*")
-    else:
-        for item in q.select:
-            if isinstance(item, Variable):
-                head.append(f"?{item.name}")
-            else:
-                head.append(f"({expression_text(item.expr)} AS ?{item.var.name})")
+    for item in q.select:
+        if isinstance(item, Variable):
+            head.append(f"?{item.name}")
+        else:
+            head.append(f"({expression_text(item.expr)} AS ?{item.var.name})")
+    if not q.select:
+        head.append("*")  # reads back as the pattern's variables: none
     lines = [" ".join(head), indent + "WHERE {"]
     lines.extend(_pattern_lines(q.pattern, indent))
     lines.append(indent + "}")

@@ -64,7 +64,6 @@ from ..terms import (
     numeric_value,
 )
 from .algebra import (
-    Aliased,
     Arith,
     Bgp,
     Compare,
@@ -82,11 +81,9 @@ from .algebra import (
     Values,
     VarExpr,
     Variable,
-    expression_has_aggregate,
     pattern_vars,
     projection_names,
 )
-from .errors import QuerySemanticsError
 
 Binding = dict[str, Term]
 
@@ -438,22 +435,11 @@ def _distinct(rows: list[Binding]) -> list[Binding]:
 
 
 def evaluate(graph: Graph, query: SelectQuery) -> Solution:
-    """Evaluate a parsed query; row order is unspecified (callers sort)."""
+    """Evaluate a parsed query, whose static rules the parser has settled;
+    row order is unspecified (callers sort)."""
     rows = eval_pattern(graph, query.pattern)
-    names = projection_names(query)
-    has_aggregate = any(
-        isinstance(item, Aliased) and expression_has_aggregate(item.expr)
-        for item in query.select
-    )
-    if query.group_by or has_aggregate:
-        if query.star:
-            raise QuerySemanticsError("SELECT * cannot be combined with grouping")
+    if query.grouped:
         key_names = [v.name for v in query.group_by]
-        for item in query.select:
-            if isinstance(item, Variable) and item.name not in key_names:
-                raise QuerySemanticsError(
-                    f"projected variable ?{item.name} is not a GROUP BY key"
-                )
         if query.group_by:
             groups: dict[tuple, list[Binding]] = {}
             for row in rows:
@@ -469,11 +455,10 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
         )
     else:
         scopes = ((row, None) for row in rows)
-    items = [Variable(name) for name in names] if query.star else query.select
     out_rows: list[Binding] = []
     for row, members in scopes:
         out: Binding = {}
-        for item in items:
+        for item in query.select:
             if isinstance(item, Variable):
                 if item.name in row:
                     out[item.name] = row[item.name]
@@ -485,4 +470,4 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
         out_rows.append(out)
     if query.distinct:
         out_rows = _distinct(out_rows)
-    return Solution(names, out_rows)
+    return Solution(projection_names(query), out_rows)

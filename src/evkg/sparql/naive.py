@@ -30,7 +30,6 @@ from ..terms import (
     numeric_value,
 )
 from .algebra import (
-    Aliased,
     Arith,
     Bgp,
     Compare,
@@ -46,10 +45,8 @@ from .algebra import (
     Values,
     VarExpr,
     Variable,
-    expression_has_aggregate,
     projection_names,
 )
-from .errors import QuerySemanticsError
 
 
 class _Error(Exception):
@@ -277,23 +274,13 @@ def _agg_expr(expr, key_binding: dict, rows: list[dict]) -> Term:
 
 
 def evaluate(graph: Graph, query: SelectQuery) -> Solution:
+    """All solutions of a parsed query, whose static rules the parser has
+    checked; `SELECT *` is already its list of variables."""
     triples = list(graph)
     rows = _rows(triples, graph, query.pattern)
-    names = projection_names(query)
-    grouped = bool(query.group_by) or any(
-        isinstance(item, Aliased) and expression_has_aggregate(item.expr)
-        for item in query.select
-    )
     out: list[dict] = []
-    if grouped:
-        if query.star:
-            raise QuerySemanticsError("SELECT * cannot be combined with grouping")
+    if query.grouped:
         key_names = [v.name for v in query.group_by]
-        for item in query.select:
-            if isinstance(item, Variable) and item.name not in key_names:
-                raise QuerySemanticsError(
-                    f"projected variable ?{item.name} is not a GROUP BY key"
-                )
         if query.group_by:
             buckets: dict[tuple, list[dict]] = {}
             for row in rows:
@@ -317,20 +304,15 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
     else:
         for row in rows:
             projected = {}
-            if query.star:
-                for name in names:
-                    if name in row:
-                        projected[name] = row[name]
-            else:
-                for item in query.select:
-                    if isinstance(item, Variable):
-                        if item.name in row:
-                            projected[item.name] = row[item.name]
-                    else:
-                        try:
-                            projected[item.var.name] = _expr(item.expr, row)
-                        except _Error:
-                            pass
+            for item in query.select:
+                if isinstance(item, Variable):
+                    if item.name in row:
+                        projected[item.name] = row[item.name]
+                else:
+                    try:
+                        projected[item.var.name] = _expr(item.expr, row)
+                    except _Error:
+                        pass
             out.append(projected)
     if query.distinct:
         seen = set()
@@ -341,4 +323,4 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
                 seen.add(key)
                 deduped.append(row)
         out = deduped
-    return Solution(names, out)
+    return Solution(projection_names(query), out)

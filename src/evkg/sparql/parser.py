@@ -1,7 +1,7 @@
 """Tokenizer and recursive-descent parser for the supported SPARQL subset.
 
-Supported: PREFIX declarations, SELECT [DISTINCT] with variables / `*` /
-`(expr AS ?var)` items, WHERE groups with `.`-separated triple patterns,
+Supported: PREFIX declarations, SELECT [DISTINCT] with `*` or with variable
+and `(expr AS ?var)` items, WHERE groups with `.`-separated triple patterns,
 `a`, typed and plain string literals, CURIEs, nested groups, UNION, FILTER
 with comparisons and arithmetic, both VALUES forms, sub-SELECTs, and GROUP
 BY. Keywords are case-insensitive (except `a`). Anything else that is
@@ -15,6 +15,12 @@ adds one level, at most MAX_TREE_DEPTH; anything deeper is a
 QuerySyntaxError, so that neither the parser nor the evaluators (all
 recursive) can run out of stack. Chains are cheap (one evaluator frame per
 link) and so get the larger bound.
+
+Every static rule is settled as each SELECT level, sub-selects included,
+is parsed, whatever the data: `*` stands alone in its projection, and is
+replaced by the pattern's in-scope variables (`visible_vars`); under
+grouping (SPARQL 1.1 §11.4) neither `*` nor a projected variable other
+than a GROUP BY key may appear, a QuerySemanticsError.
 
 A nested group consisting solely of FILTER constraints (e.g. `{FILTER(?r <
 0.1)}`) contributes its constraints to the enclosing group: filters apply
@@ -59,6 +65,7 @@ from .algebra import (
     VarExpr,
     Variable,
     expression_has_aggregate,
+    visible_vars,
 )
 from .errors import QueryError, QuerySemanticsError, QuerySyntaxError, UnsupportedFeatureError
 
@@ -239,14 +246,13 @@ class Parser:
         if self.at_word("DISTINCT"):
             self.next()
             distinct = True
-        star = False
+        star = self.peek().kind == "*"
+        if star:
+            self.next()
         items: list[SelectItem] = []
-        while True:
+        while not star:
             tok = self.peek()
-            if tok.kind == "*":
-                self.next()
-                star = True
-            elif tok.kind == "var":
+            if tok.kind == "var":
                 self.next()
                 items.append(Variable(tok.value))
             elif tok.kind == "(":
@@ -258,6 +264,8 @@ class Parser:
                 items.append(Aliased(expr, Variable(var_tok.value)))
             else:
                 break
+        if self.peek().kind in ("*", "var", "("):
+            raise self.error("SELECT * cannot be combined with other projection items")
         if not star and not items:
             raise self.error("SELECT needs at least one projection item")
         if self.at_word("WHERE"):
@@ -276,13 +284,18 @@ class Parser:
         tok = self.peek()
         if tok.kind == "word" and tok.value.upper() in ("ORDER", "LIMIT", "OFFSET", "HAVING"):
             raise UnsupportedFeatureError(tok.value.upper(), *self.where(tok))
-        return SelectQuery(
-            select=tuple(items),
-            distinct=distinct,
-            star=star,
-            pattern=pattern,
-            group_by=tuple(group_by),
-        )
+        if star:
+            if group_by:
+                raise QuerySemanticsError("SELECT * cannot be combined with grouping")
+            items = list(map(Variable, visible_vars(pattern)))
+        query = SelectQuery(tuple(items), distinct, pattern, tuple(group_by))
+        if query.grouped:
+            for item in items:
+                if isinstance(item, Variable) and item not in group_by:
+                    raise QuerySemanticsError(
+                        f"projected variable ?{item.name} is not a GROUP BY key"
+                    )
+        return query
 
     def parse_group(self) -> Pattern:
         self.expect("{")

@@ -16,6 +16,7 @@ from evkg.sparql.algebra import (
     Group,
     Pattern,
     SelectQuery,
+    SubSelect,
     SumAgg,
     TriplePattern,
     Union,
@@ -143,13 +144,11 @@ def _random_select(rng: random.Random, pattern: Pattern) -> SelectQuery:
     if in_scope and rng.random() < 0.8:
         k = rng.randint(1, len(in_scope))
         select = tuple(Variable(name) for name in rng.sample(in_scope, k))
-        star = False
-    else:
-        select, star = (), True
+    else:  # SELECT *, as the parser expands it
+        select = tuple(Variable(name) for name in in_scope)
     return SelectQuery(
         select=select,
         distinct=rng.random() < 0.5,
-        star=star,
         pattern=pattern,
         group_by=(),
     )
@@ -302,7 +301,6 @@ def random_numeric_query(rng: random.Random) -> SelectQuery:
         return SelectQuery(
             select=((_S,) if grouped else ()) + (SUM_OF_AMOUNTS,),
             distinct=False,
-            star=False,
             pattern=Group((Bgp((TriplePattern(_S, SUM_PREDICATE, _A),)),)),
             group_by=(_S,) if grouped else (),
         )
@@ -318,7 +316,7 @@ def random_numeric_query(rng: random.Random) -> SelectQuery:
         pattern = Filter(Compare(op, left, right), pattern)
         select = (_A, _B)
     return SelectQuery(
-        select=select, distinct=rng.random() < 0.3, star=False, pattern=pattern, group_by=()
+        select=select, distinct=rng.random() < 0.3, pattern=pattern, group_by=()
     )
 
 def solution_multiset(solution) -> list[tuple]:
@@ -328,3 +326,43 @@ def solution_multiset(solution) -> list[tuple]:
         for row in solution.rows
     ]
     return sorted(rows)
+
+
+def _numeric_bgp(rng: random.Random) -> Bgp:
+    """One or two patterns on ?s over a `random_numeric_graph`'s predicates."""
+    predicates = NUMERIC_PREDICATES + [SUM_PREDICATE]
+    return Bgp(tuple(
+        TriplePattern(_S, rng.choice(predicates), rng.choice((_A, _B)))
+        for _ in range(rng.randint(1, 2))
+    ))
+
+
+def _subselect_group(rng: random.Random, numeric: bool, nested: bool) -> Group:
+    """One or two BGPs, then a sub-select. The sub-select projects some of
+    its in-scope variables, perhaps DISTINCT, over a BGP or, at the outer
+    level, one more such group; with `numeric` it sometimes sums the amounts
+    per ?s, or in one group, instead."""
+    lead = _numeric_bgp if numeric else _near
+    leads = tuple(lead(rng) for _ in range(rng.randint(1, 2)))
+    roll = rng.random()
+    if numeric and roll < 0.4:
+        by_subject = roll < 0.3
+        sub = SelectQuery(
+            select=((_S,) if by_subject else ()) + (SUM_OF_AMOUNTS,),
+            distinct=rng.random() < 0.3,
+            pattern=Group((Bgp((TriplePattern(_S, SUM_PREDICATE, _A),)),)),
+            group_by=(_S,) if by_subject else (),
+        )
+    elif not nested and roll < 0.6:
+        sub = _random_select(rng, _subselect_group(rng, numeric, True))
+    else:
+        inner = lead if numeric or rng.random() < 0.7 else _far
+        sub = _random_select(rng, Group((inner(rng),)))
+    return Group((*leads, SubSelect(sub)))
+
+
+def random_subselect_query(rng: random.Random, numeric: bool = False) -> SelectQuery:
+    """A group whose last element is a sub-select (see `_subselect_group`),
+    over a `random_graph`, or with `numeric` over a `random_numeric_graph`.
+    The rows of its BGPs reach the sub-select, which joins them, or none."""
+    return _random_select(rng, _subselect_group(rng, numeric, False))

@@ -167,6 +167,24 @@ def test_query_nested_too_deep_exit_3(workspace, capsys):
     assert "levels deep" in capsys.readouterr().err
 
 
+# A sub-select projecting a non-key is rejected whether or not the pattern
+# before it matches anything.
+@pytest.mark.parametrize("lead", ["?s <http://example.org/none> ?o", "?s a kwg-ont:ZipCodeArea"])
+def test_query_non_key_projection_in_sub_select_exit_3(workspace, capsys, lead):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    query_file = workspace / "grouped.rq"
+    query_file.write_text(
+        f"SELECT * WHERE {{ {lead} . {{ SELECT ?z ?c WHERE {{ ?z a kwg-ont:ZipCodeArea ."
+        " ?z rdfs:label ?c } GROUP BY ?z } }",
+        encoding="utf-8",
+    )
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 3
+    captured = capsys.readouterr()
+    assert "projected variable ?c is not a GROUP BY key" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_query_out_of_memory_exit_4(workspace, capsys, monkeypatch):
     # A cross product such as ?a ?b ?c . ?d ?e ?f under an address-space cap
     # ends in MemoryError; it exits 4 with a message, not a traceback.

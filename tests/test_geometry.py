@@ -143,12 +143,17 @@ _coordinate = st.one_of(
 
 
 @st.composite
-def _polygons(draw) -> Polygon:
-    """A rectangle, perhaps with a rectangular hole strictly inside it."""
-    xs = sorted(draw(st.lists(_coordinate, min_size=4, max_size=4, unique=True)))
-    ys = sorted(draw(st.lists(_coordinate, min_size=4, max_size=4, unique=True)))
-    holes = (_rectangle(xs[1], ys[1], xs[2], ys[2]),) if draw(st.booleans()) else ()
-    return Polygon(_rectangle(xs[0], ys[0], xs[3], ys[3]), holes)
+def _polygons(draw, members: int = 1) -> tuple[Polygon, ...]:
+    """Rectangles side by side, so that no two meet, each perhaps with a
+    rectangular hole strictly inside it."""
+    xs = sorted(draw(st.lists(_coordinate, min_size=4 * members, max_size=4 * members,
+                              unique=True)))
+    polygons = []
+    for x0, x1, x2, x3 in zip(*[iter(xs)] * 4):
+        ys = sorted(draw(st.lists(_coordinate, min_size=4, max_size=4, unique=True)))
+        holes = (_rectangle(x1, ys[1], x2, ys[2]),) if draw(st.booleans()) else ()
+        polygons.append(Polygon(_rectangle(x0, ys[0], x3, ys[3]), holes))
+    return tuple(polygons)
 
 
 _points = st.builds(Point, _coordinate, _coordinate)
@@ -156,10 +161,10 @@ _lines = st.lists(_points, min_size=2, max_size=4).map(lambda pts: LineString(tu
 _geometries = st.one_of(
     _points,
     _lines,
-    _polygons(),
+    _polygons().map(lambda ps: ps[0]),
     st.lists(_points, min_size=1, max_size=3).map(lambda pts: MultiPoint(tuple(pts))),
     st.lists(_lines, min_size=1, max_size=3).map(lambda ls: MultiLineString(tuple(ls))),
-    st.lists(_polygons(), min_size=1, max_size=2).map(lambda ps: MultiPolygon(tuple(ps))),
+    st.integers(1, 2).flatmap(_polygons).map(MultiPolygon),
 )
 
 
@@ -215,6 +220,16 @@ def test_wkt_parses_back_to_an_equal_geometry_exactly_when_it_survives(geom):
      "hole shares an edge with another hole", 93),
     ("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (0 0, 2 0, 2 2, 0 2, 0 0))",
      "hole shares an edge with the outer ring", 62),
+    # The members of a multipolygon may touch only at points: none nests in,
+    # crosses, repeats or shares an edge with another.
+    ("MULTIPOLYGON (((0 0, 4 0, 4 4, 0 4, 0 0)), ((1 1, 3 1, 3 3, 1 3, 1 1)))",
+     "polygons of a multipolygon overlap", 71),
+    ("MULTIPOLYGON (((0 0, 4 0, 4 4, 0 4, 0 0)), ((2 0, 6 0, 6 4, 2 4, 2 0)))",
+     "polygons of a multipolygon overlap", 71),
+    ("MULTIPOLYGON (((0 0, 4 0, 4 4, 0 4, 0 0)), ((0 0, 4 0, 4 4, 0 4, 0 0)))",
+     "polygons of a multipolygon overlap", 71),
+    ("MULTIPOLYGON (((0 0, 4 0, 4 4, 0 4, 0 0)), ((4 0, 8 0, 8 4, 4 4, 4 0)))",
+     "polygons of a multipolygon overlap", 71),
 ])
 def test_wkt_error_messages_and_positions_pinned(text, message, position):
     with pytest.raises(WktParseError) as exc:
@@ -230,6 +245,16 @@ def test_wkt_error_messages_and_positions_pinned(text, message, position):
 ])
 def test_holes_inside_or_touching_the_outer_boundary_are_accepted(text):
     assert parse_wkt(text).holes
+
+
+@pytest.mark.parametrize("text", [
+    "MULTIPOLYGON (((0 0, 4 0, 4 4, 0 4, 0 0)), ((4 4, 8 4, 8 8, 4 8, 4 4)))",  # at a corner
+    # an island inside the other member's hole
+    "MULTIPOLYGON (((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 8 2, 8 8, 2 8, 2 2)),"
+    " ((3 3, 7 3, 7 7, 3 7, 3 3)))",
+])
+def test_multipolygon_members_touching_at_points_are_accepted(text):
+    assert len(parse_wkt(text).polygons) == 2
 
 
 # A number is ASCII, ends at a blank, ',', ')' or the end, and is finite.

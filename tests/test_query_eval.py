@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from evkg.graph import Graph
 from evkg.ingest import build_graph
 from evkg.sparql import parse_query
-from evkg.sparql.algebra import Bgp, Group, SelectQuery, TriplePattern, Variable, pattern_vars
+from evkg.sparql.algebra import (
+    Bgp, Group, SelectQuery, SubSelect, TriplePattern, Variable, pattern_vars, visible_vars,
+)
 from evkg.queries import QUERY_TEXTS, run_suite_query
 from evkg.sparql import engine
 from evkg.sparql.engine import evaluate
@@ -37,6 +39,7 @@ from randomized import (
     random_numeric_graph,
     random_numeric_query,
     random_query,
+    random_subselect_query,
     solution_multiset,
 )
 
@@ -195,10 +198,8 @@ def test_group_by_unprojected_and_unbound_variable_allowed():
 
 
 def test_projecting_non_group_key_rejected():
-    g = _graph((A, P, Literal("3", XSD_INTEGER)))
-    query = parse_query("SELECT ?x (SUM(?n) AS ?t) WHERE { ?x evr:p ?n } GROUP BY ?ghost")
     with pytest.raises(QuerySemanticsError):
-        evaluate(g, query)
+        parse_query("SELECT ?x (SUM(?n) AS ?t) WHERE { ?x evr:p ?n } GROUP BY ?ghost")
 
 
 def test_division_by_zero_keeps_row_with_unbound_result():
@@ -502,7 +503,7 @@ def test_join_commutativity_permuting_bgp_patterns(rng):
         shuffled = FilterNode(shuffled.expression, permute(shuffled.inner))
     else:
         shuffled = permute(shuffled)
-    permuted = SelectQuery(query.select, query.distinct, query.star, shuffled, query.group_by)
+    permuted = SelectQuery(query.select, query.distinct, shuffled, query.group_by)
     assert solution_multiset(evaluate(graph, permuted)) == baseline
 
 
@@ -511,7 +512,7 @@ def test_join_commutativity_permuting_bgp_patterns(rng):
 def test_distinct_idempotent(rng):
     graph = random_graph(rng, 60)
     query = random_query(rng, 3)
-    distinct_query = SelectQuery(query.select, True, query.star, query.pattern, query.group_by)
+    distinct_query = SelectQuery(query.select, True, query.pattern, query.group_by)
     once = evaluate(graph, distinct_query)
     twice_rows = solution_multiset(once)
     # Re-projecting an already-distinct solution must not change it.
@@ -577,6 +578,33 @@ def test_engine_matches_naive_on_group_shapes(monkeypatch, existence_steps):
     assert min(existence_steps.values()) > 10, existence_steps
 
 
+def test_engine_matches_naive_on_nested_sub_selects():
+    """300 seeded groups ending in a sub-select, half over numeric graphs:
+    sub-selects join rows, follow BGPs that matched nothing, nest, and
+    group their rows, summing each group's amounts."""
+    joined = after_nothing = grouped = nested = 0
+    rng = random.Random(0x5E1E)
+    for case in range(300):
+        numeric = case % 2 == 1
+        graph = random_numeric_graph(rng) if numeric else random_graph(rng, 200)
+        query = random_subselect_query(rng, numeric)
+        assert solution_multiset(evaluate(graph, query)) == solution_multiset(
+            naive.evaluate(graph, query)
+        ), f"case {case}: {query}"
+        *leads, sub = query.pattern.elements
+        lead = Group(tuple(leads))
+        lead_rows = naive.evaluate(
+            graph, SelectQuery(tuple(map(Variable, visible_vars(lead))), False, lead)
+        ).rows
+        after_nothing += not lead_rows
+        joined += bool(lead_rows) and bool(naive.evaluate(graph, sub.query).rows)
+        grouped += sub.query.grouped
+        nested += isinstance(sub.query.pattern.elements[-1], SubSelect)
+    assert min(joined, after_nothing, grouped, nested) > 30, (
+        joined, after_nothing, grouped, nested
+    )
+
+
 def test_engine_matches_naive_on_numeric_expressions(monkeypatch):
     """300 seeded arithmetic projections, FILTERs comparing two variables
     and SUM groups over numbers of all four datatypes. Every operator meets
@@ -634,11 +662,11 @@ def test_engine_matches_naive_on_exhaustive_small_queries(existence_steps):
     for s1, p1, o1, s2, p2, o2 in itertools.product(
         positions, preds, positions, positions, preds, positions
     ):
+        pattern = Group((Bgp((TriplePattern(s1, p1, o1), TriplePattern(s2, p2, o2))),))
         query = SelectQuery(
-            select=(),
+            select=tuple(map(Variable, visible_vars(pattern))),
             distinct=False,
-            star=True,
-            pattern=Group((Bgp((TriplePattern(s1, p1, o1), TriplePattern(s2, p2, o2))),)),
+            pattern=pattern,
             group_by=(),
         )
         assert solution_multiset(evaluate(g, query)) == solution_multiset(

@@ -39,7 +39,9 @@ def test_query1_shape():
 
 def test_query2_shape():
     q = parse_query(QUERY_TEXTS[2])
-    assert q.star is True
+    assert [item.name for item in q.select] == (
+        "county zipcode road transline char_station substation powerplant".split()
+    )
     lead, union = q.pattern.elements
     assert isinstance(lead, Bgp) and len(lead.patterns) == 4
     # Five alternatives, folded left-associatively into four Union nodes.
@@ -117,6 +119,59 @@ def test_nested_aggregate_rejected(expr):
     with pytest.raises(QuerySemanticsError) as exc:
         parse_query(f"SELECT ?s ({expr} AS ?x) WHERE {{ ?s ?p ?o }} GROUP BY ?s")
     assert "nested" in str(exc.value)
+
+
+_ZIP_LABELS = "{ SELECT ?z ?c WHERE { ?z a kwg-ont:ZipCodeArea . ?z rdfs:label ?c } GROUP BY ?z }"
+
+
+# Each static rule is settled by the parser, whatever data the query would meet.
+@pytest.mark.parametrize("text, error, message", [
+    ("SELECT * ?s WHERE { ?s ?p ?o }", QuerySyntaxError,
+     "line 1, col 10: SELECT * cannot be combined with other projection items"),
+    ("SELECT ?s * WHERE { ?s ?p ?o }", QuerySyntaxError,
+     "line 1, col 11: SELECT * cannot be combined with other projection items"),
+    ("SELECT * (1 AS ?x) WHERE { ?s ?p ?o }", QuerySyntaxError,
+     "line 1, col 10: SELECT * cannot be combined with other projection items"),
+    ("SELECT * WHERE { ?s ?p ?o } GROUP BY ?s", QuerySemanticsError,
+     "SELECT * cannot be combined with grouping"),
+    ("SELECT ?s ?o WHERE { ?s ?p ?o } GROUP BY ?s", QuerySemanticsError,
+     "projected variable ?o is not a GROUP BY key"),
+    ("SELECT ?s (SUM(?o) AS ?t) WHERE { ?s ?p ?o }", QuerySemanticsError,
+     "projected variable ?s is not a GROUP BY key"),
+    ("SELECT * WHERE { ?s <http://example.org/none> ?o . " + _ZIP_LABELS + " }",
+     QuerySemanticsError, "projected variable ?c is not a GROUP BY key"),
+    ("SELECT ?z WHERE { { SELECT * WHERE { ?z ?p ?o } GROUP BY ?z } }", QuerySemanticsError,
+     "SELECT * cannot be combined with grouping"),
+])
+def test_static_rules_checked_at_parse_time(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_query(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, names", [
+    ("SELECT * WHERE { ?s ?p ?o . { SELECT ?z WHERE { ?z ?q ?w } } VALUES ?v { 1 } }",
+     ["s", "p", "o", "z", "v"]),
+    ("SELECT DISTINCT * WHERE { <http://example.org/a> ?p ?o FILTER(?o > ?x) }", ["p", "o"]),
+    ("SELECT * WHERE { <http://example.org/a> <http://example.org/b> 1 }", []),
+])
+def test_select_star_expanded_to_in_scope_variables(text, names):
+    q = parse_query(text)
+    assert [item.name for item in q.select] == names
+    assert parse_query(pretty(q)) == q
+    assert ("*" in pretty(q).splitlines()[0]) == (not names)
+
+
+# The nested-aggregate check and the `SELECT *` expansion walk the tree
+# before its depth is checked; a long chain is still only too deep.
+@pytest.mark.parametrize("text", [
+    "SELECT (SUM(" + " + ".join(["?o"] * 3000) + ") AS ?s) WHERE { ?x ?p ?o }",
+    "SELECT * WHERE { " + " UNION ".join(["{ ?x ?p ?o }"] * 3000) + " }",
+])
+def test_static_rules_on_a_long_chain_reject_it_as_too_deep(text):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_query(text)
+    assert f"more than {MAX_TREE_DEPTH} levels" in str(exc.value)
 
 
 _DEEP = {  # shape: (query, the limit it breaks)
