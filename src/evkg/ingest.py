@@ -18,19 +18,24 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
   summer_capacity,winter_capacity,operating_capacity,status,owner
 * zip_areas.csv: zip,wkt,state,county,kwg_sameas
 
-The readers share one row loop, `_read_records`, and differ only in the
-function that builds a record from a row's cells. A row whose build raises
-`ValueError` (it violates a record invariant) or whose cell count differs
-from the header's is skipped and reported with its row number; it never
-aborts a load. A file that is not UTF-8, or a row the csv module cannot
-read (a cell over its 131,072-character field limit), is an `IngestError`
-naming the file (and row), which fails the whole load. Source files repeat
-rows (29,464 rows of the k=8 bench registrations hold 376 distinct lines),
-so `_read_records` parses and builds a row that fits on one line once per
-distinct line text: equal lines share one record object, while every row
-is still returned and counted, and a skipped one is reported with its own
-row number. Source strings are preserved byte-exactly (including
-whitespace), because literal matching in queries is exact.
+Each source's columns are declared once, in a table that pairs each column
+with the converter of its lexical kind: verbatim text, optional text (empty
+is None), a token set, or a number read only in its XSD lexical form
+(`xsd:gYear`, `xsd:double`, `xsd:integer`, checked by `Literal`). The
+readers share one row loop, `_read_records`, which passes the converted
+cells to the record. A row whose cell a converter rejects (the message
+names the column), that violates a record invariant, or whose cell count
+differs from the header's is skipped and reported with its row number; it
+never aborts a load. A file that is not UTF-8, or a row the csv module
+cannot read (a cell over its 131,072-character field limit), is an
+`IngestError` naming the file (and row), which fails the whole load.
+Source files repeat rows (29,464 rows of the k=8 bench registrations hold
+376 distinct lines), so `_read_records` parses and builds a row that fits
+on one line once per distinct line text: equal lines share one record
+object, while every row is still returned and counted, and a skipped one
+is reported with its own row number. Source strings are preserved
+byte-exactly (including whitespace), because literal matching in queries
+is exact.
 
 Each triplifier returns the triples it emits, repeats included, and
 `build_graph` inserts them into its one graph. The triplifiers build their
@@ -148,6 +153,12 @@ def _check_year(year: int) -> None:
         raise IngestError(f"year must be 4 digits: {year}")
 
 
+def _check_tokens(tokens: Iterable[str], known: dict[str, Iri], kind: str) -> None:
+    for token in sorted(tokens):
+        if token not in known:
+            raise UnknownVocabularyToken(token, kind)
+
+
 @dataclass(frozen=True)
 class ProductKey:
     """Full product identity; one product individual per distinct key."""
@@ -167,6 +178,8 @@ class ProductKey:
         _check_year(self.model_year)
         if self.technology not in ("BEV", "PHEV"):
             raise IngestError(f"technology must be BEV or PHEV: {self.technology!r}")
+        _check_tokens(self.charger_types, CHARGER_TOKENS, "charger type")
+        _check_tokens(self.connector_types, CONNECTOR_TOKENS, "connector type")
         # The hash the generated __hash__ would rebuild on every dict step.
         identity = (self.make, self.model, self.model_year, self.technology, self.manufacturer,
                     self.use_case, self.weight_level, self.charger_types, self.connector_types)
@@ -198,6 +211,8 @@ class ChargerGroup:
     count: int
 
     def __post_init__(self):
+        _check_tokens((self.charger_type,), CHARGER_TOKENS, "charger type")
+        _check_tokens((self.connector_type,), CONNECTOR_TOKENS, "connector type")
         if self.count < 1:
             raise IngestError(f"charger group count must be >= 1: {self.count}")
 
@@ -365,51 +380,40 @@ def _read_records(
     return records, issues
 
 
+# A column table lists a CSV's columns in the order its record takes them,
+# each with the converter of its lexical kind; None keeps the cell verbatim.
+Columns = Sequence[tuple[str, Optional[Callable[[str], object]]]]
+
+
+def _optional(cell: str) -> Optional[str]:
+    return cell or None
+
+
 def _tokens(cell: str) -> frozenset[str]:
     return frozenset(tok for tok in (t.strip() for t in cell.split("|")) if tok)
 
 
-def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIssue]]:
-    cols = [
-        "vin8",
-        "zip",
-        "model_year",
-        "registration_year",
-        "make",
-        "model",
-        "technology",
-        "manufacturer",
-        "use_case",
-        "weight_level",
-        "charger_types",
-        "connector_types",
-    ]
-    products: dict[tuple[str, ...], ProductKey] = {}  # by its nine cells; valid products only
-
-    def build(vin8, zip_code, model_year, registration_year, make, model, technology,
-              manufacturer, use_case, weight_level, charger_types,
-              connector_types) -> RegistrationRecord:
-        cells = (model_year, make, model, technology, manufacturer, use_case, weight_level,
-                 charger_types, connector_types)
-        product = products.get(cells)
-        if product is None:
-            product = products[cells] = ProductKey(
-                make=make,
-                model=model,
-                model_year=int(model_year),
-                technology=technology,
-                manufacturer=manufacturer,
-                use_case=use_case,
-                weight_level=weight_level,
-                charger_types=_tokens(charger_types),
-                connector_types=_tokens(connector_types),
-            )
-        return RegistrationRecord(vin8, zip_code, int(registration_year), product)
-
-    return _read_records(path, cols, build)
+def _xsd(datatype: Iri, value: Callable[[str], R]) -> Callable[[str], R]:
+    """A converter that reads a cell only in `datatype`'s lexical form."""
+    def convert(cell: str) -> R:
+        Literal(cell, datatype)  # TermError for any other form
+        return value(cell)
+    return convert
 
 
-def _parse_groups(cell: str) -> tuple[ChargerGroup, ...]:
+_gyear, _integer, _double = _xsd(XSD_GYEAR, int), _xsd(XSD_INTEGER, int), _xsd(XSD_DOUBLE, float)
+
+
+def _open_date(cell: str) -> tuple[str, int]:
+    """The stripped date, which is required, and its year: its first four
+    characters as an xsd:gYear."""
+    date = cell.strip()
+    if not date:
+        raise IngestError("a date is required")
+    return date, _gyear(date[:4])
+
+
+def _charger_groups(cell: str) -> tuple[ChargerGroup, ...]:
     groups = []
     for part in (p.strip() for p in cell.split("|")):
         if not part:
@@ -417,95 +421,82 @@ def _parse_groups(cell: str) -> tuple[ChargerGroup, ...]:
         pieces = part.split(":")
         if len(pieces) != 3:
             raise IngestError(f"bad charger group {part!r} (want charger:connector:count)")
-        groups.append(ChargerGroup(pieces[0], pieces[1], int(pieces[2])))
+        groups.append(ChargerGroup(pieces[0], pieces[1], _integer(pieces[2])))
     return tuple(groups)
 
 
+def _typed(columns: Columns, make: Callable[..., R]) -> tuple[list[str], Callable[..., R]]:
+    """The names of `columns`, and a build that converts each cell by its
+    column's converter and passes the values, and any arguments past the
+    table unchanged, to `make`. A converter's ValueError names its column."""
+    steps = [(i, name, convert) for i, (name, convert) in enumerate(columns) if convert]
+
+    def build(*cells: str) -> R:
+        values = list(cells)
+        for i, name, convert in steps:
+            try:
+                values[i] = convert(cells[i])
+            except ValueError as exc:
+                raise IngestError(f"{name}: {exc}") from None
+        return make(*values)
+
+    return [name for name, _ in columns], build
+
+
+_REGISTRATION_COLUMNS: Columns = (("vin8", None), ("zip", None), ("registration_year", _gyear))
+_PRODUCT_COLUMNS: Columns = (  # in ProductKey field order
+    ("make", None), ("model", None), ("model_year", _gyear), ("technology", None),
+    ("manufacturer", None), ("use_case", None), ("weight_level", None),
+    ("charger_types", _tokens), ("connector_types", _tokens),
+)
+_STATION_COLUMNS: Columns = (
+    ("station_id", None), ("name", None), ("lon", _double), ("lat", _double), ("zip", None),
+    ("access", None), ("network", _optional), ("operating_hours", None),
+    ("open_date", _open_date), ("pricing", _optional), ("parking_restriction", _optional),
+    ("charger_groups", _charger_groups),
+)
+_TRANSMISSION_COLUMNS: Columns = (
+    ("asset_id", None), ("kind", None), ("wkt", None), ("voltage_class", _optional),
+    ("min_voltage", _optional), ("max_voltage", _optional), ("summer_capacity", _optional),
+    ("winter_capacity", _optional), ("operating_capacity", _optional), ("status", _optional),
+    ("owner", _optional),
+)
+_ZIP_AREA_COLUMNS: Columns = (
+    ("zip", None), ("wkt", None), ("state", None), ("county", None), ("kwg_sameas", _optional),
+)
+
+
+def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIssue]]:
+    head, record = _typed(_REGISTRATION_COLUMNS, RegistrationRecord)
+    tail, product_of = _typed(_PRODUCT_COLUMNS, ProductKey)
+    n = len(head)
+    products: dict[tuple[str, ...], ProductKey] = {}  # by its nine raw cells; valid products only
+
+    def build(*cells: str) -> RegistrationRecord:
+        key = cells[n:]
+        product = products.get(key)
+        if product is None:
+            product = products[key] = product_of(*key)
+        return record(*cells[:n], product)
+
+    return _read_records(path, head + tail, build)
+
+
+def _station(*values) -> StationRecord:
+    # open_date's value is the pair (open_date, open_year).
+    return StationRecord(*values[:8], *values[8], *values[9:])
+
+
 def read_stations(path: Path) -> tuple[list[StationRecord], list[RowIssue]]:
-    cols = [
-        "station_id",
-        "name",
-        "lon",
-        "lat",
-        "zip",
-        "access",
-        "network",
-        "operating_hours",
-        "open_date",
-        "pricing",
-        "parking_restriction",
-        "charger_groups",
-    ]
-
-    def build(station_id, name, lon, lat, zip_code, access, network, operating_hours,
-              open_date, pricing, parking_restriction, charger_groups) -> StationRecord:
-        open_date = open_date.strip()
-        if not open_date:
-            raise IngestError("open_date is required")
-        return StationRecord(
-            station_id=station_id,
-            name=name,
-            lon=float(lon),
-            lat=float(lat),
-            zip=zip_code,
-            access=access,
-            network=network or None,
-            operating_hours=operating_hours,
-            open_date=open_date,
-            open_year=int(open_date[:4]),
-            pricing=pricing or None,
-            parking_restriction=parking_restriction or None,
-            charger_groups=_parse_groups(charger_groups),
-        )
-
-    return _read_records(path, cols, build)
+    return _read_records(path, *_typed(_STATION_COLUMNS, _station))
 
 
 def read_transmission(path: Path) -> tuple[list[TransmissionAssetRecord], list[RowIssue]]:
-    cols = [
-        "asset_id",
-        "kind",
-        "wkt",
-        "voltage_class",
-        "min_voltage",
-        "max_voltage",
-        "summer_capacity",
-        "winter_capacity",
-        "operating_capacity",
-        "status",
-        "owner",
-    ]
-
-    def build(asset_id, kind, wkt, voltage_class, min_voltage, max_voltage, summer_capacity,
-              winter_capacity, operating_capacity, status, owner) -> TransmissionAssetRecord:
-        return TransmissionAssetRecord(
-            asset_id=asset_id,
-            kind=kind,
-            geometry_wkt=wkt,
-            voltage_class=voltage_class or None,
-            min_voltage=min_voltage or None,
-            max_voltage=max_voltage or None,
-            summer_capacity=summer_capacity or None,
-            winter_capacity=winter_capacity or None,
-            operating_capacity=operating_capacity or None,
-            status=status or None,
-            owner=owner or None,
-        )
-
-    return _read_records(path, cols, build)
+    return _read_records(path, *_typed(_TRANSMISSION_COLUMNS, TransmissionAssetRecord))
 
 
 def read_zip_areas(path: Path) -> tuple[list[ZipAreaRecord], list[RowIssue]]:
-    def build(zip_code, wkt, state, county, kwg_sameas) -> ZipAreaRecord:
-        return ZipAreaRecord(
-            zip=zip_code,
-            polygon_wkt=wkt,
-            state_label=state,
-            county_label=county,
-            kwg_sameas=kwg_sameas or None,
-        )
-
-    return _read_records(path, ["zip", "wkt", "state", "county", "kwg_sameas"], build)
+    return _read_records(path, *_typed(_ZIP_AREA_COLUMNS, ZipAreaRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +667,8 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
             _individual(out, prod, prop, kind, cls, raw)
 
         for token in sorted(key.charger_types):
-            if token not in CHARGER_TOKENS:
-                raise UnknownVocabularyToken(token, "charger type")
             out.append(_triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
         for token in sorted(key.connector_types):
-            if token not in CONNECTOR_TOKENS:
-                raise UnknownVocabularyToken(token, "connector type")
             out.append(_triple(prod, EV_ONT.hasMatchableConnectorType, CONNECTOR_TOKENS[token]))
 
     for coll in collections:
@@ -731,10 +718,6 @@ def triplify_stations(
 
         amounts: dict[tuple[str, str], int] = {}
         for group in rec.charger_groups:
-            if group.charger_type not in CHARGER_TOKENS:
-                raise UnknownVocabularyToken(group.charger_type, "charger type")
-            if group.connector_type not in CONNECTOR_TOKENS:
-                raise UnknownVocabularyToken(group.connector_type, "connector type")
             pair = (group.charger_type, group.connector_type)
             amounts[pair] = amounts.get(pair, 0) + group.count
         for (charger, connector), amount in sorted(amounts.items()):

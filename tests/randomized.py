@@ -23,6 +23,7 @@ from evkg.sparql.algebra import (
     Values,
     VarExpr,
     Variable,
+    expression_text,
     visible_vars,
 )
 from evkg.terms import (
@@ -318,6 +319,41 @@ def random_numeric_query(rng: random.Random) -> SelectQuery:
     return SelectQuery(
         select=select, distinct=rng.random() < 0.3, pattern=pattern, group_by=()
     )
+
+
+def _bgp_text(bgp: Bgp) -> str:
+    return " ".join(
+        " ".join(f"?{t.name}" if isinstance(t, Variable) else term_to_ntriples(t)
+                 for t in (tp.s, tp.p, tp.o)) + " ."
+        for tp in bgp.patterns
+    )
+
+
+def random_filter_only_group_texts(rng: random.Random) -> tuple[str, str, str]:
+    """Query text over a `random_graph`: a group of one or two BGPs with,
+    before, between or after them, a group that holds only one or two
+    FILTERs, sometimes itself nested beside one more BGP. Returned with the
+    same query with those FILTERs written in the enclosing group, and with
+    them left out."""
+    bgps = [_near(rng) for _ in range(rng.randint(1, 2))]
+    in_scope = [Variable(name) for name in visible_vars(Group(tuple(bgps)))]
+    filters = " ".join(
+        f"FILTER({expression_text(_random_filter(rng, Group(()), in_scope).expression)})"
+        for _ in range(1 + (rng.random() < 0.3))
+    )
+    bgps = [_bgp_text(bgp) for bgp in bgps]
+    at = rng.randint(0, len(bgps))
+    outside = _bgp_text(_near(rng)) if rng.random() < 0.3 else None
+    head = "SELECT DISTINCT *" if rng.random() < 0.3 else "SELECT *"
+
+    def text(constraints: str) -> str:
+        group = " ".join(["{", *bgps[:at], constraints, *bgps[at:], "}"])
+        if outside is not None:
+            group = f"{{ {group} {outside} }}"
+        return f"{head} WHERE {group}"
+
+    return text(f"{{ {filters} }}"), text(filters), text("")
+
 
 def solution_multiset(solution) -> list[tuple]:
     """Canonical sortable form of a solution's rows for multiset comparison."""

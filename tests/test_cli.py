@@ -269,6 +269,13 @@ def test_malformed_snapshot_term_exit_2(tmp_path, capsys, line):
      "at offset 62: hole crosses the outer ring"),
     ("transmission.csv", "SUBX,substation,POINT (0 0),,1_0,,,,,IN SERVICE,",
      "not a valid xsd:double lexical form: '1_0'"),
+    ("stations.csv", "CA998,Bad Lon,-1_21.6,38.4,95814,public,,24 hours daily,2020-05-01,,,"
+     "DCFC:CHADEMO:2", "lon: not a valid xsd:double lexical form: '-1_21.6'"),
+    ("registrations.csv", "WBY1Z4C5,07677,2_018,2019,BMW,i3,BEV,BMW of North America Inc.,"
+     "compact,light-duty,LEVEL2|DCFC,J1772|J1772COMBO",
+     "model_year: xsd:gYear needs a 4-digit lexical form: '2_018'"),
+    ("stations.csv", "CA999,Turbo,-121.6,38.4,95814,public,,24 hours daily,2020-05-01,,,"
+     "TURBO:J1772:1", "charger_groups: unknown charger type token: 'TURBO'"),
 ])
 def test_ingest_invalid_row_is_skipped(workspace, capsys, csv_name, row, message):
     with (workspace / csv_name).open("a", encoding="utf-8") as f:

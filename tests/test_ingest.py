@@ -44,7 +44,10 @@ from evkg.ingest import (
     _read_records,
 )
 from evkg.ntriples import serialize_ntriples
-from evkg.terms import EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, Triple, XSD_INTEGER
+from evkg.terms import (
+    EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, TermError, Triple, XSD_GYEAR,
+    XSD_INTEGER,
+)
 from conftest import ROOT, fixture_config, tiled_config
 
 
@@ -158,9 +161,8 @@ def test_adoption_products_come_from_the_collections():
 
 
 def test_unknown_connector_token_named():
-    rec = _registration(connector_types=frozenset({"WARPPLUG"}))
     with pytest.raises(UnknownVocabularyToken) as exc:
-        triplify_adoption(aggregate_registrations([rec]))
+        _registration(connector_types=frozenset({"WARPPLUG"}))
     assert "WARPPLUG" in str(exc.value)
 
 
@@ -202,9 +204,8 @@ def test_private_nonnetworked_station_types():
 
 
 def test_station_unknown_charger_token():
-    bad = _station(charger_groups=(ChargerGroup("TURBO", "J1772", 1),))
     with pytest.raises(UnknownVocabularyToken) as exc:
-        triplify_stations([bad])
+        _station(charger_groups=(ChargerGroup("TURBO", "J1772", 1),))
     assert "TURBO" in str(exc.value)
 
 
@@ -362,7 +363,7 @@ def test_bad_rows_skipped_with_row_numbers(tmp_path: Path):
     records, issues = read_registrations(path)
     assert len(records) == 1
     assert [i.row for i in issues] == [3, 4, 5, 6, 7, 8, 9]
-    assert "year must be 4 digits: 99" in issues[2].message
+    assert issues[2].message == "model_year: xsd:gYear needs a 4-digit lexical form: '99'"
     assert "technology must be BEV or PHEV: 'FCEV'" in issues[3].message
     assert "20x8" in issues[4].message
     assert issues[5].message == "zip must be 5 digits: '07677\\n'"
@@ -419,10 +420,54 @@ def test_non_finite_station_coordinates_skipped(tmp_path, fixtures_dir):
     assert not any(r.station_id.startswith("NF") for r in records)
     n = len(rows)
     assert [(i.row, i.message) for i in issues] == [
-        (n - 2, "lon must be finite: nan"),
-        (n - 1, "lat must be finite: inf"),
+        (n - 2, "lon: not a valid xsd:double lexical form: 'nan'"),
+        (n - 1, "lat: not a valid xsd:double lexical form: 'inf'"),
         (n, "lon must be finite: inf"),
     ]
+
+
+@pytest.mark.parametrize("name, column, cell, message, value", [
+    # Forms Python's int() and float() take but XSD does not: each skips its row.
+    ("registrations.csv", "model_year", "2_018",
+     "model_year: xsd:gYear needs a 4-digit lexical form: '2_018'", None),
+    ("registrations.csv", "model_year", "\u0662\u0660\u0661\u0668",  # Arabic-Indic digits
+     "model_year: xsd:gYear needs a 4-digit lexical form: '\u0662\u0660\u0661\u0668'", None),
+    ("registrations.csv", "model_year", " 2018 ",
+     "model_year: xsd:gYear needs a 4-digit lexical form: ' 2018 '", None),
+    ("registrations.csv", "registration_year", "+2019",
+     "registration_year: xsd:gYear needs a 4-digit lexical form: '+2019'", None),
+    ("stations.csv", "lon", "-1_21.6", "lon: not a valid xsd:double lexical form: '-1_21.6'", None),
+    ("stations.csv", "lat", "\uff138.4",  # fullwidth 3
+     "lat: not a valid xsd:double lexical form: '\uff138.4'", None),
+    ("stations.csv", "charger_groups", "DCFC:CHADEMO:1_0",
+     "charger_groups: not a valid xsd:integer lexical form: '1_0'", None),
+    ("stations.csv", "open_date", "\uff12\uff10\uff12\uff10-05-01",  # fullwidth year
+     "open_date: xsd:gYear needs a 4-digit lexical form: '\uff12\uff10\uff12\uff10'", None),
+    # Strict forms whose value breaks a record invariant keep their messages.
+    ("registrations.csv", "model_year", "0999", "year must be 4 digits: 999", None),
+    ("stations.csv", "lon", "1e999", "lon must be finite: inf", None),
+    ("stations.csv", "lon", "NaN", "lon must be finite: nan", None),
+    # Strict forms load.
+    ("registrations.csv", "registration_year", "2020", None, 2020),
+    ("stations.csv", "lon", "-121.6", None, -121.6),
+    ("stations.csv", "lat", "1.5E2", None, 150.0),
+    ("stations.csv", "charger_groups", "DCFC:CHADEMO:+3", None, (ChargerGroup("DCFC", "CHADEMO", 3),)),
+    ("stations.csv", "open_date", " 2020-05-01 ", None, "2020-05-01"),
+])
+def test_numeric_cells_read_only_in_xsd_lexical_form(tmp_path, fixtures_dir, name, column, cell,
+                                                     message, value):
+    with open(fixtures_dir / name, newline="", encoding="utf-8") as handle:
+        header, row = list(csv.reader(handle))[:2]
+    row[header.index(column)] = cell
+    path = tmp_path / name
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, row])
+    records, issues = (read_registrations if name == "registrations.csv" else read_stations)(path)
+    if message is None:
+        [record] = records
+        assert not issues and getattr(record, column) == value
+    else:
+        assert not records and [(i.row, i.message) for i in issues] == [(2, message)]
 
 
 def test_header_only_registrations(tmp_path: Path):
@@ -454,6 +499,13 @@ def _read_registrations_one_product_per_row(path: Path):
     def tokens(cell):
         return frozenset(t.strip() for t in cell.split("|") if t.strip())
 
+    def gyear(row, column):
+        try:
+            Literal(row[column], XSD_GYEAR)
+        except TermError as exc:
+            raise ValueError(f"{column}: {exc}") from None
+        return int(row[column])
+
     records, issues = [], []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -471,7 +523,7 @@ def _read_registrations_one_product_per_row(path: Path):
                 product = ProductKey(
                     make=row["make"],
                     model=row["model"],
-                    model_year=int(row["model_year"]),
+                    model_year=gyear(row, "model_year"),
                     technology=row["technology"],
                     manufacturer=row["manufacturer"],
                     use_case=row["use_case"],
@@ -480,7 +532,7 @@ def _read_registrations_one_product_per_row(path: Path):
                     connector_types=tokens(row["connector_types"]),
                 )
                 records.append(RegistrationRecord(
-                    row["vin8"], row["zip"], int(row["registration_year"]), product))
+                    row["vin8"], row["zip"], gyear(row, "registration_year"), product))
             except ValueError as exc:  # IngestError is a ValueError
                 issues.append((row_no, str(exc)))
     return records, issues

@@ -34,6 +34,7 @@ from conftest import tiled_config
 from randomized import (
     SUM_OF_AMOUNTS,
     SUM_PREDICATE,
+    random_filter_only_group_texts,
     random_graph,
     random_group_query,
     random_numeric_graph,
@@ -603,6 +604,24 @@ def test_engine_matches_naive_on_nested_sub_selects():
     assert min(joined, after_nothing, grouped, nested) > 30, (
         joined, after_nothing, grouped, nested
     )
+
+
+def test_engine_matches_naive_on_filter_only_groups():
+    """300 seeded groups holding only FILTERs, written beside one or two
+    BGPs as query text. The parser hoists their FILTERs into the enclosing
+    group: engine and oracle agree on the parsed query, and its rows are
+    those of the same query with the FILTERs written in that group."""
+    partial = 0  # cases whose FILTERs keep some rows and drop others
+    rng = random.Random(0xF17E)
+    for case in range(300):
+        graph = random_graph(rng, 200)
+        nested_text, enclosing_text, unfiltered_text = random_filter_only_group_texts(rng)
+        nested = parse_query(nested_text)
+        rows = solution_multiset(evaluate(graph, nested))
+        assert rows == solution_multiset(naive.evaluate(graph, nested)), f"case {case}: {nested_text}"
+        assert rows == _rows(graph, enclosing_text), f"case {case}: {nested_text}"
+        partial += 0 < len(rows) < len(_rows(graph, unfiltered_text))
+    assert partial > 15, partial
 
 
 def test_engine_matches_naive_on_numeric_expressions(monkeypatch):
