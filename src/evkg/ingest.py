@@ -21,7 +21,8 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
 Each source's columns are declared once, in a table that pairs each column
 with the converter of its lexical kind: verbatim text, optional text (empty
 is None), a token set, or a number read only in its XSD lexical form
-(`xsd:gYear`, `xsd:double`, `xsd:integer`, checked by `Literal`). The
+(`xsd:gYear`, `xsd:double`, `xsd:integer`, checked by `Literal`; a
+transmission value, which may be empty, keeps its checked text). The
 readers share one row loop, `_read_records`, which passes the converted
 cells to the record. A row whose cell a converter rejects (the message
 names the column), that violates a record invariant, or whose cell count
@@ -261,10 +262,6 @@ class TransmissionAssetRecord:
     def __post_init__(self):
         if self.kind not in ("line", "substation", "plant"):
             raise IngestError(f"kind must be line|substation|plant: {self.kind!r}")
-        for value in (self.min_voltage, self.max_voltage, self.summer_capacity,
-                      self.winter_capacity, self.operating_capacity):
-            if value is not None:
-                Literal(value, XSD_DOUBLE)  # TermError for a form the snapshot cannot hold
         geom = geometry.parse_wkt(self.geometry_wkt)
         if self.kind == "line":
             if not isinstance(geom, (geometry.LineString, geometry.MultiLineString)):
@@ -402,6 +399,12 @@ def _xsd(datatype: Iri, value: Callable[[str], R]) -> Callable[[str], R]:
 
 
 _gyear, _integer, _double = _xsd(XSD_GYEAR, int), _xsd(XSD_INTEGER, int), _xsd(XSD_DOUBLE, float)
+_double_text = _xsd(XSD_DOUBLE, str)
+
+
+def _optional_double(cell: str) -> Optional[str]:
+    """An xsd:double cell kept verbatim, for the snapshot to write as it stands."""
+    return _double_text(cell) if cell else None
 
 
 def _open_date(cell: str) -> tuple[str, int]:
@@ -457,9 +460,9 @@ _STATION_COLUMNS: Columns = (
 )
 _TRANSMISSION_COLUMNS: Columns = (
     ("asset_id", None), ("kind", None), ("wkt", None), ("voltage_class", _optional),
-    ("min_voltage", _optional), ("max_voltage", _optional), ("summer_capacity", _optional),
-    ("winter_capacity", _optional), ("operating_capacity", _optional), ("status", _optional),
-    ("owner", _optional),
+    ("min_voltage", _optional_double), ("max_voltage", _optional_double),
+    ("summer_capacity", _optional_double), ("winter_capacity", _optional_double),
+    ("operating_capacity", _optional_double), ("status", _optional), ("owner", _optional),
 )
 _ZIP_AREA_COLUMNS: Columns = (
     ("zip", None), ("wkt", None), ("state", None), ("county", None), ("kwg_sameas", _optional),

@@ -3,11 +3,18 @@
 A parsed query holds resolved IRIs only, so a query and its canonical
 re-rendering compare equal.
 
+A chain is one node: `Union` holds every branch, `Filter` every FILTER of
+one group, `Arith` one run of operators at one precedence. So the tree is
+only as deep as the query's nesting of braces and parentheses, which the
+parser bounds by `MAX_DEPTH`, and a chain of any length compares, renders
+and evaluates at the default recursion limit.
+
 Equality is the dataclass-generated `__eq__`, which recurses about twice
-per tree level (about three recursion-limit units on CPython 3.11), so at
-the default limit only trees up to about 330 levels compare, while the
-parser accepts `MAX_TREE_DEPTH` (500). Comparing deeper trees needs a raised
-recursion limit, as `test_long_sum_round_trips` sets.
+per tree level (about three recursion-limit units on CPython 3.11). The
+deepest trees the parser accepts can still exceed the default limit: a
+FILTER that nests 90 parentheses, each holding a comparison, a sum and a
+product (three levels per parenthesis), compares only under a raised
+limit. Only tests compare ASTs.
 """
 
 from __future__ import annotations
@@ -62,9 +69,12 @@ class Compare:
 
 @dataclass(frozen=True, slots=True)
 class Arith:
-    op: str  # + - * /
-    left: "Expression"
-    right: "Expression"
+    """One run of `+ -` or of `* /`, applied left to right: `operands[0]
+    ops[0] operands[1] ops[1] ...`. Its first operand is never itself a run
+    at the same precedence, so every text has one AST."""
+
+    ops: tuple[str, ...]  # all from "+-" or all from "*/"
+    operands: tuple["Expression", ...]  # one more than ops
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,13 +111,15 @@ class Group:
 
 @dataclass(frozen=True, slots=True)
 class Union:
-    left: "Pattern"
-    right: "Pattern"
+    branches: tuple["Pattern", ...]  # two or more, in written order
 
 
 @dataclass(frozen=True, slots=True)
 class Filter:
-    expression: Expression
+    """Every FILTER of one group (SPARQL 1.1 §18.2.2.6): a row of `inner`
+    is kept when each expression is true for it."""
+
+    expressions: tuple[Expression, ...]
     inner: "Pattern"
 
 
@@ -174,7 +186,7 @@ def visible_vars(pattern: Pattern) -> list[str]:
         elif isinstance(p, Group):
             stack += reversed(p.elements)
         elif isinstance(p, Union):
-            stack += (p.right, p.left)
+            stack += reversed(p.branches)
         elif isinstance(p, Filter):
             stack.append(p.inner)
         elif isinstance(p, Values):
@@ -189,14 +201,16 @@ def projection_names(query: SelectQuery) -> list[str]:
 
 
 def expression_has_aggregate(expr: Expression) -> bool:
-    """Found without recursion, so an operator chain of any length is safe."""
+    """Whether `expr` holds a SUM, found without recursion."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, SumAgg):
             return True
-        if isinstance(node, (Compare, Arith)):
+        if isinstance(node, Compare):
             stack += (node.left, node.right)
+        elif isinstance(node, Arith):
+            stack += node.operands
     return False
 
 
@@ -215,10 +229,10 @@ _PRECEDENCE = {"+": 2, "-": 2, "*": 3, "/": 3}  # a comparison binds at 1
 def expression_text(expr: Expression, floor: int = 0) -> str:
     """Render `expr`, parenthesized only if it binds more loosely than `floor`.
 
-    Operators are left-associative, so a right operand at its parent's
-    precedence is wrapped (``?a - (?b - ?c)``) and a left one is not; a
-    comparison does not chain, so both its operands are wrapped at its own
-    precedence. Long sums thus render without nesting.
+    A run's first operand is wrapped only if it binds more loosely than the
+    run, and every later operand also at the run's own precedence
+    (``?a - (?b - ?c)``); a comparison does not chain, so both its operands
+    are wrapped at its own precedence.
     """
     if isinstance(expr, VarExpr):
         return f"?{expr.var.name}"
@@ -227,13 +241,16 @@ def expression_text(expr: Expression, floor: int = 0) -> str:
     if isinstance(expr, SumAgg):
         return f"SUM({expression_text(expr.expr)})"
     if isinstance(expr, Compare):
-        precedence, left_floor = 1, 2
+        precedence = 1
+        text = f"{expression_text(expr.left, 2)} {expr.op} {expression_text(expr.right, 2)}"
     elif isinstance(expr, Arith):
-        precedence = left_floor = _PRECEDENCE[expr.op]
+        precedence = _PRECEDENCE[expr.ops[0]]
+        parts = [expression_text(expr.operands[0], precedence)]
+        for op, operand in zip(expr.ops, expr.operands[1:]):
+            parts += (op, expression_text(operand, precedence + 1))
+        text = " ".join(parts)
     else:
         raise TypeError(f"not an expression: {expr!r}")
-    left = expression_text(expr.left, left_floor)
-    text = f"{left} {expr.op} {expression_text(expr.right, precedence + 1)}"
     return f"({text})" if precedence < floor else text
 
 
@@ -245,16 +262,9 @@ def _pattern_lines(p: Pattern, indent: str) -> list[str]:
             lines.extend(_element_lines(el, inner))
         return lines
     if isinstance(p, Filter):
-        # Filters stack outside-in; render innermost pattern then FILTER lines.
-        filters = []
-        node: Pattern = p
-        while isinstance(node, Filter):
-            filters.append(node.expression)
-            node = node.inner
-        lines = _pattern_lines(node, indent)
-        for expr in reversed(filters):
-            lines.append(f"{inner}FILTER({expression_text(expr)})")
-        return lines
+        return _pattern_lines(p.inner, indent) + [
+            f"{inner}FILTER({expression_text(expr)})" for expr in p.expressions
+        ]
     if isinstance(p, (Bgp, Union, Values, SubSelect)):
         return _element_lines(p, inner)
     raise TypeError(f"not a pattern: {p!r}")
@@ -267,16 +277,8 @@ def _element_lines(p: Pattern, indent: str) -> list[str]:
             for tp in p.patterns
         ]
     if isinstance(p, Union):
-        # Flatten left-associative chains: a UNION b UNION c.
-        branches = []
-        node: Pattern = p
-        while isinstance(node, Union):
-            branches.append(node.right)
-            node = node.left
-        branches.append(node)
-        branches.reverse()
         lines: list[str] = []
-        for i, branch in enumerate(branches):
+        for i, branch in enumerate(p.branches):
             prefix = f"{indent}" if i == 0 else f"{indent}UNION "
             lines.append(prefix + "{")
             lines.extend(_pattern_lines(branch, indent))

@@ -15,7 +15,7 @@ A group passes its rows into the elements that follow (a bind join, the
 branch, and a BGP starts from them, looking its patterns up from their
 values, when every row binds the same variables and there is one row or the
 BGP uses one of those variables. Everything else is evaluated on its own and
-hash-joined: a FILTER (its expression must not see outer variables), a
+hash-joined: a FILTER (its expressions must not see outer variables), a
 sub-select, a VALUES block, rows of mixed shape, and a BGP that shares no
 variable with several rows (looking it up once per row would repeat it).
 
@@ -118,9 +118,11 @@ def eval_expression(
         right = eval_expression(expr.right, row, members)
         return TRUE if compare_terms(expr.op, left, right) else FALSE
     if isinstance(expr, Arith):
-        left = eval_expression(expr.left, row, members)
-        right = eval_expression(expr.right, row, members)
-        return apply_arith(expr.op, left, right)
+        operands = expr.operands
+        value = eval_expression(operands[0], row, members)
+        for i, op in enumerate(expr.ops, 1):  # left to right, one literal per step
+            value = apply_arith(op, value, eval_expression(operands[i], row, members))
+        return value
     if isinstance(expr, SumAgg):
         if members is None:
             raise EvalError("aggregate outside a grouped projection")
@@ -388,7 +390,10 @@ def join_into(graph: Graph, rows: list[Binding], pattern: Pattern) -> list[Bindi
             rows = join_into(graph, rows, element)
         return rows
     if isinstance(pattern, Union):
-        return join_into(graph, rows, pattern.left) + join_into(graph, rows, pattern.right)
+        out = []
+        for branch in pattern.branches:
+            out += join_into(graph, rows, branch)
+        return out
     if isinstance(pattern, Bgp):
         bound = rows[0].keys()
         shares = any(v.name in bound for tp in pattern.patterns for v in pattern_vars(tp))
@@ -403,11 +408,10 @@ def eval_pattern(graph: Graph, pattern: Pattern) -> list[Binding]:
     if isinstance(pattern, (Group, Union)):
         return join_into(graph, [{}], pattern)
     if isinstance(pattern, Filter):
-        return [
-            row
-            for row in eval_pattern(graph, pattern.inner)
-            if effective_boolean(pattern.expression, row)
-        ]
+        rows = eval_pattern(graph, pattern.inner)
+        for expression in pattern.expressions:
+            rows = [row for row in rows if effective_boolean(expression, row)]
+        return rows
     if isinstance(pattern, Values):
         return [
             {v.name: term for v, term in zip(pattern.variables, row)}

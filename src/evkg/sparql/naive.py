@@ -110,15 +110,14 @@ def _rows(triples: list[Triple], graph: Graph, pattern: Pattern) -> list[dict]:
             rows = _join(rows, _rows(triples, graph, element))
         return rows
     if isinstance(pattern, Union):
-        return _rows(triples, graph, pattern.left) + _rows(triples, graph, pattern.right)
+        rows = []
+        for branch in pattern.branches:
+            rows += _rows(triples, graph, branch)
+        return rows
     if isinstance(pattern, Filter):
         kept = []
         for row in _rows(triples, graph, pattern.inner):
-            try:
-                value = _expr(pattern.expression, row)
-            except _Error:
-                continue
-            if _truth(value):
+            if all(_holds(expression, row) for expression in pattern.expressions):
                 kept.append(row)
         return kept
     if isinstance(pattern, Values):
@@ -129,6 +128,13 @@ def _rows(triples: list[Triple], graph: Graph, pattern: Pattern) -> list[dict]:
 
 
 # --- expressions, re-implemented independently ------------------------------
+
+
+def _holds(expression, row: dict) -> bool:
+    try:
+        return _truth(_expr(expression, row))
+    except _Error:
+        return False
 
 
 def _double(value) -> float:
@@ -171,10 +177,18 @@ def _expr(expr, row: dict) -> Term:
         result = _cmp(expr.op, _expr(expr.left, row), _expr(expr.right, row))
         return Literal("true" if result else "false", XSD_BOOLEAN)
     if isinstance(expr, Arith):
-        return _arith(expr.op, _expr(expr.left, row), _expr(expr.right, row))
+        return _fold(expr, lambda operand: _expr(operand, row))
     if isinstance(expr, SumAgg):
         raise _Error("aggregate outside grouping")
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _fold(expr: Arith, value_of) -> Term:
+    """The run's operands, each valued by `value_of`, combined left to right."""
+    result = value_of(expr.operands[0])
+    for op, operand in zip(expr.ops, expr.operands[1:]):
+        result = _arith(op, result, value_of(operand))
+    return result
 
 
 def _arith(op: str, left: Term, right: Term) -> Literal:
@@ -265,11 +279,7 @@ def _agg_expr(expr, key_binding: dict, rows: list[dict]) -> Term:
         )
         return Literal("true" if result else "false", XSD_BOOLEAN)
     if isinstance(expr, Arith):
-        return _arith(
-            expr.op,
-            _agg_expr(expr.left, key_binding, rows),
-            _agg_expr(expr.right, key_binding, rows),
-        )
+        return _fold(expr, lambda operand: _agg_expr(operand, key_binding, rows))
     return _expr(expr, key_binding)
 
 

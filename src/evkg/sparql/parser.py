@@ -9,12 +9,13 @@ recognizably SPARQL is rejected by name, never silently ignored. Names,
 keywords and numbers are ASCII; any other character outside a string or
 an IRI is a QuerySyntaxError.
 
-Braces and parentheses may nest at most MAX_DEPTH levels deep, and the
-parsed tree, in which every UNION, FILTER or arithmetic link of a chain
-adds one level, at most MAX_TREE_DEPTH; anything deeper is a
-QuerySyntaxError, so that neither the parser nor the evaluators (all
-recursive) can run out of stack. Chains are cheap (one evaluator frame per
-link) and so get the larger bound.
+Braces and parentheses may nest at most MAX_DEPTH levels deep; anything
+deeper is a QuerySyntaxError, so that neither the parser nor the
+evaluators (all recursive) can run out of stack. That is the only limit: a
+chain is one node however long it is, so the branches of a UNION, the
+FILTERs of one group and a run of `+ -` or of `* /` may be of any length.
+A run whose first operand is a parenthesized run at the same precedence
+extends it, so `(?a - ?b) - ?c` and `?a - ?b - ?c` parse alike.
 
 Every static rule is settled as each SELECT level, sub-selects included,
 is parsed, whatever the data: `*` stands alone in its projection, and is
@@ -99,7 +100,6 @@ _UNSUPPORTED = {
 }
 
 MAX_DEPTH = 100
-MAX_TREE_DEPTH = 500
 
 _TOKEN_RE = re.compile(
     r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
@@ -323,13 +323,13 @@ class Parser:
                 raise self.error("unexpected end of query inside group")
             if tok.kind == "{":
                 flush_bgp()
-                child = self.parse_group()
+                branches = [self.parse_group()]
                 while self.at_word("UNION"):
                     self.next()
-                    child = Union(child, self.parse_group())
-                hoisted = _pure_filter_constraints(child)
-                if hoisted is not None:
-                    filters.extend(hoisted)
+                    branches.append(self.parse_group())
+                child = Union(tuple(branches)) if len(branches) > 1 else branches[0]
+                if isinstance(child, Filter) and not child.inner.elements:
+                    filters.extend(child.expressions)  # a group of FILTERs only
                 else:
                     elements.append(child)
                 continue
@@ -354,10 +354,8 @@ class Parser:
                 self.next()
         flush_bgp()
         self.depth -= 1
-        result: Pattern = Group(tuple(elements))
-        for expr in filters:
-            result = Filter(expr, result)
-        return result
+        group = Group(tuple(elements))
+        return Filter(tuple(filters), group) if filters else group
 
     def parse_values(self) -> Values:
         tok = self.peek()
@@ -467,24 +465,30 @@ class Parser:
         return expr
 
     def parse_additive(self) -> Expression:
-        expr = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            expr = Arith(op, expr, self.parse_multiplicative())
-        return expr
+        return self.parse_run("+-", self.parse_multiplicative)
 
     def parse_multiplicative(self) -> Expression:
-        expr = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            expr = Arith(op, expr, self.parse_unary())
-        return expr
+        return self.parse_run("*/", self.parse_unary)
+
+    def parse_run(self, operators: str, parse_operand) -> Expression:
+        """One run of `operators`; a first operand that is itself such a run
+        (parenthesized, or a unary minus) is extended rather than nested."""
+        first = parse_operand()
+        if self.peek().kind not in operators:
+            return first
+        ops, operands = [], [first]
+        if isinstance(first, Arith) and first.ops[0] in operators:
+            ops, operands = list(first.ops), list(first.operands)
+        while self.peek().kind in operators:
+            ops.append(self.next().kind)
+            operands.append(parse_operand())
+        return Arith(tuple(ops), tuple(operands))
 
     def parse_unary(self) -> Expression:
         if self.peek().kind == "-":
             self.next()
             operand = self.parse_primary()
-            return Arith("-", ConstExpr(Literal("0", XSD_INTEGER)), operand)
+            return Arith(("-",), (ConstExpr(Literal("0", XSD_INTEGER)), operand))
         return self.parse_primary()
 
     def parse_primary(self) -> Expression:
@@ -513,49 +517,6 @@ class Parser:
         return ConstExpr(term)
 
 
-def _pure_filter_constraints(pattern: Pattern) -> Optional[list[Expression]]:
-    """If a group contains only FILTERs, return them for hoisting."""
-    constraints: list[Expression] = []
-    node = pattern
-    while isinstance(node, Filter):
-        constraints.append(node.expression)
-        node = node.inner
-    if constraints and isinstance(node, Group) and not node.elements:
-        constraints.reverse()  # back to textual order
-        return constraints
-    return None
-
-
-def _children(node) -> tuple:
-    if isinstance(node, SelectQuery):
-        return (*node.select, node.pattern)
-    if isinstance(node, Group):
-        return node.elements
-    if isinstance(node, (Union, Compare, Arith)):
-        return (node.left, node.right)
-    if isinstance(node, Filter):
-        return (node.expression, node.inner)
-    if isinstance(node, SubSelect):
-        return (node.query,)
-    if isinstance(node, (SumAgg, Aliased)):
-        return (node.expr,)
-    return ()  # Bgp, Values, Variable, VarExpr, ConstExpr
-
-
-def _tree_depth(query: SelectQuery) -> int:
-    """Depth of the parsed tree, found without recursion."""
-    deepest = 0
-    stack = [(query, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in _children(node))
-    return deepest
-
-
 def parse_query(text: str) -> SelectQuery:
     """Parse a query against the toolkit's default prefixes."""
-    query = Parser(text, default_prefixes()).parse()
-    if _tree_depth(query) > MAX_TREE_DEPTH:
-        raise QuerySyntaxError(f"query tree more than {MAX_TREE_DEPTH} levels deep")
-    return query
+    return Parser(text, default_prefixes()).parse()

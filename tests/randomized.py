@@ -137,7 +137,7 @@ def _random_filter(
         rhs: ConstExpr = ConstExpr(Literal(str(rng.randint(0, 5)), XSD_INTEGER))
     else:
         rhs = ConstExpr(rng.choice(OBJECT_LITERALS))
-    return Filter(Compare(op, VarExpr(variable), rhs), pattern)
+    return Filter((Compare(op, VarExpr(variable), rhs),), pattern)
 
 
 def _random_select(rng: random.Random, pattern: Pattern) -> SelectQuery:
@@ -160,10 +160,10 @@ def random_query(rng: random.Random, max_patterns: int = 4) -> SelectQuery:
     use_union = total >= 2 and rng.random() < 0.4
     if use_union:
         left_n = rng.randint(1, total - 1)
-        pattern: Pattern = Union(
+        pattern: Pattern = Union((
             Group((_random_bgp(rng, left_n),)),
             Group((_random_bgp(rng, total - left_n),)),
-        )
+        ))
         pattern = Group((pattern,))
     else:
         pattern = Group((_random_bgp(rng, total),))
@@ -203,7 +203,7 @@ def _far(rng: random.Random) -> Bgp:
 def _union(rng: random.Random) -> Union:
     """Branches over ?v0-?v2 and over ?v0, ?v3, ?v4: usually rows of two shapes."""
     right = _linked_bgp(rng, [VARIABLES[0], *VARIABLES[3:]])
-    return Union(Group((_near(rng),)), Group((right,)))
+    return Union((Group((_near(rng),)), Group((right,))))
 
 
 def _random_element(rng: random.Random, depth: int) -> Pattern:
@@ -311,14 +311,53 @@ def random_numeric_query(rng: random.Random) -> SelectQuery:
     )),))
     left, right = (VarExpr(_A), VarExpr(_B))[:: rng.choice((1, -1))]
     if roll < 0.65:
-        select: tuple = (_A, _B, Aliased(Arith(rng.choice("+-*/"), left, right), _X))
+        select: tuple = (_A, _B, Aliased(Arith((rng.choice("+-*/"),), (left, right)), _X))
     else:
         op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
-        pattern = Filter(Compare(op, left, right), pattern)
+        pattern = Filter((Compare(op, left, right),), pattern)
         select = (_A, _B)
     return SelectQuery(
         select=select, distinct=rng.random() < 0.3, pattern=pattern, group_by=()
     )
+
+
+def _run_operand(rng: random.Random, depth: int, first: bool) -> str:
+    roll = rng.random()
+    if roll < (0.35 if first else 0.15) and depth < 2:
+        text = f"({_run_text(rng, depth + 1)})"
+    elif roll < 0.45:
+        text = rng.choice(("2", "0", "0.5", "3.0", "1.5E0"))
+    else:
+        text = rng.choice(("?a", "?b", "?c"))
+    return "-" + text if rng.random() < 0.15 else text
+
+
+def _run_text(rng: random.Random, depth: int = 0) -> str:
+    """2-5 operands joined by operators drawn from all of ``+ - * /``."""
+    text = _run_operand(rng, depth, True)
+    for _ in range(rng.randint(1, 4)):
+        text += f" {rng.choice('+-*/')} {_run_operand(rng, depth, False)}"
+    return text
+
+
+def random_operator_run_text(rng: random.Random) -> str:
+    """Query text over a `random_numeric_graph`: three values ?a, ?b, ?c of
+    one subject, and a FILTER or a projection ``AS ?x`` whose expression is
+    a run of operators (`_run_text`). Operands are variables, constants of
+    three numeric datatypes, parenthesized runs (often the first operand,
+    which the parser joins to a run at the same precedence) and unary
+    minuses. A FILTER compares the run with an operand, or takes its
+    effective boolean value."""
+    bgp = " ".join(
+        f"?s {term_to_ntriples(rng.choice(NUMERIC_PREDICATES))} ?{name} ." for name in "abc"
+    )
+    run = _run_text(rng)
+    if rng.random() < 0.5:
+        return f"SELECT ?a ?b ?c ({run} AS ?x) WHERE {{ {bgp} }}"
+    if rng.random() < 0.7:
+        op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
+        run = f"{run} {op} {_run_operand(rng, 0, False)}"
+    return f"SELECT ?a ?b ?c WHERE {{ {bgp} FILTER({run}) }}"
 
 
 def _bgp_text(bgp: Bgp) -> str:
@@ -338,7 +377,7 @@ def random_filter_only_group_texts(rng: random.Random) -> tuple[str, str, str]:
     bgps = [_near(rng) for _ in range(rng.randint(1, 2))]
     in_scope = [Variable(name) for name in visible_vars(Group(tuple(bgps)))]
     filters = " ".join(
-        f"FILTER({expression_text(_random_filter(rng, Group(()), in_scope).expression)})"
+        f"FILTER({expression_text(_random_filter(rng, Group(()), in_scope).expressions[0])})"
         for _ in range(1 + (rng.random() < 0.3))
     )
     bgps = [_bgp_text(bgp) for bgp in bgps]
@@ -353,6 +392,22 @@ def random_filter_only_group_texts(rng: random.Random) -> tuple[str, str, str]:
         return f"{head} WHERE {group}"
 
     return text(f"{{ {filters} }}"), text(filters), text("")
+
+
+def patterns_of(pattern: Pattern):
+    """Every triple pattern of `pattern`, sub-selects included, in written order."""
+    if isinstance(pattern, Bgp):
+        yield from pattern.patterns
+    elif isinstance(pattern, Group):
+        for element in pattern.elements:
+            yield from patterns_of(element)
+    elif isinstance(pattern, Union):
+        for branch in pattern.branches:
+            yield from patterns_of(branch)
+    elif isinstance(pattern, Filter):
+        yield from patterns_of(pattern.inner)
+    elif isinstance(pattern, SubSelect):
+        yield from patterns_of(pattern.query.pattern)
 
 
 def solution_multiset(solution) -> list[tuple]:

@@ -34,7 +34,7 @@ from evkg.terms import EV_ONT, GEO, KWG_ONT, RDF, Iri, Literal, Triple
 from evkg.vocabulary import registry, validate_instances
 
 from conftest import FIXTURES, fixture_config
-from randomized import random_graph, random_query, solution_multiset
+from randomized import patterns_of, random_graph, random_query, solution_multiset
 from test_geometry import (
     oracle_dist_to_ring,
     oracle_point_in_polygon,
@@ -328,22 +328,7 @@ def test_criterion_8_vocabulary_completeness(fixture_graph):
     """Every query term resolves; the fixture validates clean; stats agree
     with a recount oracle."""
     reg = registry()
-    from evkg.sparql.algebra import Bgp, Filter, Group, SubSelect, Union
     from evkg.terms import RDF_TYPE
-
-    def patterns_of(p):
-        if isinstance(p, Bgp):
-            yield from p.patterns
-        elif isinstance(p, Group):
-            for el in p.elements:
-                yield from patterns_of(el)
-        elif isinstance(p, Union):
-            yield from patterns_of(p.left)
-            yield from patterns_of(p.right)
-        elif isinstance(p, Filter):
-            yield from patterns_of(p.inner)
-        elif isinstance(p, SubSelect):
-            yield from patterns_of(p.query.pattern)
 
     checked_terms = 0
     for qid, text in QUERY_TEXTS.items():

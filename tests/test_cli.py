@@ -167,6 +167,17 @@ def test_query_nested_too_deep_exit_3(workspace, capsys):
     assert "levels deep" in capsys.readouterr().err
 
 
+def test_query_long_union_exit_0(workspace, capsys):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    query_file = workspace / "union.rq"
+    branches = ["{ ?z a kwg-ont:ZipCodeArea }"] * 3000
+    query_file.write_text("SELECT ?z WHERE { " + " UNION ".join(branches) + " }", encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "z" and rows and len(rows) == 3000 * len(set(rows))
+
+
 # A sub-select projecting a non-key is rejected whether or not the pattern
 # before it matches anything.
 @pytest.mark.parametrize("lead", ["?s <http://example.org/none> ?o", "?s a kwg-ont:ZipCodeArea"])
@@ -268,7 +279,7 @@ def test_malformed_snapshot_term_exit_2(tmp_path, capsys, line):
     ("zip_areas.csv", '99997,"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 5 1, 5 2, 1 2, 1 1))",Nowhere,Nowhere,',
      "at offset 62: hole crosses the outer ring"),
     ("transmission.csv", "SUBX,substation,POINT (0 0),,1_0,,,,,IN SERVICE,",
-     "not a valid xsd:double lexical form: '1_0'"),
+     "min_voltage: not a valid xsd:double lexical form: '1_0'"),
     ("stations.csv", "CA998,Bad Lon,-1_21.6,38.4,95814,public,,24 hours daily,2020-05-01,,,"
      "DCFC:CHADEMO:2", "lon: not a valid xsd:double lexical form: '-1_21.6'"),
     ("registrations.csv", "WBY1Z4C5,07677,2_018,2019,BMW,i3,BEV,BMW of North America Inc.,"

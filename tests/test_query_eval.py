@@ -11,13 +11,13 @@ from evkg.graph import Graph
 from evkg.ingest import build_graph
 from evkg.sparql import parse_query
 from evkg.sparql.algebra import (
-    Bgp, Group, SelectQuery, SubSelect, TriplePattern, Variable, pattern_vars, visible_vars,
+    Arith, Bgp, Compare, Filter, Group, SelectQuery, SubSelect, TriplePattern, Variable,
+    pattern_vars, query_text, visible_vars,
 )
 from evkg.queries import QUERY_TEXTS, run_suite_query
 from evkg.sparql import engine
 from evkg.sparql.engine import evaluate
 from evkg.sparql.errors import QuerySemanticsError
-from evkg.sparql.parser import MAX_TREE_DEPTH
 from evkg.sparql import naive
 from evkg.terms import (
     EVR,
@@ -39,6 +39,7 @@ from randomized import (
     random_group_query,
     random_numeric_graph,
     random_numeric_query,
+    random_operator_run_text,
     random_query,
     random_subselect_query,
     solution_multiset,
@@ -468,7 +469,7 @@ _CHAINS = {
 
 
 @pytest.mark.parametrize("shape", sorted(_CHAINS))
-@pytest.mark.parametrize("n", [150, MAX_TREE_DEPTH - 10])
+@pytest.mark.parametrize("n", [150, 3000])
 def test_long_flat_chains_evaluate(shape, n):
     g = _graph((EX["a"], P, Literal("2", XSD_INTEGER)), (EX["b"], P, EX["c"]))
     query = parse_query(_CHAINS[shape](n))
@@ -501,7 +502,7 @@ def test_join_commutativity_permuting_bgp_patterns(rng):
 
     shuffled = query.pattern
     if isinstance(shuffled, FilterNode):
-        shuffled = FilterNode(shuffled.expression, permute(shuffled.inner))
+        shuffled = FilterNode(shuffled.expressions, permute(shuffled.inner))
     else:
         shuffled = permute(shuffled)
     permuted = SelectQuery(query.select, query.distinct, shuffled, query.group_by)
@@ -667,6 +668,41 @@ def test_engine_matches_naive_on_numeric_expressions(monkeypatch):
     operators = ["+", "-", "*", "/", "<", "<=", ">", ">=", "=", "!="]
     assert met == set(itertools.product(operators, numeric, numeric))
     assert zero_divisions[0] > 10 and mixed_sums > 10, (zero_divisions, mixed_sums)
+
+
+def _runs(expr):
+    """The operator runs of `expr`, nested ones included."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Arith):
+            yield node
+            stack += node.operands
+        elif isinstance(node, Compare):
+            stack += (node.left, node.right)
+
+
+def test_engine_matches_naive_on_operator_runs():
+    """300 seeded FILTERs and projections whose expressions are runs of 2-5
+    operands mixing ``+ -`` and ``* /``, with parenthesized runs and unary
+    minuses (`random_operator_run_text`): each run is folded left to right
+    alike by engine and oracle, and its canonical text parses back equal."""
+    long_runs = bound = passed = 0
+    rng = random.Random(0xA217)
+    for case in range(300):
+        graph = random_numeric_graph(rng)
+        text = random_operator_run_text(rng)
+        query = parse_query(text)
+        assert parse_query(query_text(query)) == query, f"case {case}: {text}"
+        solution = evaluate(graph, query)
+        rows = solution_multiset(solution)
+        assert rows == solution_multiset(naive.evaluate(graph, query)), f"case {case}: {text}"
+        if isinstance(query.pattern, Filter):
+            expr, passed = query.pattern.expressions[0], passed + bool(rows)
+        else:
+            expr, bound = query.select[-1].expr, bound + any("x" in row for row in solution.rows)
+        long_runs += any(len(run.operands) > 3 for run in _runs(expr))
+    assert min(long_runs, bound, passed) > 100, (long_runs, bound, passed)
 
 
 def test_engine_matches_naive_on_exhaustive_small_queries(existence_steps):

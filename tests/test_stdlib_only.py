@@ -1,0 +1,28 @@
+"""The runtime is pure standard library: evkg installs and runs with nothing else."""
+
+from __future__ import annotations
+
+import ast
+import sys
+
+from conftest import ROOT
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "evkg").rglob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0: relative
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -161,26 +161,12 @@ def test_every_suite_query_term_resolves(fixture_graph):
     """Every predicate and class IRI used by the bundled queries is registered."""
     from evkg.queries import QUERY_TEXTS, expand_query_references
     from evkg.sparql import parse_query
-    from evkg.sparql.algebra import (
-        Bgp, Filter, Group, SubSelect, TriplePattern, Union,
-    )
+    from evkg.sparql.algebra import TriplePattern
     from evkg.terms import RDF_TYPE
 
-    reg = registry()
+    from randomized import patterns_of
 
-    def patterns_of(p):
-        if isinstance(p, Bgp):
-            yield from p.patterns
-        elif isinstance(p, Group):
-            for el in p.elements:
-                yield from patterns_of(el)
-        elif isinstance(p, Union):
-            yield from patterns_of(p.left)
-            yield from patterns_of(p.right)
-        elif isinstance(p, Filter):
-            yield from patterns_of(p.inner)
-        elif isinstance(p, SubSelect):
-            yield from patterns_of(p.query.pattern)
+    reg = registry()
 
     for qid, text in QUERY_TEXTS.items():
         query = parse_query(expand_query_references(text))
