@@ -434,27 +434,22 @@ def _edge_fault(rings: tuple[Ring, ...]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _point_in_ring(p: Point, ring: Ring) -> bool:
-    """Even-odd parity test; assumes p is not on the ring boundary.
+def _ring_location(p: Point, ring: Ring) -> str:
+    """Where p lies against the area `ring` bounds, in one walk of its edges:
+    on the boundary at the first edge within EPS, else by even-odd parity.
 
-    Uses the half-open rule on y so edges through vertices count once. An
-    upward edge crosses the ray right of p exactly when p lies to its left,
-    a downward one when p lies to its right, so each crossing is one exact
-    orientation sign.
+    Parity uses the half-open rule on y so edges through vertices count once.
+    An upward edge crosses the ray right of p exactly when p lies to its
+    left, a downward one when p lies to its right, so each crossing is one
+    exact orientation sign.
     """
     inside = False
     for a, b in zip(ring, ring[1:]):
+        if _on_segment(p, a, b):
+            return BOUNDARY
         if (a.y > p.y) != (b.y > p.y) and _orient(a, b, p) == (1 if b.y > a.y else -1):
             inside = not inside
-    return inside
-
-
-def _ring_location(p: Point, ring: Ring) -> str:
-    """Where p lies against the area `ring` bounds: on the boundary when
-    within EPS of an edge, else by parity."""
-    if any(_on_segment(p, a, b) for a, b in zip(ring, ring[1:])):
-        return BOUNDARY
-    return INTERIOR if _point_in_ring(p, ring) else EXTERIOR
+    return INTERIOR if inside else EXTERIOR
 
 
 def _locations(ring: Ring, other: Ring) -> Iterator[str]:

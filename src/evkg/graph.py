@@ -218,15 +218,18 @@ class Graph:
             for p, objects in po.items():
                 yield s, p, objects
 
-    # Convenience accessors used by reporting and materialization code.
+    # Convenience accessors used by reporting, materialization and validation.
+    # Each reads one index set directly, in the order ``match`` walks it, and
+    # builds no Triple; `s` and `p` (or `p` and `o`) must be bound.
 
     def objects(self, s: Term, p: Iri) -> list[Term]:
-        return [t.object for t in self.match(s, p, None)]
+        """The objects of (s, p, ?), from the subject-first index."""
+        return list(self._spo.get(s, _EMPTY).get(p, ()))
 
     def value(self, s: Term, p: Iri) -> Optional[Term]:
-        for t in self.match(s, p, None):
-            return t.object
-        return None
+        """The first of ``objects(s, p)``, or None."""
+        return next(iter(self._spo.get(s, _EMPTY).get(p, ())), None)
 
     def subjects(self, p: Iri, o: Term) -> list[Term]:
-        return [t.subject for t in self.match(None, p, o)]
+        """The subjects of (?, p, o), from the predicate-first index."""
+        return list(self._pos.get(p, _EMPTY).get(o, ()))

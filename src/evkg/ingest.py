@@ -38,13 +38,17 @@ is reported with its own row number. Source strings are preserved
 byte-exactly (including whitespace), because literal matching in queries
 is exact.
 
-Each triplifier returns the triples it emits, repeats included, and
-`build_graph` inserts them into its one graph. The triplifiers build their
-triples from terms they made themselves, so they skip `Triple`'s term
-checks; a test pins that every triple they emit would pass them. IRIs are
-minted deterministically from natural keys, so re-ingesting the same inputs
-yields a byte-identical graph. Uniqueness is checked at minting: an IRI
-collision, or two valid rows with one zip (`DuplicateZip`), fails the load.
+Each triplifier returns the triples it emits, and `build_graph` inserts
+them into its one graph. An individual that many records link to (a state,
+a make, a network, a serving status) is minted once per triplifier call
+from its (kind, label, class), with its type and label; later records
+write only their link. A model type is written once per (make, model,
+model year). The triplifiers build their triples from terms they made
+themselves, so they skip `Triple`'s term checks; a test pins that every
+triple they emit would pass them. IRIs are minted deterministically from
+natural keys, so re-ingesting the same inputs yields a byte-identical
+graph. Uniqueness is checked at minting: an IRI collision, or two valid
+rows with one zip (`DuplicateZip`), fails the load.
 
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
@@ -533,8 +537,12 @@ def product_iri(key: ProductKey) -> Iri:
 
 
 def collection_iri(zip_code: str, year: int, key: ProductKey) -> Iri:
-    prod_local = product_iri(key).value.rsplit(".", 1)[-1]
-    return EVR[f"evregcol.{zip_code}.{year}.{prod_local}"]
+    return _collection_iri(zip_code, year, product_iri(key))
+
+
+def _collection_iri(zip_code: str, year: int, product: Iri) -> Iri:
+    """The collection IRI, from its product's IRI: its last (digest) part."""
+    return EVR[f"evregcol.{zip_code}.{year}.{product.value.rsplit('.', 1)[-1]}"]
 
 
 def geometry_iri(feature: Iri) -> Iri:
@@ -625,9 +633,23 @@ def _geometry_triples(
         shapes[text] = geom
 
 
-def _individual(out: list[Triple], subject: Iri, prop: Iri, kind: str, cls: Iri, label: str) -> Iri:
-    """Link subject via prop to the labeled individual of class cls minted from (kind, label)."""
-    ind = EVR[f"{kind}.{_sanitize(label)}"]
+# (kind, label, class) -> individual; each triplifier call owns one.
+Minted = dict[tuple[str, str, Iri], Iri]
+
+
+def _individual(
+    out: list[Triple], minted: Minted, subject: Iri, prop: Iri, kind: str, cls: Iri, label: str
+) -> Iri:
+    """Link subject via prop to the labeled individual of class cls minted from
+    (kind, label). The first link of a triplifier call mints it into `minted`
+    and writes its type and label after the link; later links find it there
+    and write only the link."""
+    key = (kind, label, cls)
+    ind = minted.get(key)
+    if ind is not None:
+        out.append(_triple(subject, prop, ind))
+        return ind
+    ind = minted[key] = EVR[f"{kind}.{_sanitize(label)}"]
     out.append(_triple(subject, prop, ind))
     out.append(_triple(ind, RDF.type, cls))
     out.append(_triple(ind, RDFS.label, Literal(label)))
@@ -640,6 +662,8 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
     reported the same way on every run."""
     out: list[Triple] = []
     minter = _Minter()
+    minted: Minted = {}
+    models: set[tuple[str, str, int]] = set()  # (make, model, model year) of model types written
     collections = list(collections)
     distinct = dict.fromkeys(coll.product for coll in collections)
     products = {key: product_iri(key) for key in distinct}
@@ -651,15 +675,18 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
         model_year = Literal(str(key.model_year), XSD_GYEAR)
         out.append(_triple(prod, EV_ONT.hasModelYear, model_year))
 
-        _individual(out, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
+        _individual(out, minted, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
 
         model = EVR[
             f"modeltype.{_sanitize(key.make)}.{_sanitize(key.model)}.{key.model_year}"
         ]
         out.append(_triple(prod, EV_ONT.hasModelType, model))
-        out.append(_triple(model, RDF.type, EV_ONT.ModelType))
-        out.append(_triple(model, RDFS.label, Literal(key.model)))
-        out.append(_triple(model, EV_ONT.hasModelYear, model_year))
+        model_key = (key.make, key.model, key.model_year)
+        if model_key not in models:
+            models.add(model_key)
+            out.append(_triple(model, RDF.type, EV_ONT.ModelType))
+            out.append(_triple(model, RDFS.label, Literal(key.model)))
+            out.append(_triple(model, EV_ONT.hasModelYear, model_year))
 
         for kind, prop, cls, raw in (
             ("technology", EV_ONT.isWithTechnology, EV_ONT.Technology, key.technology),
@@ -667,7 +694,7 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
             ("vehicleusecase", EV_ONT.hasVehicleUseCase, EV_ONT.VehicleUseCase, key.use_case),
             ("weightlevel", EV_ONT.hasWeightLevel, EV_ONT.WeightLevel, key.weight_level),
         ):
-            _individual(out, prod, prop, kind, cls, raw)
+            _individual(out, minted, prod, prop, kind, cls, raw)
 
         for token in sorted(key.charger_types):
             out.append(_triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
@@ -675,14 +702,14 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
             out.append(_triple(prod, EV_ONT.hasMatchableConnectorType, CONNECTOR_TOKENS[token]))
 
     for coll in collections:
+        prod = products[coll.product]
         iri = minter.claim(
-            collection_iri(coll.zip, coll.year, coll.product),
-            f"{coll.zip}/{coll.year}/{products[coll.product].value}",
+            _collection_iri(coll.zip, coll.year, prod), f"{coll.zip}/{coll.year}/{prod.value}"
         )
         out.append(_triple(iri, RDF.type, EV_ONT.ElectricVehicleRegistrationCollection))
         out.append(_triple(iri, EV_ONT.hasSpatialScope, zip_area_iri(coll.zip)))
         out.append(_triple(iri, EV_ONT.hasTemporalScope, Literal(str(coll.year), XSD_GYEAR)))
-        out.append(_triple(iri, EV_ONT.hasProductInfo, products[coll.product]))
+        out.append(_triple(iri, EV_ONT.hasProductInfo, prod))
         out.append(_triple(iri, EV_ONT.hasAmount, Literal(str(coll.amount), XSD_INTEGER)))
     return out
 
@@ -692,6 +719,7 @@ def triplify_stations(
 ) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
+    minted: Minted = {}
     for rec in records:
         stn = minter.claim(station_iri(rec.station_id), rec.station_id)
         access_cls = (
@@ -701,8 +729,8 @@ def triplify_stations(
         if rec.network:
             out.append(_triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
             _individual(
-                out, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork", EV_ONT.ChargingNetwork,
-                rec.network,
+                out, minted, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork",
+                EV_ONT.ChargingNetwork, rec.network,
             )
         else:
             out.append(_triple(stn, RDF.type, EV_ONT.NonNetworkedChargingStation))
@@ -748,6 +776,7 @@ def triplify_transmission(
 ) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
+    minted: Minted = {}
     for rec in records:
         prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
@@ -760,7 +789,7 @@ def triplify_transmission(
                 (EV_ONT.hasLineOwner, "translineowner", EV_ONT.TransmissionLineOwner, rec.owner),
             ):
                 if label:
-                    _individual(out, asset, prop, kind, ind_cls, label)
+                    _individual(out, minted, asset, prop, kind, ind_cls, label)
         elif rec.kind == "substation":
             if rec.min_voltage:
                 out.append(_triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
@@ -775,7 +804,9 @@ def triplify_transmission(
                 if value:
                     out.append(_triple(asset, prop, Literal(value, XSD_DOUBLE)))
         if rec.status:
-            _individual(out, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status)
+            _individual(
+                out, minted, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status
+            )
     return out
 
 
@@ -783,6 +814,7 @@ def triplify_places(
     records: Iterable[ZipAreaRecord], shapes: Optional[Shapes] = None
 ) -> list[Triple]:
     out: list[Triple] = []
+    minted: Minted = {}
     seen: set[str] = set()
     for rec in records:
         if rec.zip in seen:
@@ -797,7 +829,7 @@ def triplify_places(
             ("state", KWG_ONT.AdministrativeRegion_2, rec.state_label),
             ("county", KWG_ONT.AdministrativeRegion_3, rec.county_label),
         ):
-            region = _individual(out, zip_area, KWG_ONT.sfWithin, kind, cls, label)
+            region = _individual(out, minted, zip_area, KWG_ONT.sfWithin, kind, cls, label)
             out.append(_triple(region, KWG_ONT.sfContains, zip_area))
 
         if rec.kwg_sameas:

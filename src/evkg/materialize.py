@@ -11,8 +11,10 @@ side is the largest zip box extent plus 2·EPS, so a zip's EPS-grown box
 reaches about 2×2 cells and the index holds O(zips) entries whatever the
 input. A feature collects the zips listed in the cells its EPS-grown box
 covers and box-checks only those, in zip order; so `geometry.bbox_checks`
-grows with the number of features, not features × zips, and the inserts
-and boundary reports come in the same order as an all-pairs loop.
+grows with the number of features, not features × zips, and the new
+triples and boundary reports come in the same order as an all-pairs loop.
+The new triples are collected in that order and written with one
+`Graph.update`.
 
 Each member's geometry is its stored `geo:asWKT` literal; of several, the
 one on the geometry node with the smallest IRI, and within that node the
@@ -26,6 +28,7 @@ text parses back to an equal one, so an ingest parses each WKT once, while
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Optional
@@ -169,10 +172,13 @@ def materialize_spatial_relations(
     so that a caller which built them need not have them parsed again; a
     text it lacks is parsed. A point exactly on a zip boundary (within the
     geometry EPS) is assigned to no zip but reported, so sliver-boundary
-    cases stay auditable. Raises StoredGeometryError for a stored geometry
+    cases stay auditable. The relations are collected in all-pairs order;
+    those not yet in the graph are written with one `Graph.update` and
+    counted in the report. Raises StoredGeometryError for a stored geometry
     that does not parse or a zip area that is not a polygon.
     """
     report = SpatialReport()
+    found: list[Triple] = []  # the relations, in all-pairs order
     parsed = parsed or {}
     zip_areas = []
     for zip_iri, zip_geom in _geometries(graph, (KWG_ONT.ZipCodeArea,), parsed):
@@ -198,15 +204,19 @@ def materialize_spatial_relations(
             if is_point:
                 loc = geometry.locate_point(geom, zip_geom)
                 if loc == geometry.INTERIOR:
-                    if graph.insert(Triple(feature, KWG_ONT.sfWithin, zip_iri)):
-                        report.added_within += 1
-                    if graph.insert(Triple(zip_iri, KWG_ONT.sfContains, feature)):
-                        report.added_contains += 1
+                    found.append(Triple(feature, KWG_ONT.sfWithin, zip_iri))
+                    found.append(Triple(zip_iri, KWG_ONT.sfContains, feature))
                 elif loc == geometry.BOUNDARY:
                     report.boundary_features.append((feature, zip_iri))
             elif geometry.sf_crosses(geom, zip_geom):
-                if graph.insert(Triple(feature, KWG_ONT.sfCrosses, zip_iri)):
-                    report.added_crosses += 1
+                found.append(Triple(feature, KWG_ONT.sfCrosses, zip_iri))
+    # Each (feature, zip) pair comes once, so `found` repeats no triple.
+    added = [t for t in found if t not in graph]
+    graph.update(added)
+    kinds = Counter(t.predicate for t in added)
+    report.added_within = kinds[KWG_ONT.sfWithin]
+    report.added_contains = kinds[KWG_ONT.sfContains]
+    report.added_crosses = kinds[KWG_ONT.sfCrosses]
     return report
 
 

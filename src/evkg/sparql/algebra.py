@@ -279,10 +279,14 @@ def _element_lines(p: Pattern, indent: str) -> list[str]:
     if isinstance(p, Union):
         lines: list[str] = []
         for i, branch in enumerate(p.branches):
-            prefix = f"{indent}" if i == 0 else f"{indent}UNION "
-            lines.append(prefix + "{")
-            lines.extend(_pattern_lines(branch, indent))
-            lines.append(f"{indent}}}")
+            # A sub-select branch is its own braced group; any other is wrapped.
+            if isinstance(branch, SubSelect):
+                body = _element_lines(branch, indent)
+            else:
+                body = [f"{indent}{{", *_pattern_lines(branch, indent), f"{indent}}}"]
+            if i:
+                body[0] = f"{indent}UNION {{"
+            lines += body
         return lines
     if isinstance(p, Values):
         vars_text = " ".join(f"?{v.name}" for v in p.variables)

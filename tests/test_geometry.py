@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evkg import geometry
 from evkg.geometry import (
     BOUNDARY,
     EPS,
@@ -30,8 +31,9 @@ from evkg.geometry import (
     UnsupportedGeometryPair,
     WktParseError,
     _edge_fault,
+    _on_segment,
     _orient,
-    _point_in_ring,
+    _ring_location,
     _sample_points,
     _segment_relation,
     bbox,
@@ -430,8 +432,91 @@ def test_ring_sweep_and_point_in_ring_agree_with_references():
             # Quarter-grid points: some off the ring, some on its boundary,
             # where the two crossing formulas agree as well.
             p = Point(rng.randrange(-1, 25) / 4, rng.randrange(-1, 25) / 4)
-            assert _point_in_ring(p, ring) == fraction_point_in_ring(p, ring), (p, ring)
+            inside = fraction_point_in_ring(p, ring)
+            assert two_pass_point_in_ring(p, ring) == inside, (p, ring)
+            where = _ring_location(p, ring)
+            assert where in (BOUNDARY, INTERIOR if inside else EXTERIOR), (p, ring)
     assert 1_000 < simple < 4_000  # both answers are well represented
+
+
+# --- one-pass ring location against the two-pass formulation ---------------
+
+
+def two_pass_point_in_ring(p: Point, ring) -> bool:
+    """Even-odd parity with the half-open rule on y and one exact orientation
+    sign per crossing; assumes p is not on the ring boundary."""
+    inside = False
+    for a, b in zip(ring, ring[1:]):
+        if (a.y > p.y) != (b.y > p.y) and _orient(a, b, p) == (1 if b.y > a.y else -1):
+            inside = not inside
+    return inside
+
+
+def two_pass_ring_location(p: Point, ring) -> str:
+    """The reference: every edge tested for the EPS boundary first, then parity."""
+    if any(_on_segment(p, a, b) for a, b in zip(ring, ring[1:])):
+        return BOUNDARY
+    return INTERIOR if two_pass_point_in_ring(p, ring) else EXTERIOR
+
+
+def ring_probe_points(rng: random.Random, ring) -> list[Point]:
+    """Vertices, points on edges (horizontal ones included), points off an
+    edge by half and by one and a half EPS, points on the horizontal ray
+    through each vertex, and quarter-grid points around the ring."""
+    points = []
+    for a, b in zip(ring, ring[1:]):
+        dx, dy = b.x - a.x, b.y - a.y
+        length = math.hypot(dx, dy)
+        t = rng.random()
+        on_edge = Point(a.x + t * dx, a.y + t * dy)
+        points += [a, on_edge, Point(a.x - rng.choice((0.5, 1.25, 3)), a.y), Point(a.x + 0.75, a.y)]
+        if length:
+            for off in (0.5 * EPS, -0.5 * EPS, 1.5 * EPS, -1.5 * EPS):
+                points.append(Point(on_edge.x - off * dy / length, on_edge.y + off * dx / length))
+        points.append(Point(a.x + rng.choice((0.5, 1.5)) * EPS, a.y))
+    points += [Point(rng.randrange(-4, 28) / 4, rng.randrange(-4, 28) / 4) for _ in range(8)]
+    return points
+
+
+def test_one_pass_ring_location_matches_two_pass_reference(monkeypatch):
+    """Seeded grid rings, polygons with holes and multipolygons: the one-pass
+    `_ring_location` and `locate_point` built on it give what the two-pass
+    formulation gives, for every probe point."""
+    rng = random.Random(4417)
+    seen = collections.Counter()
+    polygons = []
+    for _ in range(1_000):
+        ring = random_grid_ring(rng)
+        for p in ring_probe_points(rng, ring):
+            where = _ring_location(p, ring)
+            assert where == two_pass_ring_location(p, ring), (p, ring)
+            seen[where] += 1
+            seen["on a horizontal edge"] += where == BOUNDARY and any(
+                a.y == b.y == p.y for a, b in zip(ring, ring[1:])
+            )
+        if _edge_fault((ring,)) is None:
+            # Scaled into a 20 x 20 square, the simple ring is a hole.
+            hole = tuple(Point(1 + 3 * v.x, 1 + 3 * v.y) for v in ring)
+            polygons.append(Polygon(_rectangle(0, 0, 20, 20), (hole,)))
+    multipolygons = [
+        MultiPolygon((a, Polygon(tuple(Point(v.x + 20, v.y) for v in b.holes[0]))))
+        for a, b in zip(polygons[::2], polygons[1::2])
+    ]
+    probes = [
+        (geom, p)
+        for geom in polygons[:200] + multipolygons[:200]
+        for ring in geometry._SHAPE_OF[type(geom)].paths(geom)
+        for p in ring_probe_points(rng, ring)
+    ]
+    one_pass = [locate_point(p, geom) for geom, p in probes]
+    monkeypatch.setattr(geometry, "_ring_location", two_pass_ring_location)
+    assert [locate_point(p, geom) for geom, p in probes] == one_pass
+    for (geom, p), where in zip(probes, one_pass):
+        seen[f"{type(geom).__name__} {where}"] += 1
+        seen["in a hole"] += isinstance(geom, Polygon) and where == EXTERIOR and (
+            two_pass_ring_location(p, geom.outer) == INTERIOR
+        )
+    assert min(seen.values()) > 100 and len(seen) == 11, seen
 
 
 def all_pairs_edge_faults(rings) -> tuple[set[str], bool]:

@@ -251,3 +251,23 @@ def test_neighbours_are_what_match_yields_in_both_directions():
     assert g.neighbours(PREDICATES[0], iter([]), True) == []
     assert g.neighbours(EVR["missing"], [SUBJECTS[0]], False) == [()]
     assert g.neighbours(PREDICATES[0], [Literal("1", XSD_INTEGER)], True) == [()]
+
+
+def test_accessors_are_what_match_yields():
+    # Missing subjects, predicates and objects, and literal subjects, find
+    # nothing; every value comes in match's order.
+    subjects = SUBJECTS + OBJECT_LITERALS + PREDICATES + [EVR["absent"]]
+    objects = OBJECT_IRIS + OBJECT_LITERALS + PREDICATES + [EVR["absent"]]
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng)
+        for p in PREDICATES + [EVR["missing"]]:
+            for s in subjects:
+                expected = [t.object for t in g.match(s, p, None)]
+                assert g.objects(s, p) == expected
+                assert g.value(s, p) == (expected[0] if expected else None)
+            for o in objects:
+                assert g.subjects(p, o) == [t.subject for t in g.match(None, p, o)]
+    assert Graph().objects(SUBJECTS[0], PREDICATES[0]) == []
+    assert Graph().value(SUBJECTS[0], PREDICATES[0]) is None
+    assert Graph().subjects(PREDICATES[0], OBJECT_IRIS[0]) == []

@@ -160,6 +160,16 @@ def test_adoption_products_come_from_the_collections():
     assert len(products) == 2
 
 
+def test_products_sharing_a_model_write_shared_individuals_once():
+    # Two products of one make, model and model year: one model type, one make.
+    records = [_registration(), _registration(technology="PHEV")]
+    out = triplify_adoption(aggregate_registrations(records))
+    assert len(out) == len(set(out))
+    for shared in (EVR["modeltype.BMW.i3.2018"], EVR["maketype.BMW"]):
+        assert [t.predicate for t in out if t.subject == shared][:2] == [RDF.type, RDFS.label]
+        assert len([t for t in out if t.object == shared]) == 2
+
+
 def test_unknown_connector_token_named():
     with pytest.raises(UnknownVocabularyToken) as exc:
         _registration(connector_types=frozenset({"WARPPLUG"}))
@@ -734,6 +744,38 @@ def test_fixture_snapshot_matches_bench_pin():
     text = serialize_ntriples(build_graph(fixture_config())[0])
     assert text.count("\n") == pin["triples"]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"]
+
+
+def test_k2_snapshot_matches_bench_pin(tmp_path):
+    # At k=2 more records share each state, county, network and status, all
+    # minted once per triplifier call; the snapshot is still the pinned one.
+    pin = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["2"]
+    text = serialize_ntriples(build_graph(tiled_config(tmp_path))[0])
+    assert text.count("\n") == pin["triples"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"]
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["fixture", "k2"])
+def test_triplifiers_emit_no_repeated_triple(tmp_path, tiled):
+    config = tiled_config(tmp_path) if tiled else fixture_config()
+    zips = read_zip_areas(config.zip_areas)[0]
+    outputs = {
+        "places": triplify_places(zips),
+        "adoption": triplify_adoption(
+            aggregate_registrations(read_registrations(config.registrations)[0])
+        ),
+        "stations": triplify_stations(read_stations(config.stations)[0]),
+        "transmission": triplify_transmission(read_transmission(config.transmission)[0]),
+    }
+    for name, out in outputs.items():
+        repeated = [t for t, n in Counter(out).items() if n > 1]
+        assert out and not repeated, (name, repeated[:3])
+    # Every state and county is minted once, however many zips it holds.
+    regions = [t for t in outputs["places"] if t.predicate == RDF.type
+               and t.object in (KWG_ONT.AdministrativeRegion_2, KWG_ONT.AdministrativeRegion_3)]
+    assert len(regions) == len({rec.state_label for rec in zips}) + len(
+        {rec.county_label for rec in zips}
+    ) < 2 * len(zips)
 
 
 def test_double_ingest_byte_identical():

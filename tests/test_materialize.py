@@ -310,17 +310,21 @@ def _all_pairs(graph: Graph) -> SpatialReport:
 
 
 def _inserts(graph: Graph, materialize) -> tuple[list[Triple], SpatialReport]:
-    """The new triples `materialize(graph)` inserts, in order, and its report."""
+    """The new triples `materialize(graph)` adds, in order, and its report:
+    whether it inserts them one at a time or writes them in one batch, since
+    `Graph.insert` is an `update` of one triple."""
     inserted = []
-    insert = graph.insert
+    update = graph.update
 
-    def recording(t):
-        new = insert(t)
-        if new:
-            inserted.append(t)
-        return new
+    def recording(triples):
+        added = 0
+        for t in triples:
+            if update((t,)):
+                inserted.append(t)
+                added += 1
+        return added
 
-    graph.insert = recording
+    graph.update = recording
     return inserted, materialize(graph)
 
 

@@ -236,6 +236,18 @@ def test_pretty_print_round_trip(qid):
     assert parse_query(pretty(q)) == q
 
 
+@pytest.mark.parametrize("text", [
+    "SELECT ?x WHERE { { SELECT ?x WHERE { ?x ?p ?o } } UNION { ?x ?p 1 } }",
+    "SELECT ?x WHERE { { ?x ?p 1 } UNION { SELECT ?x WHERE { ?x ?p ?o } GROUP BY ?x } }",
+    "SELECT * WHERE { { SELECT DISTINCT ?x WHERE { ?x ?p ?o FILTER(?o > 1) } }"
+    " UNION { SELECT ?x WHERE { ?x ?p ?o } } UNION { { SELECT ?x WHERE { ?x ?p 2 } } ?x ?p ?o } }",
+])
+def test_union_of_sub_selects_round_trips(text):
+    # A sub-select branch renders as one braced sub-select, not inside a group.
+    q = parse_query(text)
+    assert parse_query(pretty(q)) == q
+
+
 def test_expansion_unknown_reference():
     from evkg.queries import UnknownQueryId, query_text
 
