@@ -8,7 +8,9 @@ then review the diff before committing.
 
 `--check` writes nothing: it reports each committed file that differs from
 the naive regeneration (`STALE`) and each output where the indexed engine
-differs from the naive one (`ENGINE-DIFF`), and exits 1 on either.
+differs from the naive one (`ENGINE-DIFF`). It also parses the fixture's
+N-Triples snapshot back and re-serializes it (`ROUND-TRIP` when the text
+differs). It exits 1 on any of these.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from evkg.ingest import IngestConfig, build_graph  # noqa: E402
+from evkg.ntriples import parse_ntriples, serialize_ntriples  # noqa: E402
 from evkg.queries import QUESTION_QUERIES, question_outputs  # noqa: E402
 from evkg.sparql import naive  # noqa: E402
 
@@ -71,6 +74,13 @@ def main() -> int:
         else:
             path.write_text(content, encoding="utf-8")
             print(f"wrote {path}")
+    if args.check:
+        snapshot = serialize_ntriples(graph)
+        if serialize_ntriples(parse_ntriples(snapshot)) == snapshot:
+            print("ok snapshot round-trip")
+        else:
+            print("ROUND-TRIP: the parsed fixture snapshot re-serializes differently")
+            status = 1
     return status
 
 

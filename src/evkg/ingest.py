@@ -550,10 +550,13 @@ def geometry_iri(feature: Iri) -> Iri:
 
 
 class _Minter:
-    """Collision check: one IRI per natural key, one natural key per IRI."""
+    """The IRIs one triplifier call mints, with their collision check: one
+    IRI per natural key, one natural key per IRI. `individuals` maps each
+    labeled individual's (kind, label, class) to its IRI."""
 
     def __init__(self):
         self.by_iri: dict[Iri, str] = {}
+        self.individuals: dict[tuple[str, str, Iri], Iri] = {}
 
     def claim(self, iri: Iri, natural_key: str) -> Iri:
         existing = self.by_iri.get(iri)
@@ -633,23 +636,19 @@ def _geometry_triples(
         shapes[text] = geom
 
 
-# (kind, label, class) -> individual; each triplifier call owns one.
-Minted = dict[tuple[str, str, Iri], Iri]
-
-
 def _individual(
-    out: list[Triple], minted: Minted, subject: Iri, prop: Iri, kind: str, cls: Iri, label: str
+    out: list[Triple], minter: _Minter, subject: Iri, prop: Iri, kind: str, cls: Iri, label: str
 ) -> Iri:
     """Link subject via prop to the labeled individual of class cls minted from
-    (kind, label). The first link of a triplifier call mints it into `minted`
-    and writes its type and label after the link; later links find it there
-    and write only the link."""
+    (kind, label). The first link of a triplifier call mints and claims it
+    and writes its type and label after the link; later links find it in
+    `minter.individuals` and write only the link."""
     key = (kind, label, cls)
-    ind = minted.get(key)
+    ind = minter.individuals.get(key)
     if ind is not None:
         out.append(_triple(subject, prop, ind))
         return ind
-    ind = minted[key] = EVR[f"{kind}.{_sanitize(label)}"]
+    ind = minter.individuals[key] = minter.claim(EVR[f"{kind}.{_sanitize(label)}"], label)
     out.append(_triple(subject, prop, ind))
     out.append(_triple(ind, RDF.type, cls))
     out.append(_triple(ind, RDFS.label, Literal(label)))
@@ -662,7 +661,6 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
     reported the same way on every run."""
     out: list[Triple] = []
     minter = _Minter()
-    minted: Minted = {}
     models: set[tuple[str, str, int]] = set()  # (make, model, model year) of model types written
     collections = list(collections)
     distinct = dict.fromkeys(coll.product for coll in collections)
@@ -675,7 +673,7 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
         model_year = Literal(str(key.model_year), XSD_GYEAR)
         out.append(_triple(prod, EV_ONT.hasModelYear, model_year))
 
-        _individual(out, minted, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
+        _individual(out, minter, prod, EV_ONT.hasMakeType, "maketype", EV_ONT.MakeType, key.make)
 
         model = EVR[
             f"modeltype.{_sanitize(key.make)}.{_sanitize(key.model)}.{key.model_year}"
@@ -684,6 +682,7 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
         model_key = (key.make, key.model, key.model_year)
         if model_key not in models:
             models.add(model_key)
+            minter.claim(model, repr(model_key))
             out.append(_triple(model, RDF.type, EV_ONT.ModelType))
             out.append(_triple(model, RDFS.label, Literal(key.model)))
             out.append(_triple(model, EV_ONT.hasModelYear, model_year))
@@ -694,7 +693,7 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
             ("vehicleusecase", EV_ONT.hasVehicleUseCase, EV_ONT.VehicleUseCase, key.use_case),
             ("weightlevel", EV_ONT.hasWeightLevel, EV_ONT.WeightLevel, key.weight_level),
         ):
-            _individual(out, minted, prod, prop, kind, cls, raw)
+            _individual(out, minter, prod, prop, kind, cls, raw)
 
         for token in sorted(key.charger_types):
             out.append(_triple(prod, EV_ONT.hasMatchableChargerType, CHARGER_TOKENS[token]))
@@ -719,7 +718,6 @@ def triplify_stations(
 ) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
-    minted: Minted = {}
     for rec in records:
         stn = minter.claim(station_iri(rec.station_id), rec.station_id)
         access_cls = (
@@ -729,7 +727,7 @@ def triplify_stations(
         if rec.network:
             out.append(_triple(stn, RDF.type, EV_ONT.NetworkedChargingStation))
             _individual(
-                out, minted, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork",
+                out, minter, stn, EV_ONT.isUnderChargingNetwork, "chargingnetwork",
                 EV_ONT.ChargingNetwork, rec.network,
             )
         else:
@@ -776,7 +774,6 @@ def triplify_transmission(
 ) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
-    minted: Minted = {}
     for rec in records:
         prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
@@ -789,7 +786,7 @@ def triplify_transmission(
                 (EV_ONT.hasLineOwner, "translineowner", EV_ONT.TransmissionLineOwner, rec.owner),
             ):
                 if label:
-                    _individual(out, minted, asset, prop, kind, ind_cls, label)
+                    _individual(out, minter, asset, prop, kind, ind_cls, label)
         elif rec.kind == "substation":
             if rec.min_voltage:
                 out.append(_triple(asset, EV_ONT.hasMinVoltage, Literal(rec.min_voltage, XSD_DOUBLE)))
@@ -805,7 +802,7 @@ def triplify_transmission(
                     out.append(_triple(asset, prop, Literal(value, XSD_DOUBLE)))
         if rec.status:
             _individual(
-                out, minted, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status
+                out, minter, asset, status_prop, "servingstatus", EV_ONT.ServingStatus, rec.status
             )
     return out
 
@@ -814,7 +811,7 @@ def triplify_places(
     records: Iterable[ZipAreaRecord], shapes: Optional[Shapes] = None
 ) -> list[Triple]:
     out: list[Triple] = []
-    minted: Minted = {}
+    minter = _Minter()
     seen: set[str] = set()
     for rec in records:
         if rec.zip in seen:
@@ -829,7 +826,7 @@ def triplify_places(
             ("state", KWG_ONT.AdministrativeRegion_2, rec.state_label),
             ("county", KWG_ONT.AdministrativeRegion_3, rec.county_label),
         ):
-            region = _individual(out, minted, zip_area, KWG_ONT.sfWithin, kind, cls, label)
+            region = _individual(out, minter, zip_area, KWG_ONT.sfWithin, kind, cls, label)
             out.append(_triple(region, KWG_ONT.sfContains, zip_area))
 
         if rec.kwg_sameas:

@@ -7,8 +7,14 @@ only, by `evkg export-ontology`: a header of the default prefixes, then full
 triples with CURIEs where they round-trip (no `;`/`,` lists).
 
 Lines end only at "\\n", "\\r\\n" or "\\r", the N-Triples EOL; any other
-character, U+2028 included, may stand raw inside a literal. Each line is
-read with one compiled pattern, one match per term.
+character, U+2028 included, may stand raw inside a literal. Only space
+and tab are blanks: a line is skipped only if it holds nothing else, or
+a `#` comment after them.
+
+A line spelled as the serializer writes it, with an IRI or literal object,
+is read by one `_LINE` match. Every other line, malformed ones included,
+takes the token walk (`_triple`, one `_TOKEN` match per term), which owns
+every error message and position; the fast path changes neither.
 
 One parse reads each distinct term text once: later occurrences of the
 same token share the term the first one built (and checked), so equal
@@ -18,6 +24,7 @@ terms in a loaded graph are one object.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .graph import Graph
 from .terms import (
@@ -117,6 +124,12 @@ _TOKEN = re.compile(rf"""[ \t]*(?:
     | (?P<dot>\.)
     | (?P<eol>\Z)
     | (?P<bad>.))""", re.VERBOSE)
+# A triple line as the serializer writes it, when it holds no blank node:
+# IRI subject and predicate, an IRI or literal object, then " .". Each
+# group is spelled as `_TOKEN` reads the token that starts there.
+_LINE = re.compile(
+    r'(<[^>]*>) (<[^>]*>) (<[^>]*>|"[^"\\]*(?:\\.[^"\\]*)*"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?) \.'
+)
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
 _LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
@@ -225,16 +238,50 @@ def _triple(line: str, line_no: int, terms: dict[str, Term]) -> Triple:
         raise _error(str(exc), line_no, 0) from None
 
 
+def _line_terms(m: re.Match, line: str, line_no: int, terms: dict[str, Term]) -> list[Term] | None:
+    """The three terms of a line `_LINE` took, through the `terms` memo.
+
+    A text not yet in the memo is read and checked by `_TOKEN` and `_term`,
+    as the token walk reads it; None if `_TOKEN` reads a different token
+    there, so that the line is left to the token walk.
+    """
+    spo = []
+    for group, text in enumerate(m.groups(), start=1):
+        term = terms.get(text)
+        if term is None:
+            token = _TOKEN.match(line, m.start(group))
+            if token[token.lastgroup] != text:
+                return None
+            term = terms[text] = _term(token, line, line_no)
+        spo.append(term)
+    return spo
+
+
+def _triples(lines: list[str]) -> Iterator[Triple]:
+    """The triple of each line that is not blank or a comment."""
+    terms: dict[str, Term] = {}  # token text -> its term, for this parse only
+    line_match, get, new = _LINE.fullmatch, terms.get, tuple.__new__
+    for line_no, line in enumerate(lines, start=1):
+        m = line_match(line)
+        if m is not None:
+            # _LINE's subject and predicate are IRIs, so Triple's checks would pass
+            s, p, o = m.groups()
+            s, p, o = get(s), get(p), get(o)
+            if s is not None and p is not None and o is not None:
+                yield new(Triple, (s, p, o))
+                continue
+            spo = _line_terms(m, line, line_no, terms)
+            if spo is not None:
+                yield new(Triple, spo)
+                continue
+        if line.lstrip(" \t")[:1] not in ("", "#"):
+            yield _triple(line, line_no, terms)
+
+
 def parse_ntriples(text: str) -> Graph:
     """A graph of every triple line; blank and `#` comment lines are skipped.
     The lines are parsed as the graph's one `update` consumes them."""
-    terms: dict[str, Term] = {}  # token text -> its term, for this parse only
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return Graph(
-        _triple(line, line_no, terms)
-        for line_no, line in enumerate(lines, start=1)
-        if line.lstrip()[:1] not in ("", "#")
-    )
+    return Graph(_triples(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,24 @@ def test_ingest_repeated_zip_exit_2(workspace, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+# Labels that sanitize alike would mint one IRI for two individuals.
+@pytest.mark.parametrize("csv_name, old, new, iri", [
+    ("stations.csv", "95814,private,ChargePoint Network,", "95814,private,ChargePointNetwork,",
+     "chargingnetwork.ChargePointNetwork"),
+    ("registrations.csv", "BMW,i3,", "BMW,i 3,", "modeltype.BMW.i3.2018"),
+])
+def test_ingest_iri_collision_exit_2(workspace, capsys, csv_name, old, new, iri):
+    path = workspace / csv_name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    captured = capsys.readouterr()
+    assert f"ingest failed: IRI collision: {EVR[iri].value} for " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_ingest_non_utf8_csv_exit_2(workspace, capsys):
     stations = workspace / "stations.csv"
     data = stations.read_bytes()

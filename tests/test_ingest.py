@@ -1070,7 +1070,13 @@ _places = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_collections, _stations, _assets, _places)
 def test_triplifiers_emit_only_checked_triples(collections, stations, assets, places):
-    _assert_checked_triples(triplify_adoption(collections))
-    _assert_checked_triples(triplify_stations(stations))
-    _assert_checked_triples(triplify_transmission(assets))
-    _assert_checked_triples(triplify_places(places))
+    # Two generated labels may sanitize alike; that load fails with an IRI
+    # collision and emits nothing.
+    for triplify, records in ((triplify_adoption, collections), (triplify_stations, stations),
+                              (triplify_transmission, assets), (triplify_places, places)):
+        try:
+            triples = triplify(records)
+        except IngestError as exc:
+            assert str(exc).startswith("IRI collision: "), exc
+        else:
+            _assert_checked_triples(triples)

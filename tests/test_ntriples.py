@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from evkg.graph import Graph
+from evkg.ingest import build_graph
 from evkg.ntriples import (
     ParseError,
+    _triple,
     parse_ntriples,
     serialize_ntriples,
     serialize_turtle,
@@ -24,6 +29,8 @@ from evkg.terms import (
     Triple,
 )
 from hypothesis import strategies as st
+
+from conftest import ROOT, tiled_config
 
 triples_strategy = st.lists(
     st.builds(
@@ -141,6 +148,10 @@ def test_content_after_final_dot_still_rejected():
         parse_ntriples('<http://x/s> <http://x/p> "x" . <http://x/o>\n')
 
 
+def test_space_and_tab_lines_are_blank():
+    assert len(parse_ntriples(" \t\n\t# c\n  #\n<http://x/s> <http://x/p> <http://x/o> .\n\t")) == 1
+
+
 def test_missing_dot_rejected():
     with pytest.raises(ParseError):
         parse_ntriples("<http://x/s> <http://x/p> <http://x/o>\n")
@@ -229,6 +240,10 @@ _NTRIPLES_ERRORS = [
     (f"{_SP} <http://x/o> . <http://x/o>", "trailing content after '.'", 42),
     ("<http://x/s> _:b <http://x/o> .", "predicate must be an IRI", 1),
     (f'"lit" {_P} <http://x/o> .', "literal in subject position", 1),
+    # only space and tab are N-Triples whitespace: these lines are not blank
+    ("\x0c", "unexpected character '\\x0c'", 1),
+    ("\u2028", "unexpected character '\\u2028'", 1),
+    ("\xa0# x", "unexpected character '\\xa0'", 1),
 ]
 
 
@@ -267,3 +282,84 @@ def test_repeated_term_text_in_a_bad_position_reports_its_own_line():
     with pytest.raises(ParseError) as exc:
         parse_ntriples(text)
     assert (exc.value.line, exc.value.col) == (2, 1)
+
+
+# --- the one-match line reader against the token walk -----------------------
+
+# (well-formed, malformed) texts for each position
+_DIFF_SUBJECTS = (["<http://x/s>", "<http://x/s2>", "<http://x/o>", "_:b1", "_:a.b"], ["<a b>", '"lit"', "_:-a"])
+_DIFF_PREDICATES = (["<http://x/p>", "<http://x/q>"], ["_:p", "<>"])
+_DIFF_OBJECTS = (
+    [
+        "<http://x/o>", "<http://x/s>", '"plain"', '"a b ."', '""', '"\u2028 \x85"',
+        '"esc \\" \\\\ \\t \\n \\u00e9 \\U0001F600"', f'"1"^^<{_XSD}integer>',
+        f'"2.5E1"^^<{_XSD}double>', f'"2019"^^<{_XSD}gYear>', f'"x"^^<{_XSD}string>',
+        '"x"^^<http://x/dt>', '"hi"@en', '"hi"@en-GB', "_:b1", "_:a.b",
+    ],
+    ['"\\uD800"', '"\\q"', f'"x"^^<{_XSD}integer>', '"hi"@en_GB', '"hi"@', "_:-a"],
+)
+_DIFF_MUTATIONS = ["", " ", "\t", ".", "<", ">", '"', "\\", "#", "@", "^", "_", ":", "x", "\x0c", "\xa0"]
+
+
+def _diff_line(rng: random.Random) -> str:
+    """A triple line, or a blank or comment-only line. Half the triple lines
+    are spelled as the serializer writes them, half with any separator (or
+    none) and any trailer. One term in ten is malformed, and one line in
+    five is mutated."""
+    if rng.random() < 0.1:
+        return rng.choice(["", " ", "\t", "# c", " \t# c", "#"])
+
+    def term(texts: tuple[list[str], list[str]]) -> str:
+        return rng.choice(texts[rng.random() < 0.1])
+
+    def sep() -> str:
+        return rng.choice([" ", "\t", "  ", ""])
+
+    if rng.random() < 0.5:  # as the serializer writes it
+        line = f"{term(_DIFF_SUBJECTS)} {term(_DIFF_PREDICATES)} {term(_DIFF_OBJECTS)} ."
+    else:
+        line = (
+            term(_DIFF_SUBJECTS) + sep() + term(_DIFF_PREDICATES) + sep() + term(_DIFF_OBJECTS)
+            + sep() + "." + rng.choice(["", " # c", "#c", " ", "\t"])
+        )
+    if rng.random() < 0.2:
+        at = rng.randrange(len(line) + 1)
+        line = line[:at] + rng.choice(_DIFF_MUTATIONS) + line[at + rng.choice([0, 0, 1, 2]):]
+    return line
+
+
+def _token_walk(text: str) -> Graph:
+    """Each line through `_triple`, the reader's fallback, and nothing else."""
+    terms: dict = {}
+    return Graph(
+        _triple(line, line_no, terms)
+        for line_no, line in enumerate(text.split("\n"), start=1)
+        if line.lstrip(" \t")[:1] not in ("", "#")
+    )
+
+
+def _outcome(read, text: str):
+    try:
+        return "graph", set(read(text))
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def test_reader_agrees_with_the_token_walk_line_by_line():
+    rng = random.Random(7)
+    outcomes = {"graph": 0, "error": 0}
+    for _ in range(3000):
+        text = "\n".join(_diff_line(rng) for _ in range(rng.randint(1, 3))) + "\n"
+        got = _outcome(parse_ntriples, text)
+        assert got == _outcome(_token_walk, text), text
+        outcomes[got[0]] += 1
+    assert min(outcomes.values()) > 500, outcomes  # graphs and errors both compared
+
+
+def test_k2_snapshot_round_trips(tmp_path):
+    text = serialize_ntriples(build_graph(tiled_config(tmp_path))[0])
+    graph = parse_ntriples(text)
+    assert serialize_ntriples(graph) == text
+    assert len(graph) == json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["2"]["triples"]
+    terms = [term for t in graph for term in t]
+    assert len({id(term) for term in terms}) == len(set(terms))
