@@ -1,4 +1,8 @@
-"""WKT geometry and planar simple-features topological predicates.
+"""WKT geometry and the two planar predicates spatial materialization runs.
+
+`locate_point` places a point in, on or outside a polygon or multipolygon;
+`sf_crosses` decides whether a line runs partly inside and partly outside
+one.
 
 Coordinates are treated as Cartesian (lon/lat on a plane). Every sign
 decision is exact: an orientation sign, and the segment-crossing,
@@ -13,13 +17,10 @@ float has. The only approximate step is snapping a point to a boundary when
 it lies within EPS of an edge.
 
 Boundary semantics follow DE-9IM interiors: a point exactly on a polygon
-boundary intersects the polygon but is not within it.
+boundary is neither interior nor exterior to it.
 
-`_SHAPE_OF` gives each geometry type's dimension, WKT nesting, point paths
-(each point, line or ring) and parts. Polygon a is within polygon b when no
-boundary sample of a is exterior to b and no boundary sample of b is
-interior to a, so that a's connected interior lies wholly on one side of
-b's boundary, and a point inside a is interior to b.
+`_SHAPE_OF` gives each geometry type's WKT nesting and point paths (each
+point, line or ring).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 # Snap tolerance for on-boundary classification, in coordinate units.
@@ -46,11 +46,6 @@ class WktParseError(ValueError):
 
 class GeometryValidationError(ValueError):
     pass
-
-
-class UnsupportedGeometryPair(TypeError):
-    def __init__(self, op: str, a: "Geometry", b: "Geometry"):
-        super().__init__(f"{op} not supported for {type(a).__name__} vs {type(b).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,13 +121,12 @@ class MultiPolygon:
 
 
 Geometry = Union[Point, LineString, Polygon, MultiPoint, MultiLineString, MultiPolygon]
+Area = Union[Polygon, MultiPolygon]
 
 
 class _Shape(NamedTuple):
-    dimension: int
     nested: Callable  # its points, nested in tuples as its WKT text nests them
     paths: Callable  # each point, line or ring, as a tuple of points
-    parts: Optional[Callable] = None  # the members of a multi-part geometry
 
 
 def _rings(poly: Polygon) -> tuple[Ring, ...]:
@@ -141,16 +135,14 @@ def _rings(poly: Polygon) -> tuple[Ring, ...]:
 
 # geometry type -> its structure; code that treats every type alike reads it here
 _SHAPE_OF = {
-    Point: _Shape(0, lambda g: (g,), lambda g: ((g,),)),
-    MultiPoint: _Shape(0, lambda g: g.points, lambda g: [(p,) for p in g.points],
-                       attrgetter("points")),
-    LineString: _Shape(1, lambda g: g.points, lambda g: (g.points,)),
-    MultiLineString: _Shape(1, lambda g: [line.points for line in g.lines],
-                            lambda g: [line.points for line in g.lines], attrgetter("lines")),
-    Polygon: _Shape(2, _rings, _rings),
-    MultiPolygon: _Shape(2, lambda g: [_rings(poly) for poly in g.polygons],
-                         lambda g: [ring for poly in g.polygons for ring in _rings(poly)],
-                         attrgetter("polygons")),
+    Point: _Shape(lambda g: (g,), lambda g: ((g,),)),
+    MultiPoint: _Shape(lambda g: g.points, lambda g: [(p,) for p in g.points]),
+    LineString: _Shape(lambda g: g.points, lambda g: (g.points,)),
+    MultiLineString: _Shape(lambda g: [line.points for line in g.lines],
+                            lambda g: [line.points for line in g.lines]),
+    Polygon: _Shape(_rings, _rings),
+    MultiPolygon: _Shape(lambda g: [_rings(poly) for poly in g.polygons],
+                         lambda g: [ring for poly in g.polygons for ring in _rings(poly)]),
 }
 
 
@@ -462,23 +454,15 @@ def _reaches_into(a: Polygon, b: Polygon) -> bool:
     return any(locate_point(p, b) == INTERIOR for p in _sample_points(a, b))
 
 
-def locate_point(p: Point, geom: Geometry) -> str:
-    """Classify p as interior/boundary/exterior of geom (EPS boundary snap)."""
-    if isinstance(geom, Point):
-        return INTERIOR if _on_segment(p, geom, geom) else EXTERIOR
-    if isinstance(geom, LineString):
-        if not any(_on_segment(p, a, b) for a, b in _segments(geom)):
-            return EXTERIOR
-        ends = (geom.points[0], geom.points[-1])
-        if ends[0] != ends[1] and any(_on_segment(p, end, end) for end in ends):
-            return BOUNDARY
-        return INTERIOR
-    if isinstance(geom, Polygon):
-        where = [_ring_location(p, ring) for ring in _rings(geom)]
+def locate_point(p: Point, area: Area) -> str:
+    """Classify p as interior/boundary/exterior of a polygon or multipolygon
+    (EPS boundary snap)."""
+    if isinstance(area, Polygon):
+        where = [_ring_location(p, ring) for ring in _rings(area)]
         if BOUNDARY in where:
             return BOUNDARY
         return INTERIOR if where[0] == INTERIOR and INTERIOR not in where[1:] else EXTERIOR
-    locs = {locate_point(p, part) for part in _SHAPE_OF[type(geom)].parts(geom)}
+    locs = {locate_point(p, poly) for poly in area.polygons}
     if INTERIOR in locs:
         return INTERIOR
     if BOUNDARY in locs:
@@ -489,10 +473,6 @@ def locate_point(p: Point, geom: Geometry) -> str:
 # ---------------------------------------------------------------------------
 # Structure helpers
 # ---------------------------------------------------------------------------
-
-
-def _dimension(geom: Geometry) -> int:
-    return _SHAPE_OF[type(geom)].dimension
 
 
 def _vertices(geom: Geometry) -> Iterator[Point]:
@@ -520,28 +500,6 @@ def bbox_disjoint(a: Box, b: Box, eps: float = EPS) -> bool:
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b
     return ax1 < bx0 - eps or bx1 < ax0 - eps or ay1 < by0 - eps or by1 < ay0 - eps
-
-
-def representative_point(poly: Polygon) -> Point:
-    """A point in the polygon's interior (deterministic)."""
-    ring = poly.outer[:-1]
-    cx = sum(p.x for p in ring) / len(ring)
-    cy = sum(p.y for p in ring) / len(ring)
-    candidate = Point(cx, cy)
-    if locate_point(candidate, poly) == INTERIOR:
-        return candidate
-    # Concave or holed polygon: scan horizontal midlines between the vertex
-    # ys of every ring, so that a hole's edges cannot cover every midline.
-    ys = sorted({p.y for p in _vertices(poly)})
-    x0, _, x1, _ = bbox(poly)
-    for ya, yb in zip(ys, ys[1:]):
-        y = (ya + yb) / 2.0
-        steps = 64
-        for i in range(1, steps):
-            candidate = Point(x0 + (x1 - x0) * i / steps, y)
-            if locate_point(candidate, poly) == INTERIOR:
-                return candidate
-    raise GeometryValidationError("could not find an interior point")
 
 
 # ---------------------------------------------------------------------------
@@ -586,77 +544,17 @@ def _param_on_segment(a: Point, b: Point, p: Point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sf_intersects(a: Geometry, b: Geometry) -> bool:
-    """True iff the shapes share at least one point (boundary contact counts)."""
-    if bbox_disjoint(bbox(a), bbox(b)):
+def sf_crosses(line: Union[LineString, MultiLineString], area: Area) -> bool:
+    """Simple-features crosses for a line against a polygon or multipolygon:
+    the line runs partly inside and partly outside. Its sample points are
+    located until one is inside and another outside."""
+    if bbox_disjoint(bbox(line), bbox(area)):
         return False
-    for v in _vertices(a):
-        if locate_point(v, b) != EXTERIOR:
+    inside = outside = False
+    for p in _sample_points(line, area):
+        loc = locate_point(p, area)
+        inside = inside or loc == INTERIOR
+        outside = outside or loc == EXTERIOR
+        if inside and outside:
             return True
-    for v in _vertices(b):
-        if locate_point(v, a) != EXTERIOR:
-            return True
-    segs_b = list(_segments(b))
-    for pa, pb in _segments(a):
-        for qa, qb in segs_b:
-            kind, _ = _segment_relation(pa, pb, qa, qb)
-            if kind != SEG_NONE:
-                return True
-    # Area containment without vertex evidence (e.g. ring fully around ring)
-    # is caught above because either vertices are inside or edges cross.
     return False
-
-
-def sf_within(a: Geometry, b: Geometry) -> bool:
-    """Every point of a lies in the closure of b and interiors intersect."""
-    if bbox_disjoint(bbox(a), bbox(b)) or _dimension(a) > _dimension(b):
-        return False
-    if isinstance(a, MultiPolygon):
-        return all(sf_within(poly, b) for poly in a.polygons)
-    if isinstance(a, Polygon) and isinstance(b, MultiPolygon):
-        return any(sf_within(a, poly) for poly in b.polygons)
-    locs = {locate_point(p, b) for p in _sample_points(a, b)}
-    if _dimension(a) < 2 or EXTERIOR in locs:
-        return EXTERIOR not in locs and INTERIOR in locs
-    return all(locate_point(p, a) != INTERIOR for p in _sample_points(b, a)) and (
-        locate_point(representative_point(a), b) == INTERIOR
-    )
-
-
-def sf_contains(a: Geometry, b: Geometry) -> bool:
-    return sf_within(b, a)
-
-
-def sf_crosses(a: Geometry, b: Geometry) -> bool:
-    """Simple-features crosses for line/polygon and line/line pairs.
-
-    Line vs polygon: the line runs partly inside and partly outside; the
-    sample points are located until one is inside and another outside.
-    Line vs line: interiors meet in isolated points only.
-    """
-    a_dim, b_dim = _dimension(a), _dimension(b)
-    if a_dim != 1 or b_dim == 0:
-        raise UnsupportedGeometryPair("sf_crosses", a, b)
-    if bbox_disjoint(bbox(a), bbox(b)):
-        return False
-    if b_dim == 2:
-        inside = outside = False
-        for p in _sample_points(a, b):
-            loc = locate_point(p, b)
-            inside = inside or loc == INTERIOR
-            outside = outside or loc == EXTERIOR
-            if inside and outside:
-                return True
-        return False
-    crossing_point = False
-    for pa, pb in _segments(a):
-        for qa, qb in _segments(b):
-            kind, pt = _segment_relation(pa, pb, qa, qb)
-            if kind == SEG_OVERLAP:
-                return False  # shared 1-D stretch: overlap, not a crossing
-            if kind == SEG_PROPER:
-                crossing_point = True
-            elif kind == SEG_TOUCH and pt is not None:
-                if locate_point(pt, a) == INTERIOR and locate_point(pt, b) == INTERIOR:
-                    crossing_point = True
-    return crossing_point

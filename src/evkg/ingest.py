@@ -536,10 +536,6 @@ def product_iri(key: ProductKey) -> Iri:
     ]
 
 
-def collection_iri(zip_code: str, year: int, key: ProductKey) -> Iri:
-    return _collection_iri(zip_code, year, product_iri(key))
-
-
 def _collection_iri(zip_code: str, year: int, product: Iri) -> Iri:
     """The collection IRI, from its product's IRI: its last (digest) part."""
     return EVR[f"evregcol.{zip_code}.{year}.{product.value.rsplit('.', 1)[-1]}"]

@@ -405,13 +405,8 @@ class Parser:
             if not allow_var:
                 raise self.error("variable not allowed here", tok)
             return Variable(tok.value)
-        if tok.kind == "iri":
-            try:
-                return Iri(tok.value)
-            except TermError as exc:
-                raise self.error(str(exc), tok) from None
-        if tok.kind == "pname":
-            return self.expand(tok)
+        if tok.kind in ("iri", "pname"):
+            return self.iri(tok)
         if tok.kind == "word":
             if tok.value == "a":
                 if position != "predicate":
@@ -434,20 +429,20 @@ class Parser:
         if self.peek().kind == "^^":
             self.next()
             dt_tok = self.next()
-            if dt_tok.kind == "iri":
-                datatype = Iri(dt_tok.value)
-            elif dt_tok.kind == "pname":
-                datatype = self.expand(dt_tok)
-            else:
+            if dt_tok.kind not in ("iri", "pname"):
                 raise self.error("expected a datatype IRI after '^^'", dt_tok)
+            datatype = self.iri(dt_tok)
             try:
                 return Literal(tok.value, datatype)
             except TermError as exc:
                 raise self.error(str(exc), tok) from None
         return Literal(tok.value)
 
-    def expand(self, tok: Token) -> Iri:
+    def iri(self, tok: Token) -> Iri:
+        """The absolute IRI an `iri` or `pname` token names."""
         try:
+            if tok.kind == "iri":
+                return Iri(tok.value)
             return self.prefixes.expand(tok.value)
         except (UnknownPrefixError, TermError) as exc:
             raise self.error(str(exc), tok) from None

@@ -12,6 +12,11 @@ are never equal, and hashing and equality are CPython's tuple and str code,
 with no Python-level `__hash__` or `__eq__` in the graph's index steps. A
 term equals, and hashes like, the plain tuple of its fields:
 ``Iri("http://x/") == ("http://x/",)``. A term never equals a `str`.
+
+An `Iri` is absolute: a scheme (`[A-Za-z][A-Za-z0-9+.-]*:`, RFC 3987 §2.2),
+then none of the characters `_FORBIDDEN_IN_IRI` names. The N-Triples reader,
+the query parser and the CSV readers build IRIs through it, so each refuses
+a relative IRI such as ``<a>``.
 """
 
 from __future__ import annotations
@@ -69,7 +74,10 @@ KWG_ONT = Namespace("http://stko-kwg.geog.ucsb.edu/lod/ontology/")
 EV_ONT = Namespace("http://evkg.org/ontology/")
 EVR = Namespace("http://evkg.org/resource/")
 
-_IRI_FORBIDDEN = re.compile(r"[\s<>\"{}|^`\\]")
+_FORBIDDEN_IN_IRI = r"\s<>\"{}|^`\\"
+_IRI_FORBIDDEN = re.compile(f"[{_FORBIDDEN_IN_IRI}]")
+# A scheme (RFC 3987 §2.2), then none of the forbidden characters.
+_ABSOLUTE_IRI = re.compile(rf"[A-Za-z][A-Za-z0-9+.\-]*:[^{_FORBIDDEN_IN_IRI}]*")
 
 
 class Iri(tuple):
@@ -78,10 +86,12 @@ class Iri(tuple):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
-        if not value:
-            raise TermError("IRI must be non-empty")
-        if _IRI_FORBIDDEN.search(value):
-            raise TermError(f"IRI contains forbidden character: {value!r}")
+        if not _ABSOLUTE_IRI.fullmatch(value):
+            if not value:
+                raise TermError("IRI must be non-empty")
+            if _IRI_FORBIDDEN.search(value):
+                raise TermError(f"IRI contains forbidden character: {value!r}")
+            raise TermError(f"IRI is not absolute (no scheme): {value!r}")
         return tuple.__new__(cls, (value,))
 
     value = property(itemgetter(0))
@@ -226,8 +236,9 @@ class UnknownPrefixError(KeyError):
         return f"unknown prefix: {self.prefix!r}"
 
 
-# Local name of a CURIE: may contain dots but must not end with one.
-_LOCAL_RE = re.compile(r"^[A-Za-z0-9_\-](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?$")
+# Local name of a CURIE, a subset of Turtle's PN_LOCAL: may contain dots but
+# must not end with one, and may contain '-' but must not start with it.
+_LOCAL_RE = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?$")
 
 
 @dataclass

@@ -87,17 +87,11 @@ class OntologyRegistry:
         if len(self._property_map) != len(self.properties):
             raise ValueError("duplicate property IRI in registry")
 
-    def class_def(self, iri: Iri) -> Optional[ClassDef]:
-        return self._class_map.get(iri)
-
     def property_def(self, iri: Iri) -> Optional[PropertyDef]:
         return self._property_map.get(iri)
 
     def is_class(self, iri: Iri) -> bool:
         return iri in self._class_map
-
-    def is_property(self, iri: Iri) -> bool:
-        return iri in self._property_map
 
     def superclasses(self, iri: Iri) -> set[Iri]:
         """All strict superclasses, following rdfs:subClassOf transitively."""

@@ -36,6 +36,7 @@ from evkg.vocabulary import registry, validate_instances
 from conftest import FIXTURES, fixture_config
 from randomized import patterns_of, random_graph, random_query, solution_multiset
 from test_geometry import (
+    _sampling_crosses_oracle,
     oracle_dist_to_ring,
     oracle_point_in_polygon,
     random_convex_polygon,
@@ -85,18 +86,20 @@ def test_criterion_2_engine_oracle_equivalence():
 
 
 def test_criterion_3_spatial_predicates(fixtures_dir):
-    """Duality on 1000 random pairs; oracle agreement off-boundary;
-    within/crosses exclusivity on every fixture line/zip pair."""
+    """Point location agrees with the ray-casting oracle off-boundary on 1000
+    random polygons; line-crosses-zip agrees with a dense-sampling ray-casting
+    oracle on every fixture line/zip pair."""
     rng = random.Random(0x5EED)
     agreements = 0
     for _ in range(1000):
         poly = random_convex_polygon(rng)
         x0, y0, x1, y1 = geometry.bbox(poly)
         point = geometry.Point(rng.uniform(x0 - 1, x1 + 1), rng.uniform(y0 - 1, y1 + 1))
-        within = geometry.sf_within(point, poly)
-        assert within == geometry.sf_contains(poly, point)
         if oracle_dist_to_ring(point.x, point.y, poly.outer) >= 1e-9:
-            assert within == oracle_point_in_polygon(point.x, point.y, poly.outer)
+            inside = oracle_point_in_polygon(point.x, point.y, poly.outer)
+            assert geometry.locate_point(point, poly) == (
+                geometry.INTERIOR if inside else geometry.EXTERIOR
+            )
             agreements += 1
     assert agreements > 900
 
@@ -109,18 +112,16 @@ def test_criterion_3_spatial_predicates(fixtures_dir):
     with open(fixtures_dir / "zip_areas.csv", newline="", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             zips.append(geometry.parse_wkt(row["wkt"]))
-    pairs = 0
+    pairs = crossings = 0
     for line in lines:
         for zip_poly in zips:
-            w = geometry.sf_within(line, zip_poly)
-            c = geometry.sf_crosses(line, zip_poly)
-            assert not (w and c)
-            if w or c:
-                assert geometry.sf_intersects(line, zip_poly)
+            crosses = geometry.sf_crosses(line, zip_poly)
+            assert crosses is _sampling_crosses_oracle(line, zip_poly)
+            crossings += crosses
             pairs += 1
-    assert pairs == len(lines) * len(zips)
-    _ok(3, f"duality on 1000 pairs, oracle agreement on {agreements}, "
-           f"exclusivity on {pairs} line/zip pairs")
+    assert pairs == len(lines) * len(zips) and crossings > 0
+    _ok(3, f"oracle agreement on {agreements} points, "
+           f"crosses agreement on {pairs} line/zip pairs ({crossings} cross)")
 
 
 # -- 4 ------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_criterion_4_materialization_equivalence(raw_fixture_graph):
             continue
         for zip_iri, zip_geom in zips.items():
             if isinstance(geom, geometry.Point):
-                if geometry.sf_within(geom, zip_geom):
+                if geometry.locate_point(geom, zip_geom) == geometry.INTERIOR:
                     expected.add(Triple(feature, KWG_ONT.sfWithin, zip_iri))
                     expected.add(Triple(zip_iri, KWG_ONT.sfContains, feature))
             elif isinstance(geom, (geometry.LineString, geometry.MultiLineString)):
@@ -335,7 +336,7 @@ def test_criterion_8_vocabulary_completeness(fixture_graph):
         query = parse_query(expand_query_references(text))
         for tp in patterns_of(query.pattern):
             if isinstance(tp.p, Iri):
-                assert reg.is_property(tp.p), f"query {qid}: unresolved {tp.p}"
+                assert reg.property_def(tp.p) is not None, f"query {qid}: unresolved {tp.p}"
                 checked_terms += 1
                 if tp.p == RDF_TYPE and isinstance(tp.o, Iri):
                     assert reg.is_class(tp.o), f"query {qid}: unresolved {tp.o}"

@@ -223,6 +223,26 @@ def test_query_non_ascii_character_exit_3(workspace, capsys):
     assert "line 1, col 25: unexpected character 'é'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("?s <p> ?o", "IRI is not absolute (no scheme): 'p'"),
+        ('?s ?p "1"^^<integer>', "IRI is not absolute (no scheme): 'integer'"),
+        ('?s ?p "1"^^<>', "IRI must be non-empty"),
+    ],
+)
+def test_query_relative_iri_exit_3(workspace, capsys, where, message):
+    # The query subset has no BASE to resolve a relative IRI against, in a
+    # term or in a literal's datatype.
+    snapshot = _ingest(workspace)
+    bad = workspace / "bad.rq"
+    bad.write_text(f"SELECT ?s WHERE {{ {where} }}", encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert message in err
+
+
 def test_query_double_plus_integer_too_large_for_a_float_is_inf(tmp_path, capsys):
     # The integer converts to a float as it meets the double; too large for
     # one, it is INF rather than an OverflowError traceback.
@@ -337,6 +357,20 @@ def test_ingest_iri_collision_exit_2(workspace, capsys, csv_name, old, new, iri)
                  "-o", str(workspace / "out.nt")]) == 2
     captured = capsys.readouterr()
     assert f"ingest failed: IRI collision: {EVR[iri].value} for " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_ingest_relative_sameas_iri_exit_2(workspace, capsys):
+    path = workspace / "zip_areas.csv"
+    text = path.read_text(encoding="utf-8")
+    old = "http://stko-kwg.geog.ucsb.edu/lod/resource/zipCodeArea.95814"
+    assert old in text
+    path.write_text(text.replace(old, "zipCodeArea.95814"), encoding="utf-8")
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    captured = capsys.readouterr()
+    assert ("ingest failed: zip 95814: bad sameAs IRI: "
+            "IRI is not absolute (no scheme): 'zipCodeArea.95814'") in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

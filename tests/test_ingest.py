@@ -29,7 +29,6 @@ from evkg.ingest import (
     ZipAreaRecord,
     aggregate_registrations,
     build_graph,
-    collection_iri,
     product_iri,
     read_registrations,
     read_stations,
@@ -41,6 +40,7 @@ from evkg.ingest import (
     triplify_transmission,
     zip_area_iri,
     TransmissionAssetRecord,
+    _collection_iri,
     _read_records,
 )
 from evkg.ntriples import serialize_ntriples
@@ -129,7 +129,7 @@ def test_adoption_emits_collection_facts():
     collections = aggregate_registrations(records)
     key = records[0].product
     g = Graph(triplify_adoption(collections))
-    coll = collection_iri("07677", 2019, key)
+    coll = _collection_iri("07677", 2019, product_iri(key))
     assert Triple(coll, EV_ONT.hasAmount, Literal("36", XSD_INTEGER)) in g
     assert Triple(coll, EV_ONT.hasSpatialScope, zip_area_iri("07677")) in g
     prod = product_iri(key)

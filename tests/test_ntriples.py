@@ -57,7 +57,7 @@ def test_empty_graph_round_trip():
 def test_serialize_lines_are_triple_to_ntriples(fixture_graph):
     """The per-call term memo renders what the per-triple helper renders."""
     g = Graph(fixture_graph)
-    objects = [Iri("x"), Literal("x"), Literal("x ."), Literal("x\n"), Literal("1", XSD_INTEGER),
+    objects = [Iri("urn:x"), Literal("x"), Literal("x ."), Literal("x\n"), Literal("1", XSD_INTEGER),
                Literal("x", RDF_LANGSTRING, "en"), Literal("x", RDF_LANGSTRING, "en-GB")]
     g.update(Triple(s, EVR["p"], o) for s in (BlankNode("x"), BlankNode("x1"), EVR["x"]) for o in objects)
     lines = sorted(triple_to_ntriples(t) for t in g)  # sorted before the newline is added
@@ -204,6 +204,8 @@ _NTRIPLES_ERRORS = [
     (f"{_SP} <http://x/o", "unterminated IRI", 28),
     (f"<> {_P} <http://x/o> .", "IRI must be non-empty", 3),
     (f"<a b> {_P} <http://x/o> .", "IRI contains forbidden character: 'a b'", 6),
+    ("<a> <b> <c> .", "IRI is not absolute (no scheme): 'a'", 4),
+    (f'{_SP} "1"^^<integer> .', "IRI is not absolute (no scheme): 'integer'", 41),
     (f'{_SP} "abc', "unterminated string literal", 31),
     (f'{_SP} "abc\\', "dangling escape", 32),
     (f'{_SP} "\\u12', "short \\u escape", 29),

@@ -44,6 +44,16 @@ def test_iri_rejects_whitespace_and_brackets():
             Iri(bad)
 
 
+def test_iri_requires_a_scheme():
+    for good in ("urn:x", "http://x/", "a+b.c-9:", "Z:"):
+        assert Iri(good).value == good
+    for bad in ("x", "zipCodeArea.95814", "/a/b", "#frag", ":x", "9a:x", "-a:x", "a_b:x"):
+        with pytest.raises(TermError, match="IRI is not absolute"):
+            Iri(bad)
+    with pytest.raises(TermError, match="forbidden character"):
+        Iri("a b")
+
+
 def test_literal_language_requires_langstring():
     with pytest.raises(TermError):
         Literal("hi", XSD_STRING, "en")
@@ -116,12 +126,12 @@ def test_triple_is_a_read_only_tuple_of_its_terms():
 
 
 def test_terms_of_different_kinds_never_equal():
-    iri, blank, plain = Iri("x"), BlankNode("x"), Literal("x")
+    iri, blank, plain = Iri("urn:x"), BlankNode("urn:x"), Literal("urn:x")
     assert iri != blank and iri != plain and blank != plain
     assert len({iri, blank, plain}) == 3
     for term in (iri, blank, plain, Literal("1", XSD_INTEGER)):
-        assert term != "x" and term != "1"
-        assert term not in {"x", "1"}
+        assert term != "urn:x" and term != "1"
+        assert term not in {"urn:x", "1"}
 
 
 @pytest.mark.parametrize("make", [
@@ -216,6 +226,9 @@ def test_compact_picks_longest_namespace():
 def test_compact_refuses_unroundtrippable_local():
     prefixes = default_prefixes()
     assert prefixes.compact(Iri(EVR.base + "a/b")) is None
+    assert prefixes.compact(Iri(EVR.base + "a.")) is None
+    assert prefixes.compact(Iri(EVR.base + "-a")) is None
+    assert prefixes.compact(Iri(EVR.base + "a-")) == "evr:a-"
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))

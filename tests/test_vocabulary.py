@@ -15,9 +15,7 @@ from evkg.vocabulary import (
 
 
 def test_public_station_subclass_of_charging_station():
-    reg = registry()
-    cdef = reg.class_def(EV_ONT.PublicChargingStation)
-    assert cdef is not None
+    (cdef,) = [c for c in registry().classes if c.iri == EV_ONT.PublicChargingStation]
     assert EV_ONT.ChargingStation in cdef.super_classes
 
 
@@ -33,7 +31,7 @@ def test_registry_acyclic():
 
 
 def test_external_classes_tagged_external():
-    reg = registry()
+    class_defs = {c.iri: c for c in registry().classes}
     for iri in (
         KWG_ONT.ZipCodeArea,
         KWG_ONT.AdministrativeRegion_2,
@@ -43,7 +41,7 @@ def test_external_classes_tagged_external():
         GEO.Geometry,
         Iri(GEO.base.replace("geosparql#", "") + "sf#Point"),
     ):
-        cdef = reg.class_def(iri) or reg.class_def(iri)
+        cdef = class_defs.get(iri)
         if cdef is not None:
             assert cdef.module_tag == "external", iri
 
@@ -72,11 +70,11 @@ def test_minimum_required_terms_present():
         "hasStationStatus", "hasVoltageClass",
     ]
     for name in required_properties:
-        assert reg.is_property(EV_ONT[name]), name
+        assert reg.property_def(EV_ONT[name]) is not None, name
     for external in (KWG_ONT.sfWithin, KWG_ONT.sfContains, KWG_ONT.sfCrosses,
                      GEO.hasGeometry, GEO.asWKT, RDFS.label, RDFS.subClassOf,
                      RDF.type):
-        assert reg.is_property(external), external
+        assert reg.property_def(external) is not None, external
 
 
 def test_connector_individual_labels_match_query_usage():
@@ -173,7 +171,7 @@ def test_every_suite_query_term_resolves(fixture_graph):
         for tp in patterns_of(query.pattern):
             assert isinstance(tp, TriplePattern)
             if isinstance(tp.p, Iri):
-                assert reg.is_property(tp.p), f"query {qid}: {tp.p}"
+                assert reg.property_def(tp.p) is not None, f"query {qid}: {tp.p}"
                 if tp.p == RDF_TYPE and isinstance(tp.o, Iri):
                     assert reg.is_class(tp.o), f"query {qid}: {tp.o}"
 
