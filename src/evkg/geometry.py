@@ -21,6 +21,15 @@ boundary is neither interior nor exterior to it.
 
 `_SHAPE_OF` gives each geometry type's WKT nesting and point paths (each
 point, line or ring).
+
+The WKT reader walks the text one token at a time, except that each
+innermost coordinate list is read by one `_WKT_COORDINATES` match and one
+`findall` when it is spelled as the walk would take it and every number is
+finite; any other list is left to the walk, which gives every message and
+offset. Ring validation sweeps the edges once (`_edge_fault`); two
+adjacent edges of a ring are settled by one orientation sign of the far
+end of one against the other's line when it is not zero, and by the full
+segment classification otherwise.
 """
 
 from __future__ import annotations
@@ -154,12 +163,23 @@ _SHAPE_OF = {
 # the text follows, a keyword, or one punctuation character. Digits split
 # between integer and fraction in one way only, so a long glued run fails
 # the lookahead in linear time.
-_WKT_TOKEN = re.compile(r"""\s*(?:
-      (?P<number>[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?=[\s,)]|\Z)
+_WKT_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_WKT_TOKEN = re.compile(rf"""\s*(?:
+      (?P<number>{_WKT_NUMBER})(?=[\s,)]|\Z)
     | (?P<keyword>[A-Za-z]+)
     | (?P<punct>[(),])
     | (?P<end>\Z)
     | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+
+# An innermost coordinate list spelled so that the token walk reads it as
+# '(' number number (',' number number)* ')': each number is `_WKT_TOKEN`'s,
+# and a blank, ',' or ')' follows it, so the two read the same numbers.
+# `_WKT_NUMBER_RUN` then picks those numbers out of the matched span.
+_WKT_COORDINATES = re.compile(
+    rf"\(\s*{_WKT_NUMBER}\s+{_WKT_NUMBER}(?:\s*,\s*{_WKT_NUMBER}\s+{_WKT_NUMBER})*\s*\)"
+)
+_WKT_NUMBER_RUN = re.compile(r"[^\s,()]+")
 
 
 # keyword -> the builder applied as each nesting level of its text closes,
@@ -176,7 +196,12 @@ _SHAPES["MULTIPOLYGON"] = (*_SHAPES["POLYGON"], MultiPolygon)
 
 class _WktReader:
     def __init__(self, text: str):
-        self.tokens = _WKT_TOKEN.finditer(text)
+        self.text = text
+        self.resume(0)
+
+    def resume(self, position: int) -> None:
+        """Read tokens from `position` on."""
+        self.tokens = _WKT_TOKEN.finditer(self.text, position)
         self.advance()
 
     def advance(self) -> None:
@@ -197,8 +222,27 @@ class _WktReader:
         self.advance()
         return value
 
+    def coordinates(self, builder: Callable):
+        """`builder` applied to the points of an innermost list read by one
+        match, with the tokens resumed after its ')'; None, having read
+        nothing, unless `_WKT_COORDINATES` takes the list and every number
+        is finite."""
+        m = _WKT_COORDINATES.match(self.text, self.at)
+        if m is None:
+            return None
+        values = list(map(float, _WKT_NUMBER_RUN.findall(self.text, self.at, m.end())))
+        if not all(map(math.isfinite, values)):
+            return None
+        self.resume(m.end())
+        return self.build(builder, tuple(map(Point, values[::2], values[1::2])), m.end())
+
     def read(self, builders: tuple):
-        """One parenthesized level: a coordinate at depth 0, else a list of the level below."""
+        """One parenthesized level: a coordinate at depth 0, else a list of
+        the level below. An innermost list is read by one match when it can be."""
+        if len(builders) == 1:
+            item = self.coordinates(builders[0])
+            if item is not None:
+                return item
         self.expect("(")
         if not builders:
             item = Point(self.number(), self.number())
@@ -217,8 +261,13 @@ class _WktReader:
             self.advance()
         closed = self.at + 1
         self.expect(")")
+        return self.build(builders[-1], tuple(items), closed)
+
+    @staticmethod
+    def build(builder: Callable, items: tuple, closed: int):
+        """`builder(items)` for the level whose ')' ends at `closed`."""
         try:
-            return builders[-1](tuple(items))
+            return builder(items)
         except GeometryValidationError as exc:
             raise WktParseError(str(exc), closed) from None
 
@@ -405,16 +454,25 @@ def _edge_fault(rings: tuple[Ring, ...]) -> Optional[str]:
         for r, ring in enumerate(rings)
         for i, (a, b) in enumerate(zip(ring, ring[1:]))
     )
+    sides = [len(ring) - 1 for ring in rings]
     active: list[tuple] = []  # (max x, min y, max y, ring, index, ends) of earlier edges
     for x0, x1, y0, y1, r, j, a, b in edges:
         active = [edge for edge in active if edge[0] >= x0]
         for _, other_y0, other_y1, q, i, c, d in active:
             if other_y0 <= y1 and y0 <= other_y1:
+                # Adjacent edges of a ring of n edges: j follows i (step 1, a is d)
+                # or i follows j (step n - 1, b is c), edge 0 following edge n - 1.
+                # When the far end of a, b is off the line through c, d, the shared
+                # vertex is their only contact, which adjacent edges may have.
+                n = sides[r]
+                step = (j - i) % n if q == r else 0
+                adjacent = step == 1 or step == n - 1
+                if adjacent and _orient(c, d, b if step == 1 else a):
+                    continue
                 kind, _ = _segment_relation(c, d, a, b)
                 if q != r and kind in (SEG_PROPER, SEG_OVERLAP):
                     verb = "crosses" if kind == SEG_PROPER else "shares an edge with"
                     return f"hole {verb} {'another hole' if q and r else 'the outer ring'}"
-                adjacent = abs(i - j) in (1, len(rings[r]) - 2)  # edges 0 and n - 2 of n points
                 if q == r and (kind == SEG_OVERLAP or kind != SEG_NONE and not adjacent):
                     return "hole is self-intersecting" if r else "outer ring is self-intersecting"
         active.append((x1, y0, y1, r, j, a, b))

@@ -7,10 +7,11 @@ Input formats (RFC-4180 CSV, UTF-8, header row required):
   (the last two are |-separated token lists, e.g. "LEVEL2|DCFC"). A row is
   a `RegistrationRecord`: vin8, zip, registration year and its product, one
   `ProductKey` built from the other nine columns. A product is built and
-  checked once per distinct set of those nine cells, and every row with the
-  same cells shares that object; a ProductKey computes its hash once.
-  Registrations are counted into one collection per (zip, year, product),
-  and the products written are the distinct ones among the collections.
+  checked once per distinct set of those nine cells, and every record with
+  the same cells shares that object; a ProductKey computes its hash once.
+  Registration rows are counted into one collection per (zip, year,
+  product), and the products written are the distinct ones among the
+  collections.
 * stations.csv: station_id,name,lon,lat,zip,access,network,operating_hours,
   open_date,pricing,parking_restriction,charger_groups
   (charger_groups: |-separated charger:connector:count triplets)
@@ -32,9 +33,13 @@ cannot read (a cell over its 131,072-character field limit), is an
 `IngestError` naming the file (and row), which fails the whole load.
 Source files repeat rows (29,464 rows of the k=8 bench registrations hold
 376 distinct lines), so `_read_records` parses and builds a row that fits
-on one line once per distinct line text: equal lines share one record
-object, while every row is still returned and counted, and a skipped one
-is reported with its own row number. Source strings are preserved
+on one line once per distinct line text and counts its repeats there. Each
+reader returns every distinct record once with its row count, in
+first-row order, and a skipped row is reported at every repeat with its
+own row number. `aggregate_registrations` sums those counts per
+collection, the other triplifiers take the same pairs and write each
+distinct record once (a zip given by more than one row fails the load),
+and the load report counts rows. Source strings are preserved
 byte-exactly (including whitespace), because literal matching in queries
 is exact.
 
@@ -70,7 +75,6 @@ import hashlib
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -101,6 +105,8 @@ from .vocabulary import individuals_graph
 
 
 R = TypeVar("R")
+# Each distinct record a reader built, with the number of rows that gave it.
+Counted = list[tuple[R, int]]
 
 
 class IngestError(ValueError):
@@ -323,21 +329,25 @@ class LoadReport:
 
 def _read_records(
     path: Path, required: Sequence[str], build: Callable[..., R]
-) -> tuple[list[R], list[RowIssue]]:
-    """Return (`build(*cells)` per data row, with cells in `required` order;
+) -> tuple[Counted[R], list[RowIssue]]:
+    """Return (each distinct `build(*cells)` outcome with the number of data
+    rows that gave it, in first-row order, with cells in `required` order;
     the skipped rows). Blank lines are not rows. A file that cannot be read
     or is not UTF-8 fails the load naming it. A cell longer than the csv
     module's field limit (131,072 characters) fails the load naming its row.
 
     The outcome of a row that begins and ends on one line is kept by the
-    line's text: csv starts every record from the same state, so that line
-    parses the same wherever a record starts with it. A record spanning
-    several lines (a quoted cell with a line break) is parsed every time;
+    line's text, and each repeat of that line adds one to its count: csv
+    starts every record from the same state, so that line parses the same
+    wherever a record starts with it. A record spanning several lines (a
+    quoted cell with a line break) is parsed every time and counted once;
     csv pulls its continuation lines from the handle, so they are never
-    looked up."""
-    records: list[R] = []
+    looked up. A skipped row is reported at every repeat, with its own row
+    number."""
+    counted: list[list] = []  # [record, rows], in first-row order
     issues: list[RowIssue] = []
-    seen: dict[str, tuple[Optional[R], Optional[str]]] = {}  # line -> (record, skip message)
+    kept: dict[str, list] = {}  # line -> its entry in `counted`
+    skipped: dict[str, str] = {}  # line -> its skip message
     row_no = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -349,26 +359,33 @@ def _read_records(
             pick = operator.itemgetter(*(position[col] for col in required))
             row_no = 1  # row 1 is the header
             for line in handle:
-                outcome = seen.get(line)
-                if outcome is None:
+                entry = kept.get(line)
+                if entry is not None:  # a repeat of a valid line, the common row
+                    row_no += 1
+                    entry[1] += 1
+                    continue
+                message = skipped.get(line)
+                if message is None:
                     rows = csv.reader(chain((line,), handle))
                     cells = next(rows, [])
                     if not cells:
                         continue
                     if len(cells) != len(header):
                         message = f"cell count {len(cells)} differs from the header's {len(header)}"
-                        outcome = (None, message)
                     else:
                         try:
-                            outcome = (build(*pick(cells)), None)
+                            entry = [build(*pick(cells)), 0]
                         except ValueError as exc:  # IngestError, TermError, WktParseError
-                            outcome = (None, str(exc))
-                    if rows.line_num == 1:
-                        seen[line] = outcome
+                            message = str(exc)
+                    if entry is not None:
+                        counted.append(entry)
+                        if rows.line_num == 1:
+                            kept[line] = entry
+                    elif rows.line_num == 1:
+                        skipped[line] = message
                 row_no += 1
-                record, message = outcome
-                if message is None:
-                    records.append(record)
+                if entry is not None:
+                    entry[1] += 1
                 else:
                     issues.append(RowIssue(row_no, message))
     except OSError as exc:
@@ -378,7 +395,7 @@ def _read_records(
     except csv.Error as exc:
         # The failing row was not counted yet; blank lines never fail.
         raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
-    return records, issues
+    return [(record, rows) for record, rows in counted], issues
 
 
 # A column table lists a CSV's columns in the order its record takes them,
@@ -473,7 +490,7 @@ _ZIP_AREA_COLUMNS: Columns = (
 )
 
 
-def read_registrations(path: Path) -> tuple[list[RegistrationRecord], list[RowIssue]]:
+def read_registrations(path: Path) -> tuple[Counted[RegistrationRecord], list[RowIssue]]:
     head, record = _typed(_REGISTRATION_COLUMNS, RegistrationRecord)
     tail, product_of = _typed(_PRODUCT_COLUMNS, ProductKey)
     n = len(head)
@@ -494,15 +511,15 @@ def _station(*values) -> StationRecord:
     return StationRecord(*values[:8], *values[8], *values[9:])
 
 
-def read_stations(path: Path) -> tuple[list[StationRecord], list[RowIssue]]:
+def read_stations(path: Path) -> tuple[Counted[StationRecord], list[RowIssue]]:
     return _read_records(path, *_typed(_STATION_COLUMNS, _station))
 
 
-def read_transmission(path: Path) -> tuple[list[TransmissionAssetRecord], list[RowIssue]]:
+def read_transmission(path: Path) -> tuple[Counted[TransmissionAssetRecord], list[RowIssue]]:
     return _read_records(path, *_typed(_TRANSMISSION_COLUMNS, TransmissionAssetRecord))
 
 
-def read_zip_areas(path: Path) -> tuple[list[ZipAreaRecord], list[RowIssue]]:
+def read_zip_areas(path: Path) -> tuple[Counted[ZipAreaRecord], list[RowIssue]]:
     return _read_records(path, *_typed(_ZIP_AREA_COLUMNS, ZipAreaRecord))
 
 
@@ -567,25 +584,22 @@ class _Minter:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_registrations(records: Iterable[RegistrationRecord]) -> list[RegistrationCollection]:
-    """Group records by (zip, registration year, full product identity).
+def aggregate_registrations(
+    counted: Iterable[tuple[RegistrationRecord, int]]
+) -> list[RegistrationCollection]:
+    """Group counted records by (zip, registration year, full product
+    identity), summing their row counts.
 
-    `_read_records` returns one record object for every repeat of a line,
-    so records are counted by identity first; the distinct records then
-    merge by key, since two different lines can give one key (a reordered
-    token list, another vin8). Collections are sorted by zip, year and
-    product IRI, each distinct product's IRI computed once; equal sort keys
-    keep the order in which their key first occurs.
+    Two different lines can give one key (a reordered token list, another
+    vin8), so their counts merge here. Collections are sorted by zip, year
+    and product IRI, each distinct product's IRI computed once; equal sort
+    keys keep the order in which their key first occurs.
     """
-    records = list(records)
-    ids = list(map(id, records))
-    by_id = dict(zip(ids, records))
     groups: dict[tuple[str, int, ProductKey], int] = {}
-    for rec_id, amount in Counter(ids).items():
-        rec = by_id[rec_id]
+    for rec, rows in counted:
         key = (rec.zip, rec.registration_year, rec.product)
-        groups[key] = groups.get(key, 0) + amount
-    iris = {prod: product_iri(prod).value for _, _, prod in groups}
+        groups[key] = groups.get(key, 0) + rows
+    iris = {prod: product_iri(prod).value for prod in {prod for _, _, prod in groups}}
     return [
         RegistrationCollection(zip_code, year, prod, amount)
         for (zip_code, year, prod), amount in sorted(
@@ -710,11 +724,11 @@ def triplify_adoption(collections: Iterable[RegistrationCollection]) -> list[Tri
 
 
 def triplify_stations(
-    records: Iterable[StationRecord], shapes: Optional[Shapes] = None
+    counted: Iterable[tuple[StationRecord, int]], shapes: Optional[Shapes] = None
 ) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
-    for rec in records:
+    for rec, _ in counted:  # a repeated row states the same facts
         stn = minter.claim(station_iri(rec.station_id), rec.station_id)
         access_cls = (
             EV_ONT.PublicChargingStation if rec.access == "public" else EV_ONT.PrivateChargingStation
@@ -766,11 +780,11 @@ _ASSET_KINDS = {
 
 
 def triplify_transmission(
-    records: Iterable[TransmissionAssetRecord], shapes: Optional[Shapes] = None
+    counted: Iterable[tuple[TransmissionAssetRecord, int]], shapes: Optional[Shapes] = None
 ) -> list[Triple]:
     out: list[Triple] = []
     minter = _Minter()
-    for rec in records:
+    for rec, _ in counted:  # a repeated row states the same facts
         prefix, cls, status_prop = _ASSET_KINDS[rec.kind]
         asset = minter.claim(EVR[f"{prefix}.{_sanitize(rec.asset_id)}"], rec.asset_id)
         out.append(_triple(asset, RDF.type, cls))
@@ -804,13 +818,15 @@ def triplify_transmission(
 
 
 def triplify_places(
-    records: Iterable[ZipAreaRecord], shapes: Optional[Shapes] = None
+    counted: Iterable[tuple[ZipAreaRecord, int]], shapes: Optional[Shapes] = None
 ) -> list[Triple]:
+    """A zip given by two rows, equal or not, fails with the first such
+    zip in first-row order of the distinct records."""
     out: list[Triple] = []
     minter = _Minter()
     seen: set[str] = set()
-    for rec in records:
-        if rec.zip in seen:
+    for rec, rows in counted:
+        if rows > 1 or rec.zip in seen:
             raise DuplicateZip(rec.zip)
         seen.add(rec.zip)
         zip_area = zip_area_iri(rec.zip)
@@ -863,29 +879,29 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
     shapes: Shapes = {}  # every zip, station and asset geometry's text, for the spatial step
 
     if config.zip_areas:
-        records, issues = read_zip_areas(config.zip_areas)
+        counted, issues = read_zip_areas(config.zip_areas)
         report.skipped.extend(issues)
-        report.bump("zip_areas", len(records))
-        merged.update(triplify_places(records, shapes))
+        report.bump("zip_areas", sum(rows for _, rows in counted))
+        merged.update(triplify_places(counted, shapes))
     if config.registrations:
-        records, issues = read_registrations(config.registrations)
+        counted, issues = read_registrations(config.registrations)
         report.skipped.extend(issues)
-        collections = aggregate_registrations(records)
-        report.bump("registration_records", len(records))
+        collections = aggregate_registrations(counted)
+        report.bump("registration_records", sum(rows for _, rows in counted))
         report.bump("registration_collections", len(collections))
         report.bump("products", len({coll.product for coll in collections}))
         merged.update(triplify_adoption(collections))
     if config.stations:
-        records, issues = read_stations(config.stations)
+        counted, issues = read_stations(config.stations)
         report.skipped.extend(issues)
-        report.bump("stations", len(records))
-        merged.update(triplify_stations(records, shapes))
+        report.bump("stations", sum(rows for _, rows in counted))
+        merged.update(triplify_stations(counted, shapes))
     if config.transmission:
-        records, issues = read_transmission(config.transmission)
+        counted, issues = read_transmission(config.transmission)
         report.skipped.extend(issues)
-        for rec in records:
-            report.bump(f"transmission_{rec.kind}s")
-        merged.update(triplify_transmission(records, shapes))
+        for rec, rows in counted:
+            report.bump(f"transmission_{rec.kind}s", rows)
+        merged.update(triplify_transmission(counted, shapes))
 
     if config.subclass_closure:
         report.bump("closure_triples", materialize.materialize_subclass_closure(merged))

@@ -74,7 +74,8 @@ KWG_ONT = Namespace("http://stko-kwg.geog.ucsb.edu/lod/ontology/")
 EV_ONT = Namespace("http://evkg.org/ontology/")
 EVR = Namespace("http://evkg.org/resource/")
 
-_FORBIDDEN_IN_IRI = r"\s<>\"{}|^`\\"
+# N-Triples IRIREF excludes U+0000-U+0020; `\s` adds the other Unicode blanks.
+_FORBIDDEN_IN_IRI = r"\x00-\x20\s<>\"{}|^`\\"
 _IRI_FORBIDDEN = re.compile(f"[{_FORBIDDEN_IN_IRI}]")
 # A scheme (RFC 3987 §2.2), then none of the forbidden characters.
 _ABSOLUTE_IRI = re.compile(rf"[A-Za-z][A-Za-z0-9+.\-]*:[^{_FORBIDDEN_IN_IRI}]*")

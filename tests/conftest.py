@@ -28,13 +28,13 @@ def fixture_config(materialize: bool = True) -> IngestConfig:
     )
 
 
-def tiled_config(out: Path) -> IngestConfig:
-    """The bench's k=2 tiling of the fixture CSVs (seed 1), written into `out`.
+def tiled_config(out: Path, k: int = 2) -> IngestConfig:
+    """The bench's k-fold tiling of the fixture CSVs (seed 1), written into `out`.
     The tiler is loaded from its file, since bench/ is not a package."""
     spec = importlib.util.spec_from_file_location("bench_tiler", ROOT / "bench" / "tiler.py")
     tiler = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tiler)
-    tiler.tile_corpus(FIXTURES, out, 2, 1)
+    tiler.tile_corpus(FIXTURES, out, k, 1)
     return IngestConfig(**{name: out / f"{name}.csv"
                            for name in ("registrations", "stations", "transmission", "zip_areas")})
 

@@ -243,6 +243,15 @@ def test_query_relative_iri_exit_3(workspace, capsys, where, message):
     assert message in err
 
 
+def test_query_control_character_in_iri_exit_3(workspace, capsys):
+    snapshot = _ingest(workspace)
+    bad = workspace / "bad.rq"
+    bad.write_text("SELECT ?s WHERE { ?s <http://x/\x01p> ?o }", encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and err
+
+
 def test_query_double_plus_integer_too_large_for_a_float_is_inf(tmp_path, capsys):
     # The integer converts to a float as it meets the double; too large for
     # one, it is INF rather than an OverflowError traceback.
@@ -371,6 +380,20 @@ def test_ingest_relative_sameas_iri_exit_2(workspace, capsys):
     captured = capsys.readouterr()
     assert ("ingest failed: zip 95814: bad sameAs IRI: "
             "IRI is not absolute (no scheme): 'zipCodeArea.95814'") in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_ingest_control_character_in_sameas_iri_exit_2(workspace, capsys):
+    path = workspace / "zip_areas.csv"
+    text = path.read_text(encoding="utf-8")
+    old = "http://stko-kwg.geog.ucsb.edu/lod/resource/zipCodeArea.95814"
+    assert old in text
+    path.write_text(text.replace(old, old + "\x01"), encoding="utf-8")
+    assert main(["ingest", "-c", str(workspace / "evkg-config.json"),
+                 "-o", str(workspace / "out.nt")]) == 2
+    captured = capsys.readouterr()
+    assert ("ingest failed: zip 95814: bad sameAs IRI: "
+            f"IRI contains forbidden character: {old + chr(1)!r}") in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -612,8 +635,8 @@ def test_materialize_geometry_choice_does_not_depend_on_hash_seed(tmp_path):
     smallest node's smallest literal, POINT (2 2), under every hash seed."""
     graph = Graph()
     graph.update(triplify_places([
-        ZipAreaRecord("07001", "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "New Jersey", "Bergen"),
-        ZipAreaRecord("07002", "POLYGON ((6 0, 10 0, 10 4, 6 4, 6 0))", "New Jersey", "Hudson"),
+        (ZipAreaRecord("07001", "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "New Jersey", "Bergen"), 1),
+        (ZipAreaRecord("07002", "POLYGON ((6 0, 10 0, 10 4, 6 4, 6 0))", "New Jersey", "Hudson"), 1),
     ]))
     station = EVR["chargingstation.multi"]
     graph.insert(Triple(station, RDF.type, EV_ONT.PublicChargingStation))

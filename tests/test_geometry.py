@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -587,6 +588,151 @@ def test_polygon_sweep_agrees_with_all_edge_pairs_within_and_across_rings():
     crossing = seen["hole crosses the outer ring"] + seen["hole crosses another hole"]
     shared = seen["hole shares an edge with the outer ring"] + seen["hole shares an edge with another hole"]
     assert min(same_ring, crossing, shared, seen["accepted, rings touch"]) > 20, seen
+
+
+def edge_fault_testing_every_pair(rings) -> str | None:
+    """Reference: the sweep of `_edge_fault` with every pair of edges whose
+    boxes meet classified by `_segment_relation`, adjacent ones included."""
+    edges = sorted(
+        (min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y), r, i, a, b)
+        for r, ring in enumerate(rings)
+        for i, (a, b) in enumerate(zip(ring, ring[1:]))
+    )
+    active: list[tuple] = []
+    for x0, x1, y0, y1, r, j, a, b in edges:
+        active = [edge for edge in active if edge[0] >= x0]
+        for _, other_y0, other_y1, q, i, c, d in active:
+            if other_y0 <= y1 and y0 <= other_y1:
+                kind, _ = _segment_relation(c, d, a, b)
+                if q != r and kind in (SEG_PROPER, SEG_OVERLAP):
+                    verb = "crosses" if kind == SEG_PROPER else "shares an edge with"
+                    return f"hole {verb} {'another hole' if q and r else 'the outer ring'}"
+                adjacent = abs(i - j) in (1, len(rings[r]) - 2)
+                if q == r and (kind == SEG_OVERLAP or kind != SEG_NONE and not adjacent):
+                    return "hole is self-intersecting" if r else "outer ring is self-intersecting"
+        active.append((x1, y0, y1, r, j, a, b))
+    return None
+
+
+def random_spiky_ring(rng: random.Random, x: float = 0, y: float = 0) -> tuple[Point, ...]:
+    """A triangle or a grid ring at (x, y), with up to two of: a collinear
+    spike (out along a line and back), a vertex on the line of the next edge,
+    short of it or past its end, and a repeated vertex (a zero-length edge).
+    The ring starts at a random vertex, so the closing vertex takes its turn."""
+    pts = [Point(x + rng.randrange(9) / 2, y + rng.randrange(9) / 2)
+           for _ in range(3 if rng.random() < 0.3 else rng.randrange(4, 8))]
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(pts))
+        v, w = pts[i], pts[(i + 1) % len(pts)]
+        kind = rng.randrange(3)
+        if kind == 0:
+            dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (-1, 2)])
+            k = rng.choice([-1, 1]) * rng.randrange(1, 3) / 2
+            pts[i + 1:i + 1] = [Point(v.x + k * dx, v.y + k * dy), v]
+        elif kind == 1:
+            t = rng.choice([0.5, 2.0, -1.0])
+            pts.insert(i + 1, Point(v.x + t * (w.x - v.x), v.y + t * (w.y - v.y)))
+        else:
+            pts.insert(i + 1, v)
+    start = rng.randrange(len(pts))
+    pts = pts[start:] + pts[:start]
+    return tuple(pts + [pts[0]])
+
+
+def test_adjacent_edge_shortcut_matches_testing_every_pair():
+    """Seeded rings with collinear spikes, zero-length edges and triangles,
+    alone or with holes: `_edge_fault` reports the fault the sweep testing
+    every pair reports, and finds one exactly when some pair of edges has one."""
+    rng = random.Random(3203)
+    seen = collections.Counter()
+    for _ in range(3_000):
+        rings = [random_spiky_ring(rng)]
+        if rng.random() < 0.4:
+            rings[0] = _rectangle(-1, -1, 6, 6)
+            rings += [random_spiky_ring(rng, *rng.choice([(0, 0), (1, 1)]))
+                      for _ in range(rng.randrange(1, 3))]
+        rings = tuple(rings)
+        fault = _edge_fault(rings)
+        assert fault == edge_fault_testing_every_pair(rings), rings
+        assert (fault is None) == (not all_pairs_edge_faults(rings)[0]), rings
+        seen[fault] += 1
+        # A zero-length edge always leaves two edges that meet and are not adjacent.
+        seen["zero-length edge"] += any(a == b for ring in rings for a, b in zip(ring, ring[1:]))
+        seen["accepted with a straight vertex"] += fault is None and any(
+            _orient(u, v, w) == 0 for ring in rings for u, v, w in zip(ring[-2:] + ring[1:], ring, ring[1:])
+        )
+    assert min(seen[None], seen["outer ring is self-intersecting"], seen["hole is self-intersecting"],
+               seen["zero-length edge"], seen["accepted with a straight vertex"]) > 50, seen
+
+
+_FAST_WKT_SEEDS = [
+    "MULTIPOINT ((1 2), (3 4))", "MULTIPOINT (1 2, (3 4))", "MULTIPOINT ((1 2), 3 4)", "LINESTRING (1 2)",
+    "MULTIPOINT (1 2, 3 4)", "POINT (1 2)", "LINESTRING (0 0,1 1)", "LINESTRING(0 0 , 1 1 )",
+    "MULTILINESTRING ((0 0, 1 1), (2 2, 3 3))", "POLYGON ((0 0, 1e999 0, 1 1, 0 0))",
+    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))",
+    "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((2 2, 3 2, 3 3, 2 2)))",
+]
+# What a mutation puts in place of a number, or beside it.
+_NUMBER_MUTATIONS = ["1.2.3", "1e999", "-1e999", "1E-999", "\u0663", "1\u0663", "12a", "1e5e5", ".5", "5.",
+                     "+1", "-.5e+3", "1 2", "", "(1 2)", "00012"]
+_BLANKS = [" ", "  ", "\t", "\n", "\xa0", "\u2003", ""]
+_WKT_PIECE = re.compile(r"[A-Za-z]+|[^\s(),A-Za-z]+|\s+|[(),]")
+
+
+def _wkt_outcome(text: str):
+    try:
+        return parse_wkt(text)
+    except WktParseError as exc:
+        return str(exc), exc.position
+
+
+def _mutated_wkt(rng: random.Random, text: str) -> str:
+    """`text` with one or two of its pieces changed: a number replaced or
+    doubled, a comma or parenthesis dropped, a blank changed or removed."""
+    pieces = _WKT_PIECE.findall(text)
+    for _ in range(rng.randrange(1, 3)):
+        i = rng.randrange(len(pieces))
+        piece = pieces[i]
+        if not piece:  # dropped by the first change
+            continue
+        if piece[0] in "(),":
+            pieces[i] = rng.choice(["", piece * 2, " "])
+        elif piece.isspace():
+            pieces[i] = rng.choice(_BLANKS)
+        elif not piece[0].isalpha():
+            pieces[i] = rng.choice([*_NUMBER_MUTATIONS, f"{piece} {piece}", f"{piece}{piece}"])
+    return "".join(pieces)
+
+
+def test_one_match_coordinate_lists_match_the_token_walk(monkeypatch):
+    """Seeded valid texts, respaced, and one- or two-piece mutations of them:
+    with and without the one-match path, each parses to an equal geometry
+    or fails with the same message at the same offset."""
+    rng = random.Random(6604)
+    texts = list(_FAST_WKT_SEEDS)
+    for _ in range(400):
+        ring = random_spiky_ring(rng)
+        geom = rng.choice([
+            LineString(ring),
+            MultiPoint(ring),
+            Polygon(_rectangle(-1, -1, 6, 6), (ring,)),
+            MultiLineString((LineString(ring), LineString(ring[::-1]))),
+        ]) if _edge_fault((ring,)) is None else LineString(ring)
+        text = to_wkt(geom)
+        blank = rng.choice(_BLANKS[:-1])
+        texts += [text, text.replace(" ", blank).replace(",", rng.choice([",", " ,", "," + blank]))]
+    texts += [_mutated_wkt(rng, text) for text in texts for _ in range(3)]
+    fast = [_wkt_outcome(text) for text in texts]
+    monkeypatch.setattr(geometry, "_WKT_COORDINATES", re.compile(r"(?!)"))  # never matches
+    walked = [_wkt_outcome(text) for text in texts]
+    for text, got, expected in zip(texts, fast, walked):
+        assert got == expected, text
+    messages = collections.Counter(outcome[0].split(": ", 1)[1] for outcome in fast
+                                   if isinstance(outcome, tuple))
+    assert 1_000 < sum(messages.values()) < len(texts) - 1_000
+    assert min(messages[m] for m in ("expected a number", "expected ')'", "number out of range: '1e999'",
+                                     "ring is not closed (first point != last)")) > 5, messages
+    assert messages["LineString needs at least 2 points"], messages
 
 
 def test_simple_2000_vertex_ring_parses_quickly():

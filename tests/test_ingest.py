@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import io
 import json
 import operator
 import random
@@ -48,7 +49,7 @@ from evkg.terms import (
     EV_ONT, EVR, KWG_ONT, OWL, RDF, RDFS, GEO, Iri, Literal, TermError, Triple, XSD_GYEAR,
     XSD_INTEGER,
 )
-from conftest import ROOT, fixture_config, tiled_config
+from conftest import FIXTURES, ROOT, fixture_config, tiled_config
 
 
 def _registration(zip_code="07677", year=2019, **product_overrides) -> RegistrationRecord:
@@ -87,12 +88,22 @@ def _station(**overrides) -> StationRecord:
     return StationRecord(**fields)
 
 
+def _once(records) -> list:
+    """Records as a reader returns them, each from one row of its own."""
+    return [(rec, 1) for rec in records]
+
+
+def _rows(counted) -> list:
+    """One record per row a reader counted, in first-row order of the distinct records."""
+    return [rec for rec, n in counted for _ in range(n)]
+
+
 # --- aggregation -------------------------------------------------------------
 
 
 def test_36_identical_records_one_collection():
     records = [_registration() for _ in range(36)]
-    collections = aggregate_registrations(records)
+    collections = aggregate_registrations(_once(records))
     assert len(collections) == 1
     assert collections[0].amount == 36
     assert collections[0].zip == "07677"
@@ -107,7 +118,7 @@ def test_split_across_zips_hand_count():
     records = [_registration("07677") for _ in range(7)] + [
         _registration("07001") for _ in range(3)
     ]
-    collections = {(c.zip, c.amount) for c in aggregate_registrations(records)}
+    collections = {(c.zip, c.amount) for c in aggregate_registrations(_once(records))}
     assert collections == {("07677", 7), ("07001", 3)}
 
 
@@ -117,7 +128,7 @@ def test_amounts_conserve_record_count():
         + [_registration(year=2020) for _ in range(4)]
         + [_registration(model="iX") for _ in range(2)]
     )
-    collections = aggregate_registrations(records)
+    collections = aggregate_registrations(_once(records))
     assert sum(c.amount for c in collections) == len(records)
 
 
@@ -126,7 +137,7 @@ def test_amounts_conserve_record_count():
 
 def test_adoption_emits_collection_facts():
     records = [_registration() for _ in range(36)]
-    collections = aggregate_registrations(records)
+    collections = aggregate_registrations(_once(records))
     key = records[0].product
     g = Graph(triplify_adoption(collections))
     coll = _collection_iri("07677", 2019, product_iri(key))
@@ -140,21 +151,21 @@ def test_adoption_emits_collection_facts():
 def test_product_with_two_connectors_two_matchable_triples():
     rec = _registration()
     key = rec.product
-    g = Graph(triplify_adoption(aggregate_registrations([rec])))
+    g = Graph(triplify_adoption(aggregate_registrations([(rec, 1)])))
     matchable = g.objects(product_iri(key), EV_ONT.hasMatchableConnectorType)
     assert set(matchable) == {EVR["connectortype.J1772"], EVR["connectortype.J1772COMBO"]}
 
 
 def test_adoption_deterministic():
     records = [_registration(), _registration(zip_code="07001"), _registration(model="iX")]
-    one = Graph(triplify_adoption(aggregate_registrations(records)))
-    two = Graph(triplify_adoption(aggregate_registrations(list(reversed(records)))))
+    one = Graph(triplify_adoption(aggregate_registrations(_once(records))))
+    two = Graph(triplify_adoption(aggregate_registrations(_once(reversed(records)))))
     assert serialize_ntriples(one) == serialize_ntriples(two)
 
 
 def test_adoption_products_come_from_the_collections():
     records = [_registration(), _registration(year=2020), _registration(model="iX")]
-    g = Graph(triplify_adoption(aggregate_registrations(records)))
+    g = Graph(triplify_adoption(aggregate_registrations(_once(records))))
     products = set(g.subjects(RDF.type, EV_ONT.ElectricVehicleProduct))
     assert products == {product_iri(r.product) for r in records}
     assert len(products) == 2
@@ -163,7 +174,7 @@ def test_adoption_products_come_from_the_collections():
 def test_products_sharing_a_model_write_shared_individuals_once():
     # Two products of one make, model and model year: one model type, one make.
     records = [_registration(), _registration(technology="PHEV")]
-    out = triplify_adoption(aggregate_registrations(records))
+    out = triplify_adoption(aggregate_registrations(_once(records)))
     assert len(out) == len(set(out))
     for shared in (EVR["modeltype.BMW.i3.2018"], EVR["maketype.BMW"]):
         assert [t.predicate for t in out if t.subject == shared][:2] == [RDF.type, RDFS.label]
@@ -180,7 +191,7 @@ def test_unknown_connector_token_named():
 
 
 def test_station_types_and_collections():
-    g = Graph(triplify_stations([_station()]))
+    g = Graph(triplify_stations(_once([_station()])))
     stn = EVR["chargingstation.ST1"]
     types = set(g.objects(stn, RDF.type))
     assert EV_ONT.PublicChargingStation in types
@@ -193,20 +204,20 @@ def test_station_types_and_collections():
 
 
 def test_station_operating_hours_preserved_byte_exact():
-    g = Graph(triplify_stations([_station()]))
+    g = Graph(triplify_stations(_once([_station()])))
     stn = EVR["chargingstation.ST1"]
     assert g.value(stn, EV_ONT.hasOperatingHours) == Literal("24 hours daily  ")
 
 
 def test_station_without_groups_emits_no_collections():
-    g = Graph(triplify_stations([_station(charger_groups=())]))
+    g = Graph(triplify_stations(_once([_station(charger_groups=())])))
     stn = EVR["chargingstation.ST1"]
     assert g.objects(stn, EV_ONT.hosts) == []
     assert EV_ONT.PublicChargingStation in g.objects(stn, RDF.type)
 
 
 def test_private_nonnetworked_station_types():
-    g = Graph(triplify_stations([_station(access="private", network=None)]))
+    g = Graph(triplify_stations(_once([_station(access="private", network=None)])))
     stn = EVR["chargingstation.ST1"]
     types = set(g.objects(stn, RDF.type))
     assert EV_ONT.PrivateChargingStation in types
@@ -237,7 +248,7 @@ def test_line_voltage_class_labeled():
         asset_id="L1", kind="line", geometry_wkt="LINESTRING (0 0, 5 5)",
         voltage_class="500", status="IN SERVICE", owner="PSEG",
     )
-    g = Graph(triplify_transmission([rec]))
+    g = Graph(triplify_transmission([(rec, 1)]))
     line = EVR["transmissionline.L1"]
     [vc] = g.objects(line, EV_ONT.hasVoltageClass)
     assert g.value(vc, RDFS.label) == Literal("500")
@@ -248,7 +259,7 @@ def test_substation_two_voltage_triples():
         asset_id="S1", kind="substation", geometry_wkt="POINT (1 1)",
         min_voltage="115", max_voltage="345",
     )
-    g = Graph(triplify_transmission([rec]))
+    g = Graph(triplify_transmission([(rec, 1)]))
     sub = EVR["substation.S1"]
     assert g.value(sub, EV_ONT.hasMinVoltage) is not None
     assert g.value(sub, EV_ONT.hasMaxVoltage) is not None
@@ -258,7 +269,7 @@ def test_plant_with_only_operating_capacity():
     rec = TransmissionAssetRecord(
         asset_id="P1", kind="plant", geometry_wkt="POINT (2 2)", operating_capacity="300",
     )
-    g = Graph(triplify_transmission([rec]))
+    g = Graph(triplify_transmission([(rec, 1)]))
     plant = EVR["powerplant.P1"]
     assert g.value(plant, EV_ONT.hasOperatingCapacity) is not None
     assert g.value(plant, EV_ONT.hasSummerCapacity) is None
@@ -280,7 +291,7 @@ def test_places_hierarchy_and_label():
         state_label="California",
         county_label="Sacramento",
     )
-    g = Graph(triplify_places([rec]))
+    g = Graph(triplify_places([(rec, 1)]))
     zip_area = zip_area_iri("95814")
     state = EVR["state.California"]
     assert g.value(zip_area, RDFS.label) == Literal("zip code 95814")
@@ -296,7 +307,7 @@ def test_places_sameas_emitted_once():
         county_label="Sacramento",
         kwg_sameas="http://stko-kwg.geog.ucsb.edu/lod/resource/zipCodeArea.95814",
     )
-    g = Graph(triplify_places([rec]))
+    g = Graph(triplify_places([(rec, 1)]))
     assert len(list(g.match(None, OWL.sameAs, None))) == 1
 
 
@@ -310,7 +321,7 @@ def test_places_hierarchy_triple_count():
         )
         for i in range(4)
     ]
-    g = Graph(triplify_places(records))
+    g = Graph(triplify_places(_once(records)))
     # 2N per parent level: state<->zip and county<->zip
     assert len(list(g.match(None, KWG_ONT.sfContains, None))) == 2 * len(records)
     assert len(list(g.match(None, KWG_ONT.sfWithin, None))) == 2 * len(records)
@@ -321,8 +332,9 @@ def test_duplicate_zip_rejected():
         zip="95814", polygon_wkt="POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))",
         state_label="California", county_label="Sacramento",
     )
-    with pytest.raises(DuplicateZip):
-        triplify_places([rec, rec])
+    for counted in ([(rec, 1), (rec, 1)], [(rec, 2)]):  # two lines, or one line twice
+        with pytest.raises(DuplicateZip):
+            triplify_places(counted)
 
 
 def _zip_areas_plus(tmp_path: Path, fixtures_dir: Path, extra) -> tuple[Path, int]:
@@ -341,6 +353,24 @@ def _zip_areas_plus(tmp_path: Path, fixtures_dir: Path, extra) -> tuple[Path, in
 def test_repeated_valid_zip_row_fails_the_load(tmp_path, fixtures_dir):
     path, _ = _zip_areas_plus(tmp_path, fixtures_dir, lambda first: [first])
     with pytest.raises(DuplicateZip, match="^duplicate zip code area: 07677$"):
+        build_graph(replace(fixture_config(), zip_areas=path))
+
+
+def test_repeated_zip_named_is_first_in_first_row_order(tmp_path, fixtures_dir):
+    # Rows 07677, Z, ..., Z, 07677: Z repeats first in row order, but the reader
+    # counts each distinct line at its first row, so 07677 is named.
+    with open(fixtures_dir / "zip_areas.csv", newline="", encoding="utf-8") as handle:
+        second = list(csv.reader(handle))[2]
+    assert second[0] != "07677"
+    path, _ = _zip_areas_plus(tmp_path, fixtures_dir, lambda first: [second, first])
+    with pytest.raises(DuplicateZip, match="^duplicate zip code area: 07677$"):
+        build_graph(replace(fixture_config(), zip_areas=path))
+    # Repeats on lines of their own are met in row order, as before.
+    def moved(row: list[str]) -> list[str]:
+        return row[:3] + ["Elsewhere"] + row[4:]
+
+    path, _ = _zip_areas_plus(tmp_path, fixtures_dir, lambda first: [moved(second), moved(first)])
+    with pytest.raises(DuplicateZip, match=f"^duplicate zip code area: {second[0]}$"):
         build_graph(replace(fixture_config(), zip_areas=path))
 
 
@@ -370,8 +400,8 @@ def test_bad_rows_skipped_with_row_numbers(tmp_path: Path):
         for zip_code in ("07677\n", "\u0660\u0667\u0666\u0667\u0667"):  # Arabic-Indic digits
             writer.writerow(["WBY1Z4C5", zip_code, 2018, 2019, "BMW", "i3", "BEV",
                              "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"])
-    records, issues = read_registrations(path)
-    assert len(records) == 1
+    counted, issues = read_registrations(path)
+    assert [n for _, n in counted] == [1]
     assert [i.row for i in issues] == [3, 4, 5, 6, 7, 8, 9]
     assert issues[2].message == "model_year: xsd:gYear needs a 4-digit lexical form: '99'"
     assert "technology must be BEV or PHEV: 'FCEV'" in issues[3].message
@@ -388,8 +418,8 @@ def test_bad_zip_area_rows_skipped_with_row_numbers(tmp_path, fixtures_dir):
         return bad_zips + [[first[0], "POINT (0 0)"] + first[2:]]
 
     path, n = _zip_areas_plus(tmp_path, fixtures_dir, extra)
-    records, issues = read_zip_areas(path)
-    assert len(records) == n - 5
+    counted, issues = read_zip_areas(path)
+    assert sum(rows for _, rows in counted) == n - 5
     assert [(i.row, i.message) for i in issues] == [
         (n - 3, "zip must be 5 digits: '07677\\n'"),
         (n - 2, "zip must be 5 digits: '\u0660\u0667\u0666\u0667\u0667'"),
@@ -409,8 +439,8 @@ def test_row_with_wrong_cell_count_skipped(tmp_path, fixtures_dir, reader, name,
     rows = len(text.splitlines())
     path = tmp_path / name
     path.write_text(text + "WBY1Z4C5,07677,2018\n" + "," * cells + "\n", encoding="utf-8")
-    records, issues = reader(path)
-    assert len(records) == rows - 1
+    counted, issues = reader(path)
+    assert sum(n for _, n in counted) == rows - 1
     assert [(i.row, i.message) for i in issues] == [
         (rows + 1, f"cell count 3 differs from the header's {cells}"),
         (rows + 2, f"cell count {cells + 1} differs from the header's {cells}"),
@@ -426,8 +456,8 @@ def test_non_finite_station_coordinates_skipped(tmp_path, fixtures_dir):
     path = tmp_path / "stations.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(rows)
-    records, issues = read_stations(path)
-    assert not any(r.station_id.startswith("NF") for r in records)
+    counted, issues = read_stations(path)
+    assert not any(r.station_id.startswith("NF") for r, _ in counted)
     n = len(rows)
     assert [(i.row, i.message) for i in issues] == [
         (n - 2, "lon: not a valid xsd:double lexical form: 'nan'"),
@@ -472,12 +502,12 @@ def test_numeric_cells_read_only_in_xsd_lexical_form(tmp_path, fixtures_dir, nam
     path = tmp_path / name
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows([header, row])
-    records, issues = (read_registrations if name == "registrations.csv" else read_stations)(path)
+    counted, issues = (read_registrations if name == "registrations.csv" else read_stations)(path)
     if message is None:
-        [record] = records
-        assert not issues and getattr(record, column) == value
+        [(record, rows)] = counted
+        assert rows == 1 and not issues and getattr(record, column) == value
     else:
-        assert not records and [(i.row, i.message) for i in issues] == [(2, message)]
+        assert not counted and [(i.row, i.message) for i in issues] == [(2, message)]
 
 
 def test_header_only_registrations(tmp_path: Path):
@@ -570,9 +600,10 @@ def test_read_registrations_matches_one_product_per_row(tmp_path, fixtures_dir, 
                    9: "medium-duty", 10: "LEVEL1", 11: "TESLA"}
         rows += [good[:i] + [value] + good[i + 1:] for i, value in changed.items()]
         path = _write_registrations(tmp_path / "registrations.csv", rows)
-    records, issues = read_registrations(path)
+    counted, issues = read_registrations(path)
     expected_records, expected_issues = _read_registrations_one_product_per_row(path)
-    assert records == expected_records
+    assert Counter(_rows(counted)) == Counter(expected_records)
+    assert list(dict.fromkeys(rec for rec, _ in counted)) == list(dict.fromkeys(expected_records))
     assert [(i.row, i.message) for i in issues] == expected_issues
     assert len(expected_issues) == (6 if edited else 0)
 
@@ -584,30 +615,100 @@ def test_token_order_and_spacing_give_one_product_and_one_collection(tmp_path):
     other_vin = ["5YJ3E1EA"] + row[1:]
     path = _write_registrations(tmp_path / "registrations.csv",
                                 [row, respaced, row, other_vin, respaced])
-    records, issues = read_registrations(path)
+    counted, issues = read_registrations(path)
     assert not issues
-    assert records[0].product == records[1].product
-    assert hash(records[0].product) == hash(records[1].product)
-    assert len({id(rec) for rec in records}) == 3  # three distinct lines, one key
-    [collection] = aggregate_registrations(records)
+    assert [n for _, n in counted] == [2, 2, 1]  # three distinct lines, one key
+    (first, _), (second, _), _ = counted
+    assert first.product == second.product
+    assert hash(first.product) == hash(second.product)
+    [collection] = aggregate_registrations(counted)
     assert collection.amount == 5
 
 
 def test_aggregation_equals_counting_keys_on_the_k2_records(tmp_path):
-    records, _ = read_registrations(tiled_config(tmp_path).registrations)
+    counted, _ = read_registrations(tiled_config(tmp_path).registrations)
     rng = random.Random(20)
-    shuffled = [copy.copy(rec) if rng.random() < 0.5 else rec for rec in records]
-    rng.shuffle(shuffled)
-    for recs in (records, shuffled):
-        groups = Counter((rec.zip, rec.registration_year, rec.product) for rec in recs)
+    split = []  # each count split between the record and an equal copy, shuffled
+    for rec, n in counted:
+        k = rng.randint(1, n)
+        split += [(rec, k), (copy.copy(rec), n - k)] if k < n else [(rec, n)]
+    rng.shuffle(split)
+    for pairs in (counted, split):
+        groups = Counter()
+        for rec, n in pairs:
+            groups[rec.zip, rec.registration_year, rec.product] += n
         expected = [
             RegistrationCollection(zip_code, year, prod, amount)
             for (zip_code, year, prod), amount in sorted(
                 groups.items(), key=lambda kv: (kv[0][0], kv[0][1], product_iri(kv[0][2]).value)
             )
         ]
-        assert aggregate_registrations(recs) == expected
-    assert len(expected) < len({id(rec) for rec in shuffled}) < len(records)
+        assert aggregate_registrations(pairs) == expected
+    assert len(expected) <= len(counted) < len(split)
+
+
+def _aggregate_by_identity(records) -> list[RegistrationCollection]:
+    """Reference: the aggregation of one record per row that the counting
+    reader replaced. Records are counted by identity, then merged by key."""
+    records = list(records)
+    ids = list(map(id, records))
+    by_id = dict(zip(ids, records))
+    groups: dict[tuple, int] = {}
+    for rec_id, amount in Counter(ids).items():
+        rec = by_id[rec_id]
+        key = (rec.zip, rec.registration_year, rec.product)
+        groups[key] = groups.get(key, 0) + amount
+    iris = {prod: product_iri(prod).value for _, _, prod in groups}
+    return [
+        RegistrationCollection(zip_code, year, prod, amount)
+        for (zip_code, year, prod), amount in sorted(
+            groups.items(), key=lambda kv: (kv[0][0], kv[0][1], iris[kv[0][2]])
+        )
+    ]
+
+
+def _assert_counting_matches_identity_reference(path: Path) -> None:
+    counted, issues = read_registrations(path)
+    records, expected_issues = _read_registrations_one_product_per_row(path)
+    assert aggregate_registrations(counted) == _aggregate_by_identity(records)
+    assert [(i.row, i.message) for i in issues] == expected_issues
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["fixture", "k2"])
+def test_counted_aggregation_matches_identity_reference(tmp_path, fixtures_dir, tiled):
+    path = tiled_config(tmp_path).registrations if tiled else fixtures_dir / "registrations.csv"
+    _assert_counting_matches_identity_reference(path)
+
+
+def _registration_lines() -> list[str]:
+    """Lines to build registration files from: a few fixture rows, rows each
+    reader skips, a record whose quoted model holds a line break, a blank line."""
+    with open(FIXTURES / "registrations.csv", newline="", encoding="utf-8") as handle:
+        rows = list(dict.fromkeys(map(tuple, list(csv.reader(handle))[1:])))[:4]
+    good = list(rows[0])
+    rows += [
+        ["SHORT"] + good[1:],
+        good[:6] + ["FCEV"] + good[7:],
+        good[:3],
+        good[:5] + ["i3\nSport"] + good[6:],
+    ]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(out.getvalue())
+        out.seek(0)
+        out.truncate()
+    return lines + ["\n"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=st.lists(st.sampled_from(_registration_lines()), max_size=40))
+def test_counted_aggregation_matches_identity_reference_on_edited_files(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("counted") / "registrations.csv"
+    path.write_text(",".join(REGISTRATION_HEADER) + "\n" + "".join(body), encoding="utf-8")
+    _assert_counting_matches_identity_reference(path)
 
 
 def test_repeated_bad_product_rows_each_reported(tmp_path):
@@ -615,30 +716,29 @@ def test_repeated_bad_product_rows_each_reported(tmp_path):
             "BMW NA", "compact", "light-duty", "DCFC", "J1772COMBO"]
     bad = good[:6] + ["FCEV"] + good[7:]
     path = _write_registrations(tmp_path / "registrations.csv", [good, bad, bad, bad, good])
-    records, issues = read_registrations(path)
-    assert len(records) == 2
+    counted, issues = read_registrations(path)
+    assert [n for _, n in counted] == [2]
     message = "technology must be BEV or PHEV: 'FCEV'"
     assert [(i.row, i.message) for i in issues] == [(3, message), (4, message), (5, message)]
 
 
 def test_equal_product_cells_share_one_product_key(fixtures_dir):
     path = fixtures_dir / "registrations.csv"
-    records, issues = read_registrations(path)
+    counted, issues = read_registrations(path)
     assert not issues
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))[1:]
-    assert len(rows) == len(records)
-    first: dict[tuple[str, ...], ProductKey] = {}
-    for row, rec in zip(rows, records):
-        cells = (row[2], *row[4:])
-        assert rec.product is first.setdefault(cells, rec.product)
-    assert len(first) < len(records)
+    assert len(rows) == sum(n for _, n in counted)
+    # Equal product cells give one object and different cells different ones,
+    # so there are as many product objects as distinct sets of product cells.
+    cells = {(row[2], *row[4:]) for row in rows}
+    assert len({id(rec.product) for rec, _ in counted}) == len(cells) < len(counted)
 
 
 def test_station_reader_round_trips_trailing_spaces(fixtures_dir):
-    records, issues = read_stations(fixtures_dir / "stations.csv")
+    counted, issues = read_stations(fixtures_dir / "stations.csv")
     assert not issues
-    ca001 = next(r for r in records if r.station_id == "CA001")
+    ca001 = next(r for r, _ in counted if r.station_id == "CA001")
     assert ca001.operating_hours == "24 hours daily  "
     assert ca001.open_year == 2020
 
@@ -707,9 +807,9 @@ def test_handed_geometries_give_what_parsing_every_literal_gives(tmp_path, monke
     assert serialize_ntriples(graph) == serialize_ntriples(bare)
 
     # The handed map is keyed by each geometry's text, written once per geometry.
-    geoms = [rec.geometry for rec in read_zip_areas(config.zip_areas)[0]]
-    geoms += [geometry.Point(rec.lon, rec.lat) for rec in read_stations(config.stations)[0]]
-    geoms += [rec.geometry for rec in read_transmission(config.transmission)[0]]
+    geoms = [rec.geometry for rec, _ in read_zip_areas(config.zip_areas)[0]]
+    geoms += [geometry.Point(rec.lon, rec.lat) for rec, _ in read_stations(config.stations)[0]]
+    geoms += [rec.geometry for rec, _ in read_transmission(config.transmission)[0]]
     assert written == geoms
     assert handed == [{to_wkt(g): g for g in geoms if geometry.survives_wkt(g)}]
 
@@ -739,20 +839,26 @@ def test_fixture_load_counts_pinned():
     }
 
 
-def test_fixture_snapshot_matches_bench_pin():
-    pin = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["1"]
-    text = serialize_ntriples(build_graph(fixture_config())[0])
+def _assert_snapshot_matches_bench_pin(config, k: int) -> None:
+    pin = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))[str(k)]
+    text = serialize_ntriples(build_graph(config)[0])
     assert text.count("\n") == pin["triples"]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"]
+
+
+def test_fixture_snapshot_matches_bench_pin():
+    _assert_snapshot_matches_bench_pin(fixture_config(), 1)
 
 
 def test_k2_snapshot_matches_bench_pin(tmp_path):
     # At k=2 more records share each state, county, network and status, all
     # minted once per triplifier call; the snapshot is still the pinned one.
-    pin = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["2"]
-    text = serialize_ntriples(build_graph(tiled_config(tmp_path))[0])
-    assert text.count("\n") == pin["triples"]
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"]
+    _assert_snapshot_matches_bench_pin(tiled_config(tmp_path), 2)
+
+
+def test_k8_snapshot_matches_bench_pin(tmp_path):
+    # The bench's ingest workload: each registration line repeats about 78 times.
+    _assert_snapshot_matches_bench_pin(tiled_config(tmp_path, 8), 8)
 
 
 @pytest.mark.parametrize("tiled", [False, True], ids=["fixture", "k2"])
@@ -773,8 +879,8 @@ def test_triplifiers_emit_no_repeated_triple(tmp_path, tiled):
     # Every state and county is minted once, however many zips it holds.
     regions = [t for t in outputs["places"] if t.predicate == RDF.type
                and t.object in (KWG_ONT.AdministrativeRegion_2, KWG_ONT.AdministrativeRegion_3)]
-    assert len(regions) == len({rec.state_label for rec in zips}) + len(
-        {rec.county_label for rec in zips}
+    assert len(regions) == len({rec.state_label for rec, _ in zips}) + len(
+        {rec.county_label for rec, _ in zips}
     ) < 2 * len(zips)
 
 
@@ -832,13 +938,13 @@ def test_equal_registration_rows_share_one_record(tmp_path):
     bad = ["SHORT"] + good[1:]
     rows = [good, bad, good, other, bad, good]
     path = _write_registrations(tmp_path / "registrations.csv", rows)
-    records, issues = read_registrations(path)
-    assert len(records) == 4
-    assert records[0] is records[1] is records[3]
-    assert records[2] is not records[0] and records[2].product is records[0].product
+    counted, issues = read_registrations(path)
+    [(record, rows), (elsewhere, other_rows)] = counted
+    assert (rows, other_rows) == (3, 1)
+    assert elsewhere.zip == "07001" and elsewhere.product is record.product
     message = "vin8 must be exactly 8 characters: 'SHORT'"
     assert [(i.row, i.message) for i in issues] == [(3, message), (6, message)]
-    amounts = {c.zip: c.amount for c in aggregate_registrations(records)}
+    amounts = {c.zip: c.amount for c in aggregate_registrations(counted)}
     assert amounts == {"07677": 3, "07001": 1}
 
 
@@ -846,12 +952,22 @@ def test_equal_registration_rows_share_one_record(tmp_path):
 
 
 def _read_records_one_reader(path: Path, required, build):
-    """Reference: the row loop before the per-line memo, one csv reader over the file."""
-    records, issues = [], []
+    """Reference: one csv reader over the file, building every row. A valid
+    row read from one line is counted with the first valid row of that
+    line's text; one spanning several lines is counted on its own."""
+    counted: dict[object, list] = {}  # line text, or a fresh key -> [record, rows]
+    issues = []
     row_no = 0
+    lines: list[str] = []  # the lines the reader took for the current row
+
+    def taken(handle):
+        for line in handle:
+            lines.append(line)
+            yield line
+
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
+            reader = csv.reader(taken(handle))
             header = next(reader, [])
             position = {col: i for i, col in enumerate(header)}
             missing = [col for col in required if col not in position]
@@ -859,7 +975,10 @@ def _read_records_one_reader(path: Path, required, build):
                 raise IngestError(f"{path}: missing columns {missing}")
             pick = operator.itemgetter(*(position[col] for col in required))
             row_no = 1
+            lines.clear()
             for cells in reader:
+                key = lines[0] if len(lines) == 1 else object()
+                lines.clear()
                 if not cells:
                     continue
                 row_no += 1
@@ -868,14 +987,16 @@ def _read_records_one_reader(path: Path, required, build):
                     issues.append(RowIssue(row_no, message))
                     continue
                 try:
-                    records.append(build(*pick(cells)))
+                    record = build(*pick(cells))
                 except ValueError as exc:
                     issues.append(RowIssue(row_no, str(exc)))
+                else:
+                    counted.setdefault(key, [record, 0])[1] += 1
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
-    return records, issues
+    return [(record, rows) for record, rows in counted.values()], issues
 
 
 def _build_or_raise(c: str, a: str) -> tuple[str, str]:
@@ -938,9 +1059,9 @@ def test_multi_line_record_is_parsed_every_time(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text('a,b,c\nx,"l1\nl2",z\nx,"l1\nl2",z\nl2",z\nx,y,z\n', encoding="utf-8")
     build, calls = _counting(lambda c, a: (c, a))
-    records, issues = _read_records(path, ["c", "a"], build)
-    assert records == [("z", "x"), ("z", "x"), ("z", "x")]
-    assert records[0] is not records[1]  # built twice: a two-line record is never kept
+    counted, issues = _read_records(path, ["c", "a"], build)
+    assert counted == [(("z", "x"), 1)] * 3
+    assert counted[0][0] is not counted[1][0]  # built twice: a two-line record is never kept
     assert len(calls) == 3
     # The continuation line's text, met at a record start, is parsed as its own row.
     assert [(i.row, i.message) for i in issues] == [(4, "cell count 2 differs from the header's 3")]
@@ -949,9 +1070,9 @@ def test_multi_line_record_is_parsed_every_time(tmp_path):
 def test_same_line_without_final_newline_gives_the_same_record(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("a,b,c\r\nx,y,z\r\nx,y,z\r\nx,y,z", encoding="utf-8")
-    records, issues = _read_records(path, ["c", "a"], lambda c, a: (c, a))
-    assert records == [("z", "x")] * 3 and not issues
-    assert records[0] is records[1]
+    counted, issues = _read_records(path, ["c", "a"], lambda c, a: (c, a))
+    # The last line, without its line break, is another text, counted on its own.
+    assert counted == [(("z", "x"), 2), (("z", "x"), 1)] and not issues
 
 
 def test_oversized_cell_after_memo_hits_names_its_row(tmp_path):
@@ -965,8 +1086,8 @@ def test_oversized_cell_after_memo_hits_names_its_row(tmp_path):
 def test_repeated_short_rows_each_reported(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("a,b,c\nx\nx,y,z\nx\n\nx\n", encoding="utf-8")
-    records, issues = _read_records(path, ["c", "a"], lambda c, a: (c, a))
-    assert records == [("z", "x")]
+    counted, issues = _read_records(path, ["c", "a"], lambda c, a: (c, a))
+    assert counted == [(("z", "x"), 1)]
     message = "cell count 1 differs from the header's 3"
     assert [(i.row, i.message) for i in issues] == [(2, message), (4, message), (5, message)]
 
@@ -989,13 +1110,11 @@ def test_build_runs_once_per_distinct_line(tmp_path, fixtures_dir, monkeypatch, 
         return _read_records(path, required, counted)
 
     monkeypatch.setattr(ingest, "_read_records", read_counting)
-    records, issues = reader(path)
-    assert not issues and len(records) == 3 * len(lines)
+    counted, issues = reader(path)
+    assert not issues
     [made] = calls
-    assert len(made) == len(set(lines))
-    first = {}
-    for line, record in zip(lines * 3, records):
-        assert first.setdefault(line, record) is record
+    assert len(made) == len(counted) == len(set(lines))
+    assert [n for _, n in counted] == [3 * lines.count(line) for line in dict.fromkeys(lines)]
 
 
 # --- triplifiers build their triples without Triple's checks ---------------------
@@ -1072,8 +1191,8 @@ _places = st.lists(
 def test_triplifiers_emit_only_checked_triples(collections, stations, assets, places):
     # Two generated labels may sanitize alike; that load fails with an IRI
     # collision and emits nothing.
-    for triplify, records in ((triplify_adoption, collections), (triplify_stations, stations),
-                              (triplify_transmission, assets), (triplify_places, places)):
+    for triplify, records in ((triplify_adoption, collections), (triplify_stations, _once(stations)),
+                              (triplify_transmission, _once(assets)), (triplify_places, _once(places))):
         try:
             triples = triplify(records)
         except IngestError as exc:

@@ -29,7 +29,7 @@ def _small_world() -> Graph:
     g = Graph()
     g.update(
         triplify_places(
-            [
+            (rec, 1) for rec in [
                 ZipAreaRecord("07677", "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "New Jersey", "Bergen"),
                 ZipAreaRecord("07001", "POLYGON ((6 0, 10 0, 10 4, 6 4, 6 0))", "New Jersey", "Middlesex"),
                 ZipAreaRecord("07002", "POLYGON ((12 0, 16 0, 16 4, 12 4, 12 0))", "New Jersey", "Hudson"),
@@ -38,7 +38,7 @@ def _small_world() -> Graph:
     )
     g.update(
         triplify_stations(
-            [
+            (rec, 1) for rec in [
                 StationRecord("A", "In first zip", 2.0, 2.0, "07677", "public", None,
                               "24 hours daily", "2020-01-01", 2020, None, None, ()),
                 StationRecord("B", "On boundary", 6.0, 2.0, "07001", "public", None,
@@ -52,7 +52,7 @@ def _small_world() -> Graph:
         triplify_transmission(
             [
                 # crosses the first two zips, stops short of the third
-                TransmissionAssetRecord("L1", "line", "LINESTRING (-1 2, 11 2)", "500"),
+                (TransmissionAssetRecord("L1", "line", "LINESTRING (-1 2, 11 2)", "500"), 1),
             ]
         )
     )
@@ -269,8 +269,8 @@ def _square(zip_code: str, x0: float, y0: float, size: float) -> tuple[str, str]
 def _world(zips: list[tuple[str, str]], assets: list[tuple[str, str, str]]) -> Graph:
     """Zip areas (zip, wkt) and transmission assets (id, kind, wkt) in one graph."""
     g = Graph()
-    g.update(triplify_places([ZipAreaRecord(z, wkt, "New Jersey", "Bergen") for z, wkt in zips]))
-    g.update(triplify_transmission([TransmissionAssetRecord(a, k, wkt) for a, k, wkt in assets]))
+    g.update(triplify_places([(ZipAreaRecord(z, wkt, "New Jersey", "Bergen"), 1) for z, wkt in zips]))
+    g.update(triplify_transmission([(TransmissionAssetRecord(a, k, wkt), 1) for a, k, wkt in assets]))
     return g
 
 

@@ -256,6 +256,16 @@ def test_error_messages_and_positions_pinned(line, message, col):
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col {col}: {message}", 2, col)
 
 
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\x1f"])
+@pytest.mark.parametrize("tail", [" .", " . # comment"], ids=["one-match line", "token walk"])
+def test_control_character_in_iri_is_a_parse_error(char, tail):
+    iri = f"http://x/{char}s"
+    with pytest.raises(ParseError) as exc:
+        parse_ntriples(f"{_SP} <http://x/o> .\n<{iri}> {_P} <http://x/o>{tail}\n")
+    message = f"IRI contains forbidden character: {iri!r}"
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col 14: {message}", 2, 14)
+
+
 _NT_FUZZ_PIECES = [
     "<http://x/s>", "<http://x/p>", "<a b>", "<>", "<http://x", '"x"', '"a b"', '"', "\\", "\\t", "\\u00e9",
     "\\U0001F600", "\\uD800", "\\u12", "\\q", "^^", "@", "@en", "_:", "_:b", "_x", "ex:a", "ex:a.b",

@@ -44,6 +44,13 @@ def test_iri_rejects_whitespace_and_brackets():
             Iri(bad)
 
 
+def test_iri_rejects_every_character_up_to_space():
+    # N-Triples IRIREF excludes U+0000-U+0020, C0 controls that `\s` misses included.
+    for code in range(0x21):
+        with pytest.raises(TermError, match="forbidden character"):
+            Iri(f"http://x/{chr(code)}a")
+
+
 def test_iri_requires_a_scheme():
     for good in ("urn:x", "http://x/", "a+b.c-9:", "Z:"):
         assert Iri(good).value == good
