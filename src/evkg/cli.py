@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ingest (CSV -> N-Triples snapshot), materialize, query, cq
-(competency-question suite with expected-result diffs), stats, and
-export-ontology. Exit codes: 0 ok, 1 competency diff failure, 2 I/O
-problem (an input that cannot be read, is not UTF-8 or is malformed), 3
-query syntax or unsupported construct, 4 out of memory.
+(competency questions with expected-result diffs: those given by -q, in
+order, or all six, from one load of the snapshot), stats, and
+export-ontology. Exit codes: 0 ok, 1 competency diff failure (any question
+failed), 2 I/O problem (an input that cannot be read, is not UTF-8 or is
+malformed), 3 query syntax or unsupported construct, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -173,18 +174,14 @@ def _diff(expected: str, actual: str, name: str) -> str:
     )
 
 
-def cmd_cq(args: argparse.Namespace) -> int:
-    graph = _load_snapshot(Path(args.input))
-    question = args.question
-    if question not in suite.QUESTION_QUERIES:
-        raise CliError(f"unknown competency question: {question}", EXIT_IO)
-    expected_dir = Path(args.expected)
-    failures = []
+def _answer(graph: Graph, question: int, expected_dir: Path) -> bool:
+    """Print the question's PASS or FAIL line, with the diff of each output
+    that differs from its expected file; True if it passed."""
     try:
         outputs = suite.question_outputs(graph, question)
     except QueryError as exc:
         raise CliError(f"Q{question}: {exc}", EXIT_QUERY) from None
-
+    failures = []
     for name, actual in outputs:
         expected_path = expected_dir / name
         if not expected_path.exists():
@@ -197,12 +194,22 @@ def cmd_cq(args: argparse.Namespace) -> int:
         print(f"Q{question}: FAIL")
         for diff in failures:
             sys.stdout.write(diff)
-        return EXIT_CQ_FAIL
+        return False
     vacuous = all(
         actual.count("\n") <= 1 for name, actual in outputs if name.endswith(".tsv")
     )
     print(f"Q{question}: PASS" + (" (vacuous: empty result)" if vacuous else ""))
-    return EXIT_OK
+    return True
+
+
+def cmd_cq(args: argparse.Namespace) -> int:
+    """Answer the questions given by -q, in that order, or all six, from one
+    load of the snapshot; exit 1 if any failed."""
+    graph = _load_snapshot(Path(args.input))
+    expected_dir = Path(args.expected)
+    passed = [_answer(graph, question, expected_dir)
+              for question in args.question or sorted(suite.QUESTION_QUERIES)]
+    return EXIT_OK if all(passed) else EXIT_CQ_FAIL
 
 
 STAT_ROWS: list[tuple[str, Iri]] = [
@@ -278,9 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("cq", help="run a competency question and diff expected results")
+    p = sub.add_parser("cq", help="run competency questions and diff expected results")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("-q", "--question", type=int, required=True, choices=range(1, 7))
+    p.add_argument("-q", "--question", type=int, action="append",
+                   choices=sorted(suite.QUESTION_QUERIES),
+                   help="a question to run; repeat for several, in order (default: all six)")
     p.add_argument("--expected", default="fixtures/expected", help="expected-results directory")
     p.set_defaults(func=cmd_cq)
 

@@ -19,6 +19,18 @@ it lies within EPS of an edge.
 Boundary semantics follow DE-9IM interiors: a point exactly on a polygon
 boundary is neither interior nor exterior to it.
 
+Boxes skip exact work whose outcome they already settle, so every answer
+is the one the full walk gives:
+- `_sample_points` classifies two segments only when their closed boxes
+  meet; segments whose boxes are apart have no contact.
+- `_ring_location` runs the EPS test of an edge only when the point lies
+  in the edge's box grown by `_reach`, which covers EPS and the rounding of
+  `_dist2_point_segment` (see `_reach`); outside it the test cannot pass.
+- `sf_crosses` takes the area's box once per call. A sample outside it,
+  grown by `_reach`, is within EPS of no edge, and a ray from a point
+  outside a ring's box crosses the ring an even number of times, so it is
+  exterior without a walk of the rings.
+
 `_SHAPE_OF` gives each geometry type's WKT nesting and point paths (each
 point, line or ring).
 
@@ -29,7 +41,9 @@ finite; any other list is left to the walk, which gives every message and
 offset. Ring validation sweeps the edges once (`_edge_fault`); two
 adjacent edges of a ring are settled by one orientation sign of the far
 end of one against the other's line when it is not zero, and by the full
-segment classification otherwise.
+segment classification otherwise. The writer, `write_wkt`, gives the text
+and whether it parses back to an equal geometry from one walk of the
+coordinates.
 """
 
 from __future__ import annotations
@@ -286,30 +300,32 @@ def parse_wkt(text: str) -> Geometry:
     return geom
 
 
-def _fmt(v: float) -> str:
-    # Up to 9 decimal places, trailing zeros trimmed; -0 normalizes to 0.
-    text = f"{v:.9f}".rstrip("0").rstrip(".")
+def _fmt(v: float, changed: list[float]) -> str:
+    """v with up to 9 decimal places, trailing zeros trimmed, -0 as 0; v goes
+    to `changed` when that text reads back as another float."""
+    text = f"{v:.9f}"
+    if float(text) != v:
+        changed.append(v)
+    text = text.rstrip("0").rstrip(".")
     return "0" if text in ("-0", "") else text
 
 
-def _text(item: Union[Point, tuple]) -> str:
+def _text(item: Union[Point, tuple], changed: list[float]) -> str:
     if isinstance(item, Point):
-        return f"{_fmt(item.x)} {_fmt(item.y)}"
-    return "(" + ", ".join(map(_text, item)) + ")"
+        return f"{_fmt(item.x, changed)} {_fmt(item.y, changed)}"
+    return "(" + ", ".join([_text(part, changed) for part in item]) + ")"
 
 
-def to_wkt(geom: Geometry) -> str:
+def write_wkt(geom: Geometry) -> tuple[str, bool]:
+    """The WKT text of geom, and whether it parses back to an equal geometry:
+    it does when every coordinate survives the 9 decimals, since the same
+    coordinates in the same structure pass the same validation. Both come
+    from one walk of the coordinates."""
     if type(geom) not in _SHAPE_OF:
         raise TypeError(f"not a geometry: {geom!r}")
-    return f"{type(geom).__name__.upper()} {_text(_SHAPE_OF[type(geom)].nested(geom))}"
-
-
-def survives_wkt(geom: Geometry) -> bool:
-    """Does `to_wkt(geom)` parse back to an equal geometry? It does when every
-    coordinate survives the writer's 9 decimals: the same coordinates in the
-    same structure, which pass the same validation. `round(v, 9)` is
-    `float(_fmt(v))`: both round v's exact decimal value correctly."""
-    return all(round(v, 9) == v for p in _vertices(geom) for v in (p.x, p.y))
+    changed: list[float] = []
+    text = _text(_SHAPE_OF[type(geom)].nested(geom), changed)
+    return f"{type(geom).__name__.upper()} {text}", not changed
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +413,25 @@ def _dist2_point_segment(p: Point, a: Point, b: Point) -> float:
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
     return _dist2_point_segment(p, a, b) <= EPS * EPS
+
+
+_ROUNDING = 2.0**-48  # per coordinate magnitude, in `_reach`
+
+
+def _reach(x: float, y: float, extent: float) -> float:
+    """How far a point (x, y) may lie outside a box whose width plus height
+    is `extent` and still pass `_on_segment` for an edge in the box.
+
+    The nearest point of edge ab to p is a + t·(b - a) with t clamped to
+    [0, 1], so exactly it lies in the edge's box, and as
+    `_dist2_point_segment` rounds it, within 6·2**-53·M of that box on each
+    axis, M being the edge's largest coordinate magnitude on that axis. If
+    p lies d outside the box on one axis, M <= |p| + d + extent there, so
+    when d exceeds the reach, the float distance along that axis alone is
+    over 2·EPS and its square over EPS². The factors 3 and 2**-48, against
+    2 and 6·2**-53, also cover the rounding of the box test itself.
+    """
+    return 3.0 * EPS + _ROUNDING * (abs(x) + abs(y) + extent)
 
 
 SEG_NONE = 0
@@ -488,16 +523,23 @@ def _ring_location(p: Point, ring: Ring) -> str:
     """Where p lies against the area `ring` bounds, in one walk of its edges:
     on the boundary at the first edge within EPS, else by even-odd parity.
 
-    Parity uses the half-open rule on y so edges through vertices count once.
-    An upward edge crosses the ray right of p exactly when p lies to its
-    left, a downward one when p lies to its right, so each crossing is one
-    exact orientation sign.
+    The EPS test runs only for an edge whose box, grown by `_reach`, holds
+    p; outside that box it cannot pass. Parity uses the half-open rule on y
+    so edges through vertices count once. An upward edge crosses the ray
+    right of p exactly when p lies to its left, a downward one when p lies
+    to its right, so each crossing is one exact orientation sign.
     """
+    px, py = p.x, p.y
+    reach = _reach(px, py, 0.0)
     inside = False
     for a, b in zip(ring, ring[1:]):
-        if _on_segment(p, a, b):
+        ax, ay, bx, by = a.x, a.y, b.x, b.y
+        x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+        y0, y1 = (ay, by) if ay < by else (by, ay)
+        grow = reach + _ROUNDING * (x1 - x0 + y1 - y0)  # _reach(px, py, w + h), inline
+        if x0 - grow <= px <= x1 + grow and y0 - grow <= py <= y1 + grow and _on_segment(p, a, b):
             return BOUNDARY
-        if (a.y > p.y) != (b.y > p.y) and _orient(a, b, p) == (1 if b.y > a.y else -1):
+        if (ay > py) != (by > py) and _orient(a, b, p) == (1 if by > ay else -1):
             inside = not inside
     return INTERIOR if inside else EXTERIOR
 
@@ -546,6 +588,8 @@ Box = tuple[float, float, float, float]
 
 def bbox(geom: Geometry) -> Box:
     """Tight axis-aligned bounds (minx, miny, maxx, maxy)."""
+    if type(geom) is Point:
+        return (geom.x, geom.y, geom.x, geom.y)
     xs, ys = [], []
     for v in _vertices(geom):
         xs.append(v.x)
@@ -573,10 +617,16 @@ def _sample_points(geom: Geometry, other: Geometry) -> Iterator[Point]:
     enters and leaves between its endpoints is still seen on both sides.
     """
     yield from _vertices(geom)
-    other_segments = list(_segments(other))
+    other_edges = [
+        (min(qa.x, qb.x), max(qa.x, qb.x), min(qa.y, qb.y), max(qa.y, qb.y), qa, qb)
+        for qa, qb in _segments(other)
+    ]
     for a, b in _segments(geom):
+        x0, x1, y0, y1 = min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y)
         cuts = [0.0, 1.0]
-        for qa, qb in other_segments:
+        for qx0, qx1, qy0, qy1, qa, qb in other_edges:
+            if qx0 > x1 or x0 > qx1 or qy0 > y1 or y0 > qy1:
+                continue  # closed boxes apart: the segments do not meet
             kind, pt = _segment_relation(a, b, qa, qb)
             if pt is not None:
                 cuts.append(_param_on_segment(a, b, pt))
@@ -605,12 +655,19 @@ def _param_on_segment(a: Point, b: Point, p: Point) -> float:
 def sf_crosses(line: Union[LineString, MultiLineString], area: Area) -> bool:
     """Simple-features crosses for a line against a polygon or multipolygon:
     the line runs partly inside and partly outside. Its sample points are
-    located until one is inside and another outside."""
-    if bbox_disjoint(bbox(line), bbox(area)):
-        return False
+    located until one is inside and another outside. A sample outside the
+    area's box, grown by `_reach`, is exterior without a walk of the rings:
+    it is within EPS of no edge, and the ray from a point outside a ring's
+    box crosses the ring an even number of times."""
+    x0, y0, x1, y1 = bbox(area)
+    extent = x1 - x0 + y1 - y0
     inside = outside = False
     for p in _sample_points(line, area):
-        loc = locate_point(p, area)
+        grow = _reach(p.x, p.y, extent)
+        if x0 - grow <= p.x <= x1 + grow and y0 - grow <= p.y <= y1 + grow:
+            loc = locate_point(p, area)
+        else:
+            loc = EXTERIOR
         inside = inside or loc == INTERIOR
         outside = outside or loc == EXTERIOR
         if inside and outside:

@@ -58,14 +58,14 @@ rows with one zip (`DuplicateZip`), fails the load.
 Zip and transmission records keep the geometry they parse while validating
 (their derived `geometry` field); the triplifiers write it as canonical WKT
 and never parse the source text again. Spatial materialization works from
-that canonical `geo:asWKT` literal, not the record geometry: `to_wkt` rounds
-every coordinate to 9 decimals, so the literal is the geometry the snapshot
-states, and `evkg materialize` on a stored snapshot takes the same path.
-`build_graph` hands it, keyed by the text the triplifiers wrote, every zip,
-transmission and station geometry whose text parses back to an equal
-geometry (`geometry.survives_wkt`), so the WKT of each is written once and
-parsed once; a literal that rounding changed is parsed from the snapshot
-text.
+that canonical `geo:asWKT` literal, not the record geometry:
+`geometry.write_wkt` rounds every coordinate to 9 decimals, so the literal
+is the geometry the snapshot states, and `evkg materialize` on a stored
+snapshot takes the same path. `build_graph` hands it, keyed by the text the
+triplifiers wrote, every zip, transmission and station geometry whose text
+parses back to an equal geometry (which `write_wkt` decides in the walk
+that writes the text), so the WKT of each is written once and parsed once;
+a literal that rounding changed is parsed from the snapshot text.
 """
 
 from __future__ import annotations
@@ -638,11 +638,11 @@ def _geometry_triples(
     """The feature's geometry node and canonical WKT literal; `shapes`, when
     given, maps that text to `geom` if the text parses back to it."""
     node = geometry_iri(feature)
-    text = geometry.to_wkt(geom)
+    text, survives = geometry.write_wkt(geom)
     out.append(_triple(feature, GEO.hasGeometry, node))
     out.append(_triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
     out.append(_triple(node, GEO.asWKT, Literal(text, WKT_LITERAL)))
-    if shapes is not None and geometry.survives_wkt(geom):
+    if shapes is not None and survives:
         shapes[text] = geom
 
 

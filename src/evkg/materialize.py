@@ -16,6 +16,17 @@ triples and boundary reports come in the same order as an all-pairs loop.
 The new triples are collected in that order and written with one
 `Graph.update`.
 
+Each pair that passes the box check goes to `geometry.locate_point` or
+`geometry.sf_crosses`, always through the module. Those skip exact work a
+box settles, and only that, so every relation and boundary report is the
+one the full walks give: `sf_crosses` takes the zip's box once per call
+(it no longer box-checks the pair again), calls a sample point outside
+that box, grown by `geometry._reach`, exterior without walking the rings,
+and classifies a line segment only against zip edges whose closed boxes
+meet it; `locate_point` runs the EPS boundary test only against edges
+whose grown box holds the point. The EPS snap stays the only approximate
+step.
+
 Each member's geometry is its stored `geo:asWKT` literal; of several, the
 one on the geometry node with the smallest IRI, and within that node the
 smallest literal, so the choice never follows set order. A caller that

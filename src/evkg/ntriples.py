@@ -11,6 +11,11 @@ character, U+2028 included, may stand raw inside a literal. Only space
 and tab are blanks: a line is skipped only if it holds nothing else, or
 a `#` comment after them.
 
+An IRI may spell a character as a \\u or \\U escape (UCHAR), which `_term`
+decodes on both paths below; an escape of a character that IRIs forbid is
+an error at the escape. A blank node label is read by the grammar's
+character classes (BLANK_NODE_LABEL), so `_:é` and `_:a·b` are labels.
+
 A line spelled as the serializer writes it, with an IRI or literal object,
 is read by one `_LINE` match. Every other line, malformed ones included,
 takes the token walk (`_triple`, one `_TOKEN` match per term), which owns
@@ -18,7 +23,7 @@ every error message and position; the fast path changes neither.
 
 One parse reads each distinct term text once: later occurrences of the
 same token share the term the first one built (and checked), so equal
-terms in a loaded graph are one object.
+terms spelled alike in a loaded graph are one object.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Iterator
 
 from .graph import Graph
 from .terms import (
+    IRI_FORBIDDEN,
     RDF_LANGSTRING,
     XSD_STRING,
     BlankNode,
@@ -130,14 +136,23 @@ _TOKEN = re.compile(rf"""[ \t]*(?:
 _LINE = re.compile(
     r'(<[^>]*>) (<[^>]*>) (<[^>]*>|"[^"\\]*(?:\\.[^"\\]*)*"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?) \.'
 )
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
+# BLANK_NODE_LABEL (N-Triples grammar [141s]): PN_CHARS_U or a digit, then
+# PN_CHARS or '.', not ending in '.'. PN_CHARS_U is PN_CHARS_BASE, '_' or ':'.
+_PN_CHARS_U = (
+    "A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF\u200C-\u200D"
+    "\u2070-\u218F\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF\uFDF0-\uFFFD\U00010000-\U000EFFFF_:"
+)
+_PN_CHARS = _PN_CHARS_U + "\\-0-9\u00B7\u0300-\u036F\u203F-\u2040"
+_BLANK_LABEL = re.compile(f"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 _LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
 
-def _unescape(line: str, line_no: int, offset: int, body: str) -> str:
-    """Decode the escapes of `body`, found at `offset` in `line`."""
+def _unescape(line: str, line_no: int, offset: int, body: str, iri: bool = False) -> str:
+    """Decode the escapes of `body`, found at `offset` in `line`: those of a
+    string literal, or only the \\u and \\U escapes (UCHAR) of an IRI, whose
+    characters must be ones an IRI may hold."""
     if "\\" not in body:
         return body
 
@@ -148,8 +163,10 @@ def _unescape(line: str, line_no: int, offset: int, body: str) -> str:
             code = int(hexs, 16)
             if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
                 raise _error(f"\\{esc}{hexs} is not a Unicode scalar value", line_no, at)
+            if iri and IRI_FORBIDDEN.match(chr(code)):
+                raise _error(f"\\{esc}{hexs} is a character an IRI may not hold", line_no, at)
             return chr(code)
-        if esc in _UNESCAPES:
+        if esc in _UNESCAPES and not iri:
             return _UNESCAPES[esc]
         if esc in "uU":
             width = 4 if esc == "u" else 8
@@ -166,7 +183,7 @@ def _term(m: re.Match, line: str, line_no: int) -> Term:
     kind, end = m.lastgroup, m.end()
     try:
         if kind == "iri":
-            return Iri(m["iri_text"])
+            return Iri(_unescape(line, line_no, m.start("iri_text"), m["iri_text"], iri=True))
         if kind == "literal":
             lexical = _unescape(line, line_no, m.start("lexical"), m["lexical"])
             suffix, tag = m["suffix"], m["tag"]
@@ -178,7 +195,7 @@ def _term(m: re.Match, line: str, line_no: int) -> Term:
                     raise _error("expected a language tag", line_no, at)
                 return Literal(lexical, RDF_LANGSTRING, tag)
             if tag and tag[0] == "<":
-                return Literal(lexical, Iri(tag[1:-1]))
+                return Literal(lexical, Iri(_unescape(line, line_no, at + 1, tag[1:-1], iri=True)))
             if line[at:at + 1] == "<":
                 raise _error("unterminated IRI", line_no, at + 1)
             raise _error("expected <datatype IRI>", line_no, at)

@@ -76,7 +76,7 @@ EVR = Namespace("http://evkg.org/resource/")
 
 # N-Triples IRIREF excludes U+0000-U+0020; `\s` adds the other Unicode blanks.
 _FORBIDDEN_IN_IRI = r"\x00-\x20\s<>\"{}|^`\\"
-_IRI_FORBIDDEN = re.compile(f"[{_FORBIDDEN_IN_IRI}]")
+IRI_FORBIDDEN = re.compile(f"[{_FORBIDDEN_IN_IRI}]")
 # A scheme (RFC 3987 §2.2), then none of the forbidden characters.
 _ABSOLUTE_IRI = re.compile(rf"[A-Za-z][A-Za-z0-9+.\-]*:[^{_FORBIDDEN_IN_IRI}]*")
 
@@ -90,7 +90,7 @@ class Iri(tuple):
         if not _ABSOLUTE_IRI.fullmatch(value):
             if not value:
                 raise TermError("IRI must be non-empty")
-            if _IRI_FORBIDDEN.search(value):
+            if IRI_FORBIDDEN.search(value):
                 raise TermError(f"IRI contains forbidden character: {value!r}")
             raise TermError(f"IRI is not absolute (no scheme): {value!r}")
         return tuple.__new__(cls, (value,))

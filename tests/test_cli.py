@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from evkg import cli
 from evkg.cli import main
 from evkg.graph import Graph
 from evkg.ingest import ZipAreaRecord, triplify_places, zip_area_iri
@@ -491,6 +492,46 @@ def test_cq_diff_failure_exit_1(workspace, tmp_path, capsys):
     assert code == 1
     assert "Q1: FAIL" in out
     assert "Wrong Product" in out  # unified diff shown
+
+
+def _verdicts(out: str) -> list[str]:
+    return [line for line in out.splitlines() if re.fullmatch(r"Q\d: (PASS|FAIL).*", line)]
+
+
+def test_cq_without_q_answers_all_six_from_one_load(workspace, capsys, monkeypatch):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    loads = []
+    load = cli._load_snapshot
+    monkeypatch.setattr(cli, "_load_snapshot", lambda path: loads.append(path) or load(path))
+    code = main(["cq", "-i", str(snapshot), "--expected", str(FIXTURES / "expected")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert _verdicts(out) == out.splitlines() == [f"Q{q}: PASS" for q in range(1, 7)]
+    assert loads == [snapshot]
+
+
+def test_cq_corrupted_expected_file_fails_only_its_question(workspace, tmp_path, capsys):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    tampered = tmp_path / "expected-tampered"
+    shutil.copytree(FIXTURES / "expected", tampered)
+    (tampered / "query05.tsv").write_text("zip\n\"00000\"\n", encoding="utf-8")  # one of Q4's outputs
+    code = main(["cq", "-i", str(snapshot), "--expected", str(tampered)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert _verdicts(out) == [f"Q{q}: {'FAIL' if q == 4 else 'PASS'}" for q in range(1, 7)]
+    q4, q5 = out.index("Q4: FAIL\n"), out.index("Q5: PASS")
+    assert "--- expected/query05.tsv" in out[q4:q5] and "00000" in out[q4:q5]
+    assert "expected/query04.tsv" not in out
+
+
+def test_cq_runs_the_given_questions_in_order(workspace, capsys):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    code = main(["cq", "-i", str(snapshot), "-q", "3", "-q", "1", "--expected", str(FIXTURES / "expected")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["Q3: PASS", "Q1: PASS"]
 
 
 

@@ -797,10 +797,10 @@ def test_handed_geometries_give_what_parsing_every_literal_gives(tmp_path, monke
         return reports[-1]
 
     monkeypatch.setattr(materialize, "materialize_spatial_relations", recording)
-    to_wkt, written = geometry.to_wkt, []
-    monkeypatch.setattr(geometry, "to_wkt", lambda g: written.append(g) or to_wkt(g))
+    write_wkt, written = geometry.write_wkt, []
+    monkeypatch.setattr(geometry, "write_wkt", lambda g: written.append(g) or write_wkt(g))
     graph, _ = build_graph(config)
-    monkeypatch.setattr(geometry, "to_wkt", to_wkt)
+    monkeypatch.setattr(geometry, "write_wkt", write_wkt)
     bare, _ = build_graph(replace(config, materialize_spatial=False))
     assert reports == [spatial(bare)]
     assert reports[0].added_total > 0
@@ -811,7 +811,7 @@ def test_handed_geometries_give_what_parsing_every_literal_gives(tmp_path, monke
     geoms += [geometry.Point(rec.lon, rec.lat) for rec, _ in read_stations(config.stations)[0]]
     geoms += [rec.geometry for rec, _ in read_transmission(config.transmission)[0]]
     assert written == geoms
-    assert handed == [{to_wkt(g): g for g in geoms if geometry.survives_wkt(g)}]
+    assert handed == [{text: g for g in geoms for text, survives in [write_wkt(g)] if survives}]
 
 
 def test_triplifiers_reuse_record_geometry(fixtures_dir, monkeypatch):

@@ -165,7 +165,8 @@ def test_fixture_matches_brute_force_pairwise_oracle(raw_fixture_graph):
 
 
 def test_one_box_per_geometry(raw_fixture_graph, monkeypatch):
-    """bbox runs once per zip and per feature, plus twice per sf_crosses call."""
+    """bbox runs once per zip and per feature, plus once (the zip's) per
+    sf_crosses call."""
     calls = {"bbox": 0, "sf_crosses": 0}
 
     def counted(name):
@@ -184,7 +185,7 @@ def test_one_box_per_geometry(raw_fixture_graph, monkeypatch):
     features = {s for cls in FEATURE_CLASSES for s in g.subjects(RDF.type, cls)}
     materialize_spatial_relations(g)
     assert calls["sf_crosses"] > 0
-    assert calls["bbox"] <= len(zips) + len(features) + 2 * calls["sf_crosses"]
+    assert calls["bbox"] <= len(zips) + len(features) + calls["sf_crosses"]
 
 
 # --- subclass closure -------------------------------------------------------

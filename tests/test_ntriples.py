@@ -221,7 +221,13 @@ _NTRIPLES_ERRORS = [
     (f'{_SP} "x"^^ <{_XSD}string> .', "expected <datatype IRI>", 32),
     (f"_x {_P} <http://x/o> .", "bad blank node: '_x'", 3),
     (f"_:a>b {_P} <http://x/o> .", "bad blank node: '_:a>b'", 6),
-    (f"_:é {_P} <http://x/o> .", "bad blank node: '_:é'", 4),
+    (f"_:\u00b7a {_P} <http://x/o> .", "bad blank node: '_:\u00b7a'", 5),
+    (f"_:a~b {_P} <http://x/o> .", "bad blank node: '_:a~b'", 6),
+    (f"<http://x/a\\u0020b> {_P} <http://x/o> .", "\\u0020 is a character an IRI may not hold", 13),
+    (f"{_SP} <http://x/\\U0000003E> .", "\\U0000003E is a character an IRI may not hold", 38),
+    (f'{_SP} "x"^^<http://x/\\u007B> .', "\\u007B is a character an IRI may not hold", 43),
+    (f"<http://x/a\\n> {_P} <http://x/o> .", "unknown escape \\n", 13),
+    (f"<http://x/\\uD800> {_P} <http://x/o> .", "\\uD800 is not a Unicode scalar value", 12),
     (f"_:-a {_P} <http://x/o> .", "bad blank node: '_:-a'", 5),
     (f'{_SP} "1_0"^^<{_XSD}double> .', "not a valid xsd:double lexical form: '1_0'", 75),
     (f'{_SP} "nan"^^<{_XSD}double> .', "not a valid xsd:double lexical form: 'nan'", 75),
@@ -266,6 +272,32 @@ def test_control_character_in_iri_is_a_parse_error(char, tail):
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col 14: {message}", 2, 14)
 
 
+@pytest.mark.parametrize("tail", [" .", " . # comment"], ids=["one-match line", "token walk"])
+def test_uchar_escapes_in_iris_are_decoded(tail):
+    line = f'<http://x/caf\\u00E9> <http://x/\\U000000E9> "1"^^<http://x/d\\u00e9>{tail}\n'
+    graph = parse_ntriples(f"{_SP} <http://x/o> .\n" + line)
+    assert Triple(Iri("http://x/café"), Iri("http://x/é"), Literal("1", Iri("http://x/dé"))) in graph
+    text = serialize_ntriples(graph)
+    assert "<http://x/café> <http://x/é> " in text
+    assert set(parse_ntriples(text)) == set(graph)
+
+
+@pytest.mark.parametrize("escape", ["\\u0020", "\\u003E", "\\u003c", "\\U00000022", "\\u0001", "\\u00A0"])
+@pytest.mark.parametrize("tail", [" .", " . # comment"], ids=["one-match line", "token walk"])
+def test_uchar_of_a_character_an_iri_forbids_is_a_parse_error(escape, tail):
+    with pytest.raises(ParseError) as exc:
+        parse_ntriples(f"{_SP} <http://x/o> .\n{_SP} <http://x/a{escape}b>{tail}\n")
+    message = f"{escape} is a character an IRI may not hold"
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col 39: {message}", 2, 39)
+
+
+@pytest.mark.parametrize("label", ["é", "a·b", "0", "a.b", "_x", "a:b", "a-", "x\u0301", "\U00010000"])
+def test_blank_node_labels_by_the_grammar_classes(label):
+    graph = parse_ntriples(f"_:{label} {_P} _:{label} .\n")
+    assert list(graph) == [Triple(BlankNode(label), Iri("http://x/p"), BlankNode(label))]
+    assert set(parse_ntriples(serialize_ntriples(graph))) == set(graph)
+
+
 _NT_FUZZ_PIECES = [
     "<http://x/s>", "<http://x/p>", "<a b>", "<>", "<http://x", '"x"', '"a b"', '"', "\\", "\\t", "\\u00e9",
     "\\U0001F600", "\\uD800", "\\u12", "\\q", "^^", "@", "@en", "_:", "_:b", "_x", "ex:a", "ex:a.b",
@@ -299,16 +331,20 @@ def test_repeated_term_text_in_a_bad_position_reports_its_own_line():
 # --- the one-match line reader against the token walk -----------------------
 
 # (well-formed, malformed) texts for each position
-_DIFF_SUBJECTS = (["<http://x/s>", "<http://x/s2>", "<http://x/o>", "_:b1", "_:a.b"], ["<a b>", '"lit"', "_:-a"])
+_DIFF_SUBJECTS = (
+    ["<http://x/s>", "<http://x/s2>", "<http://x/o>", "_:b1", "_:a.b", "_:é", "_:a·b", "<http://x/caf\\u00E9>"],
+    ["<a b>", '"lit"', "_:-a", "_:·a", "<http://x/\\u0020>"],
+)
 _DIFF_PREDICATES = (["<http://x/p>", "<http://x/q>"], ["_:p", "<>"])
 _DIFF_OBJECTS = (
     [
         "<http://x/o>", "<http://x/s>", '"plain"', '"a b ."', '""', '"\u2028 \x85"',
         '"esc \\" \\\\ \\t \\n \\u00e9 \\U0001F600"', f'"1"^^<{_XSD}integer>',
         f'"2.5E1"^^<{_XSD}double>', f'"2019"^^<{_XSD}gYear>', f'"x"^^<{_XSD}string>',
-        '"x"^^<http://x/dt>', '"hi"@en', '"hi"@en-GB', "_:b1", "_:a.b",
+        '"x"^^<http://x/dt>', '"hi"@en', '"hi"@en-GB', "_:b1", "_:a.b", "_:é", "_:a·b",
+        "<http://x/\\U000000E9>", '"x"^^<http://x/d\\u00E9>',
     ],
-    ['"\\uD800"', '"\\q"', f'"x"^^<{_XSD}integer>', '"hi"@en_GB', '"hi"@', "_:-a"],
+    ['"\\uD800"', '"\\q"', f'"x"^^<{_XSD}integer>', '"hi"@en_GB', '"hi"@', "_:-a", "<http://x/\\u003E>"],
 )
 _DIFF_MUTATIONS = ["", " ", "\t", ".", "<", ">", '"', "\\", "#", "@", "^", "_", ":", "x", "\x0c", "\xa0"]
 
