@@ -9,6 +9,15 @@ A triple's terms are checked when it is built (the triplifiers and the
 subclass closure skip that for terms they made or read from the graph);
 the triples that ``match`` and iteration yield are built from the indexes
 without checks.
+
+Each index entry (the objects of one subject and predicate, the subjects
+of one predicate and object) is the index's own collection: a 1-tuple for
+one term, a set for more. Most entries hold one term, and on CPython a
+1-tuple takes 48 bytes against a set's 216. ``update`` alone knows the two
+shapes: it turns a 1-tuple into a set when a second term arrives, by the
+same insertions as a set grown one ``add`` at a time, so iteration order
+is the same. Every reader only tests membership, takes ``len`` or
+iterates, and never writes an entry.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ class Graph:
     takes one pattern and yields its triples; the engine calls it once per
     row, fully bound for an existence check. ``neighbours`` takes a
     predicate and a batch of subjects (or objects) and returns, for each,
-    the index's own set of objects (or subjects); the engine calls it once
-    per step that binds one new variable, in the subject or object
-    position, under a constant predicate.
+    the index's own collection of objects (or subjects): a 1-tuple for one
+    term, a set for more; the engine calls it once per step that binds one
+    new variable, in the subject or object position, under a constant
+    predicate.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -81,9 +91,11 @@ class Graph:
                     po = spo[s] = {}
                 objects = po.get(p)
                 if objects is None:
-                    po[p] = {o}
+                    po[p] = (o,)
                 elif o in objects:
                     continue
+                elif type(objects) is tuple:
+                    po[p] = {objects[0], o}
                 else:
                     objects.add(o)
                 os_ = pos.get(p)
@@ -92,7 +104,9 @@ class Graph:
                     sizes[p] = 0
                 subjects = os_.get(o)
                 if subjects is None:
-                    os_[o] = {s}
+                    os_[o] = (s,)
+                elif type(subjects) is tuple:
+                    os_[o] = {subjects[0], s}
                 else:
                     subjects.add(s)
                 sizes[p] += 1
@@ -161,9 +175,10 @@ class Graph:
 
     def neighbours(self, p: Iri, keys: Iterable[Term], forward: bool) -> list[Collection[Term]]:
         """For each key, the objects of (key, p, ?) when `forward`, else the
-        subjects of (?, p, key): the index's own set, to be read only, or an
-        empty tuple. One call looks up a whole batch of keys; the sets are
-        the ones ``match`` walks, in the same order."""
+        subjects of (?, p, key): the index's own collection (a 1-tuple for
+        one term, a set for more), to be read only, or an empty tuple. One
+        call looks up a whole batch of keys; the collections are the ones
+        ``match`` walks, in the same order."""
         if forward:
             spo = self._spo
             return [spo.get(key, _EMPTY).get(p, ()) for key in keys]
@@ -211,15 +226,15 @@ class Graph:
         predicate-first index. A copy, so the caller may insert while it walks it."""
         return [(o, tuple(subjects)) for o, subjects in self._pos.get(p, {}).items()]
 
-    def subject_groups(self) -> Iterator[tuple[Term, Iri, set[Term]]]:
+    def subject_groups(self) -> Iterator[tuple[Term, Iri, Collection[Term]]]:
         """Each (subject, predicate, objects) group of the subject-first index;
-        the object set is the index's own, to be read only."""
+        the objects are the index's own collection, to be read only."""
         for s, po in self._spo.items():
             for p, objects in po.items():
                 yield s, p, objects
 
     # Convenience accessors used by reporting, materialization and validation.
-    # Each reads one index set directly, in the order ``match`` walks it, and
+    # Each reads one index entry directly, in the order ``match`` walks it, and
     # builds no Triple; `s` and `p` (or `p` and `o`) must be bound.
 
     def objects(self, s: Term, p: Iri) -> list[Term]:

@@ -83,13 +83,6 @@ def term_to_ntriples(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-def triple_to_ntriples(t: Triple) -> str:
-    return (
-        f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} "
-        f"{term_to_ntriples(t.object)} ."
-    )
-
-
 class _TermText(dict):
     """term -> its N-Triples text, rendered on first use."""
 

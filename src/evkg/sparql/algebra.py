@@ -9,17 +9,17 @@ only as deep as the query's nesting of braces and parentheses, which the
 parser bounds by `MAX_DEPTH`, and a chain of any length compares, renders
 and evaluates at the default recursion limit.
 
-Equality is the dataclass-generated `__eq__`, which recurses about twice
-per tree level (about three recursion-limit units on CPython 3.11). The
-deepest trees the parser accepts can still exceed the default limit: a
-FILTER that nests 90 parentheses, each holding a comparison, a sum and a
-product (three levels per parenthesis), compares only under a raised
-limit. Only tests compare ASTs.
+Equality is `_node_eq`, which compares field by field as the
+dataclass-generated `__eq__` does but walks an explicit stack of node
+pairs, so even the deepest tree the parser accepts (a FILTER that nests 90
+parentheses, each holding a comparison, a sum and a product) compares at
+the default recursion limit. Hashing stays the generated one. Only tests
+compare ASTs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Union as TUnion
 
 from ..ntriples import term_to_ntriples
@@ -154,6 +154,40 @@ class SelectQuery:
             isinstance(item, Aliased) and expression_has_aggregate(item.expr)
             for item in self.select
         )
+
+
+def _node_eq(self, other) -> bool:
+    """The generated dataclass `__eq__`, without recursion: two nodes are
+    equal when their classes match and their fields are equal in turn,
+    where a plain tuple compares item by item and any other value by `==`."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        names = _FIELDS.get(a.__class__)
+        if names is not None:
+            if b.__class__ is not a.__class__:
+                return False
+            stack += ((getattr(a, name), getattr(b, name)) for name in names)
+        elif a.__class__ is tuple and b.__class__ is tuple:
+            if len(a) != len(b):
+                return False
+            stack += zip(a, b)
+        elif not a == b:
+            return False
+    return True
+
+
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.compare)
+    for cls in (Variable, TriplePattern, VarExpr, ConstExpr, Compare, Arith, SumAgg, Aliased,
+                Bgp, Group, Union, Filter, Values, SubSelect, SelectQuery)
+}
+for _node in _FIELDS:
+    _node.__eq__ = _node_eq  # __hash__ stays the generated one
 
 
 @dataclass

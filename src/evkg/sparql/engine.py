@@ -22,7 +22,9 @@ variable with several rows (looking it up once per row would repeat it).
 The engine reads the store through two methods and never its indexes. A
 step with a constant predicate that binds one new variable, in the subject
 or object position, looks up the whole batch of its rows' keys in one
-`Graph.neighbours` call (vector-at-a-time, as in MonetDB/X100). An
+`Graph.neighbours` call (vector-at-a-time, as in MonetDB/X100), which
+hands back each key's index entry as stored, a 1-tuple for one term or a
+set for more, to be iterated and never copied or changed. An
 existence step (no new variable) is a bare probe: one `Graph.match` call per
 row, which the store answers with one membership test, and the row itself
 passes on when its triple is stored. Every other step makes one

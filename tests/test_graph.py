@@ -271,3 +271,79 @@ def test_accessors_are_what_match_yields():
     assert Graph().objects(SUBJECTS[0], PREDICATES[0]) == []
     assert Graph().value(SUBJECTS[0], PREDICATES[0]) is None
     assert Graph().subjects(PREDICATES[0], OBJECT_IRIS[0]) == []
+
+
+class _SetLeaves:
+    """The reference for the store's leaf shape: every index entry is a set,
+    made at its first term and grown by ``add``."""
+
+    def __init__(self):
+        self.spo: dict = {}
+        self.pos: dict = {}
+
+    def add(self, t: Triple) -> bool:
+        s, p, o = t
+        objects = self.spo.setdefault(s, {}).setdefault(p, set())
+        if o in objects:
+            return False
+        objects.add(o)
+        self.pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        return True
+
+
+def test_one_term_tuples_read_as_sets_grown_by_add():
+    # Batches repeat triples inside themselves and re-insert earlier ones,
+    # and entries grow from one term to two and three; some batches hold a
+    # non-Triple, which stops them after the items before it.
+    rng = random.Random(34)
+    pool_s, pool_p, pool_o = _triple_pool()
+    for _ in range(30):
+        g, ref, seen = Graph(), _SetLeaves(), []
+        for _ in range(6):
+            batch = [Triple(rng.choice(pool_s), rng.choice(pool_p), rng.choice(pool_o))
+                     for _ in range(rng.randint(0, 25))]
+            batch += rng.sample(seen, min(len(seen), 5)) + rng.sample(batch, len(batch) // 3)
+            rng.shuffle(batch)
+            if batch and rng.random() < 0.3:
+                cut = rng.randrange(len(batch))
+                with pytest.raises(TypeError, match="expected Triple, got tuple"):
+                    g.update(batch[:cut] + [tuple(batch[cut])] + batch[cut:])
+                batch = batch[:cut]
+                for t in batch:
+                    ref.add(t)
+            else:
+                assert g.update(batch) == sum(ref.add(t) for t in batch)
+            seen += batch
+            _assert_reads_agree(g, ref)
+    sizes = {len(objects) for po in ref.spo.values() for objects in po.values()}
+    assert {1, 2, 3} <= sizes
+
+
+def _assert_reads_agree(g: Graph, ref: _SetLeaves):
+    total = sum(len(objects) for po in ref.spo.values() for objects in po.values())
+    assert len(g) == total and g.index_sizes() == (total, total)
+    assert list(g) == [Triple(s, p, o) for s, po in ref.spo.items()
+                       for p, objects in po.items() for o in objects]
+    assert [(s, p, list(objects)) for s, p, objects in g.subject_groups()] == [
+        (s, p, list(objects)) for s, po in ref.spo.items() for p, objects in po.items()]
+    for s, po in ref.spo.items():
+        assert g.count_estimate(s) == sum(map(len, po.values()))
+        for p, objects in po.items():
+            order = list(objects)
+            [stored] = g.neighbours(p, [s], True)
+            assert isinstance(stored, tuple) == (len(order) == 1)
+            assert list(stored) == order
+            assert [t.object for t in g.match(s, p)] == order
+            assert g.objects(s, p) == order and g.value(s, p) == order[0]
+            assert g.count_estimate(s, p) == len(order)
+            assert all(Triple(s, p, o) in g for o in order)
+    for p, os_ in ref.pos.items():
+        assert g.count_estimate(p=p) == sum(map(len, os_.values()))
+        for o, subjects in os_.items():
+            order = list(subjects)
+            [stored] = g.neighbours(p, [o], False)
+            assert isinstance(stored, tuple) == (len(order) == 1)
+            assert list(stored) == order
+            assert [t.subject for t in g.match(None, p, o)] == order
+            assert g.subjects(p, o) == order
+            assert g.count_estimate(p=p, o=o) == len(order)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import re
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +30,12 @@ from evkg.sparql.algebra import query_text as pretty
 from evkg.sparql.parser import MAX_DEPTH, position, tokenize
 from evkg.terms import EV_ONT, EVR, RDF_TYPE, XSD_GYEAR, XSD_INTEGER, Literal, Triple
 
-from randomized import solution_multiset
+from randomized import (
+    random_numeric_query,
+    random_query,
+    random_subselect_query,
+    solution_multiset,
+)
 
 
 def test_query1_shape():
@@ -178,6 +187,63 @@ def test_long_chains_are_accepted(shape):
     g.insert(Triple(EVR.b, EVR.p, EVR.c))
     rows = solution_multiset(engine.evaluate(g, q))
     assert rows and rows == solution_multiset(naive.evaluate(g, q))
+
+
+def test_deepest_filters_compare_at_the_default_recursion_limit():
+    # 90 nested parentheses, each a comparison over a sum over a product:
+    # three tree levels per parenthesis, near the parser's MAX_DEPTH.
+    inner = "?o"
+    for _ in range(90):
+        inner = f"({inner} * 2 + 1 < 3)"
+    text = "SELECT ?x WHERE { ?x ?p ?o FILTER" + inner + " }"
+    q = parse_query(text)
+    assert q == parse_query(text) and hash(q) == hash(parse_query(text))
+    assert q != parse_query(text.replace("< 3)", "< 4)", 1))  # the innermost differs
+
+
+def _recursive_eq(a, b) -> bool:
+    """What the dataclass-generated `__eq__` computes, spelled out with
+    recursion: the reference for the AST's stack-walking equality."""
+    if a is b:
+        return True
+    if is_dataclass(a):
+        return a.__class__ is b.__class__ and all(
+            _recursive_eq(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if type(a) is tuple and type(b) is tuple:
+        return len(a) == len(b) and all(map(_recursive_eq, a, b))
+    return a == b
+
+
+def test_ast_equality_is_the_generated_one():
+    # Pairs of equal trees built apart, of unrelated trees, and of trees
+    # whose canonical texts differ in one variable or number, or lack one
+    # triple pattern, anywhere.
+    rng = random.Random(34)
+    makers = (random_query, random_numeric_query, random_subselect_query)
+
+    def variant(source, spots: list[int], edit):
+        """The parsed query of `edit(source, spot)` at a random spot, if any parses."""
+        if not spots:
+            return None
+        try:
+            return parse_query(edit(source, rng.choice(spots)))
+        except QueryError:
+            return None
+
+    for _ in range(300):
+        q = rng.choice(makers)(rng)
+        text = pretty(q)
+        digits = [m.start() for m in re.finditer(r"(?<=\?v)\d|(?<=\")\d", text)]
+        near = variant(text, digits, lambda t, i: t[:i] + str((int(t[i]) + 1) % 10) + t[i + 1:])
+        lines = text.splitlines(keepends=True)
+        patterns = [i for i, line in enumerate(lines) if line.endswith(" .\n")]
+        shorter = variant(lines, patterns, lambda t, i: "".join(t[:i] + t[i + 1:]))
+        base, again = parse_query(text), parse_query(text)
+        assert base == again and hash(base) == hash(again)
+        for other in (again, q, rng.choice(makers)(rng), near, shorter, base.pattern):
+            assert (base == other) == _recursive_eq(base, other)
+            assert (base != other) != _recursive_eq(base, other)
+            assert (other == base) == _recursive_eq(other, base)
 
 
 _DEEP = {  # shape: (query, the limit it breaks)
