@@ -13,8 +13,10 @@ Equality is `_node_eq`, which compares field by field as the
 dataclass-generated `__eq__` does but walks an explicit stack of node
 pairs, so even the deepest tree the parser accepts (a FILTER that nests 90
 parentheses, each holding a comparison, a sum and a product) compares at
-the default recursion limit. Hashing stays the generated one. Only tests
-compare ASTs.
+the default recursion limit. `repr` is `_node_repr`, which writes the
+generated text (`Variable` keeps `?name`) from an explicit stack in the same
+way, so a failing assertion on such a tree can print it. Hashing stays the
+generated one. Only tests compare ASTs.
 """
 
 from __future__ import annotations
@@ -181,13 +183,47 @@ def _node_eq(self, other) -> bool:
     return True
 
 
-_FIELDS = {
+_END = object()  # marks closing text in `_node_repr`'s stack
+
+
+def _node_repr(self) -> str:
+    """The generated dataclass `__repr__`, without recursion: a node is
+    ``Class(field=value, ...)``, a plain tuple ``(item, ...)`` (``(item,)``
+    with one item), and any other value, a `Variable` included, its own
+    `repr`. Each stack entry is the text written before a value, or closing
+    text paired with `_END`."""
+    parts: list[str] = []
+    stack: list = [("", self)]
+    while stack:
+        text, value = stack.pop()
+        parts.append(text)
+        if value is _END:
+            continue
+        cls = value.__class__
+        if cls.__repr__ is _node_repr:
+            opener, closer = cls.__qualname__ + "(", ")"
+            items = [(name + "=", getattr(value, name)) for name in _FIELDS[cls]]
+        elif cls is tuple:
+            opener, closer = "(", ",)" if len(value) == 1 else ")"
+            items = [("", item) for item in value]
+        else:
+            parts.append(repr(value))
+            continue
+        parts.append(opener)
+        stack.append((closer, _END))
+        stack += reversed([(", " * (i > 0) + label, item) for i, (label, item) in enumerate(items)])
+    return "".join(parts)
+
+
+_FIELDS = {  # every field of these nodes compares and shows in `repr`
     cls: tuple(f.name for f in fields(cls) if f.compare)
     for cls in (Variable, TriplePattern, VarExpr, ConstExpr, Compare, Arith, SumAgg, Aliased,
                 Bgp, Group, Union, Filter, Values, SubSelect, SelectQuery)
 }
 for _node in _FIELDS:
     _node.__eq__ = _node_eq  # __hash__ stays the generated one
+    if _node is not Variable:  # which keeps its ``?name``
+        _node.__repr__ = _node_repr
 
 
 @dataclass

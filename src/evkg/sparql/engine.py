@@ -8,7 +8,7 @@ first in the BGP's order, wins.
 A pattern whose constant positions have an estimate of 0 empties the BGP
 before any lookup. Each step joins all rows with its pattern at once,
 working out which positions are lookup keys and which are free once per
-step, not per row.
+step, not per row, and builds its output rows as one list.
 
 A group passes its rows into the elements that follow (a bind join, the
 "sideways information passing" of RDF-3X): a UNION joins them into each
@@ -18,6 +18,9 @@ BGP uses one of those variables. Everything else is evaluated on its own and
 hash-joined: a FILTER (its expressions must not see outer variables), a
 sub-select, a VALUES block, rows of mixed shape, and a BGP that shares no
 variable with several rows (looking it up once per row would repeat it).
+A group's rows start as the single empty row, the join identity, so the
+solutions of its first element are its rows as they are, never copied
+through a join.
 
 The engine reads the store through two methods and never its indexes. A
 step with a constant predicate that binds one new variable, in the subject
@@ -39,9 +42,13 @@ cq` parse each text once anyway.
 
 A number is the `terms.numeric_value` of its literal, whose Python type is
 its kind, so one `operator` table serves `+ - *` and the six comparisons,
-SUM adds the values, and `_promote` with Python's int -> Fraction coercion
-is the promotion of SPARQL 1.1 §17.3; `/` of two non-doubles is an exact
-`Fraction`, an xsd:decimal.
+SUM adds the values (two ints directly), and `_promote` with Python's
+int -> Fraction coercion is the promotion of SPARQL 1.1 §17.3; `/` of two
+non-doubles is an exact `Fraction`, an xsd:decimal.
+
+Which select items are plain variables and which are computed is worked
+out once per query level; one loop then projects every scope, a group or
+a solution row.
 
 Expression errors follow SPARQL conventions: a failing FILTER expression
 drops the row, a failing projection expression leaves that variable
@@ -54,11 +61,13 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from itertools import repeat
+from typing import Iterable, Optional
 
 from ..graph import Graph
 from ..terms import (
     XSD_BOOLEAN,
+    XSD_STRING,
     Iri,
     Literal,
     Term,
@@ -66,6 +75,7 @@ from ..terms import (
     numeric_value,
 )
 from .algebra import (
+    Aliased,
     Arith,
     Bgp,
     Compare,
@@ -128,13 +138,18 @@ def eval_expression(
     if isinstance(expr, SumAgg):
         if members is None:
             raise EvalError("aggregate outside a grouped projection")
+        inner = expr.expr
+        name = inner.var.name if isinstance(inner, VarExpr) else None
         total = 0
         for member in members:
-            try:
-                value = _numeric(eval_expression(expr.expr, member))
+            try:  # a variable's value is read from the member directly
+                value = _numeric(member.get(name) if name else eval_expression(inner, member))
             except EvalError:
                 raise EvalError("non-numeric value in SUM group") from None
-            total = operator.add(*_promote(total, value))
+            if total.__class__ is int and value.__class__ is int:
+                total += value
+            else:
+                total = operator.add(*_promote(total, value))
         return numeric_literal(total)
     raise TypeError(f"not an expression: {expr!r}")
 
@@ -181,7 +196,7 @@ def apply_arith(op: str, left: Term, right: Term) -> Literal:
 
 
 def _is_plain_string(term: Term) -> bool:
-    return isinstance(term, Literal) and term.datatype.value.endswith("#string")
+    return isinstance(term, Literal) and term.datatype == XSD_STRING
 
 
 def compare_terms(op: str, left: Term, right: Term) -> bool:
@@ -225,8 +240,9 @@ def effective_boolean(expr: Expression, row: Binding) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Iterator[Binding]:
-    """Join every row of one BGP step with `tp`, in row order.
+def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> list[Binding]:
+    """Join every row of one BGP step with `tp`: the step's output rows, in
+    row order, built as one list (vector-at-a-time, as in MonetDB/X100).
 
     All rows of a BGP step bind the same variables, so the step works out
     once which positions are constants, which are lookup keys taken from
@@ -235,7 +251,7 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
     in the subject or object position, looks up all its keys in one
     ``graph.neighbours`` call and copies each row once per value. An
     existence step (no new variable) has its own loop: it sets the row's
-    keys, makes one fully bound ``graph.match`` probe and yields the row
+    keys, makes one fully bound ``graph.match`` probe and keeps the row
     itself when the triple is stored. Any other step makes one
     ``graph.match`` call per row and copies the row once per match. A row
     value in a position no stored triple holds (a literal subject) finds
@@ -245,8 +261,9 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
     step adds the same variables to each row, so the next step's rows agree
     again.
     """
+    out: list[Binding] = []
     if not rows:
-        return
+        return out
     bound = rows[0].keys()
     key: list[Optional[Term]] = [None, None, None]
     lookups: list[tuple[int, str]] = []
@@ -261,6 +278,7 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             repeats.append((i, free[pos.name]))
         else:
             free[pos.name] = i
+    append = out.append
     if len(free) == 1 and not repeats and key[1] is not None:
         ((name, i),) = free.items()
         if lookups:
@@ -271,15 +289,22 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             for value in values:
                 merged = row.copy()
                 merged[name] = value
-                yield merged
-        return
+                append(merged)
+        return out
+    if not free and len(lookups) == 1:  # the common existence step: one row value
+        ((i, name),) = lookups
+        for row in rows:
+            key[i] = row[name]
+            for _ in graph.match(*key):
+                append(row)
+        return out
     if not free:
         for row in rows:
             for i, name in lookups:
                 key[i] = row[name]
             for _ in graph.match(*key):
-                yield row
-        return
+                append(row)
+        return out
     for row in rows:
         for i, name in lookups:
             key[i] = row[name]
@@ -289,7 +314,8 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> Itera
             merged = row.copy()
             for name, i in free.items():
                 merged[name] = t[i]
-            yield merged
+            append(merged)
+    return out
 
 
 def _estimate(graph: Graph, tp: TriplePattern) -> int:
@@ -354,6 +380,7 @@ def eval_bgp(graph: Graph, bgp: Bgp, rows: list[Binding]) -> list[Binding]:
     if 0 in estimates:
         return []
     for tp in _order_patterns(bgp.patterns, estimates, rows[0].keys()):
+        # `list`: a wrapper that counts a step's bindings yields them one by one
         rows = list(match_pattern(graph, tp, rows))
         if not rows:
             break
@@ -383,7 +410,8 @@ def join_into(graph: Graph, rows: list[Binding], pattern: Pattern) -> list[Bindi
     """Join `rows` with the solutions of `pattern`, by the bind-join rule in
     the module docstring. A BGP may also start from one row that shares no
     variable with it: that costs what evaluating it alone does, without the
-    joined copy of every row.
+    joined copy of every row. Joined with the single empty row, the join
+    identity, any other element's solutions are the result as they are.
     """
     if isinstance(pattern, Group):
         for element in pattern.elements:
@@ -398,9 +426,13 @@ def join_into(graph: Graph, rows: list[Binding], pattern: Pattern) -> list[Bindi
         return out
     if isinstance(pattern, Bgp):
         bound = rows[0].keys()
-        shares = any(v.name in bound for tp in pattern.patterns for v in pattern_vars(tp))
-        if (shares or len(rows) == 1) and all(row.keys() == bound for row in rows):
+        if len(rows) == 1 or (
+            any(v.name in bound for tp in pattern.patterns for v in pattern_vars(tp))
+            and all(row.keys() == bound for row in rows)
+        ):
             return eval_bgp(graph, pattern, rows)
+    elif len(rows) == 1 and not rows[0]:
+        return eval_pattern(graph, pattern)
     return join_rows(rows, eval_pattern(graph, pattern))
 
 
@@ -442,37 +474,38 @@ def _distinct(rows: list[Binding]) -> list[Binding]:
 
 def evaluate(graph: Graph, query: SelectQuery) -> Solution:
     """Evaluate a parsed query, whose static rules the parser has settled;
-    row order is unspecified (callers sort)."""
+    row order is unspecified (callers sort).
+
+    Which select items are plain variables and which are computed is
+    worked out once for the level, then one loop projects every scope."""
     rows = eval_pattern(graph, query.pattern)
+    plain = [item.name for item in query.select if isinstance(item, Variable)]
+    computed = [(item.var.name, item.expr) for item in query.select if isinstance(item, Aliased)]
+    # A scope is what one output row projects: a group's key binding and
+    # member rows when grouped, one solution row without members otherwise.
+    scopes: Iterable[tuple[Binding, Optional[list[Binding]]]]
     if query.grouped:
         key_names = [v.name for v in query.group_by]
         if query.group_by:
             groups: dict[tuple, list[Binding]] = {}
             for row in rows:
-                key = tuple(row.get(name) for name in key_names)
-                groups.setdefault(key, []).append(row)
+                groups.setdefault(tuple(map(row.get, key_names)), []).append(row)
         else:
             groups = {(): rows}  # implicit single group, even over no rows
-        # A scope is what one output row projects: a group's key binding and
-        # member rows here, one solution row without members otherwise.
-        scopes: Iterable[tuple[Binding, Optional[list[Binding]]]] = (
+        scopes = [
             ({name: value for name, value in zip(key_names, key) if value is not None}, members)
             for key, members in groups.items()
-        )
+        ]
     else:
-        scopes = ((row, None) for row in rows)
+        scopes = zip(rows, repeat(None))
     out_rows: list[Binding] = []
     for row, members in scopes:
-        out: Binding = {}
-        for item in query.select:
-            if isinstance(item, Variable):
-                if item.name in row:
-                    out[item.name] = row[item.name]
-            else:
-                try:
-                    out[item.var.name] = eval_expression(item.expr, row, members)
-                except EvalError:
-                    pass  # unbound projected value, row kept
+        out = {name: row[name] for name in plain if name in row}
+        for name, expr in computed:
+            try:
+                out[name] = eval_expression(expr, row, members)
+            except EvalError:
+                pass  # unbound projected value, row kept
         out_rows.append(out)
     if query.distinct:
         out_rows = _distinct(out_rows)

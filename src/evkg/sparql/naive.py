@@ -23,6 +23,7 @@ from ..terms import (
     XSD_DOUBLE,
     XSD_GYEAR,
     XSD_INTEGER,
+    XSD_STRING,
     Literal,
     Term,
     Triple,
@@ -207,7 +208,7 @@ def _arith(op: str, left: Term, right: Term) -> Literal:
 
 
 def _string_like(term: Term) -> bool:
-    return isinstance(term, Literal) and term.datatype.value.endswith("#string")
+    return isinstance(term, Literal) and term.datatype == XSD_STRING
 
 
 def _cmp(op: str, left: Term, right: Term) -> bool:

@@ -363,11 +363,20 @@ def format_decimal(value: Fraction) -> str:
 
 def numeric_literal(value: Union[int, Fraction, float]) -> Literal:
     """Render a computed numeric value as a canonical literal of the kind
-    its Python type names (see `numeric_value`)."""
+    its Python type names (see `numeric_value`).
+
+    Every form written here is a valid lexical form of its datatype by
+    construction (`repr` of a finite float, ``INF``/``-INF``/``NaN``,
+    `format_decimal`, `str` of an int), so the literal is built unchecked,
+    as the store builds the triples it already checked."""
     if isinstance(value, float):
+        datatype = XSD_DOUBLE
         if math.isfinite(value):
-            return Literal(repr(value), XSD_DOUBLE)
-        return Literal("NaN" if math.isnan(value) else ("INF" if value > 0 else "-INF"), XSD_DOUBLE)
-    if isinstance(value, Fraction):
-        return Literal(format_decimal(value), XSD_DECIMAL)
-    return Literal(str(value), XSD_INTEGER)
+            lexical = repr(value)
+        else:
+            lexical = "NaN" if math.isnan(value) else ("INF" if value > 0 else "-INF")
+    elif isinstance(value, int):  # before Fraction, whose isinstance goes through ABCMeta
+        lexical, datatype = str(value), XSD_INTEGER
+    else:
+        lexical, datatype = format_decimal(value), XSD_DECIMAL
+    return tuple.__new__(Literal, (lexical, datatype, None))

@@ -199,6 +199,7 @@ def test_deepest_filters_compare_at_the_default_recursion_limit():
     q = parse_query(text)
     assert q == parse_query(text) and hash(q) == hash(parse_query(text))
     assert q != parse_query(text.replace("< 3)", "< 4)", 1))  # the innermost differs
+    assert repr(q).count("Compare(op='<'") == 90 and repr(q) == repr(parse_query(text))
 
 
 def _recursive_eq(a, b) -> bool:
@@ -212,6 +213,28 @@ def _recursive_eq(a, b) -> bool:
     if type(a) is tuple and type(b) is tuple:
         return len(a) == len(b) and all(map(_recursive_eq, a, b))
     return a == b
+
+
+def _recursive_repr(node) -> str:
+    """What the dataclass-generated `__repr__` writes, spelled out with
+    recursion: the reference for the AST's stack-walking `repr`."""
+    if is_dataclass(node) and not isinstance(node, Variable):
+        return f"{type(node).__qualname__}(" + ", ".join(
+            f"{f.name}={_recursive_repr(getattr(node, f.name))}" for f in fields(node)) + ")"
+    if type(node) is tuple:
+        return "(" + ", ".join(map(_recursive_repr, node)) + ("," if len(node) == 1 else "") + ")"
+    return repr(node)
+
+
+def test_ast_repr_is_the_generated_one():
+    rng = random.Random(0x4E9)
+    makers = (random_query, random_numeric_query, random_subselect_query)
+    for _ in range(300):
+        q = rng.choice(makers)(rng)
+        assert repr(q) == _recursive_repr(q)
+        assert repr(q.pattern) == _recursive_repr(q.pattern)
+    one = Values((Variable("x"),), ((EVR.a,),))
+    assert repr(one) == f"Values(variables=(?x,), rows=((<{EVR.a.value}>,),))"
 
 
 def test_ast_equality_is_the_generated_one():

@@ -107,6 +107,30 @@ def test_non_finite_doubles_render_in_xsd_form():
     assert numeric_literal(1e300) == Literal("1e+300", XSD_DOUBLE)
 
 
+def test_numeric_literal_is_the_checked_literal():
+    """Seeded values of every kind: the unchecked literal `numeric_literal`
+    builds equals the one `Literal` builds after checking its lexical form,
+    and has the datatype its Python type names."""
+    rng = random.Random(0x11BE)
+    values = [0, -7, 10**40, -(10**60), Fraction(1, 8), Fraction(-2, 3), Fraction(10**30, 7),
+              1e16, 1e-7, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan]
+    for _ in range(500):
+        values += [
+            rng.randint(-(10 ** rng.randint(1, 50)), 10 ** rng.randint(1, 50)),
+            Fraction(rng.randint(-10**12, 10**12), rng.choice([2**rng.randint(0, 30),
+                                                             rng.randint(1, 10**9)])),
+            rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-300, 300),
+        ]
+    kinds = {int: XSD_INTEGER, Fraction: XSD_DECIMAL, float: XSD_DOUBLE}
+    for value in values:
+        lit = numeric_literal(value)
+        assert type(lit) is Literal and lit.datatype == kinds[type(value)], value
+        assert lit == Literal(lit.lexical, lit.datatype) and lit.language is None, value
+        if not isinstance(value, Fraction) and value == value:  # exact kinds, NaN aside
+            assert numeric_value(lit) == value, value
+
+
 @pytest.mark.parametrize("s, p, o, message", [
     (Literal("x"), EV_ONT.hasAmount, Literal("1", XSD_INTEGER), "literal in subject position"),
     ("http://evkg.org/resource/s", EV_ONT.p, EVR["o"], "bad subject"),
