@@ -291,13 +291,6 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> list[
                 merged[name] = value
                 append(merged)
         return out
-    if not free and len(lookups) == 1:  # the common existence step: one row value
-        ((i, name),) = lookups
-        for row in rows:
-            key[i] = row[name]
-            for _ in graph.match(*key):
-                append(row)
-        return out
     if not free:
         for row in rows:
             for i, name in lookups:

@@ -611,8 +611,6 @@ _FIRST_ELEMENTS = {  # a top-level group's first element -> (query, its rows in 
         "SELECT ?x ?y ?z WHERE { { ?x evr:p ?y FILTER(?y != evr:b) } ?x evr:q ?z }",
         [{"x": B, "y": C, "z": A}],
     ),
-    "true FILTER-only group": ("1 < 2", [{"x": A, "z": D}, {"x": B, "z": A}, {"x": D, "z": B}]),
-    "false FILTER-only group": ("2 < 1", []),
 }
 
 
@@ -624,12 +622,7 @@ def test_first_element_is_not_joined_with_the_empty_row(monkeypatch, first):
     (predicate, object) keep every row order free of set order."""
     g = _graph((A, P, B), (B, P, C), (C, P, D), (A, Q, D), (B, Q, A), (D, Q, B))
     text, expected = _FIRST_ELEMENTS[first]
-    if first.endswith("FILTER-only group"):  # the parser hoists it, so it is built here
-        body = parse_query("SELECT ?x ?z WHERE { ?x evr:q ?z }")
-        only = parse_query(f"SELECT * WHERE {{ FILTER({text}) }}").pattern
-        query = SelectQuery(body.select, False, Group((only, *body.pattern.elements)))
-    else:
-        query = parse_query(text)
+    query = parse_query(text)
     lefts = []
     join_rows = engine.join_rows
 
