@@ -39,8 +39,9 @@ class Graph:
     predicate, and the vocabulary fixes the number of predicates.
 
     The query engine reads the indexes only through two methods. ``match``
-    takes one pattern and yields its triples; the engine calls it once per
-    row, fully bound for an existence check. ``neighbours`` takes a
+    takes one pattern and returns an iterable of its triples; the engine
+    calls it once per row, fully bound for an existence check, which gets
+    a 0- or 1-tuple. ``neighbours`` takes a
     predicate and a batch of subjects (or objects) and returns, for each,
     the index's own collection of objects (or subjects): a 1-tuple for one
     term, a set for more; the engine calls it once per step that binds one
@@ -115,34 +116,32 @@ class Graph:
             self._size += added
         return added
 
-    def index_sizes(self) -> tuple[int, int]:
-        """Triple counts per index; both must equal len(self)."""
-
-        def total(index: dict) -> int:
-            return sum(len(third) for second in index.values() for third in second.values())
-
-        return (total(self._spo), total(self._pos))
-
     def match(
         self,
         s: Optional[Term] = None,
         p: Optional[Iri] = None,
         o: Optional[Term] = None,
-    ) -> Iterator[Triple]:
-        """Yield triples matching the bound positions (None = wildcard).
+    ) -> Iterable[Triple]:
+        """The triples matching the bound positions (None = wildcard), as an
+        iterable.
 
-        Subject-first when s is bound, else predicate-first. A fully bound
-        pattern is one membership test in the subject-first index. A bound
-        object alone probes the predicate-first index once per predicate;
-        nothing bound walks the subject-first index.
+        A fully bound pattern is one membership test in the subject-first
+        index and gets a tuple, empty or holding its triple, with no
+        generator. Any other pattern gets a generator: subject-first when s
+        is bound, else predicate-first. A bound object alone probes the
+        predicate-first index once per predicate; nothing bound walks the
+        subject-first index.
         """
+        if s is not None and p is not None and o is not None:
+            if o in self._spo.get(s, _EMPTY).get(p, ()):
+                return (tuple.__new__(Triple, (s, p, o)),)
+            return ()
+        return self._match(s, p, o)
+
+    def _match(self, s: Optional[Term], p: Optional[Iri], o: Optional[Term]) -> Iterator[Triple]:
         if s is not None:
             po = self._spo.get(s)
             if not po:
-                return
-            if p is not None and o is not None:
-                if o in po.get(p, ()):
-                    yield tuple.__new__(Triple, (s, p, o))
                 return
             preds = (p,) if p is not None else po.keys()
             for pred in preds:

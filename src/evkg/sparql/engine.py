@@ -5,10 +5,12 @@ variable with those already bound (or has none), so only a BGP that is
 itself disconnected joins unrelated row sets; among those patterns the one
 with the most bound positions, then the smallest index estimate, then the
 first in the BGP's order, wins.
-A pattern whose constant positions have an estimate of 0 empties the BGP
-before any lookup. Each step joins all rows with its pattern at once,
-working out which positions are lookup keys and which are free once per
-step, not per row, and builds its output rows as one list.
+Planning reads each pattern's three fields and tests their classes
+directly. Patterns are estimated in the BGP's order, and the first whose
+constant positions have an estimate of 0 empties the BGP before the rest
+are estimated or any lookup is made. Each step joins all rows with its
+pattern at once, working out which positions are lookup keys and which are
+free once per step, not per row, and builds its output rows as one list.
 
 A group passes its rows into the elements that follow (a bind join, the
 "sideways information passing" of RDF-3X): a UNION joins them into each
@@ -29,11 +31,11 @@ or object position, looks up the whole batch of its rows' keys in one
 hands back each key's index entry as stored, a 1-tuple for one term or a
 set for more, to be iterated and never copied or changed. An
 existence step (no new variable) is a bare probe: one `Graph.match` call per
-row, which the store answers with one membership test, and the row itself
-passes on when its triple is stored. Every other step makes one
-`Graph.match` call per row and copies the row once per match: a variable
-predicate, two or more new variables, or a new variable repeated in the
-pattern.
+row, which the store answers with one membership test and a 0- or 1-tuple,
+and the row itself passes on when its triple is stored. Every other step
+makes one `Graph.match` call per row and copies the row once per match: a
+variable predicate, two or more new variables, or a new variable repeated
+in the pattern.
 
 The engine parses nothing: `queries.suite_query` keeps the parsed AST of
 each bundled query, which only a long-lived process reuses (library use,
@@ -48,7 +50,11 @@ non-doubles is an exact `Fraction`, an xsd:decimal.
 
 Which select items are plain variables and which are computed is worked
 out once per query level; one loop then projects every scope, a group or
-a solution row.
+a solution row. A grouped level that projects every GROUP BY key as itself
+skips DISTINCT: two groups differ in some key's value, or in whether it is
+bound, and the parser lets no `(expr AS ?v)` overwrite a key (an alias must
+be a new variable), so its rows are already distinct. A level grouped
+without GROUP BY has one row.
 
 Expression errors follow SPARQL conventions: a failing FILTER expression
 drops the row, a failing projection expression leaves that variable
@@ -269,8 +275,8 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> list[
     lookups: list[tuple[int, str]] = []
     free: dict[str, int] = {}  # free variable -> its first position
     repeats: list[tuple[int, int]] = []  # (position, first position) of a repeat
-    for i, pos in enumerate(tp.positions()):
-        if not isinstance(pos, Variable):
+    for i, pos in enumerate((tp.s, tp.p, tp.o)):
+        if pos.__class__ is not Variable:
             key[i] = pos
         elif pos.name in bound:
             lookups.append((i, pos.name))
@@ -315,9 +321,17 @@ def _estimate(graph: Graph, tp: TriplePattern) -> int:
     """`count_estimate` for the constant positions of `tp`: an upper bound on
     its matches under any binding. No stored triple has a literal subject
     or a non-IRI predicate, so such a constant bounds it by 0."""
-    s, p, o = (None if isinstance(pos, Variable) else pos for pos in tp.positions())
-    if isinstance(s, Literal) or (p is not None and not isinstance(p, Iri)):
+    s, p, o = tp.s, tp.p, tp.o
+    if s.__class__ is Variable:
+        s = None
+    elif s.__class__ is Literal:
         return 0
+    if p.__class__ is Variable:
+        p = None
+    elif p.__class__ is not Iri:
+        return 0
+    if o.__class__ is Variable:
+        o = None
     return graph.count_estimate(s, p, o)
 
 
@@ -345,7 +359,7 @@ def _order_patterns(
     """
     bound = set(bound)
     remaining = [
-        ([pos.name for pos in tp.positions() if isinstance(pos, Variable)], estimate, tp)
+        ([pos.name for pos in (tp.s, tp.p, tp.o) if pos.__class__ is Variable], estimate, tp)
         for tp, estimate in zip(patterns, estimates)
     ]
     ordered: list[TriplePattern] = []
@@ -369,9 +383,12 @@ def eval_bgp(graph: Graph, bgp: Bgp, rows: list[Binding]) -> list[Binding]:
     """Extend `rows`, which all bind the same variables, by `bgp`'s matches.
     A pattern whose constants match nothing empties the BGP before any
     lookup, wherever the planner would have put it."""
-    estimates = [_estimate(graph, tp) for tp in bgp.patterns]
-    if 0 in estimates:
-        return []
+    estimates = []
+    for tp in bgp.patterns:
+        estimate = _estimate(graph, tp)
+        if not estimate:
+            return []
+        estimates.append(estimate)
     for tp in _order_patterns(bgp.patterns, estimates, rows[0].keys()):
         # `list`: a wrapper that counts a step's bindings yields them one by one
         rows = list(match_pattern(graph, tp, rows))
@@ -477,8 +494,12 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
     # A scope is what one output row projects: a group's key binding and
     # member rows when grouped, one solution row without members otherwise.
     scopes: Iterable[tuple[Binding, Optional[list[Binding]]]]
+    distinct = query.distinct
     if query.grouped:
         key_names = [v.name for v in query.group_by]
+        # Two groups differ in some key's value, or in whether it is bound,
+        # so rows that project every key as itself are already distinct.
+        distinct = distinct and not set(key_names).issubset(plain)
         if query.group_by:
             groups: dict[tuple, list[Binding]] = {}
             for row in rows:
@@ -500,6 +521,6 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
             except EvalError:
                 pass  # unbound projected value, row kept
         out_rows.append(out)
-    if query.distinct:
+    if distinct:
         out_rows = _distinct(out_rows)
     return Solution(projection_names(query), out_rows)

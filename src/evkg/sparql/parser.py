@@ -66,6 +66,7 @@ from .algebra import (
     VarExpr,
     Variable,
     expression_has_aggregate,
+    projection_names,
     visible_vars,
 )
 from .errors import QueryError, QuerySemanticsError, QuerySyntaxError, UnsupportedFeatureError
@@ -289,6 +290,12 @@ class Parser:
                 raise QuerySemanticsError("SELECT * cannot be combined with grouping")
             items = list(map(Variable, visible_vars(pattern)))
         query = SelectQuery(tuple(items), distinct, pattern, tuple(group_by))
+        in_scope = set(visible_vars(pattern))
+        for item, name in zip(items, projection_names(query)):
+            # SPARQL 1.1 Query §18.2.1: AS binds a variable not yet in scope
+            if isinstance(item, Aliased) and name in in_scope:
+                raise QuerySemanticsError(f"AS ?{name} binds a variable already in scope")
+            in_scope.add(name)
         if query.grouped:
             for item in items:
                 if isinstance(item, Variable) and item not in group_by:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from evkg.graph import Graph
 from evkg.ingest import IngestConfig, build_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,6 +16,16 @@ FIXTURES = ROOT / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def index_sizes(g: Graph) -> tuple[int, int]:
+    """Triple counts of the subject-first and the predicate-first index, read
+    the same way; both must equal len(g)."""
+
+    def total(index: dict) -> int:
+        return sum(len(third) for second in index.values() for third in second.values())
+
+    return (total(g._spo), total(g._pos))
 
 
 def fixture_config(materialize: bool = True) -> IngestConfig:

@@ -197,6 +197,21 @@ def test_query_non_key_projection_in_sub_select_exit_3(workspace, capsys, lead):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_query_alias_of_a_variable_in_scope_exit_3(workspace, capsys):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    query_file = workspace / "alias.rq"
+    query_file.write_text(
+        "SELECT ?z (SUM(?n) AS ?z) WHERE { ?z a kwg-ont:ZipCodeArea . ?z rdfs:label ?n }"
+        " GROUP BY ?z",
+        encoding="utf-8",
+    )
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 3
+    captured = capsys.readouterr()
+    assert "AS ?z binds a variable already in scope" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_query_out_of_memory_exit_4(workspace, capsys, monkeypatch):
     # A cross product such as ?a ?b ?c . ?d ?e ?f under an address-space cap
     # ends in MemoryError; it exits 4 with a message, not a traceback.

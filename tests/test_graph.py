@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evkg.graph import Graph
 from evkg.terms import EV_ONT, EVR, RDF_TYPE, Literal, Triple, XSD_INTEGER
 
+from conftest import index_sizes
 from randomized import OBJECT_IRIS, OBJECT_LITERALS, PREDICATES, SUBJECTS, random_graph
 
 STATION = EV_ONT.ChargingStation
@@ -110,7 +111,7 @@ def test_match_type_returns_exactly_inserted_stations():
 @given(triples_strategy)
 def test_index_sizes_always_agree(triples):
     g = Graph(triples)
-    sizes = g.index_sizes()
+    sizes = index_sizes(g)
     assert sizes == (len(g), len(g))
 
 
@@ -147,6 +148,30 @@ def test_fully_bound_match_consistent_with_membership():
                 assert found == ([probe] if tuple.__new__(Triple, probe) in g else [])
             assert not any(g.match(s, EVR["missing"], o))
             assert not any(g.match(Literal("1", XSD_INTEGER), p, o))
+
+
+_UNKNOWN = EVR["unknown"]
+
+
+@given(
+    triples_strategy,
+    st.lists(
+        st.tuples(
+            st.sampled_from(_triple_pool()[0] + [Literal("1", XSD_INTEGER), _UNKNOWN]),
+            st.sampled_from(_triple_pool()[1] + [_UNKNOWN]),
+            st.sampled_from(_triple_pool()[2] + [_UNKNOWN]),
+        ),
+        max_size=40,
+    ),
+)
+def test_fully_bound_match_is_the_stored_triple_or_nothing(triples, probes):
+    g = Graph(triples)
+    stored = set(triples)
+    for s, p, o in probes + [tuple(t) for t in triples]:
+        found = g.match(s, p, o)
+        assert type(found) is tuple  # a 0- or 1-tuple, no generator
+        assert list(found) == ([Triple(s, p, o)] if (s, p, o) in stored else [])
+        assert all(type(t) is Triple for t in found)
 
 
 def test_match_and_iteration_yield_triples_with_their_terms():
@@ -197,7 +222,7 @@ def test_object_only_estimate_is_the_match_count(triples):
 
 def _state(g: Graph):
     predicates = _triple_pool()[1]
-    return (len(g), g.index_sizes(), [g.count_estimate(p=p) for p in predicates], set(g))
+    return (len(g), index_sizes(g), [g.count_estimate(p=p) for p in predicates], set(g))
 
 
 def test_update_equals_inserting_one_at_a_time():
@@ -223,7 +248,7 @@ def test_update_stopped_by_a_non_triple_leaves_the_store_consistent():
     g = Graph([a])
     with pytest.raises(TypeError, match="expected Triple, got tuple"):
         g.update([b, a, (EVR["s9"], RDF_TYPE, STATION), c])
-    assert len(g) == g.index_sizes()[0] == g.index_sizes()[1] == 2
+    assert len(g) == index_sizes(g)[0] == index_sizes(g)[1] == 2
     assert g.count_estimate(p=RDF_TYPE) == 2
     assert set(g) == {a, b}
     with pytest.raises(TypeError):
@@ -321,7 +346,7 @@ def test_one_term_tuples_read_as_sets_grown_by_add():
 
 def _assert_reads_agree(g: Graph, ref: _SetLeaves):
     total = sum(len(objects) for po in ref.spo.values() for objects in po.values())
-    assert len(g) == total and g.index_sizes() == (total, total)
+    assert len(g) == total and index_sizes(g) == (total, total)
     assert list(g) == [Triple(s, p, o) for s, po in ref.spo.items()
                        for p, objects in po.items() for o in objects]
     assert [(s, p, list(objects)) for s, p, objects in g.subject_groups()] == [

@@ -24,6 +24,8 @@ from evkg.materialize import (
 from evkg.terms import EV_ONT, EVR, GEO, KWG_ONT, RDF, BlankNode, Iri, Literal, Triple
 from evkg.vocabulary import registry
 
+from conftest import index_sizes
+
 
 def _small_world() -> Graph:
     g = Graph()
@@ -228,7 +230,7 @@ def test_closure_skips_non_iri_types_and_counts_what_it_adds():
     assert added == len(new) == len(g) - len(before)
     assert {t.subject for t in new} == {EVR["x"], EVR["y"], BlankNode("b")}
     assert not any(t.subject == EVR["z"] for t in new)
-    assert len(g) == g.index_sizes()[0] == g.index_sizes()[1]
+    assert len(g) == index_sizes(g)[0] == index_sizes(g)[1]
     assert materialize_subclass_closure(g) == 0
     assert set(g) == before | new
 

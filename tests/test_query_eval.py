@@ -26,6 +26,7 @@ from evkg.terms import (
     XSD_DOUBLE,
     XSD_GYEAR,
     XSD_INTEGER,
+    BlankNode,
     Iri,
     Literal,
     Triple,
@@ -33,6 +34,10 @@ from evkg.terms import (
 )
 from conftest import tiled_config
 from randomized import (
+    OBJECT_IRIS,
+    OBJECT_LITERALS,
+    PREDICATES,
+    SUBJECTS,
     SUM_OF_AMOUNTS,
     SUM_PREDICATE,
     random_filter_only_group_texts,
@@ -383,6 +388,36 @@ def test_planner_order_equals_the_reference_order():
     assert min(seen.values()) > 200, seen
 
 
+def _reference_estimate(graph, tp):
+    """`engine._estimate` as a generator expression over `tp.positions()`."""
+    s, p, o = (None if isinstance(pos, Variable) else pos for pos in tp.positions())
+    if isinstance(s, Literal) or (p is not None and not isinstance(p, Iri)):
+        return 0
+    return graph.count_estimate(s, p, o)
+
+
+def test_estimate_equals_the_reference_estimate():
+    rng = random.Random(0xE57)
+    variables = [Variable(name) for name in "abc"]
+    odd = [BlankNode("b0"), EX["unknown"], Literal("7", XSD_INTEGER)]
+    pool = SUBJECTS + PREDICATES + OBJECT_IRIS + OBJECT_LITERALS + odd
+    seen = dict.fromkeys(["literal subject", "literal predicate", "blank predicate", "count"], 0)
+    for _ in range(60):
+        graph = random_graph(rng, 80)
+        for _ in range(50):
+            tp = TriplePattern(*(
+                rng.choice(variables) if rng.random() < 0.4 else rng.choice(pool)
+                for _ in range(3)
+            ))
+            expected = _reference_estimate(graph, tp)
+            assert engine._estimate(graph, tp) == expected, tp
+            seen["literal subject"] += isinstance(tp.s, Literal)
+            seen["literal predicate"] += isinstance(tp.p, Literal)
+            seen["blank predicate"] += isinstance(tp.p, BlankNode)
+            seen["count"] += expected > 0
+    assert min(seen.values()) > 30, seen
+
+
 # --- one join step per pattern -------------------------------------------------
 
 
@@ -465,6 +500,33 @@ def test_step_without_rows_yields_nothing_and_looks_nothing_up():
     assert g.match_calls == 0
     query = parse_query("SELECT * WHERE { ?x evr:p evr:d . ?x evr:q ?y . }")
     assert evaluate(g, query).rows == naive.evaluate(g, query).rows == []
+
+
+def test_bgp_stops_at_the_first_pattern_that_matches_nothing(monkeypatch):
+    g = _CountingGraph()
+    g.update(Triple(s, p, o) for s, p, o in _STEP_TRIPLES)
+    estimated = []
+    count_estimate = Graph.count_estimate
+
+    def counted(self, s=None, p=None, o=None):
+        estimated.append((s, p, o))
+        return count_estimate(self, s, p, o)
+
+    monkeypatch.setattr(Graph, "count_estimate", counted)
+    x, y, z = (Variable(name) for name in "xyz")
+    rest = (TriplePattern(x, P, y), TriplePattern(y, Q, z), TriplePattern(z, Q, x))
+    for first, counts in [
+        (TriplePattern(x, EX["none"], y), 1),  # one count, which is 0
+        (TriplePattern(TWO, P, y), 0),  # a literal subject is 0 without a count
+        (TriplePattern(x, TWO, y), 0),  # so is a literal predicate
+    ]:
+        estimated.clear()
+        assert engine.eval_bgp(g, Bgp((first, *rest)), [{}]) == []
+        assert len(estimated) == counts and g.match_calls == 0
+    # The empty pattern last: every pattern is counted, still nothing looked up.
+    estimated.clear()
+    assert engine.eval_bgp(g, Bgp((*rest, TriplePattern(x, EX["none"], y))), [{}]) == []
+    assert len(estimated) == 4 and g.match_calls == 0
 
 
 def test_existence_step_passes_its_rows_on_uncopied():
@@ -596,6 +658,101 @@ def test_engine_matches_naive_on_group_shapes(monkeypatch, existence_steps):
         ), f"case {case}: {query}"
     assert bind_joins[0] > 100 and mixed_joins[0] > 10, (bind_joins, mixed_joins)
     assert min(existence_steps.values()) > 10, existence_steps
+
+
+def _grouped_distinct_text(rng: random.Random) -> tuple[str, str]:
+    """A seeded `SELECT DISTINCT` with a grouped level, and its shape. The
+    level projects every GROUP BY key as itself (its DISTINCT pass is
+    skipped) or leaves one out (the pass runs), with or without a SUM."""
+    shape = rng.choice(["one key", "two keys", "union", "single group", "sub-select"])
+    p = rng.choice(["evr:p", "evr:q"])
+    where = {
+        "one key": f"?a {p} ?n",
+        "two keys": "?a evr:q ?b . ?b evr:p ?n",
+        # ?b is bound in the second branch only, so it is unbound in some rows
+        "union": f"{{ ?a {p} ?n }} UNION {{ ?a evr:q ?b . ?b evr:p ?n }}",
+        "single group": f"?a {p} ?n",
+        "sub-select": f"?a {p} ?n",
+    }[shape]
+    keys = {"one key": ["?a"], "two keys": ["?a", "?b"], "union": ["?a", "?b"],
+            "sub-select": ["?a"]}.get(shape, [])
+    projected = [k for k in keys if rng.random() < 0.8] if rng.random() < 0.5 else list(keys)
+    rng.shuffle(projected)
+    summed = rng.random() < 0.7 or not projected
+    items = projected + ["(SUM(?n) AS ?s)"] * summed
+    group_by = f" GROUP BY {' '.join(keys)}" if keys else ""
+    level = f"SELECT DISTINCT {' '.join(items)} WHERE {{ {where} }}{group_by}"
+    if shape == "sub-select":
+        outer = " ".join(projected + ["?s"] * summed)
+        return f"SELECT DISTINCT {outer} WHERE {{ {{ {level} }} ?a evr:q ?y }}", shape
+    return level, shape
+
+
+def test_grouped_distinct_agrees_with_oracle(monkeypatch):
+    """Engine against the naive oracle, which keeps its own DISTINCT pass,
+    on grouped `SELECT DISTINCT` levels; the engine skips its pass where the
+    level projects every key as itself."""
+    numbers = [Literal(str(i), XSD_INTEGER) for i in (1, 2)] + [Literal("x")]
+    passes = [0]
+    distinct = engine._distinct
+
+    def counted(rows):
+        passes[0] += 1
+        return distinct(rows)
+
+    monkeypatch.setattr(engine, "_distinct", counted)
+    rng = random.Random(0xD157)
+    seen = dict.fromkeys(["one key", "two keys", "union", "single group", "sub-select"], 0)
+    seen |= {"skipped": 0, "passed": 0, "several rows": 0, "unbound key": 0}
+    for case in range(400):
+        g = Graph()
+        for _ in range(rng.randint(0, 14)):
+            s = rng.choice([A, B, C, D])
+            g.insert(Triple(s, P, rng.choice(numbers)))
+            g.insert(Triple(s, Q, rng.choice([A, B, C, D, *numbers])))
+        text, shape = _grouped_distinct_text(rng)
+        query = parse_query(text)
+        passes[0] = 0
+        solution = evaluate(g, query)
+        rows = solution.rows
+        assert solution_multiset(naive.evaluate(g, query)) == solution_multiset(solution), (
+            f"case {case}: {text}")
+        seen[shape] += 1
+        grouped = query if shape != "sub-select" else query.pattern.elements[0].query
+        projects_keys = {v.name for v in grouped.group_by} <= {
+            item.name for item in grouped.select if isinstance(item, Variable)}
+        levels = 1 + (shape == "sub-select")
+        assert passes[0] == levels - projects_keys, f"case {case}: {text}"
+        seen["skipped" if projects_keys else "passed"] += 1
+        seen["several rows"] += len(rows) > 1
+        seen["unbound key"] += shape == "union" and any("b" not in row for row in rows) and any(
+            "b" in row for row in rows)
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("text, passes, n_rows", [
+    # ungrouped: two rows with ?n = 1
+    ("SELECT DISTINCT ?n WHERE { ?a evr:p ?n }", 1, 1),
+    # grouped, computed items only: the two groups' sums are equal
+    ("SELECT DISTINCT (SUM(?n) AS ?s) WHERE { ?a evr:p ?n } GROUP BY ?a", 1, 1),
+    # grouped with a key left out: ?a repeats across the ?n groups
+    ("SELECT DISTINCT ?a WHERE { ?a evr:q ?n } GROUP BY ?a ?n", 1, 2),
+    # every key projected as itself: already distinct
+    ("SELECT DISTINCT ?a (SUM(?n) AS ?s) WHERE { ?a evr:p ?n } GROUP BY ?a", 0, 2),
+    ("SELECT DISTINCT ?n ?a WHERE { ?a evr:q ?n } GROUP BY ?a ?n", 0, 3),
+    # the implicit single group has one row
+    ("SELECT DISTINCT (SUM(?n) AS ?s) WHERE { ?a evr:p ?n }", 0, 1),
+])
+def test_distinct_pass_runs_where_rows_may_repeat(monkeypatch, text, passes, n_rows):
+    one = Literal("1", XSD_INTEGER)
+    g = _graph((A, P, one), (B, P, one), (A, Q, one), (A, Q, B), (B, Q, one))
+    calls = []
+    distinct = engine._distinct
+    monkeypatch.setattr(engine, "_distinct", lambda rows: calls.append(rows) or distinct(rows))
+    query = parse_query(text)
+    solution = evaluate(g, query)
+    assert len(calls) == passes and len(solution.rows) == n_rows
+    assert solution_multiset(naive.evaluate(g, query)) == solution_multiset(solution)
 
 
 _FIRST_ELEMENTS = {  # a top-level group's first element -> (query, its rows in order)

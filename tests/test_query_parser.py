@@ -148,6 +148,22 @@ _ZIP_LABELS = "{ SELECT ?z ?c WHERE { ?z a kwg-ont:ZipCodeArea . ?z rdfs:label ?
      QuerySemanticsError, "projected variable ?c is not a GROUP BY key"),
     ("SELECT ?z WHERE { { SELECT * WHERE { ?z ?p ?o } GROUP BY ?z } }", QuerySemanticsError,
      "SELECT * cannot be combined with grouping"),
+    # An alias binds a new variable: not one of the pattern's, not one
+    # projected earlier in the same SELECT (SPARQL 1.1 Query §18.2.1).
+    ("SELECT ?a (SUM(?b) AS ?a) WHERE { ?a ?p ?b } GROUP BY ?a", QuerySemanticsError,
+     "AS ?a binds a variable already in scope"),
+    ("SELECT ?a (1 AS ?a) WHERE { ?s ?p ?o }", QuerySemanticsError,
+     "AS ?a binds a variable already in scope"),
+    ("SELECT (1 AS ?c) (2 AS ?c) WHERE { ?s ?p ?o }", QuerySemanticsError,
+     "AS ?c binds a variable already in scope"),
+    ("SELECT (1 AS ?c) WHERE { { SELECT (2 AS ?c) WHERE { ?s ?p ?o } } }", QuerySemanticsError,
+     "AS ?c binds a variable already in scope"),
+    ("SELECT (1 AS ?v) WHERE { ?s ?p ?o VALUES ?v { 1 } }", QuerySemanticsError,
+     "AS ?v binds a variable already in scope"),
+    ("SELECT (1 AS ?o) WHERE { ?s ?p ?x FILTER(?x > 0) { ?s ?q ?o } }", QuerySemanticsError,
+     "AS ?o binds a variable already in scope"),
+    ("SELECT * WHERE { { SELECT ?s (SUM(?o) AS ?s) WHERE { ?s ?p ?o } GROUP BY ?s } }",
+     QuerySemanticsError, "AS ?s binds a variable already in scope"),
 ])
 def test_static_rules_checked_at_parse_time(text, error, message):
     with pytest.raises(error) as exc:
