@@ -31,8 +31,9 @@ is the one the full walk gives:
   outside a ring's box crosses the ring an even number of times, so it is
   exterior without a walk of the rings.
 
-`_SHAPE_OF` gives each geometry type's WKT nesting and point paths (each
-point, line or ring).
+`_SHAPE_OF` gives each geometry type's WKT nesting, point paths (each
+point, line or ring) and reader builders; the reader finds a type by its
+WKT keyword, the type's name in upper case, as the writer spells it.
 
 The WKT reader walks the text one token at a time, except that each
 innermost coordinate list is read by one `_WKT_COORDINATES` match and one
@@ -150,22 +151,31 @@ Area = Union[Polygon, MultiPolygon]
 class _Shape(NamedTuple):
     nested: Callable  # its points, nested in tuples as its WKT text nests them
     paths: Callable  # each point, line or ring, as a tuple of points
+    # the reader's builder applied as each nesting level of its text closes,
+    # innermost first; a point is one coordinate in parentheses (depth 0)
+    builders: tuple
 
 
 def _rings(poly: Polygon) -> tuple[Ring, ...]:
     return (poly.outer, *poly.holes)
 
 
+def _polygon(rings: tuple[Ring, ...]) -> Polygon:
+    return Polygon(rings[0], rings[1:])
+
+
 # geometry type -> its structure; code that treats every type alike reads it here
 _SHAPE_OF = {
-    Point: _Shape(lambda g: (g,), lambda g: ((g,),)),
-    MultiPoint: _Shape(lambda g: g.points, lambda g: [(p,) for p in g.points]),
-    LineString: _Shape(lambda g: g.points, lambda g: (g.points,)),
+    Point: _Shape(lambda g: (g,), lambda g: ((g,),), ()),
+    MultiPoint: _Shape(lambda g: g.points, lambda g: [(p,) for p in g.points], (MultiPoint,)),
+    LineString: _Shape(lambda g: g.points, lambda g: (g.points,), (LineString,)),
     MultiLineString: _Shape(lambda g: [line.points for line in g.lines],
-                            lambda g: [line.points for line in g.lines]),
-    Polygon: _Shape(_rings, _rings),
+                            lambda g: [line.points for line in g.lines],
+                            (tuple, lambda lines: MultiLineString(tuple(map(LineString, lines))))),
+    Polygon: _Shape(_rings, _rings, (tuple, _polygon)),
     MultiPolygon: _Shape(lambda g: [_rings(poly) for poly in g.polygons],
-                         lambda g: [ring for poly in g.polygons for ring in _rings(poly)]),
+                         lambda g: [ring for poly in g.polygons for ring in _rings(poly)],
+                         (tuple, _polygon, MultiPolygon)),
 }
 
 
@@ -196,16 +206,8 @@ _WKT_COORDINATES = re.compile(
 _WKT_NUMBER_RUN = re.compile(r"[^\s,()]+")
 
 
-# keyword -> the builder applied as each nesting level of its text closes,
-# innermost first; POINT is one coordinate in parentheses (depth 0).
-_SHAPES = {
-    "POINT": (),
-    "LINESTRING": (LineString,),
-    "MULTIPOINT": (MultiPoint,),
-    "POLYGON": (tuple, lambda rings: Polygon(rings[0], rings[1:])),
-    "MULTILINESTRING": (tuple, lambda lines: MultiLineString(tuple(map(LineString, lines)))),
-}
-_SHAPES["MULTIPOLYGON"] = (*_SHAPES["POLYGON"], MultiPolygon)
+# WKT keyword -> its type's builders; `write_wkt` names each type the same way
+_KEYWORDS = {kind.__name__.upper(): shape.builders for kind, shape in _SHAPE_OF.items()}
 
 
 class _WktReader:
@@ -291,10 +293,11 @@ def parse_wkt(text: str) -> Geometry:
     if reader.kind != "keyword":
         raise WktParseError("expected a geometry keyword", reader.at)
     keyword = reader.value.upper()
-    if keyword not in _SHAPES:
+    builders = _KEYWORDS.get(keyword)
+    if builders is None:
         raise WktParseError(f"unknown geometry keyword {keyword!r}", reader.at + len(keyword))
     reader.advance()
-    geom = reader.read(_SHAPES[keyword])
+    geom = reader.read(builders)
     if reader.kind != "end":
         raise WktParseError("trailing content after geometry", reader.at)
     return geom

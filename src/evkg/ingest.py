@@ -32,11 +32,11 @@ never aborts a load. A file that is not UTF-8, or a row the csv module
 cannot read (a cell over its 131,072-character field limit), is an
 `IngestError` naming the file (and row), which fails the whole load.
 Source files repeat rows (29,464 rows of the k=8 bench registrations hold
-376 distinct lines), so `_read_records` parses and builds a row that fits
-on one line once per distinct line text and counts its repeats there. Each
-reader returns every distinct record once with its row count, in
-first-row order, and a skipped row is reported at every repeat with its
-own row number. `aggregate_registrations` sums those counts per
+376 distinct lines), so `_read_records` parses and builds a valid row that
+fits on one line once per distinct line text and counts its repeats there.
+Each reader returns every distinct record once with its row count, in
+first-row order; a skipped line is read again at every repeat and reported
+with its own row number. `aggregate_registrations` sums those counts per
 collection, the other triplifiers take the same pairs and write each
 distinct record once (a zip given by more than one row fails the load),
 and the load report counts rows. Source strings are preserved
@@ -80,7 +80,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from . import geometry
+from . import geometry, materialize
 from .graph import Graph
 from .terms import (
     EV_ONT,
@@ -342,12 +342,11 @@ def _read_records(
     wherever a record starts with it. A record spanning several lines (a
     quoted cell with a line break) is parsed every time and counted once;
     csv pulls its continuation lines from the handle, so they are never
-    looked up. A skipped row is reported at every repeat, with its own row
-    number."""
+    looked up. A skipped line is read again at every repeat and reported
+    with its own row number."""
     counted: list[list] = []  # [record, rows], in first-row order
     issues: list[RowIssue] = []
     kept: dict[str, list] = {}  # line -> its entry in `counted`
-    skipped: dict[str, str] = {}  # line -> its skip message
     row_no = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -364,30 +363,23 @@ def _read_records(
                     row_no += 1
                     entry[1] += 1
                     continue
-                message = skipped.get(line)
-                if message is None:
-                    rows = csv.reader(chain((line,), handle))
-                    cells = next(rows, [])
-                    if not cells:
-                        continue
-                    if len(cells) != len(header):
-                        message = f"cell count {len(cells)} differs from the header's {len(header)}"
-                    else:
-                        try:
-                            entry = [build(*pick(cells)), 0]
-                        except ValueError as exc:  # IngestError, TermError, WktParseError
-                            message = str(exc)
-                    if entry is not None:
-                        counted.append(entry)
-                        if rows.line_num == 1:
-                            kept[line] = entry
-                    elif rows.line_num == 1:
-                        skipped[line] = message
+                rows = csv.reader(chain((line,), handle))
+                cells = next(rows, [])
+                if not cells:
+                    continue
                 row_no += 1
-                if entry is not None:
-                    entry[1] += 1
-                else:
-                    issues.append(RowIssue(row_no, message))
+                try:
+                    if len(cells) != len(header):
+                        raise IngestError(
+                            f"cell count {len(cells)} differs from the header's {len(header)}"
+                        )
+                    entry = [build(*pick(cells)), 1]
+                except ValueError as exc:  # IngestError, TermError, WktParseError
+                    issues.append(RowIssue(row_no, str(exc)))
+                    continue
+                counted.append(entry)
+                if rows.line_num == 1:
+                    kept[line] = entry
     except OSError as exc:
         raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -613,16 +605,6 @@ def aggregate_registrations(
 # ---------------------------------------------------------------------------
 
 
-_GEOM_CLASSES = {
-    geometry.Point: SF.Point,
-    geometry.LineString: SF.LineString,
-    geometry.Polygon: SF.Polygon,
-    geometry.MultiPoint: SF.MultiPoint,
-    geometry.MultiLineString: SF.MultiLineString,
-    geometry.MultiPolygon: SF.MultiPolygon,
-}
-
-
 def _triple(s: Iri, p: Iri, o: Term) -> Triple:
     """A triple of terms the triplifiers built themselves, so Triple's checks are skipped."""
     return tuple.__new__(Triple, (s, p, o))
@@ -635,12 +617,14 @@ Shapes = dict[str, geometry.Geometry]
 def _geometry_triples(
     out: list[Triple], feature: Iri, geom: geometry.Geometry, shapes: Optional[Shapes]
 ) -> None:
-    """The feature's geometry node and canonical WKT literal; `shapes`, when
-    given, maps that text to `geom` if the text parses back to it."""
+    """The feature's geometry node and canonical WKT literal. The node's
+    `sf:` class has the name of the geometry's type, as the six Simple
+    Features classes do. `shapes`, when given, maps that text to `geom` if
+    the text parses back to it."""
     node = geometry_iri(feature)
     text, survives = geometry.write_wkt(geom)
     out.append(_triple(feature, GEO.hasGeometry, node))
-    out.append(_triple(node, RDF.type, _GEOM_CLASSES[type(geom)]))
+    out.append(_triple(node, RDF.type, getattr(SF, type(geom).__name__)))
     out.append(_triple(node, GEO.asWKT, Literal(text, WKT_LITERAL)))
     if shapes is not None and survives:
         shapes[text] = geom
@@ -872,8 +856,6 @@ def build_graph(config: IngestConfig) -> tuple[Graph, LoadReport]:
     Spatial materialization and subclass closure are applied here when the
     config asks for them.
     """
-    from . import materialize  # local import: materialize depends on this module's IRIs
-
     report = LoadReport()
     merged = individuals_graph()
     shapes: Shapes = {}  # every zip, station and asset geometry's text, for the spatial step

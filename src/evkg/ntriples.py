@@ -33,6 +33,7 @@ from typing import Iterator
 
 from .graph import Graph
 from .terms import (
+    ECHAR,
     IRI_FORBIDDEN,
     RDF_LANGSTRING,
     XSD_STRING,
@@ -139,7 +140,6 @@ _PN_CHARS = _PN_CHARS_U + "\\-0-9\u00B7\u0300-\u036F\u203F-\u2040"
 _BLANK_LABEL = re.compile(f"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 _LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
-_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
 
 def _unescape(line: str, line_no: int, offset: int, body: str, iri: bool = False) -> str:
@@ -159,8 +159,8 @@ def _unescape(line: str, line_no: int, offset: int, body: str, iri: bool = False
             if iri and IRI_FORBIDDEN.match(chr(code)):
                 raise _error(f"\\{esc}{hexs} is a character an IRI may not hold", line_no, at)
             return chr(code)
-        if esc in _UNESCAPES and not iri:
-            return _UNESCAPES[esc]
+        if esc in ECHAR and not iri:
+            return ECHAR[esc]
         if esc in "uU":
             width = 4 if esc == "u" else 8
             hexs = line[at + 1:at + 1 + width]  # may run past the closing quote

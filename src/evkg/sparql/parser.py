@@ -19,9 +19,11 @@ extends it, so `(?a - ?b) - ?c` and `?a - ?b - ?c` parse alike.
 
 Every static rule is settled as each SELECT level, sub-selects included,
 is parsed, whatever the data: `*` stands alone in its projection, and is
-replaced by the pattern's in-scope variables (`visible_vars`); under
-grouping (SPARQL 1.1 §11.4) neither `*` nor a projected variable other
-than a GROUP BY key may appear, a QuerySemanticsError.
+replaced by the pattern's in-scope variables (`visible_vars`); a variable
+is projected at most once, and `(expr AS ?v)` binds a variable not yet in
+scope; under grouping (SPARQL 1.1 §11.4) neither `*` nor a projected
+variable other than a GROUP BY key may appear. A broken rule is a
+QuerySemanticsError.
 
 A nested group consisting solely of FILTER constraints (e.g. `{FILTER(?r <
 0.1)}`) contributes its constraints to the enclosing group: filters apply
@@ -34,6 +36,7 @@ import re
 from typing import NamedTuple, Optional
 
 from ..terms import (
+    ECHAR,
     RDF_TYPE,
     XSD_DECIMAL,
     XSD_DOUBLE,
@@ -114,7 +117,6 @@ _TOKEN_RE = re.compile(
     | (?P<word>[A-Za-z][A-Za-z0-9_\-]*)
     | (?P<punct>\^\^|[<>!]=|[{}().*/+\-=<>;,])
     | (?P<bad>&&|\|\||.)""", re.VERBOSE | re.DOTALL)
-_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
 
 class Token(NamedTuple):
@@ -130,9 +132,9 @@ def position(text: str, offset: int) -> tuple[int, int]:
 
 def _unescape(text: str, start: int, body: str) -> str:
     def decode(m: re.Match) -> str:
-        if m[1] not in _ESCAPES:
+        if m[1] not in ECHAR:
             raise QuerySyntaxError(f"unknown escape \\{m[1]}", *position(text, start))
-        return _ESCAPES[m[1]]
+        return ECHAR[m[1]]
 
     return re.sub(r"\\(.)", decode, body, flags=re.DOTALL)
 
@@ -291,11 +293,14 @@ class Parser:
             items = list(map(Variable, visible_vars(pattern)))
         query = SelectQuery(tuple(items), distinct, pattern, tuple(group_by))
         in_scope = set(visible_vars(pattern))
+        projected: set[str] = set()
         for item, name in zip(items, projection_names(query)):
             # SPARQL 1.1 Query §18.2.1: AS binds a variable not yet in scope
-            if isinstance(item, Aliased) and name in in_scope:
+            if isinstance(item, Aliased) and (name in in_scope or name in projected):
                 raise QuerySemanticsError(f"AS ?{name} binds a variable already in scope")
-            in_scope.add(name)
+            if name in projected:
+                raise QuerySemanticsError(f"?{name} is projected twice")
+            projected.add(name)
         if query.grouped:
             for item in items:
                 if isinstance(item, Variable) and item not in group_by:

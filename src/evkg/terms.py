@@ -114,6 +114,10 @@ RDF_LANGSTRING = RDF.langString
 RDF_TYPE = RDF.type
 WKT_LITERAL = GEO.wktLiteral
 
+# ECHAR, the string escapes of N-Triples (grammar [153s]) and SPARQL 1.1
+# (grammar [160]): the character after the backslash -> the one it stands for.
+ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
 # Lexical forms, matched whole (`fullmatch`) and ASCII only: `\d` would take
 # any Unicode digit and `$` a trailing newline. xsd:double follows XSD 1.1.
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"

@@ -23,7 +23,6 @@ from evkg.sparql.algebra import (
     Values,
     VarExpr,
     Variable,
-    expression_text,
     visible_vars,
 )
 from evkg.terms import (
@@ -35,6 +34,8 @@ from evkg.terms import (
     Literal,
     Triple,
 )
+
+from query_render import expression_text
 
 # Small pools keep random joins selective enough to terminate but dense
 # enough that most generated cases yield rows.

@@ -212,6 +212,17 @@ def test_query_alias_of_a_variable_in_scope_exit_3(workspace, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_query_projecting_a_variable_twice_exit_3(workspace, capsys):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    query_file = workspace / "twice.rq"
+    query_file.write_text("SELECT ?z ?z WHERE { ?z a kwg-ont:ZipCodeArea }", encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(query_file)]) == 3
+    captured = capsys.readouterr()
+    assert "?z is projected twice" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_query_out_of_memory_exit_4(workspace, capsys, monkeypatch):
     # A cross product such as ?a ?b ?c . ?d ?e ?f under an address-space cap
     # ends in MemoryError; it exits 4 with a message, not a traceback.

@@ -43,6 +43,8 @@ from evkg.geometry import (
     sf_crosses,
     write_wkt,
 )
+from evkg.terms import SF
+from evkg.vocabulary import registry
 
 SQUARE = Polygon((Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4), Point(0, 0)))
 
@@ -94,6 +96,31 @@ def test_parse_point():
 def test_parse_polygon_round_trip():
     text = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))"
     assert to_wkt(parse_wkt(text)) == text
+
+
+_TRIANGLE = (Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 0))
+_ONE_OF_EACH_KIND = {
+    Point: Point(1, 2),
+    MultiPoint: MultiPoint((Point(0, 0), Point(1, 1))),
+    LineString: LineString((Point(0, 0), Point(1, 1))),
+    MultiLineString: MultiLineString((LineString(_TRIANGLE[:2]), LineString(_TRIANGLE[1:3]))),
+    Polygon: SQUARE,
+    MultiPolygon: MultiPolygon((
+        Polygon(_TRIANGLE),
+        Polygon(tuple(Point(p.x + 2, p.y) for p in _TRIANGLE)),
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", list(geometry._SHAPE_OF), ids=lambda kind: kind.__name__)
+def test_each_geometry_kind_round_trips_and_names_its_sf_class(kind):
+    """The reader finds a kind by the keyword the writer spells from its type
+    name, and ingest types a geometry node by the `sf:` class of that name."""
+    geom = _ONE_OF_EACH_KIND[kind]
+    text, survives = write_wkt(geom)
+    assert survives and text.startswith(kind.__name__.upper() + " (")
+    assert parse_wkt(text) == geom
+    assert registry().is_class(getattr(SF, kind.__name__))
 
 
 def test_keywords_case_insensitive():

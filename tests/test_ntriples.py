@@ -286,6 +286,21 @@ def test_error_messages_and_positions_pinned(line, message, col):
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col {col}: {message}", 2, col)
 
 
+# Every string escape (ECHAR, N-Triples grammar [153s]) is read, on both paths.
+@pytest.mark.parametrize("escape, char", [
+    ("\\t", "\t"), ("\\b", "\b"), ("\\n", "\n"), ("\\r", "\r"), ("\\f", "\f"),
+    ('\\"', '"'), ("\\'", "'"), ("\\\\", "\\"),
+])
+@pytest.mark.parametrize("tail", [" .", " . # comment"], ids=["one-match line", "token walk"])
+def test_string_escapes_accepted(escape, char, tail):
+    g = parse_ntriples(f"{_SP} <http://x/o> .\n{_SP} \"a{escape}b\"{tail}\n")
+    assert {t.object for t in g} == {Iri("http://x/o"), Literal(f"a{char}b")}
+
+
+def test_writer_spells_backspace_and_form_feed_as_uchar():
+    assert term_to_ntriples(Literal("\b\f'")) == '"\\u0008\\u000C\'"'
+
+
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\x1f"])
 @pytest.mark.parametrize("tail", [" .", " . # comment"], ids=["one-match line", "token walk"])
 def test_control_character_in_iri_is_a_parse_error(char, tail):

@@ -12,7 +12,7 @@ from evkg.ingest import build_graph
 from evkg.sparql import parse_query
 from evkg.sparql.algebra import (
     Arith, Bgp, Compare, Filter, Group, SelectQuery, SubSelect, TriplePattern, Variable,
-    pattern_vars, query_text, visible_vars,
+    pattern_vars, visible_vars,
 )
 from evkg.queries import QUERY_TEXTS, run_suite_query
 from evkg.sparql import engine
@@ -33,6 +33,7 @@ from evkg.terms import (
     numeric_value,
 )
 from conftest import tiled_config
+from query_render import query_text
 from randomized import (
     OBJECT_IRIS,
     OBJECT_LITERALS,

@@ -26,10 +26,10 @@ from evkg.sparql import (
     naive,
     parse_query,
 )
-from evkg.sparql.algebra import query_text as pretty
 from evkg.sparql.parser import MAX_DEPTH, position, tokenize
 from evkg.terms import EV_ONT, EVR, RDF_TYPE, XSD_GYEAR, XSD_INTEGER, Literal, Triple
 
+from query_render import query_text as pretty
 from randomized import (
     random_numeric_query,
     random_query,
@@ -164,6 +164,13 @@ _ZIP_LABELS = "{ SELECT ?z ?c WHERE { ?z a kwg-ont:ZipCodeArea . ?z rdfs:label ?
      "AS ?o binds a variable already in scope"),
     ("SELECT * WHERE { { SELECT ?s (SUM(?o) AS ?s) WHERE { ?s ?p ?o } GROUP BY ?s } }",
      QuerySemanticsError, "AS ?s binds a variable already in scope"),
+    # A plain variable is projected once, after a variable or an alias of its name.
+    ("SELECT ?s ?s WHERE { ?s ?p ?o }", QuerySemanticsError, "?s is projected twice"),
+    ("SELECT (1 AS ?c) ?c WHERE { ?s ?p ?o }", QuerySemanticsError, "?c is projected twice"),
+    ("SELECT ?s ?s WHERE { ?s ?p ?o } GROUP BY ?s", QuerySemanticsError,
+     "?s is projected twice"),
+    ("SELECT ?s WHERE { { SELECT ?s ?o ?s WHERE { ?s ?p ?o } } }", QuerySemanticsError,
+     "?s is projected twice"),
 ])
 def test_static_rules_checked_at_parse_time(text, error, message):
     with pytest.raises(error) as exc:
@@ -467,6 +474,17 @@ def test_tokenizer_error_type_message_and_position(text, error, message):
         parse_query(text)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# Every string escape (ECHAR, SPARQL 1.1 grammar [160]) is read.
+@pytest.mark.parametrize("escape, char", [
+    ("\\t", "\t"), ("\\b", "\b"), ("\\n", "\n"), ("\\r", "\r"), ("\\f", "\f"),
+    ('\\"', '"'), ("\\'", "'"), ("\\\\", "\\"),
+])
+def test_string_escapes_accepted(escape, char):
+    q = parse_query(_W + f'"a{escape}b" }}')
+    [bgp] = q.pattern.elements
+    assert bgp.patterns[0].o == Literal(f"a{char}b")
 
 
 @pytest.mark.parametrize("char", ["é", "²", "٣"])

@@ -1,4 +1,5 @@
-"""The runtime is pure standard library: evkg installs and runs with nothing else."""
+"""The runtime is pure standard library: evkg installs and runs with nothing else.
+And the query AST stands on the term model alone."""
 
 from __future__ import annotations
 
@@ -26,3 +27,16 @@ def test_runtime_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_query_ast_imports_only_the_term_model():
+    path = ROOT / "src" / "evkg" / "sparql" / "algebra.py"
+    package = ["evkg", "sparql"]
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            imported.add(".".join(base + ([node.module] if node.module else [])))
+    assert {name for name in imported if name.partition(".")[0] == "evkg"} == {"evkg.terms"}
