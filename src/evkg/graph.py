@@ -130,7 +130,9 @@ class Graph:
         generator. Any other pattern gets a generator: subject-first when s
         is bound, else predicate-first. A bound object alone probes the
         predicate-first index once per predicate; nothing bound walks the
-        subject-first index.
+        subject-first index. Callers iterate the result and never
+        truth-test it: a generator is truthy even when it yields nothing,
+        and a subclass or wrapper may return one for every pattern.
         """
         if s is not None and p is not None and o is not None:
             if o in self._spo.get(s, _EMPTY).get(p, ()):

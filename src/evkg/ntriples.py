@@ -34,6 +34,7 @@ from typing import Iterator
 from .graph import Graph
 from .terms import (
     ECHAR,
+    ESCAPE,
     IRI_FORBIDDEN,
     RDF_LANGSTRING,
     XSD_STRING,
@@ -45,6 +46,7 @@ from .terms import (
     TermError,
     Triple,
     default_prefixes,
+    scalar_value,
 )
 
 
@@ -70,17 +72,21 @@ def escape_string(s: str) -> str:
 
 
 def term_to_ntriples(term: Term) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        body = f'"{escape_string(term.lexical)}"'
-        if term.language:
-            return f"{body}@{term.language}"
-        if term.datatype == XSD_STRING:
+    """The N-Triples text of a term, chosen by its class and read from its
+    tuple slots; anything else is a TypeError."""
+    cls = term.__class__
+    if cls is Iri:
+        return f"<{term[0]}>"
+    if cls is Literal:
+        lexical, datatype, language = term
+        body = f'"{lexical.translate(_ESCAPES)}"'
+        if language:
+            return f"{body}@{language}"
+        if datatype == XSD_STRING:
             return body
-        return f"{body}^^<{term.datatype.value}>"
+        return f"{body}^^<{datatype[0]}>"
+    if cls is BlankNode:
+        return f"_:{term[1]}"
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -139,7 +145,6 @@ _PN_CHARS_U = (
 _PN_CHARS = _PN_CHARS_U + "\\-0-9\u00B7\u0300-\u036F\u203F-\u2040"
 _BLANK_LABEL = re.compile(f"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 _LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
 
 def _unescape(line: str, line_no: int, offset: int, body: str, iri: bool = False) -> str:
@@ -153,12 +158,12 @@ def _unescape(line: str, line_no: int, offset: int, body: str, iri: bool = False
         at = offset + m.start() + 1  # the letter after the backslash
         esc, hexs = line[at], m[1] or m[2]
         if hexs:
-            code = int(hexs, 16)
-            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            char = scalar_value(hexs)
+            if char is None:
                 raise _error(f"\\{esc}{hexs} is not a Unicode scalar value", line_no, at)
-            if iri and IRI_FORBIDDEN.match(chr(code)):
+            if iri and IRI_FORBIDDEN.match(char):
                 raise _error(f"\\{esc}{hexs} is a character an IRI may not hold", line_no, at)
-            return chr(code)
+            return char
         if esc in ECHAR and not iri:
             return ECHAR[esc]
         if esc in "uU":
@@ -168,7 +173,7 @@ def _unescape(line: str, line_no: int, offset: int, body: str, iri: bool = False
             raise _error(message, line_no, at)
         raise _error(f"unknown escape \\{esc}", line_no, at)
 
-    return _ESCAPE.sub(decode, body)
+    return ESCAPE.sub(decode, body)
 
 
 def _term(m: re.Match, line: str, line_no: int) -> Term:

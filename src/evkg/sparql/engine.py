@@ -32,7 +32,9 @@ hands back each key's index entry as stored, a 1-tuple for one term or a
 set for more, to be iterated and never copied or changed. An
 existence step (no new variable) is a bare probe: one `Graph.match` call per
 row, which the store answers with one membership test and a 0- or 1-tuple,
-and the row itself passes on when its triple is stored. Every other step
+and the row itself passes on when its triple is stored. A step reads
+`graph.match` once and iterates what each call returns, never truth-testing
+it, so a `match` that returns a generator gives the same rows. Every other step
 makes one `Graph.match` call per row and copies the row once per match: a
 variable predicate, two or more new variables, or a new variable repeated
 in the pattern.
@@ -41,6 +43,12 @@ The engine parses nothing: `queries.suite_query` keeps the parsed AST of
 each bundled query, which only a long-lived process reuses (library use,
 repeated `question_outputs` calls, the benchmark); `evkg query` and `evkg
 cq` parse each text once anyway.
+
+Expressions are compiled, not interpreted per row: `compile_expression`
+turns each FILTER expression (once per evaluation of the FILTER) and each
+`(expr AS ?v)` (once per SELECT level) into one closure, whose operator
+nodes call `apply_arith` and `compare_terms` through this module; each row
+then makes one call, with no walk over the expression tree.
 
 A number is the `terms.numeric_value` of its literal, whose Python type is
 its kind, so one `operator` table serves `+ - *` and the six comparisons,
@@ -68,7 +76,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..graph import Graph
 from ..terms import (
@@ -104,6 +112,7 @@ from .algebra import (
 )
 
 Binding = dict[str, Term]
+Compiled = Callable[[Binding, Optional[list[Binding]]], Term]
 
 TRUE = Literal("true", XSD_BOOLEAN)
 FALSE = Literal("false", XSD_BOOLEAN)
@@ -118,45 +127,66 @@ class EvalError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def eval_expression(
-    expr: Expression, row: Binding, members: Optional[list[Binding]] = None
-) -> Term:
-    """Evaluate `expr` on `row`. In a grouped projection `row` holds the
-    group's keys and `members` its rows, which a SUM adds up; elsewhere a
-    SUM is an error."""
-    if isinstance(expr, VarExpr):
-        value = row.get(expr.var.name)
-        if value is None:
-            raise EvalError(f"unbound variable ?{expr.var.name}")
-        return value
-    if isinstance(expr, ConstExpr):
-        return expr.term
-    if isinstance(expr, Compare):
-        left = eval_expression(expr.left, row, members)
-        right = eval_expression(expr.right, row, members)
-        return TRUE if compare_terms(expr.op, left, right) else FALSE
-    if isinstance(expr, Arith):
-        operands = expr.operands
-        value = eval_expression(operands[0], row, members)
-        for i, op in enumerate(expr.ops, 1):  # left to right, one literal per step
-            value = apply_arith(op, value, eval_expression(operands[i], row, members))
-        return value
-    if isinstance(expr, SumAgg):
-        if members is None:
-            raise EvalError("aggregate outside a grouped projection")
+def compile_expression(expr: Expression) -> Compiled:
+    """`expr` as one closure of ``(row, members)``, built once per FILTER
+    evaluation or SELECT level and then called for each row. In a grouped
+    projection `row` holds the group's keys and `members` its rows, which a
+    SUM adds up; elsewhere `members` is None and a SUM is an error.
+    Operators call `apply_arith` and `compare_terms` by their module names."""
+    cls = expr.__class__
+    if cls is VarExpr:
+        name = expr.var.name
+
+        def variable(row: Binding, members: Optional[list[Binding]]) -> Term:
+            value = row.get(name)
+            if value is None:
+                raise EvalError(f"unbound variable ?{name}")
+            return value
+
+        return variable
+    if cls is ConstExpr:
+        term = expr.term
+        return lambda row, members: term
+    if cls is Compare:
+        op, left, right = expr.op, compile_expression(expr.left), compile_expression(expr.right)
+
+        def compare(row: Binding, members: Optional[list[Binding]]) -> Term:
+            return TRUE if compare_terms(op, left(row, members), right(row, members)) else FALSE
+
+        return compare
+    if cls is Arith:
+        first, *rest = map(compile_expression, expr.operands)
+        steps = list(zip(expr.ops, rest))
+
+        def arith(row: Binding, members: Optional[list[Binding]]) -> Term:
+            value = first(row, members)
+            for op, operand in steps:  # left to right, one literal per step
+                value = apply_arith(op, value, operand(row, members))
+            return value
+
+        return arith
+    if cls is SumAgg:
         inner = expr.expr
-        name = inner.var.name if isinstance(inner, VarExpr) else None
-        total = 0
-        for member in members:
-            try:  # a variable's value is read from the member directly
-                value = _numeric(member.get(name) if name else eval_expression(inner, member))
-            except EvalError:
-                raise EvalError("non-numeric value in SUM group") from None
-            if total.__class__ is int and value.__class__ is int:
-                total += value
-            else:
-                total = operator.add(*_promote(total, value))
-        return numeric_literal(total)
+        # a variable's value is read from each member directly
+        name = inner.var.name if inner.__class__ is VarExpr else None
+        value_of = None if name else compile_expression(inner)
+
+        def sum_group(row: Binding, members: Optional[list[Binding]]) -> Term:
+            if members is None:
+                raise EvalError("aggregate outside a grouped projection")
+            total = 0
+            for member in members:
+                try:
+                    value = _numeric(member.get(name) if name else value_of(member, None))
+                except EvalError:
+                    raise EvalError("non-numeric value in SUM group") from None
+                if total.__class__ is int and value.__class__ is int:
+                    total += value
+                else:
+                    total = operator.add(*_promote(total, value))
+            return numeric_literal(total)
+
+        return sum_group
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -225,20 +255,27 @@ def compare_terms(op: str, left: Term, right: Term) -> bool:
     return compare(left, right)
 
 
-def effective_boolean(expr: Expression, row: Binding) -> bool:
-    try:
-        term = eval_expression(expr, row)
-    except EvalError:
+def compile_filter(expr: Expression) -> Callable[[Binding], bool]:
+    """`expr` compiled as the test of one FILTER row: the effective boolean
+    value of its result, false when the expression fails."""
+    value = compile_expression(expr)
+
+    def holds(row: Binding) -> bool:
+        try:
+            term = value(row, None)
+        except EvalError:
+            return False
+        if term.__class__ is Literal:
+            if term.datatype == XSD_BOOLEAN:
+                return term.lexical == "true"
+            number = numeric_value(term)
+            if number is not None:
+                return number == number and number != 0  # NaN is false
+            if _is_plain_string(term):
+                return len(term.lexical) > 0
         return False
-    if isinstance(term, Literal):
-        if term.datatype == XSD_BOOLEAN:
-            return term.lexical == "true"
-        value = numeric_value(term)
-        if value is not None:
-            return value == value and value != 0  # NaN is false
-        if _is_plain_string(term):
-            return len(term.lexical) > 0
-    return False
+
+    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +334,18 @@ def match_pattern(graph: Graph, tp: TriplePattern, rows: list[Binding]) -> list[
                 merged[name] = value
                 append(merged)
         return out
+    match = graph.match
     if not free:
         for row in rows:
             for i, name in lookups:
                 key[i] = row[name]
-            for _ in graph.match(*key):
+            for _ in match(*key):  # iterated, never truth-tested: `match` may be a generator
                 append(row)
         return out
     for row in rows:
         for i, name in lookups:
             key[i] = row[name]
-        for t in graph.match(*key):
+        for t in match(*key):
             if repeats and any(t[i] != t[j] for i, j in repeats):
                 continue
             merged = row.copy()
@@ -454,7 +492,8 @@ def eval_pattern(graph: Graph, pattern: Pattern) -> list[Binding]:
     if isinstance(pattern, Filter):
         rows = eval_pattern(graph, pattern.inner)
         for expression in pattern.expressions:
-            rows = [row for row in rows if effective_boolean(expression, row)]
+            holds = compile_filter(expression)
+            rows = [row for row in rows if holds(row)]
         return rows
     if isinstance(pattern, Values):
         return [
@@ -490,7 +529,11 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
     worked out once for the level, then one loop projects every scope."""
     rows = eval_pattern(graph, query.pattern)
     plain = [item.name for item in query.select if isinstance(item, Variable)]
-    computed = [(item.var.name, item.expr) for item in query.select if isinstance(item, Aliased)]
+    computed = [
+        (item.var.name, compile_expression(item.expr))
+        for item in query.select
+        if isinstance(item, Aliased)
+    ]
     # A scope is what one output row projects: a group's key binding and
     # member rows when grouped, one solution row without members otherwise.
     scopes: Iterable[tuple[Binding, Optional[list[Binding]]]]
@@ -515,9 +558,9 @@ def evaluate(graph: Graph, query: SelectQuery) -> Solution:
     out_rows: list[Binding] = []
     for row, members in scopes:
         out = {name: row[name] for name in plain if name in row}
-        for name, expr in computed:
+        for name, value in computed:
             try:
-                out[name] = eval_expression(expr, row, members)
+                out[name] = value(row, members)
             except EvalError:
                 pass  # unbound projected value, row kept
         out_rows.append(out)

@@ -37,6 +37,7 @@ from typing import NamedTuple, Optional
 
 from ..terms import (
     ECHAR,
+    ESCAPE,
     RDF_TYPE,
     XSD_DECIMAL,
     XSD_DOUBLE,
@@ -48,6 +49,7 @@ from ..terms import (
     TermError,
     UnknownPrefixError,
     default_prefixes,
+    scalar_value,
 )
 from .algebra import (
     Aliased,
@@ -131,12 +133,29 @@ def position(text: str, offset: int) -> tuple[int, int]:
 
 
 def _unescape(text: str, start: int, body: str) -> str:
-    def decode(m: re.Match) -> str:
-        if m[1] not in ECHAR:
-            raise QuerySyntaxError(f"unknown escape \\{m[1]}", *position(text, start))
-        return ECHAR[m[1]]
+    """Decode the escapes of `body`, the string whose quote is at `start`:
+    ECHAR, and \\u or \\U (SPARQL 1.1 §19.2) with the N-Triples reader's
+    scalar-value rule. A bad \\u or \\U escape is reported at its backslash,
+    an unknown escape at the string's quote."""
 
-    return re.sub(r"\\(.)", decode, body, flags=re.DOTALL)
+    def decode(m: re.Match) -> str:
+        esc, hexs = m[3], m[1] or m[2]
+        at = start + 1 + m.start()  # the escape's backslash
+        if hexs:
+            char = scalar_value(hexs)
+            if char is None:
+                raise QuerySyntaxError(f"{m[0]} is not a Unicode scalar value", *position(text, at))
+            return char
+        if esc in ECHAR:
+            return ECHAR[esc]
+        if esc in "uU":
+            width = 4 if esc == "u" else 8
+            hexs = body[m.end():m.end() + width]
+            message = f"short \\{esc} escape" if len(hexs) < width else f"bad \\{esc} escape: {hexs!r}"
+            raise QuerySyntaxError(message, *position(text, at))
+        raise QuerySyntaxError(f"unknown escape \\{esc}", *position(text, start))
+
+    return ESCAPE.sub(decode, body)
 
 
 def _bad_token(text: str, start: int, value: str) -> QueryError:

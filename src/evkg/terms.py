@@ -117,6 +117,17 @@ WKT_LITERAL = GEO.wktLiteral
 # ECHAR, the string escapes of N-Triples (grammar [153s]) and SPARQL 1.1
 # (grammar [160]): the character after the backslash -> the one it stands for.
 ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# One escape in a string or IRI body: \u or \U with its hex digits (UCHAR),
+# or a backslash and any other character.
+ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+
+
+def scalar_value(hexs: str) -> Optional[str]:
+    """The character the hex digits of a UCHAR escape name, or None when
+    they name no Unicode scalar value: a surrogate or a code past U+10FFFF."""
+    code = int(hexs, 16)
+    return None if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF else chr(code)
+
 
 # Lexical forms, matched whole (`fullmatch`) and ASCII only: `\d` would take
 # any Unicode digit and `$` a trailing newline. xsd:double follows XSD 1.1.
@@ -307,28 +318,51 @@ def default_prefixes() -> PrefixTable:
 DECIMAL_SCALE = 12
 
 
+_DECIMAL_FORM = re.compile(_DECIMAL).fullmatch
+
+
+def _decimal(text: str) -> Fraction:
+    """An xsd:decimal's value: a lexical form that matches `_DECIMAL` is its
+    digits over a power of ten; any other form (built unchecked) is read by
+    `Fraction`, as are digits too many for one `int` conversion."""
+    if _DECIMAL_FORM(text) is not None:
+        whole, _, frac = text.partition(".")
+        try:
+            return Fraction(int(whole + frac), 10 ** len(frac))
+        except ValueError:
+            pass
+    return Fraction(text)
+
+
+# datatype -> the parser of its lexical form's value (see `numeric_value`)
+_NUMERIC_PARSERS = {
+    XSD_INTEGER: int,
+    XSD_GYEAR: int,
+    XSD_DECIMAL: _decimal,
+    XSD_DOUBLE: float,
+}
+
+
 def numeric_value(lit: Literal) -> Union[int, Fraction, float, None]:
     """The value of a numeric literal, or None if it is not numeric.
 
-    The value's Python type is its XSD kind: `int` for xsd:integer (and
-    xsd:gYear, so that year comparisons work), `Fraction` for xsd:decimal
-    and `float` for xsd:double. Python's int -> Fraction -> float coercion
-    is the integer -> decimal -> double promotion of XPath F&O 3.1 §4.2, so
-    arithmetic on these values yields a value of the promoted kind.
+    The literal's datatype picks the parser of its lexical form from one
+    table, `_NUMERIC_PARSERS`; a datatype not in it, a language tag or a
+    form its parser refuses gives None. The value's Python type is its XSD
+    kind: `int` for xsd:integer (and xsd:gYear, so that year comparisons
+    work), `Fraction` for xsd:decimal and `float` for xsd:double. Python's
+    int -> Fraction -> float coercion is the integer -> decimal -> double
+    promotion of XPath F&O 3.1 §4.2, so arithmetic on these values yields
+    a value of the promoted kind.
     """
-    if lit.language is not None:
+    lexical, datatype, language = lit
+    parse = _NUMERIC_PARSERS.get(datatype)
+    if parse is None or language is not None:
         return None
-    dt = lit.datatype
     try:
-        if dt == XSD_INTEGER or dt == XSD_GYEAR:
-            return int(lit.lexical)
-        if dt == XSD_DECIMAL:
-            return Fraction(lit.lexical)
-        if dt == XSD_DOUBLE:
-            return float(lit.lexical)
+        return parse(lexical)
     except (ValueError, ZeroDivisionError):
         return None
-    return None
 
 
 def format_decimal(value: Fraction) -> str:
@@ -341,11 +375,8 @@ def format_decimal(value: Fraction) -> str:
     Always carries a decimal point; zero carries no sign.
     """
     num, den = abs(value.numerator), value.denominator
-    scale = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        scale += 1
+    scale = (den & -den).bit_length() - 1  # the factors of 2 in `den`
+    d = den >> scale
     fives = 0
     while d % 5 == 0:
         d //= 5

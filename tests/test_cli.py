@@ -160,6 +160,17 @@ def test_query_syntax_error_exit_3(workspace, capsys):
     assert "OPTIONAL" in capsys.readouterr().err
 
 
+def test_query_surrogate_escape_exit_3(workspace, capsys):
+    snapshot = _ingest(workspace)
+    capsys.readouterr()
+    bad = workspace / "bad.rq"
+    bad.write_text('SELECT ?x WHERE {\n  ?x ?p "\\uD800" }', encoding="utf-8")
+    assert main(["query", "-i", str(snapshot), "-q", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "line 2, col 10: \\uD800 is not a Unicode scalar value" in err
+    assert "Traceback" not in err
+
+
 def test_query_nested_too_deep_exit_3(workspace, capsys):
     snapshot = _ingest(workspace)
     deep = workspace / "deep.rq"

@@ -24,6 +24,7 @@ from evkg.terms import (
     RDF_TYPE,
     XSD_GYEAR,
     XSD_INTEGER,
+    XSD_STRING,
     BlankNode,
     Iri,
     Literal,
@@ -450,3 +451,59 @@ def test_k2_snapshot_round_trips(tmp_path):
     assert len(graph) == json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["2"]["triples"]
     terms = [term for t in graph for term in t]
     assert len({id(term) for term in terms}) == len(set(terms))
+
+
+_REFERENCE_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04X}" for c in range(0x20)}
+    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
+def _reference_term_to_ntriples(term) -> str:
+    """`term_to_ntriples` as an isinstance chain over the term's named
+    fields: the reference the class dispatch is checked against."""
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    if isinstance(term, Literal):
+        body = f'"{term.lexical.translate(_REFERENCE_ESCAPES)}"'
+        if term.language:
+            return f"{body}@{term.language}"
+        if term.datatype == XSD_STRING:
+            return body
+        return f"{body}^^<{term.datatype.value}>"
+    raise TypeError(f"not a term: {term!r}")
+
+
+def test_term_to_ntriples_matches_the_isinstance_reference():
+    """Seeded IRIs, blank nodes and literals of every kind whose lexical
+    forms hold every character the writer escapes: the class dispatch
+    writes what the reference writes, and a non-term is a TypeError."""
+    rng = random.Random(0x7E2)
+    specials = [chr(c) for c in range(0x20)] + ["\\", '"', "\x7f", "é", " ", "🔌", "a", " "]
+    datatypes = [XSD_STRING, XSD_INTEGER, XSD_GYEAR, Iri("http://example.org/dt#x")]
+    terms = []
+    for i in range(2000):
+        text = "".join(rng.choices(specials, k=rng.randint(0, 12)))
+        terms.append(Iri(f"http://example.org/{i}/é{rng.randint(0, 99)}"))
+        terms.append(BlankNode(f"b{i}é"))
+        kind = rng.randrange(3)
+        if kind == 0:
+            terms.append(Literal(text))
+        elif kind == 1:
+            terms.append(Literal(text, RDF_LANGSTRING, rng.choice(["en", "de-CH"])))
+        else:  # unchecked, as results and snapshots may hold
+            terms.append(tuple.__new__(Literal, (text, rng.choice(datatypes), None)))
+    escaped = set()
+    for term in terms:
+        assert term_to_ntriples(term) == _reference_term_to_ntriples(term), term
+        if isinstance(term, Literal):
+            escaped.update(c for c in term.lexical if c in specials[:0x20] + ["\\", '"'])
+    assert escaped == set(specials[:0x20] + ["\\", '"'])
+    for not_a_term in [("http://example.org/",), "http://example.org/", None, 7,
+                       ("a", XSD_STRING, None), Triple(EVR.a, RDF_TYPE, EVR.b)]:
+        with pytest.raises(TypeError):
+            _reference_term_to_ntriples(not_a_term)
+        with pytest.raises(TypeError):
+            term_to_ntriples(not_a_term)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from evkg import queries
+from evkg.graph import Graph
 from evkg.queries import (
     QUERY_TEXTS,
     UnknownQueryId,
@@ -20,6 +21,7 @@ from evkg.queries import (
     suite_query,
 )
 from evkg.sparql import parse_query
+from evkg.results import solution_to_tsv
 from evkg.sparql.engine import evaluate
 from evkg.terms import Iri, Literal
 from randomized import solution_multiset
@@ -326,6 +328,26 @@ def test_question_outputs_run_each_query_once(fixture_graph, monkeypatch):
         calls.clear()
         question_outputs(fixture_graph, question)
         assert calls == expected, question
+
+
+class _GeneratorMatchGraph(Graph):
+    """A store whose `match` returns a generator for every pattern, fully
+    bound ones included, as a wrapper that counts what it yields does: the
+    result is truthy even when it yields nothing."""
+
+    probes = 0
+
+    def match(self, s=None, p=None, o=None):
+        self.probes += s is not None and p is not None and o is not None
+        yield from Graph.match(self, s, p, o)
+
+
+def test_generator_match_gives_the_same_answers(fixture_graph):
+    wrapped = _GeneratorMatchGraph(fixture_graph)
+    for qid in range(1, 11):
+        plain = solution_to_tsv(run_suite_query(fixture_graph, qid))
+        assert solution_to_tsv(run_suite_query(wrapped, qid)) == plain, qid
+    assert wrapped.probes > 0  # the existence steps went through the generator
 
 
 # --- the parsed-query cache -----------------------------------------------------

@@ -465,6 +465,16 @@ _TOKEN_ERRORS = [  # (text, exception type, message with its position)
      "line 1, col 19: unexpanded query reference (backquoted placeholder)"),
     ("SELECT ?x\nWHERE {\n  ?x ?p ~ }", QuerySyntaxError,
      "line 3, col 9: unexpected character '~'"),
+    # a bad codepoint escape is reported at its backslash
+    (_W + '\n  "a\\uD800" }', QuerySyntaxError, "line 2, col 5: \\uD800 is not a Unicode scalar value"),
+    (_W + '"\\uDFFF" }', QuerySyntaxError, "line 1, col 26: \\uDFFF is not a Unicode scalar value"),
+    (_W + '"\\U0000D800" }', QuerySyntaxError,
+     "line 1, col 26: \\U0000D800 is not a Unicode scalar value"),
+    (_W + '"a\\U00110000" }', QuerySyntaxError,
+     "line 1, col 27: \\U00110000 is not a Unicode scalar value"),
+    (_W + '"\\u00E" }', QuerySyntaxError, "line 1, col 26: short \\u escape"),
+    (_W + '"\\U0001F50" }', QuerySyntaxError, "line 1, col 26: short \\U escape"),
+    (_W + '"\\u00G9" }', QuerySyntaxError, "line 1, col 26: bad \\u escape: '00G9'"),
 ]
 
 
@@ -476,10 +486,13 @@ def test_tokenizer_error_type_message_and_position(text, error, message):
     assert str(exc.value) == message
 
 
-# Every string escape (ECHAR, SPARQL 1.1 grammar [160]) is read.
+# Every string escape (ECHAR, SPARQL 1.1 grammar [160]) is read, and so is
+# a codepoint escape of any Unicode scalar value (SPARQL 1.1 §19.2).
 @pytest.mark.parametrize("escape, char", [
     ("\\t", "\t"), ("\\b", "\b"), ("\\n", "\n"), ("\\r", "\r"), ("\\f", "\f"),
     ('\\"', '"'), ("\\'", "'"), ("\\\\", "\\"),
+    ("\\u00E9", "é"), ("\\u00e9", "é"), ("\\U0001F50C", "\U0001F50C"), ("\\u0022", '"'),
+    ("\\U0010FFFF", "\U0010FFFF"),
 ])
 def test_string_escapes_accepted(escape, char):
     q = parse_query(_W + f'"a{escape}b" }}')

@@ -334,3 +334,102 @@ def test_namespace_shares_attribute_iris_but_not_items():
     with pytest.raises(TermError):
         getattr(EV_ONT, "not an iri")
     assert "not an iri" not in EV_ONT.__dict__
+
+
+def _reference_numeric_value(lit):
+    """`numeric_value` as an if-chain over the datatypes, with every
+    xsd:decimal read by `Fraction(str)`: the reference the table-driven
+    version is checked against."""
+    if lit.language is not None:
+        return None
+    dt = lit.datatype
+    try:
+        if dt == XSD_INTEGER or dt == XSD_GYEAR:
+            return int(lit.lexical)
+        if dt == XSD_DECIMAL:
+            return Fraction(lit.lexical)
+        if dt == XSD_DOUBLE:
+            return float(lit.lexical)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return None
+
+
+def _random_numeric_form(rng: random.Random) -> str:
+    sign = rng.choice(["", "", "+", "-"])
+    whole = "0" * rng.randint(0, 3) + "".join(rng.choices("0123456789", k=rng.randint(0, 6)))
+    frac = "".join(rng.choices("0123456789", k=rng.randint(0, 6)))
+    form = sign + whole + rng.choice(["", ".", "."]) + frac
+    if rng.random() < 0.3:  # forms only an unchecked literal holds
+        at = rng.randint(0, len(form))
+        form = form[:at] + rng.choice([" ", "\t", "_", "/7", "/0", "\n"]) + form[at:]
+    if rng.random() < 0.1:  # an exponent, at the end so that it stays small
+        form += rng.choice(["e3", "E-2"])
+    return form
+
+
+def test_numeric_value_matches_the_if_chain_reference():
+    """Seeded lexical forms, built unchecked, under every numeric datatype,
+    a string, an unknown datatype and a language tag: `numeric_value` gives
+    the reference's value, of the reference's type, or None as it does."""
+    rng = random.Random(0xDEC1)
+    forms = [
+        "0", "-0", "+0.0", ".5", "5.", "-.5", "+5.", "007", "-00.0100", "1.", ".", "",
+        "+", "-", "NaN", "INF", "-INF", "1e5", " 1.5", "1.5 ", "1_000.5", "1_0", "١٢",
+        "１", "1/2", "3/0", "1.2.3", "--1",
+        "9" * 400, "-" + "1" * 200 + "." + "2" * 200, "0." + "0" * 399 + "1",
+        "1" * 3000 + "." + "2" * 3000,  # each part is one int() conversion, not both together
+        "1" * 5000, "1" * 5000 + ".5",
+    ]
+    forms += [_random_numeric_form(rng) for _ in range(3000)]
+    unknown = Iri("http://example.org/number")
+    datatypes = [XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_GYEAR, XSD_STRING, unknown]
+    seen_value = seen_none = 0
+    for form in forms:
+        for datatype in datatypes:
+            for language in (None, "en"):
+                lit = tuple.__new__(Literal, (form, datatype, language))
+                got, want = numeric_value(lit), _reference_numeric_value(lit)
+                assert type(got) is type(want), (form, datatype, language)
+                if isinstance(want, float) and math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert got == want, (form, datatype, language)
+                seen_value += want is not None
+                seen_none += want is None
+    assert seen_value > 5000 and seen_none > 5000
+
+
+def _reference_format_decimal(value: Fraction) -> str:
+    """`format_decimal` with the factors of 2 counted by division."""
+    num, den = abs(value.numerator), value.denominator
+    scale = 0
+    d = den
+    while d % 2 == 0:
+        d //= 2
+        scale += 1
+    fives = 0
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    scale = max(scale, fives)
+    if d != 1:
+        scale = DECIMAL_SCALE
+        digits = (2 * num * 10**scale + den) // (2 * den)
+    else:
+        digits = num * 10**scale // den
+    sign = "-" if value < 0 and digits else ""
+    text = str(digits).rjust(scale + 1, "0")
+    if scale == 0:
+        return f"{sign}{text}.0"
+    whole, frac = text[:-scale], text[-scale:]
+    frac = frac.rstrip("0") or "0"
+    return f"{sign}{whole}.{frac}"
+
+
+def test_format_decimal_matches_the_division_reference():
+    rng = random.Random(0xF0D)
+    for _ in range(3000):
+        den = 2 ** rng.randint(0, 70) * 5 ** rng.randint(0, 30) * rng.choice([1, 1, 3, 7, 11])
+        value = Fraction(rng.randint(-(10**20), 10**20), den)
+        assert format_decimal(value) == _reference_format_decimal(value), value
